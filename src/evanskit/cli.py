@@ -18,8 +18,8 @@ import numpy as np
 
 from .asymptotics import spectrum
 from .errors import BadParameter, EvanskitError
-from .evans import (Numerics, evans_det, evans_wedge, eta_identity_residual,
-                    real_axis_scan, winding_count)
+from .evans import (CONTOUR_TOL, Numerics, evans_det, evans_dets, evans_wedge,
+                    eta_identity_residual, real_axis_scan, winding_count)
 from .finite_re import cor23_root, synth_re, theorem22_check
 from .invariants import stability_report, structural_checks
 from .model import (CANONICAL_K, CANONICAL_M, MultisymplecticModel,
@@ -69,8 +69,10 @@ class RunConfig:
         for k in self.params:
             if k not in _PARAM_KEYS:
                 raise BadParameter(f"params: unknown key '{k}'")
-        base = {"L_override": None, "tol": 1e-8 if self.task == "contour" else 1e-10,
-                "h": 0.1, "grid_n": 31}
+        d = Numerics()
+        base = {"L_override": d.L,
+                "tol": CONTOUR_TOL if self.task == "contour" else d.tol,
+                "h": d.h, "grid_n": d.grid_n}
         for k in self.numerics:
             if k not in _NUM_KEYS:
                 raise BadParameter(f"numerics: unknown key '{k}'")
@@ -306,7 +308,7 @@ def _suite_exact_evans(cfg: RunConfig):
     model, wave = build_coupled_wave(p)
     nm = cfg.numerics_obj()
     alpha = 1.0 / np.sqrt(1.0 - cfg.c ** 2)
-    ratios = []
+    lams, denoms = [], []
     for k in range(1, 16):
         lam = 0.2 * k
         y = (alpha * lam) ** 2
@@ -315,9 +317,10 @@ def _suite_exact_evans(cfg: RunConfig):
         denom = lam ** 2 * P
         if abs(denom) < 1e-12:
             continue
-        D = evans_det(model, wave, cfg.c, lam, numerics=nm).D.real
-        ratios.append(D / denom)
-    r = np.array(ratios)
+        lams.append(lam)
+        denoms.append(denom)
+    samples = evans_dets(model, wave, cfg.c, lams, numerics=nm)
+    r = np.array([s.D.real / denom for s, denom in zip(samples, denoms)])
     drift = float((r.max() - r.min()) / abs(r.mean()))
     return [_check("shape-ratio-constancy", drift <= 1e-4,
                    f"relative drift {_r(drift)} over {len(r)} samples")]
@@ -416,7 +419,8 @@ def _options(f):
         click.option("--rect", default=None,
                      help="contour rectangle re0,re1,im0,im1."),
         click.option("--tol", type=float, default=None,
-                     help="integrator tolerance (contour default 1e-8, else 1e-10)."),
+                     help=f"integrator tolerance (contour default {CONTOUR_TOL:g}, "
+                          f"else {Numerics.tol:g})."),
         click.option("--h", "h", type=float, default=None,
                      help="base step for derivatives at the origin."),
         click.option("--L", "big_l", type=float, default=None,

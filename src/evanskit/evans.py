@@ -12,10 +12,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .asymptotics import InfinitySpectrum, continuous_spectrum_distance, spectrum
 from .errors import BadParameter, ContourOnSpectrum, NoConverge, NonClosure, StepTooLarge
-from .integrator import integrate_mode
+from .integrator import integrate_modes
 from .linalg import symplectic_form, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
 
@@ -25,6 +26,7 @@ __all__ = [
     "Derivatives",
     "ScanResult",
     "evans_det",
+    "evans_dets",
     "evans_wedge",
     "eta_identity_residual",
     "derivatives_at_zero",
@@ -50,6 +52,8 @@ class Numerics:
 
 
 _DEFAULT = Numerics()
+CONTOUR_TOL = 1e-8   # contours default to a looser tolerance than point values
+ROOT_XTOL = 1e-10    # absolute tolerance of real-axis root polish
 
 
 @dataclass
@@ -67,43 +71,56 @@ class EvansSample:
     d3: complex = 0.0
     d4: complex = 0.0
     D_wedge: complex | None = None
+    stats: dict = field(default_factory=dict)   # "u3", "u4", "w3", "w4" -> StepStats
+
+
+_DET_MODES = ((3, "u"), (4, "u"), (3, "w"), (4, "w"))
+
+
+def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
+               numerics: Numerics | None = None, specs=None,
+               xi_star: float = 0.0) -> list[EvansSample]:
+    """Determinant-form Evans function at many spectral points, one integration.
+
+    For each lambda, integrates u3, u4 from -L and w3, w4 from +L to the
+    matching point xi_star and returns the determinant of the symplectic
+    cross-pairings.  Pairings with mismatched mode indices are rebalanced by
+    exp((mu_i - mu_j) xi_star); the product d3*d4 is insensitive to this,
+    so D itself does not depend on the rebalancing convention.
+
+    All 4 * len(lams) runs go through one batched stepper call, and each
+    keeps its own steps: every sample equals its evans_det call exactly.
+    specs optionally supplies the spectrum at infinity per lambda.
+    """
+    nm = numerics or _DEFAULT
+    if specs is None:
+        specs = [spectrum(model, c, lam) for lam in lams]
+    runs = integrate_modes(model, wave, c, lams, _DET_MODES, tol=nm.tol, L=nm.L,
+                           specs=specs, until=xi_star)
+    J = jc(model, c)
+    out = []
+    for lam, spec, sols in zip(lams, specs, runs):
+        r = {f"{kind}{j}": sol for (j, kind), sol in zip(_DET_MODES, sols)}
+        mu = spec.mu
+
+        def pair(i, j):
+            # Omega(w_i, u_j), rebalanced to the scale of the matching point
+            return (symplectic_form(J, r[f"w{i}"].value_at_end, r[f"u{j}"].value_at_end)
+                    * np.exp((mu[j - 1] - mu[i - 1]) * xi_star))
+
+        d1, d2, d3, d4 = pair(3, 3), pair(4, 4), pair(3, 4), pair(4, 3)
+        out.append(EvansSample(lam=complex(lam), D=d1 * d2 - d3 * d4,
+                               d1=d1, d2=d2, d3=d3, d4=d4,
+                               stats={k: sol.stats for k, sol in r.items()}))
+    return out
 
 
 def evans_det(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: complex,
               numerics: Numerics | None = None, spec: InfinitySpectrum | None = None,
               xi_star: float = 0.0) -> EvansSample:
-    """Determinant-form Evans function at one spectral point.
-
-    Integrates u3, u4 from -L and w3, w4 from +L to the matching point
-    xi_star and returns the determinant of the symplectic cross-pairings.
-    Pairings with mismatched mode indices are rebalanced by
-    exp((mu_i - mu_j) xi_star); the product d3*d4 is insensitive to this,
-    so D itself does not depend on the rebalancing convention.
-    """
-    nm = numerics or _DEFAULT
-    if spec is None:
-        spec = spectrum(model, c, lam)
-    runs = {}
-    for j in (3, 4):
-        runs["u", j] = integrate_mode(model, wave, c, lam, j, "u",
-                                      tol=nm.tol, L=nm.L, spec=spec, until=xi_star)
-        runs["w", j] = integrate_mode(model, wave, c, lam, j, "w",
-                                      tol=nm.tol, L=nm.L, spec=spec, until=xi_star)
-    if xi_star == 0.0:
-        val = {k: r.value_at_zero for k, r in runs.items()}
-        reb = {(i, j): 1.0 for i in (3, 4) for j in (3, 4)}
-    else:
-        val = {k: r.value_at_end for k, r in runs.items()}
-        mu = spec.mu
-        reb = {(i, j): np.exp((mu[i - 1] - mu[j - 1]) * xi_star)
-               for i in (3, 4) for j in (3, 4)}
-    J = jc(model, c)
-    d1 = symplectic_form(J, val["w", 3], val["u", 3]) * reb[3, 3]
-    d3 = symplectic_form(J, val["w", 3], val["u", 4]) * reb[4, 3]
-    d4 = symplectic_form(J, val["w", 4], val["u", 3]) * reb[3, 4]
-    d2 = symplectic_form(J, val["w", 4], val["u", 4]) * reb[4, 4]
-    return EvansSample(lam=complex(lam), D=d1 * d2 - d3 * d4,
-                       d1=d1, d2=d2, d3=d3, d4=d4)
+    """Determinant-form Evans function at one spectral point: evans_dets of one."""
+    return evans_dets(model, wave, c, [lam], numerics=numerics,
+                      specs=None if spec is None else [spec], xi_star=xi_star)[0]
 
 
 def evans_wedge(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: complex,
@@ -115,12 +132,10 @@ def evans_wedge(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: co
     the matching point xi = 0.
     """
     nm = numerics or _DEFAULT
-    if spec is None:
-        spec = spectrum(model, c, lam)
-    vals = [integrate_mode(model, wave, c, lam, j, "u",
-                           tol=nm.tol, L=nm.L, spec=spec).value_at_zero
-            for j in (1, 2, 3, 4)]
-    return complex(wedge4(*vals))
+    sols, = integrate_modes(model, wave, c, [lam], [(j, "u") for j in (1, 2, 3, 4)],
+                            tol=nm.tol, L=nm.L,
+                            specs=None if spec is None else [spec])
+    return complex(wedge4(*(s.value_at_zero for s in sols)))
 
 
 def eta_identity_residual(model: MultisymplecticModel, spec: InfinitySpectrum) -> float:
@@ -151,25 +166,28 @@ class Derivatives:
     D2_scaled: float      # D2_raw / 2, matching the rescaled statement
     scale: float          # max |D| over the sample stencil
     samples: dict = field(default_factory=dict)
+    probes: list = field(default_factory=list)   # EvansSample per extra lambda
 
 
 def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
                         h: float | None = None,
-                        numerics: Numerics | None = None) -> Derivatives:
+                        numerics: Numerics | None = None,
+                        probes=()) -> Derivatives:
     """D, D', D'' at lambda = 0 by central differences with Richardson extrapolation.
 
     Samples at {0, +-h/2, +-h}.  Raises StepTooLarge when a least-squares
     quadratic through the five samples leaves more than 1e-3 relative residual,
     which signals that h reaches outside the quadratic neighborhood of 0.
+    Any lambda in probes is evaluated in the same batched integration as the
+    stencil and returned as an EvansSample in Derivatives.probes.
     """
     nm = numerics or _DEFAULT
     hh = nm.h if h is None else float(h)
     if hh <= 0:
         raise BadParameter("derivative step must be positive")
     lams = [0.0, hh / 2, -hh / 2, hh, -hh]
-    vals = {}
-    for lam in lams:
-        vals[lam] = evans_det(model, wave, c, lam, numerics=nm).D.real
+    samples = evans_dets(model, wave, c, lams + list(probes), numerics=nm)
+    vals = {lam: s.D.real for lam, s in zip(lams, samples)}
     scale = max(abs(v) for v in vals.values())
     # quadratic-fit guard: the stencil must sit inside the parabolic regime
     xs = np.array(lams)
@@ -186,7 +204,7 @@ def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
     d2_h2 = (vals[hh / 2] - 2 * vals[0.0] + vals[-hh / 2]) / (hh / 2) ** 2
     d2 = (4 * d2_h2 - d2_h) / 3
     return Derivatives(D0=vals[0.0], D1=d1, D2_raw=d2, D2_scaled=d2 / 2,
-                       scale=scale, samples=vals)
+                       scale=scale, samples=vals, probes=samples[len(lams):])
 
 
 @dataclass
@@ -195,14 +213,19 @@ class ScanResult:
     values: np.ndarray            # complex D(lambda)
     entries: np.ndarray           # (n, 4) complex d1..d4
     brackets: list                # (lo, hi) sign-change intervals before refinement
-    roots: list                   # bisection-refined root locations
+    roots: list                   # Brent-refined root locations
     d_inf: int                    # sign of D at the right end
 
 
 def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
                    lam_max: float, n: int | None = None,
                    numerics: Numerics | None = None) -> ScanResult:
-    """Sample D on (0, lam_max], bracket sign changes, refine roots by bisection."""
+    """Sample D on (0, lam_max], bracket sign changes, refine roots by Brent's method.
+
+    The grid samples are one batched evaluation.  A root is polished to
+    ROOT_XTOL; the polish reuses the bracket's sample values, which equal
+    what a fresh evaluation there would give.
+    """
     nm = numerics or _DEFAULT
     nn = nm.grid_n if n is None else int(n)
     if lam_max <= 0 or nn < 2:
@@ -213,17 +236,18 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
             warnings.warn(f"scan sample lambda={lam:.6g} sits on the continuous "
                           "spectrum", stacklevel=2)
             break
-    vals, ents = [], []
-    for lam in lams:
-        s = evans_det(model, wave, c, lam, numerics=nm)
-        vals.append(s.D)
-        ents.append((s.d1, s.d2, s.d3, s.d4))
-    vals = np.array(vals)
-    ents = np.array(ents)
-    def f(lam):
-        return evans_det(model, wave, c, lam, numerics=nm).D.real
-    brackets, roots = [], []
+    samples = evans_dets(model, wave, c, lams, numerics=nm)
+    vals = np.array([s.D for s in samples])
+    ents = np.array([(s.d1, s.d2, s.d3, s.d4) for s in samples])
     re = vals.real
+    known = {float(lam): float(v) for lam, v in zip(lams, re)}
+
+    def f(lam):
+        if lam not in known:
+            known[lam] = evans_det(model, wave, c, lam, numerics=nm).D.real
+        return known[lam]
+
+    brackets, roots = [], []
     for k in range(nn - 1):
         if re[k] == 0.0:
             roots.append(float(lams[k]))
@@ -231,18 +255,7 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
         if re[k] * re[k + 1] < 0:
             lo, hi = float(lams[k]), float(lams[k + 1])
             brackets.append((lo, hi))
-            flo = re[k]
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+            roots.append(float(brentq(f, lo, hi, xtol=ROOT_XTOL)))
     d_inf = 1 if re[-1] > 0 else (-1 if re[-1] < 0 else 0)
     return ScanResult(lams=lams, values=vals, entries=ents,
                       brackets=brackets, roots=roots, d_inf=d_inf)
@@ -268,10 +281,11 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     The boundary is refined until consecutive image points subtend less than
     pi/2, so the winding of the image curve about 0 is unambiguous.  Contours
-    default to a looser integration tolerance than pointwise evaluation; pass
-    numerics to override.
+    default to a looser integration tolerance than pointwise evaluation
+    (CONTOUR_TOL); pass numerics to override.  The boundary points are one
+    batched evaluation, and so is each level of refinement.
     """
-    nm = numerics or Numerics(tol=1e-8)
+    nm = numerics or Numerics(tol=CONTOUR_TOL)
     re0, re1, im0, im1 = (float(x) for x in rect)
     if not (re0 < re1 and im0 < im1):
         raise BadParameter("rectangle must satisfy re0 < re1 and im0 < im1")
@@ -283,33 +297,39 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
         if continuous_spectrum_distance(model, c, lam) < 1e-6:
             raise ContourOnSpectrum(f"contour point {lam:.6g} sits on the "
                                     "continuous spectrum")
-    cache: dict[complex, complex] = {}
+    D: dict[complex, complex] = {}
 
-    def f(lam):
-        if lam not in cache:
-            cache[lam] = evans_det(model, wave, c, lam, numerics=nm).D
-        return cache[lam]
+    def evaluate(lams):
+        new = [lam for lam in dict.fromkeys(lams) if lam not in D]
+        if new:
+            D.update(zip(new, (s.D for s in evans_dets(model, wave, c, new, numerics=nm))))
 
-    scale = max(abs(f(lam)) for lam in pts)
+    evaluate(pts)
+    scale = max(abs(D[lam]) for lam in pts)
     if scale == 0.0:
         raise NonClosure("Evans function vanishes on the whole contour")
 
-    def phase_step(za, zb, fa, fb, depth):
-        if abs(fa) < 1e-14 * scale or abs(fb) < 1e-14 * scale:
-            raise NonClosure("Evans function vanishes on the contour")
-        dphi = np.angle(fb / fa)
-        if abs(dphi) < np.pi / 2:
-            return dphi
-        if depth > 40:
-            raise NoConverge("contour refinement did not localize the phase")
-        zm = 0.5 * (za + zb)
-        fm = f(zm)
-        return (phase_step(za, zm, fa, fm, depth + 1)
-                + phase_step(zm, zb, fm, fb, depth + 1))
-
+    # halve every segment whose phase step is pi/2 or more, one level at a time
     total = 0.0
-    for k in range(len(pts) - 1):
-        total += phase_step(pts[k], pts[k + 1], f(pts[k]), f(pts[k + 1]), 0)
+    segs = list(zip(pts[:-1], pts[1:]))
+    depth = 0
+    while segs:
+        split = []
+        for za, zb in segs:
+            fa, fb = D[za], D[zb]
+            if abs(fa) < 1e-14 * scale or abs(fb) < 1e-14 * scale:
+                raise NonClosure("Evans function vanishes on the contour")
+            dphi = np.angle(fb / fa)
+            if abs(dphi) < np.pi / 2:
+                total += dphi
+            else:
+                split.append((za, zb))
+        if split and depth > 40:
+            raise NoConverge("contour refinement did not localize the phase")
+        mids = [0.5 * (za + zb) for za, zb in split]
+        evaluate(mids)
+        segs = [seg for (za, zb), zm in zip(split, mids) for seg in ((za, zm), (zm, zb))]
+        depth += 1
     turns = total / (2 * np.pi)
     residual = abs(total - 2 * np.pi * round(turns))
     if residual >= 0.1:

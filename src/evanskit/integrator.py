@@ -10,13 +10,15 @@ Runs are seeded with the matching eigenvector of the system at infinity
 on the side where the true mode decays and integrated toward the match
 point.  The stepper is an explicit Dormand-Prince 5(4) pair with the
 standard quartic dense-output interpolant; local error is controlled per
-unit xi.
+unit xi.  It advances a batch of runs (many lambda values, several modes
+each) in one loop, so the interpreter overhead of a step is paid once per
+batch; every run keeps its own steps, and a single run is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +54,14 @@ _P = np.array([
 _OVERFLOW = 1e12
 
 
+class StepStats(NamedTuple):
+    """Step counts of one rescaled mode run."""
+
+    accepted: int
+    rejected: int
+    h_min: float    # smallest accepted |step|; inf when no step was taken
+
+
 @dataclass
 class RescaledSolution:
     """One rescaled mode run.
@@ -73,88 +83,185 @@ class RescaledSolution:
     values: Optional[np.ndarray]
     nsteps: int
     nrejected: int
+    h_min: float
+
+    @property
+    def stats(self) -> StepStats:
+        return StepStats(self.nsteps, self.nrejected, self.h_min)
 
 
-def _dopri5(f, x0: float, x1: float, y0: np.ndarray, tol: float,
-            out_grid: Optional[np.ndarray]):
-    """Adaptive DP5(4), complex state, error per unit xi.
+def _weighted(w, k):
+    # sum_j w[j] k[j]: elementwise products summed along the leading axis,
+    # so every element of every row sees the same operations in the same order
+    return (w[:, None, None] * k[:len(w)]).sum(axis=0)
 
-    Returns (y_end, y_at_zero_or_None, out_values, nsteps, nrejected).
-    out_grid must be monotone in the direction of integration.
+
+def _dopri5(f, x0, x1, y0, tol: float, out_grids=None):
+    """Adaptive DP5(4) on a batch of independent runs, complex state, error per unit xi.
+
+    Row m of y0 (shape (N, n)) is carried from x0[m] to x1[m].  Each row has
+    its own x, step size, error norm and accept/reject decision, and a
+    finished row stays in the arrays with h = 0, so a row's step sequence,
+    and hence its result, is the same whichever batch it rides in.
+    f(x, y) maps x of shape (N,) and y of shape (N, n) to y' row by row.
+
+    out_grids, when given, holds per row a grid monotone in that row's
+    direction of integration, or None; the row's dense interpolant is
+    sampled there.  Returns (y_end, out_values, stats): out_values holds
+    per row a (len(grid), n) array or None, stats a StepStats per row.
     """
+    x0 = np.asarray(x0, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    y = np.array(y0, dtype=complex)
     span = x1 - x0
-    direction = 1.0 if span > 0 else -1.0
-    x, y = x0, y0.astype(complex)
-    k = np.empty((7, y0.size), dtype=complex)
+    direction = np.where(span > 0, 1.0, -1.0)
+    floor = 1e-12 * np.abs(span)
+    x = x0.copy()
+    live = direction * (x1 - x) > 0
+    h = np.where(live, direction * np.minimum(np.abs(span) / 100.0, 1.0), 0.0)
+    k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = f(x, y)
-    h = direction * min(abs(span) / 100.0, 1.0)
-    nsteps = nrejected = 0
-    out_vals = None if out_grid is None else np.empty((len(out_grid), y0.size), complex)
-    i_out = 0
-    if out_grid is not None and len(out_grid) and out_grid[0] == x0:
-        out_vals[0] = y
-        i_out = 1
-    y_zero = y.copy() if x0 == 0.0 else None
+    accepted = np.zeros(len(y), dtype=int)
+    rejected = np.zeros(len(y), dtype=int)
+    h_min = np.full(len(y), np.inf)
+    grids = [None] * len(y) if out_grids is None else out_grids
+    dense = [m for m, g in enumerate(grids) if g is not None]
+    out_vals = [None if g is None else np.empty((len(g), y.shape[1]), complex)
+                for g in grids]
+    i_out = [0] * len(y)
 
-    while direction * (x1 - x) > 0:
-        if abs(h) < 1e-12 * abs(span):
-            raise StepFail(f"step size {h:.2e} collapsed at xi={x:.4f}")
-        if direction * (x + h - x1) > 0:
-            h = x1 - x
+    while live.any():
+        small = live & (np.abs(h) < floor)
+        if small.any():
+            m = int(np.argmax(small))
+            raise StepFail(f"step size {h[m]:.2e} collapsed at xi={x[m]:.4f}")
+        last = direction * (x + h - x1) > 0
+        h = np.where(last, x1 - x, h)
+        hc = h[:, None]
         for i in range(1, 6):
-            k[i] = f(x + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
-        y_new = y + h * (_B @ k[:6])
+            k[i] = f(x + _C[i] * h, y + hc * _weighted(_A[i, :i], k))
+        y_new = y + hc * _weighted(_B[:6], k)
         k[6] = f(x + h, y_new)  # FSAL stage, feeds error estimate only
-        err_vec = h * (_E @ k)
-        sc = tol * abs(h) * (1.0 + np.abs(y_new))
-        err = float(np.max(np.abs(err_vec) / sc))
-        if err <= 1.0:
-            # accepted; dense interpolant covers [x, x+h]
-            xa, xb = x, x + h
-            targets = []
-            if out_grid is not None:
-                while i_out < len(out_grid) and direction * (out_grid[i_out] - xb) <= 0:
-                    targets.append((i_out, out_grid[i_out]))
-                    i_out += 1
-            crosses_zero = y_zero is None and direction * (0.0 - xa) > 0 \
-                and direction * (0.0 - xb) <= 0
-            if targets or crosses_zero:
-                q = k.T @ _P  # (n, 4)
-                def interp(xt):
-                    th = (xt - xa) / h
+        err_vec = hc * _weighted(_E, k)
+        sc = tol * np.where(live, np.abs(h), 1.0)[:, None] * (1.0 + np.abs(y_new))
+        err = np.max(np.abs(err_vec) / sc, axis=1)
+        ok = live & (err <= 1.0)
+        if ok.any():
+            x_new = np.where(last, x1, x + h)
+            for m in dense:
+                if not ok[m]:
+                    continue
+                # the dense interpolant of row m covers [x[m], x_new[m]]
+                g, i = grids[m], i_out[m]
+                q = None
+                while i < len(g) and direction[m] * (g[i] - x_new[m]) <= 0:
+                    if q is None:
+                        q = k[:, m].T @ _P  # (n, 4)
+                    th = (g[i] - x[m]) / h[m]
                     pows = np.array([th, th ** 2, th ** 3, th ** 4])
-                    return y + h * (q @ pows)
-                for idx, xt in targets:
-                    out_vals[idx] = interp(xt)
-                if crosses_zero:
-                    y_zero = interp(0.0)
-            x, y = xb, y_new
-            k[0] = k[6]  # FSAL
-            nsteps += 1
-            if float(np.max(np.abs(y))) > _OVERFLOW:
-                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} at xi={x:.3f}")
-            fac = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
-            h *= fac
+                    out_vals[m][i] = y[m] + h[m] * (q @ pows)
+                    i += 1
+                i_out[m] = i
+            x = np.where(ok, x_new, x)
+            y = np.where(ok[:, None], y_new, y)
+            k[0] = np.where(ok[:, None], k[6], k[0])  # FSAL
+            accepted += ok
+            h_min = np.where(ok, np.minimum(h_min, np.abs(h)), h_min)
+            big = ok & (np.max(np.abs(y), axis=1) > _OVERFLOW)
+            if big.any():
+                m = int(np.argmax(big))
+                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} at xi={x[m]:.3f}")
+        rejected += live & ~ok
+        fac = 0.9 * np.where(err > 0, err, 1.0) ** -0.2
+        grow = np.where(err > 0, np.minimum(5.0, fac), 5.0)
+        shrink = np.where(err > 1.0, np.maximum(0.2, fac), 0.2)  # a NaN error shrinks most
+        h = np.where(ok, h * grow, h * shrink)
+        live = direction * (x1 - x) > 0
+        h = np.where(live, h, 0.0)
+
+    for m in dense:
+        # grid points at the end point that no interpolant reached
+        out_vals[m][i_out[m]:] = y[m]
+    stats = [StepStats(int(a), int(r), float(s))
+             for a, r, s in zip(accepted, rejected, h_min)]
+    return y, out_vals, stats
+
+
+def _check_mode(j: int, kind: str):
+    if kind not in ("u", "w"):
+        raise ValueError("kind must be 'u' or 'w'")
+    if j not in (1, 2, 3, 4):
+        raise ValueError("mode index j must be 1..4")
+
+
+def _integrate(model: MultisymplecticModel, wave: WaveFamily, c: float,
+               runs, tol: float, out_grids=None) -> list:
+    """Rescaled mode runs, all in one batched stepper call.
+
+    runs holds one (lam, j, kind, spec, L, until) per run; out_grids, when
+    given, one dense-output grid or None per run.
+    """
+    n = len(runs)
+    mu = np.empty(n, complex)
+    sigma = np.empty(n)
+    lam_ode = np.empty(n, complex)
+    seed = np.empty((n, 4), complex)
+    xi_seed = np.empty(n)
+    until = np.array([float(r[5]) for r in runs])
+    for m, (lam, j, kind, spec, Lbox, _) in enumerate(runs):
+        mu[m] = spec.mu[j - 1]
+        if kind == "u":
+            sigma[m], lam_ode[m], seed[m] = +1, complex(lam), spec.zeta[j - 1]
+            xi_seed[m] = -Lbox if j in (3, 4) else +Lbox
         else:
-            nrejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            sigma[m], lam_ode[m], seed[m] = -1, -complex(lam), spec.eta[j - 1]
+            xi_seed[m] = +Lbox if j in (3, 4) else -Lbox
 
-    if out_grid is not None and i_out < len(out_grid):
-        # the final point coincides with x1 up to roundoff
-        while i_out < len(out_grid):
-            out_vals[i_out] = y
-            i_out += 1
-    if y_zero is None and x1 == 0.0:
-        y_zero = y.copy()
-    return y, y_zero, out_vals, nsteps, nrejected
+    # a run that passes through xi = 0 samples its interpolant there
+    grids = list(out_grids) if out_grids is not None else [None] * n
+    order = [None] * n
+    for m in range(n):
+        if xi_seed[m] * until[m] < 0:
+            g = np.append(grids[m] if grids[m] is not None else [], 0.0)
+            order[m] = np.argsort(np.sign(until[m] - xi_seed[m]) * g, kind="stable")
+            grids[m] = g[order[m]]
 
+    jinv = np.linalg.inv(jc(model, c))
+    shift = sigma * mu
+    # A(xi) - sigma mu I with A = J(c)^-1 (hessS(zhat(xi)) - lambda M), the
+    # xi-independent part per run
+    cmat = (lam_ode[:, None, None] * (jinv @ model.M)
+            + shift[:, None, None] * np.eye(4))
+    hess = model.hessS
+    zhat = wave.zhat
 
-def amatrix(model: MultisymplecticModel, wave: WaveFamily, c: float,
-            lam: complex, xi: float) -> np.ndarray:
-    """A(xi, lambda) = J(c)^-1 (hessS(zhat) - lambda M)."""
-    j = jc(model, c)
-    b = model.hessS(wave.zhat(xi, c))
-    return np.linalg.solve(j, b - lam * model.M)
+    def rhs(xi, v):
+        a = jinv @ hess(zhat(xi, c)) - cmat
+        return (a @ v[:, :, None])[:, :, 0]
+
+    y_end, out_vals, stats = _dopri5(rhs, xi_seed, until, seed, tol, grids)
+    sols = []
+    for m in range(n):
+        values = out_vals[m]
+        if order[m] is not None:
+            unsorted = np.empty_like(values)
+            unsorted[order[m]] = values
+            values, y_zero = unsorted[:-1], unsorted[-1]
+        elif until[m] == 0.0:
+            y_zero = y_end[m]
+        elif xi_seed[m] == 0.0:
+            y_zero = seed[m]
+        else:
+            y_zero = None
+        grid = None if out_grids is None else out_grids[m]
+        sols.append(RescaledSolution(
+            mu=mu[m], lam_ode=lam_ode[m], sigma=int(sigma[m]), seed=seed[m],
+            xi_seed=float(xi_seed[m]), xi_end=float(until[m]),
+            value_at_end=y_end[m], value_at_zero=y_zero,
+            grid=grid, values=values if grid is not None else None,
+            nsteps=stats[m].accepted, nrejected=stats[m].rejected,
+            h_min=stats[m].h_min))
+    return sols
 
 
 def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -169,43 +276,39 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     zeta_j; the mode decays as xi -> -infinity for j in {3, 4} (seed at
     -L) and as xi -> +infinity for j in {1, 2} (seed at +L).  kind "w"
     solves with -lambda, seeds eta_j, with the opposite seeding sides.
+    This is the batch-of-one case of integrate_modes.
     """
-    if kind not in ("u", "w"):
-        raise ValueError("kind must be 'u' or 'w'")
-    if j not in (1, 2, 3, 4):
-        raise ValueError("mode index j must be 1..4")
+    _check_mode(j, kind)
     if spec is None:
         spec = spectrum(model, c, lam)
     Lbox = float(L) if L is not None else wave.default_L(c)
-    mu = spec.mu[j - 1]
+    return _integrate(model, wave, c, [(lam, j, kind, spec, Lbox, until)], tol,
+                      None if out_grid is None else [out_grid])[0]
 
-    if kind == "u":
-        sigma, lam_ode = +1, complex(lam)
-        seed = spec.zeta[j - 1]
-        xi_seed = -Lbox if j in (3, 4) else +Lbox
-    else:
-        sigma, lam_ode = -1, -complex(lam)
-        seed = spec.eta[j - 1]
-        xi_seed = +Lbox if j in (3, 4) else -Lbox
 
-    jinv = np.linalg.inv(jc(model, c))
-    mmat = model.M
-    hess = model.hessS
-    zhat = wave.zhat
-    shift = sigma * mu
+def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
+                    lams, modes, tol: float = 1e-10, L: Optional[float] = None,
+                    specs=None, until=0.0, out_grids=None) -> list:
+    """Every (j, kind) of modes at every lambda of lams, in one stepper call.
 
-    def rhs(xi, v):
-        b = hess(zhat(xi, c))
-        return jinv @ (b @ v - lam_ode * (mmat @ v)) - shift * v
-
-    y_end, y_zero, out_vals, nsteps, nrej = _dopri5(
-        rhs, xi_seed, float(until), seed, tol, out_grid)
-
-    return RescaledSolution(
-        mu=mu, lam_ode=lam_ode, sigma=sigma, seed=seed,
-        xi_seed=xi_seed, xi_end=float(until),
-        value_at_end=y_end, value_at_zero=y_zero,
-        grid=out_grid, values=out_vals, nsteps=nsteps, nrejected=nrej)
+    until is one end point for all runs or one per mode; out_grids is None
+    or one dense-output grid (or None) per mode.  Returns one list per
+    lambda holding a RescaledSolution per entry of modes.  Each run keeps
+    its own steps, so each solution equals what integrate_mode returns for
+    that run alone.
+    """
+    for j, kind in modes:
+        _check_mode(j, kind)
+    if specs is None:
+        specs = [spectrum(model, c, lam) for lam in lams]
+    Lbox = float(L) if L is not None else wave.default_L(c)
+    ends = np.broadcast_to(np.asarray(until, dtype=float), (len(modes),))
+    runs = [(lam, j, kind, spec, Lbox, end)
+            for lam, spec in zip(lams, specs) for (j, kind), end in zip(modes, ends)]
+    grids = None if out_grids is None else list(out_grids) * len(lams)
+    sols = _integrate(model, wave, c, runs, tol, grids)
+    nm = len(modes)
+    return [sols[i * nm:(i + 1) * nm] for i in range(len(lams))]
 
 
 def tangent_a(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -222,13 +325,11 @@ def tangent_a(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     Returns (minus, plus) as RescaledSolution with dense grids.
     """
-    if spec is None:
-        spec = spectrum(model, c, 0.0)
     Lbox = float(L) if L is not None else wave.default_L(c)
     grid_m = np.linspace(-Lbox, overlap, n_out)
     grid_p = np.linspace(Lbox, -overlap, n_out)
-    minus = integrate_mode(model, wave, c, 0.0, 4, "u", tol=tol, L=Lbox,
-                           spec=spec, out_grid=grid_m, until=overlap)
-    plus = integrate_mode(model, wave, c, 0.0, 4, "w", tol=tol, L=Lbox,
-                          spec=spec, out_grid=grid_p, until=-overlap)
+    (minus, plus), = integrate_modes(
+        model, wave, c, [0.0], ((4, "u"), (4, "w")), tol=tol, L=Lbox,
+        specs=None if spec is None else [spec], until=(overlap, -overlap),
+        out_grids=(grid_m, grid_p))
     return minus, plus

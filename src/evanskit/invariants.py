@@ -18,8 +18,8 @@ from scipy.integrate import quad
 from .asymptotics import InfinitySpectrum, spectrum
 from .errors import (Degenerate, Inconsistent, NonTransverse, NoPlateau,
                      OrientationFail)
-from .evans import Numerics, derivatives_at_zero, evans_det
-from .integrator import integrate_mode
+from .evans import Numerics, derivatives_at_zero
+from .integrator import integrate_modes
 from .linalg import symplectic_form, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
 
@@ -117,6 +117,21 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
     return chi_minus, chi_plus, 1.0 / (chi_plus * chi_minus)
 
 
+_PAIR_PTS = np.linspace(-2.0, 2.0, 9)
+
+
+def _tangent_pair(model, wave, c, tol, spec, L):
+    # the lambda = 0 manifold tangents a_minus (zeta_4 from -L) and a_plus
+    # (eta_4 from +L), carried past each other, sampled on grids holding
+    # _PAIR_PTS; both runs ride one stepper call
+    gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), _PAIR_PTS]))
+    gp = np.unique(np.concatenate([_PAIR_PTS, np.linspace(2.0, L, 21)]))[::-1]
+    (minus, plus), = integrate_modes(model, wave, c, [0.0], ((4, "u"), (4, "w")),
+                                     tol=tol, specs=[spec], until=(2.0, -2.0),
+                                     out_grids=(gm, gp))
+    return minus, plus
+
+
 @dataclass
 class PiData:
     """Transversality pairing with its xi-profile and orientation bookkeeping."""
@@ -142,13 +157,8 @@ def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
     sp = spec if spec is not None else spectrum(model, c, 0.0)
     L = wave.default_L(c)
     J = jc(model, c)
-    pts = np.linspace(-2.0, 2.0, 9)
-    gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), pts]))
-    gp = np.unique(np.concatenate([pts, np.linspace(2.0, L, 21)]))[::-1]
-    minus = integrate_mode(model, wave, c, 0.0, 4, "u", tol=tol, spec=sp,
-                           out_grid=gm, until=2.0)
-    plus = integrate_mode(model, wave, c, 0.0, 4, "w", tol=tol, spec=sp,
-                          out_grid=gp, until=-2.0)
+    pts = _PAIR_PTS
+    minus, plus = _tangent_pair(model, wave, c, tol, sp, L)
     mvals = {float(x): v for x, v in zip(minus.grid, minus.values)}
     pvals = {float(x): v for x, v in zip(plus.grid, plus.values)}
 
@@ -217,14 +227,9 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
     sp = spectrum(model, c, 0.0)
     L = wave.default_L(c)
     J = jc(model, c)
-    pts = np.linspace(-2.0, 2.0, 9)
+    pts = _PAIR_PTS
     if pair is None:
-        gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), pts]))
-        gp = np.unique(np.concatenate([pts, np.linspace(2.0, L, 21)]))[::-1]
-        minus = integrate_mode(model, wave, c, 0.0, 4, "u", tol=tol, spec=sp,
-                               out_grid=gm, until=2.0)
-        plus = integrate_mode(model, wave, c, 0.0, 4, "w", tol=tol, spec=sp,
-                              out_grid=gp, until=-2.0)
+        minus, plus = _tangent_pair(model, wave, c, tol, sp, L)
     else:
         minus, plus = pair
     rel_p = rel_m = rel_z = 0.0
@@ -279,15 +284,16 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
     """Assemble the full verdict: real unstable eigenvalue iff chi*Pi*dIdc*d_inf < 0.
 
     d_inf is the sign of D at the right end of the default scan window
-    (lambda = 3), evaluated directly.
+    (lambda = 3), evaluated in the same batched integration as the
+    derivative stencil.
     """
     nm = numerics or Numerics()
     I = momentum(model, wave, c)
     didc = dIdc(model, wave, c)
     cm, cp, chi = chi_factors(model, wave, c)
     pi = lazutkin_pi(model, wave, c)
-    der = derivatives_at_zero(model, wave, c, numerics=nm)
-    dval = evans_det(model, wave, c, 3.0, numerics=nm).D.real
+    der = derivatives_at_zero(model, wave, c, numerics=nm, probes=[3.0])
+    dval = der.probes[0].D.real
     d_inf = 1 if dval > 0 else (-1 if dval < 0 else 0)
     denom = 2.0 * chi * pi * didc
     report = StabilityReport(

@@ -33,6 +33,16 @@ REVERSOR = np.diag([1.0, -1.0, -1.0, 1.0])
 
 @dataclass
 class MultisymplecticModel:
+    """Algebraic data of M Z_t + K Z_x = grad S(Z).
+
+    gradS maps a point z of shape (4,) to grad S(z).  hessS maps z of shape
+    (4,) to the 4x4 Hessian and also broadcasts over a trailing batch axis:
+    z of shape (4, N) maps to an (N, 4, 4) stack whose n-th matrix equals
+    hessS(z[:, n]) exactly.  The mode integrator relies on this to advance
+    many runs at once.  A hessS that returns one constant 4x4 matrix for any
+    input also satisfies the contract, by broadcasting.
+    """
+
     name: str
     M: np.ndarray
     K: np.ndarray
@@ -70,7 +80,9 @@ class WaveFamily:
     zhat_c may be omitted; the accessor zc() then falls back to a centered
     difference in c with step 1e-4.  decay_rate(c) is the slowest
     asymptotic decay exponent of the profile, used to size truncation
-    domains as L = 40 / decay_rate(c).
+    domains as L = 40 / decay_rate(c).  zhat broadcasts over xi: an array
+    of shape (N,) gives profile values of shape (4, N), the input that
+    MultisymplecticModel.hessS stacks.
     """
 
     zhat: Callable[[float, float], np.ndarray]
@@ -183,17 +195,17 @@ def build_mtm(alpha: float, nu: float) -> MultisymplecticModel:
         w1, w2, v1, v2 = z
         t = w1 * w1 + w2 * w2 + v1 * v1 + v2 * v2
         q = w1 * v2 + w2 * v1
-        h = np.empty((4, 4))
-        h[0, 0] = -alpha - nu * (t + 2 * w1 * w1) + 2 * nu * v2 * v2
-        h[1, 1] = -alpha - nu * (t + 2 * w2 * w2) + 2 * nu * v1 * v1
-        h[2, 2] = alpha - nu * (t + 2 * v1 * v1) + 2 * nu * w2 * w2
-        h[3, 3] = alpha - nu * (t + 2 * v2 * v2) + 2 * nu * w1 * w1
-        h[0, 1] = h[1, 0] = -2 * nu * w1 * w2 + 2 * nu * v1 * v2
-        h[0, 2] = h[2, 0] = -2 * nu * w1 * v1 + 2 * nu * v2 * w2
-        h[0, 3] = h[3, 0] = 2 * nu * q
-        h[1, 2] = h[2, 1] = 2 * nu * q
-        h[1, 3] = h[3, 1] = -2 * nu * w2 * v2 + 2 * nu * v1 * w1
-        h[2, 3] = h[3, 2] = -2 * nu * v1 * v2 + 2 * nu * w1 * w2
+        h = np.empty(np.shape(w1) + (4, 4))
+        h[..., 0, 0] = -alpha - nu * (t + 2 * w1 * w1) + 2 * nu * v2 * v2
+        h[..., 1, 1] = -alpha - nu * (t + 2 * w2 * w2) + 2 * nu * v1 * v1
+        h[..., 2, 2] = alpha - nu * (t + 2 * v1 * v1) + 2 * nu * w2 * w2
+        h[..., 3, 3] = alpha - nu * (t + 2 * v2 * v2) + 2 * nu * w1 * w1
+        h[..., 0, 1] = h[..., 1, 0] = -2 * nu * w1 * w2 + 2 * nu * v1 * v2
+        h[..., 0, 2] = h[..., 2, 0] = -2 * nu * w1 * v1 + 2 * nu * v2 * w2
+        h[..., 0, 3] = h[..., 3, 0] = 2 * nu * q
+        h[..., 1, 2] = h[..., 2, 1] = 2 * nu * q
+        h[..., 1, 3] = h[..., 3, 1] = -2 * nu * w2 * v2 + 2 * nu * v1 * w1
+        h[..., 2, 3] = h[..., 3, 2] = -2 * nu * v1 * v2 + 2 * nu * w1 * w2
         return h
 
     return MultisymplecticModel(
@@ -247,12 +259,18 @@ def build_coupled_wave(p: float):
         vv = -4 * v + 3 * v * v - p * (2 * phi - v)
         return np.array([vphi, u1, -u2, vv])
 
+    h_const = np.array([[0, 0, 0, -2 * p],
+                        [0, 1, 0, 0],
+                        [0, 0, -1, 0],
+                        [-2 * p, 0, 0, 0]], dtype=float)
+
     def hessS(z):
         phi, _, _, v = z
-        return np.array([[4 - 12 * phi + 4 * p, 0, 0, -2 * p],
-                         [0, 1, 0, 0],
-                         [0, 0, -1, 0],
-                         [-2 * p, 0, 0, -4 + 6 * v + p]])
+        h = np.empty(np.shape(phi) + (4, 4))
+        h[...] = h_const
+        h[..., 0, 0] = 4 - 12 * phi + 4 * p
+        h[..., 3, 3] = -4 + 6 * v + p
+        return h
 
     model = MultisymplecticModel(
         name="coupled-wave", M=CANONICAL_M.copy(), K=CANONICAL_K.copy(),

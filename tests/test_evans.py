@@ -12,6 +12,7 @@ from evanskit.evans import (
     derivatives_at_zero,
     eta_identity_residual,
     evans_det,
+    evans_dets,
     evans_wedge,
     real_axis_scan,
     winding_count,
@@ -42,6 +43,29 @@ def test_point_value_frozen():
     s = evans_det(model, wave, 0.0, 1.0)
     assert abs(s.D - 7.491201445416433e-06) <= 1e-8 * abs(s.D)
     assert abs(s.D.imag) <= 1e-10 * abs(s.D)
+
+
+def _same_sample(a, b):
+    return (a.lam == b.lam and a.D == b.D and a.d1 == b.d1 and a.d2 == b.d2
+            and a.d3 == b.d3 and a.d4 == b.d4 and a.stats == b.stats)
+
+
+def test_batch_equals_singleton_calls():
+    # every run keeps its own steps, so D(lambda) does not depend on which
+    # batch it rode in: the stencil plus the d_inf probe, and complex points
+    cases = (
+        (1.0, 0.3, Numerics(tol=1e-10), [0.0, 0.05, -0.05, 0.1, -0.1, 3.0]),
+        (2.0, 0.0, Numerics(tol=1e-8), [1.0 + 0.4j, 1.0 - 0.4j, 0.5 + 0.8j, 2.9 - 0.3j]),
+    )
+    for p, c, nm, lams in cases:
+        model, wave = build_coupled_wave(p)
+        batch = evans_dets(model, wave, c, lams, numerics=nm)
+        assert len(batch) == len(lams)
+        for lam, b in zip(lams, batch):
+            a = evans_det(model, wave, c, lam, numerics=nm)
+            assert _same_sample(a, b), lam
+            assert set(b.stats) == {"u3", "u4", "w3", "w4"}
+            assert all(st.accepted > 0 and st.h_min > 0 for st in b.stats.values())
 
 
 def test_ratio_matches_closed_form():

@@ -5,7 +5,7 @@ import pytest
 
 from evanskit.asymptotics import spectrum
 from evanskit.errors import Overflow, StepFail
-from evanskit.integrator import _dopri5, amatrix, integrate_mode, tangent_a
+from evanskit.integrator import _dopri5, integrate_mode, integrate_modes, tangent_a
 from evanskit.linalg import symplectic_form
 from evanskit.model import (
     CANONICAL_K,
@@ -153,23 +153,6 @@ def test_tolerance_consistency():
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
-def test_coefficient_matrix_identities():
-    model, wave = _coupled()
-    c = 0.3
-    tau = 4.0 * c / (1.0 - c * c)
-    for lam in (0.0, 0.7, 1.3 + 0.4j):
-        for xi in (-1.7, 0.0, 2.2):
-            A = amatrix(model, wave, c, lam, xi)
-            assert abs(np.trace(A) - lam * tau) <= 1e-12 * max(1.0, abs(lam))
-    # at lambda=0 the wave tangent solves the variational equation
-    d = 1e-5
-    for xi in (-1.2, 0.4, 1.9):
-        A = amatrix(model, wave, c, 0.0, xi)
-        zxx = (wave.zhat_xi(xi + d, c) - wave.zhat_xi(xi - d, c)) / (2 * d)
-        r = A @ wave.zhat_xi(xi, c) - zxx
-        assert np.max(np.abs(r)) <= 1e-8
-
-
 def test_dense_output_consistent_at_zero():
     model, wave = _coupled()
     L = wave.default_L(0.0)
@@ -180,13 +163,56 @@ def test_dense_output_consistent_at_zero():
 
 def test_overflow_guard():
     with pytest.raises(Overflow):
-        _dopri5(lambda x, y: y, 0.0, 40.0, np.array([1.0 + 0j]), 1e-8, None)
+        _dopri5(lambda x, y: y, np.array([0.0]), np.array([40.0]),
+                np.array([[1.0 + 0j]]), 1e-8, None)
 
 
 def test_step_collapse_on_discontinuity():
     with pytest.raises(StepFail):
-        _dopri5(lambda x, y: np.array([np.sign(0.5 - x) + 0j]),
-                0.0, 1.0, np.array([0.0 + 0j]), 1e-10, None)
+        _dopri5(lambda x, y: np.sign(0.5 - x)[:, None] + 0j,
+                np.array([0.0]), np.array([1.0]), np.array([[0.0 + 0j]]), 1e-10, None)
+
+
+def test_step_collapse_on_nan_rhs():
+    # a right-hand side that turns NaN rejects every step until the step
+    # size collapses; the finite row next to it does not keep the loop alive
+    def f(x, y):
+        out = y.copy()
+        out[0] = np.nan
+        return out
+
+    with pytest.raises(StepFail):
+        _dopri5(f, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                np.array([[1.0 + 0j], [1.0 + 0j]]), 1e-8, None)
+
+
+def test_batched_runs_keep_their_own_steps():
+    # a batch of runs in opposite directions, with different lambda values,
+    # reproduces every run made alone, steps included
+    model, wave = _coupled()
+    c, lams = 0.3, (0.4, 1.1 + 0.3j)
+    modes = ((3, "u"), (4, "w"), (1, "u"))
+    batch = integrate_modes(model, wave, c, lams, modes, tol=1e-9)
+    for lam, sols in zip(lams, batch):
+        for (j, kind), b in zip(modes, sols):
+            a = integrate_mode(model, wave, c, lam, j, kind, tol=1e-9)
+            assert np.array_equal(a.value_at_zero, b.value_at_zero)
+            assert a.stats == b.stats and a.nsteps > 0 and a.h_min > 0
+
+
+def test_dense_output_through_zero():
+    # a run carried past xi = 0 samples its interpolant there; the samples
+    # agree with runs that stop at the sample points
+    model, wave = _coupled()
+    s = spectrum(model, 0.0, 0.5)
+    g = np.array([-3.0, -1.0, 1.0, 2.0])
+    r = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, out_grid=g, until=2.0)
+    assert r.value_at_zero is not None
+    stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s)
+    assert np.max(np.abs(r.value_at_zero - stop.value_at_zero)) <= 1e-8
+    stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, until=1.0)
+    assert np.max(np.abs(r.values[2] - stop.value_at_end)) <= 1e-8
+    assert np.array_equal(r.values[-1], r.value_at_end)
 
 
 def test_tangent_a_pairs_cover_overlap():

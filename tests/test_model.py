@@ -62,6 +62,27 @@ def test_grad_hess_consistency():
                 assert np.max(np.abs(fd - h[:, k])) < 1e-6
 
 
+def test_hessian_stacks_over_trailing_axis():
+    # z of shape (4, N) maps to (N, 4, 4), each matrix equal to the
+    # per-column call exactly
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1, 1, (4, 7))
+    for model in (build_coupled_wave(1.5)[0], build_mtm(1.0, 0.7)):
+        stack = model.hessS(z)
+        assert stack.shape == (7, 4, 4)
+        for n in range(7):
+            assert np.array_equal(stack[n], model.hessS(z[:, n]))
+
+
+def test_profile_broadcasts_over_xi():
+    _, wave = build_coupled_wave(1.0)
+    xi = np.linspace(-3.0, 3.0, 5)
+    z = wave.zhat(xi, 0.3)
+    assert z.shape == (4, 5)
+    for n, x in enumerate(xi):
+        assert np.array_equal(z[:, n], wave.zhat(x, 0.3))
+
+
 def test_wave_residuals_small():
     model, wave = build_coupled_wave(1.0)
     for c in (0.0, 0.3, -0.3, 0.6):
