@@ -13,7 +13,6 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -51,25 +50,22 @@ class InfinitySpectrum:
                                 -self.Kconst, self.tau)
 
 
-def _mu_roots(model, c, lam):
+def _delta_poly(model: MultisymplecticModel, c: float, lam: complex) -> Poly4:
+    """Delta(mu, lambda) as a quartic in mu: five determinants pin its coefficients."""
     vals = np.array([delta(model, c, lam, m) for m in _NODES])
-    vand = np.vander(_NODES, 5, increasing=True)
-    coeffs = np.linalg.solve(vand, vals)
-    return quartic_roots(Poly4(coeffs))
+    return Poly4(np.linalg.solve(np.vander(_NODES, 5, increasing=True), vals))
 
 
 def spectrum(model: MultisymplecticModel, c: float, lam: complex,
-             tol: float = 1e-8, match_to=None) -> InfinitySpectrum:
+             tol: float = 1e-8) -> InfinitySpectrum:
     """Solve the system at infinity and build the dual frames.
 
-    mu ordering is ascending real part (imaginary part breaks ties);
-    passing match_to (a previous mu vector) reorders by nearest neighbour
-    instead, for branch continuity along parameter paths.
+    mu ordering is ascending real part (imaginary part breaks ties).
     """
     lam = complex(lam)
     j = jc(model, c)
     binf = model.binf()
-    mu = _mu_roots(model, c, lam)
+    mu = quartic_roots(_delta_poly(model, c, lam))
 
     if abs(lam.imag) < 1e-14:
         # real axis: exponents come in conjugate or real constellations;
@@ -77,13 +73,7 @@ def spectrum(model: MultisymplecticModel, c: float, lam: complex,
         snap = np.abs(mu.imag) < 1e-9 * (1.0 + np.abs(mu))
         mu = np.where(snap, mu.real + 0j, mu)
 
-    if match_to is not None:
-        prev = np.asarray(match_to, dtype=complex)
-        best = min(permutations(range(4)),
-                   key=lambda pm: float(np.sum(np.abs(mu[list(pm)] - prev))))
-        mu = mu[list(best)]
-    else:
-        mu = mu[np.lexsort((mu.imag, mu.real))]
+    mu = mu[np.lexsort((mu.imag, mu.real))]
 
     gaps = [abs(mu[a] - mu[b]) for a in range(4) for b in range(a + 1, 4)]
     if min(gaps) < 1e-6:
@@ -131,16 +121,13 @@ def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
         kappa_max = 10.0 * (1.0 + abs(lam))
     kappas = np.linspace(-kappa_max, kappa_max, n)
 
-    # Delta is a quartic in mu: five determinant evaluations pin its
-    # coefficients, then the grid scan is a vectorized polyval
-    node_vals = np.array([delta(model, c, lam, m) for m in _NODES])
-    coeffs = np.linalg.solve(np.vander(_NODES, 5, increasing=True), node_vals)
+    # Delta is a quartic in mu, so the grid scan is a vectorized polyval
+    poly = _delta_poly(model, c, lam)
 
     def f(kap):
-        mu = 1j * kap
-        return abs(coeffs[0] + mu * (coeffs[1] + mu * (coeffs[2] + mu * (coeffs[3] + mu * coeffs[4]))))
+        return abs(poly(1j * kap))
 
-    vals = np.abs(np.polyval(coeffs[::-1], 1j * kappas))
+    vals = np.abs(np.polyval(poly.coeffs[::-1], 1j * kappas))
     i = int(np.argmin(vals))
     lo = max(0, i - 1)
     hi = min(n - 1, i + 1)
@@ -160,40 +147,3 @@ def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
             x2 = a + gr * (b - a)
             f2 = f(x2)
     return float(min(f1, f2, vals[i]))
-
-
-@dataclass
-class HypothesesReport:
-    """Margins of the standing assumptions at one (c, lambda=0) slice."""
-
-    c: float
-    jc_det: float            # |det J(c)|, nonzero required
-    mu_at_zero: np.ndarray
-    min_mu_gap: float
-    splitting_ok: bool
-    real_at_zero: bool       # all exponents real at lambda = 0
-    kconst_abs: float
-    tau: float
-    ok: bool
-
-
-def check_hypotheses(model: MultisymplecticModel, c: float) -> HypothesesReport:
-    jdet = abs(det4(model.K + c * model.M))
-    if jdet < 1e-10:
-        return HypothesesReport(c, jdet, np.array([]), 0.0, False, False,
-                                0.0, 0.0, False)
-    try:
-        spec = spectrum(model, c, 0.0)
-    except (SplittingViolated, DegenerateMu, NormalizationFail, Degenerate):
-        mu = _mu_roots(model, c, 0.0)
-        gaps = [abs(mu[a] - mu[b]) for a in range(4) for b in range(a + 1, 4)]
-        return HypothesesReport(c, jdet, mu, float(min(gaps)), False, False,
-                                0.0, 0.0, False)
-    gaps = [abs(spec.mu[a] - spec.mu[b]) for a in range(4) for b in range(a + 1, 4)]
-    real0 = bool(np.max(np.abs(spec.mu.imag)) < 1e-9)
-    report = HypothesesReport(
-        c=c, jc_det=jdet, mu_at_zero=spec.mu, min_mu_gap=float(min(gaps)),
-        splitting_ok=True, real_at_zero=real0,
-        kconst_abs=abs(spec.Kconst), tau=float(np.real(spec.tau)),
-        ok=real0 and abs(spec.Kconst) > 1e-12)
-    return report

@@ -18,8 +18,9 @@ import numpy as np
 
 from .asymptotics import spectrum
 from .errors import BadParameter, EvanskitError
-from .evans import (CONTOUR_TOL, Numerics, evans_det, evans_dets, evans_wedge,
-                    eta_identity_residual, real_axis_scan, winding_count)
+from .evans import (CONTOUR_TOL, SCAN_N, Numerics, evans_det, evans_dets,
+                    evans_wedge, eta_identity_residual, real_axis_scan,
+                    winding_count)
 from .finite_re import cor23_root, synth_re, theorem22_check
 from .invariants import stability_report, structural_checks
 from .model import (CANONICAL_K, CANONICAL_M, MultisymplecticModel,
@@ -41,6 +42,27 @@ def _r(x) -> str:
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _number(key: str, v) -> float:
+    """A config value as a finite float, else BadParameter naming the key.
+
+    JSON numbers arrive as int or float; a JSON boolean is an int to Python
+    but not a number here, and strings, null, lists and objects are refused.
+    The range test also refuses NaN, infinities and ints beyond float range.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not abs(v) <= sys.float_info.max:
+        raise BadParameter(f"{key}: expected a finite number, got {json.dumps(v)}")
+    return float(v)
+
+
+def _count(key: str, v) -> int:
+    """A config value as a positive integer, else BadParameter naming the key."""
+    x = _number(key, v)
+    if not (x.is_integer() and x >= 1):
+        raise BadParameter(f"{key}: must be a positive integer")
+    return int(x)
 
 
 @dataclass
@@ -66,49 +88,48 @@ class RunConfig:
             raise BadParameter(f"model: unknown model '{self.model}'")
         if self.format not in ("csv", "json"):
             raise BadParameter(f"format: must be csv or json, got '{self.format}'")
-        for k in self.params:
+        for k, v in self.params.items():
             if k not in _PARAM_KEYS:
                 raise BadParameter(f"params: unknown key '{k}'")
+            _number(f"params.{k}", v)   # kept as given: reports echo params
         d = Numerics()
         base = {"L_override": d.L,
                 "tol": CONTOUR_TOL if self.task == "contour" else d.tol,
-                "h": d.h, "grid_n": d.grid_n}
+                "h": d.h, "grid_n": SCAN_N}
         for k in self.numerics:
             if k not in _NUM_KEYS:
                 raise BadParameter(f"numerics: unknown key '{k}'")
         base.update(self.numerics)
         self.numerics = base
-        if not self.numerics["tol"] > 0:
-            raise BadParameter("numerics.tol: must be positive")
-        if not self.numerics["h"] > 0:
-            raise BadParameter("numerics.h: must be positive")
-        gn = self.numerics["grid_n"]
-        if int(gn) != gn or gn < 1:
-            raise BadParameter("grid_n: must be a positive integer")
-        self.numerics["grid_n"] = int(gn)
-        L = self.numerics["L_override"]
-        if L is not None and not L > 0:
-            raise BadParameter("numerics.L_override: must be positive")
+        for k in ("tol", "h", "L_override"):
+            if self.numerics[k] is None and k == "L_override":
+                continue   # no override: the wave family's own L
+            self.numerics[k] = _number(f"numerics.{k}", self.numerics[k])
+            if not self.numerics[k] > 0:
+                raise BadParameter(f"numerics.{k}: must be positive")
+        self.numerics["grid_n"] = _count("grid_n", self.numerics["grid_n"])
+        self.c = _number("c", self.c)
         if not -1.0 < self.c < 1.0:
             raise BadParameter(f"c: speed {self.c} outside the admissible window (-1, 1)")
+        self.lambda_max = _number("lambda_max", self.lambda_max)
         if self.lambda_max <= 0:
             raise BadParameter("lambda_max: must be positive")
         if self.rect is not None:
-            r = tuple(float(v) for v in self.rect)
-            if len(r) != 4:
+            if not isinstance(self.rect, (list, tuple)) or len(self.rect) != 4:
                 raise BadParameter("rect: need re0,re1,im0,im1")
+            r = tuple(_number("rect", v) for v in self.rect)
             if not (r[0] < r[1] and r[2] < r[3]):
                 raise BadParameter("rect: need re0 < re1 and im0 < im1")
             self.rect = r
         if self.suite is not None and self.suite not in _SUITES:
             raise BadParameter(f"suite: unknown suite '{self.suite}'")
-        if self.seeds < 1:
-            raise BadParameter("seeds: must be at least 1")
+        self.seeds = _count("seeds", self.seeds)
+        if self.out is not None and not isinstance(self.out, str):
+            raise BadParameter("out: must be a file path string")
 
     def numerics_obj(self) -> Numerics:
         n = self.numerics
-        return Numerics(tol=n["tol"], L=n["L_override"], h=n["h"],
-                        grid_n=n["grid_n"])
+        return Numerics(tol=n["tol"], L=n["L_override"], h=n["h"])
 
 
 def _merge_config(task, config_path, kw) -> RunConfig:
@@ -124,6 +145,9 @@ def _merge_config(task, config_path, kw) -> RunConfig:
         for k in data:
             if k not in _TOP_KEYS:
                 raise BadParameter(f"config: unknown key '{k}'")
+    for key in ("params", "numerics"):
+        if not isinstance(data.get(key, {}), dict):
+            raise BadParameter(f"{key}: must be a JSON object")
     params = dict(data.get("params", {}))
     for name in ("p", "nu"):
         if kw.get(name) is not None:
@@ -151,12 +175,12 @@ def _merge_config(task, config_path, kw) -> RunConfig:
         task=task,
         model=pick("model", "coupled-wave"),
         params=params,
-        c=float(pick("c", 0.0)),
+        c=pick("c", 0.0),
         numerics=numerics,
-        lambda_max=float(pick("lambda_max", 3.0)),
+        lambda_max=pick("lambda_max", 3.0),
         rect=rect,
         suite=pick("suite", None),
-        seeds=int(pick("seeds", 20)),
+        seeds=pick("seeds", 20),
         out=pick("out", None),
         format=pick("fmt", "csv" if task == "scan" else "json",
                     file_key="format"),
@@ -206,9 +230,8 @@ def _cmd_scan(cfg: RunConfig) -> int:
     model, wave = _instantiate(cfg)
     if wave is None:
         raise BadParameter(f"model: '{cfg.model}' lacks wave family")
-    nm = cfg.numerics_obj()
-    res = real_axis_scan(model, wave, cfg.c, cfg.lambda_max, n=nm.grid_n,
-                         numerics=nm)
+    res = real_axis_scan(model, wave, cfg.c, cfg.lambda_max,
+                         n=cfg.numerics["grid_n"], numerics=cfg.numerics_obj())
     sidecar = {"brackets": [[float(a), float(b)] for a, b in res.brackets],
                "roots": [float(r) for r in res.roots],
                "d_inf": int(res.d_inf)}

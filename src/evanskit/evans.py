@@ -42,7 +42,6 @@ class Numerics:
     tol: float = 1e-10       # per-step integration tolerance
     L: float | None = None   # domain half-length override
     h: float = 0.1           # derivative step at the origin
-    grid_n: int = 31         # default sample count for scans
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -53,6 +52,7 @@ class Numerics:
 
 _DEFAULT = Numerics()
 CONTOUR_TOL = 1e-8   # contours default to a looser tolerance than point values
+SCAN_N = 31          # default sample count of real-axis scans
 ROOT_XTOL = 1e-10    # absolute tolerance of real-axis root polish
 
 
@@ -70,7 +70,6 @@ class EvansSample:
     d2: complex = 0.0
     d3: complex = 0.0
     d4: complex = 0.0
-    D_wedge: complex | None = None
     stats: dict = field(default_factory=dict)   # "u3", "u4", "w3", "w4" -> StepStats
 
 
@@ -170,22 +169,20 @@ class Derivatives:
 
 
 def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                        h: float | None = None,
                         numerics: Numerics | None = None,
                         probes=()) -> Derivatives:
     """D, D', D'' at lambda = 0 by central differences with Richardson extrapolation.
 
-    Samples at {0, +-h/2, +-h}.  Raises StepTooLarge when a least-squares
-    quadratic through the five samples leaves more than 1e-3 relative residual,
-    which signals that h reaches outside the quadratic neighborhood of 0.
+    Samples at {0, +-h/2, +-h} with h = numerics.h.  Raises StepTooLarge when
+    a least-squares quadratic through the five samples leaves more than 1e-3
+    relative residual, which signals that h reaches outside the quadratic
+    neighborhood of 0.
     Any lambda in probes is evaluated in the same batched integration as the
     stencil and returned as an EvansSample in Derivatives.probes.
     """
     nm = numerics or _DEFAULT
-    hh = nm.h if h is None else float(h)
-    if hh <= 0:
-        raise BadParameter("derivative step must be positive")
-    lams = [0.0, hh / 2, -hh / 2, hh, -hh]
+    h = nm.h
+    lams = [0.0, h / 2, -h / 2, h, -h]
     samples = evans_dets(model, wave, c, lams + list(probes), numerics=nm)
     vals = {lam: s.D.real for lam, s in zip(lams, samples)}
     scale = max(abs(v) for v in vals.values())
@@ -195,13 +192,13 @@ def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
     coef, *_ = np.linalg.lstsq(V, np.array([vals[l] for l in lams]), rcond=None)
     resid = np.array([vals[l] for l in lams]) - V @ coef
     if scale > 0 and np.sqrt(np.mean(resid ** 2)) / scale > 1e-3:
-        raise StepTooLarge(f"h={hh} leaves quadratic-fit residual "
+        raise StepTooLarge(f"h={h} leaves quadratic-fit residual "
                            f"{np.sqrt(np.mean(resid**2))/scale:.2e} relative")
-    d1_h = (vals[hh] - vals[-hh]) / (2 * hh)
-    d1_h2 = (vals[hh / 2] - vals[-hh / 2]) / hh
+    d1_h = (vals[h] - vals[-h]) / (2 * h)
+    d1_h2 = (vals[h / 2] - vals[-h / 2]) / h
     d1 = (4 * d1_h2 - d1_h) / 3
-    d2_h = (vals[hh] - 2 * vals[0.0] + vals[-hh]) / hh ** 2
-    d2_h2 = (vals[hh / 2] - 2 * vals[0.0] + vals[-hh / 2]) / (hh / 2) ** 2
+    d2_h = (vals[h] - 2 * vals[0.0] + vals[-h]) / h ** 2
+    d2_h2 = (vals[h / 2] - 2 * vals[0.0] + vals[-h / 2]) / (h / 2) ** 2
     d2 = (4 * d2_h2 - d2_h) / 3
     return Derivatives(D0=vals[0.0], D1=d1, D2_raw=d2, D2_scaled=d2 / 2,
                        scale=scale, samples=vals, probes=samples[len(lams):])
@@ -211,14 +208,13 @@ def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
 class ScanResult:
     lams: np.ndarray
     values: np.ndarray            # complex D(lambda)
-    entries: np.ndarray           # (n, 4) complex d1..d4
     brackets: list                # (lo, hi) sign-change intervals before refinement
     roots: list                   # Brent-refined root locations
     d_inf: int                    # sign of D at the right end
 
 
 def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                   lam_max: float, n: int | None = None,
+                   lam_max: float, n: int = SCAN_N,
                    numerics: Numerics | None = None) -> ScanResult:
     """Sample D on (0, lam_max], bracket sign changes, refine roots by Brent's method.
 
@@ -227,10 +223,10 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
     what a fresh evaluation there would give.
     """
     nm = numerics or _DEFAULT
-    nn = nm.grid_n if n is None else int(n)
-    if lam_max <= 0 or nn < 2:
+    n = int(n)
+    if lam_max <= 0 or n < 2:
         raise BadParameter("scan needs lam_max > 0 and at least two samples")
-    lams = np.linspace(lam_max / nn, lam_max, nn)
+    lams = np.linspace(lam_max / n, lam_max, n)
     for lam in lams:
         if continuous_spectrum_distance(model, c, lam) < 1e-6:
             warnings.warn(f"scan sample lambda={lam:.6g} sits on the continuous "
@@ -238,7 +234,6 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
             break
     samples = evans_dets(model, wave, c, lams, numerics=nm)
     vals = np.array([s.D for s in samples])
-    ents = np.array([(s.d1, s.d2, s.d3, s.d4) for s in samples])
     re = vals.real
     known = {float(lam): float(v) for lam, v in zip(lams, re)}
 
@@ -248,7 +243,7 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
         return known[lam]
 
     brackets, roots = [], []
-    for k in range(nn - 1):
+    for k in range(n - 1):
         if re[k] == 0.0:
             roots.append(float(lams[k]))
             continue
@@ -257,8 +252,8 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
             brackets.append((lo, hi))
             roots.append(float(brentq(f, lo, hi, xtol=ROOT_XTOL)))
     d_inf = 1 if re[-1] > 0 else (-1 if re[-1] < 0 else 0)
-    return ScanResult(lams=lams, values=vals, entries=ents,
-                      brackets=brackets, roots=roots, d_inf=d_inf)
+    return ScanResult(lams=lams, values=vals, brackets=brackets, roots=roots,
+                      d_inf=d_inf)
 
 
 def _rect_path(rect, m_per_edge):

@@ -278,12 +278,9 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     solves with -lambda, seeds eta_j, with the opposite seeding sides.
     This is the batch-of-one case of integrate_modes.
     """
-    _check_mode(j, kind)
-    if spec is None:
-        spec = spectrum(model, c, lam)
-    Lbox = float(L) if L is not None else wave.default_L(c)
-    return _integrate(model, wave, c, [(lam, j, kind, spec, Lbox, until)], tol,
-                      None if out_grid is None else [out_grid])[0]
+    return integrate_modes(model, wave, c, [lam], [(j, kind)], tol=tol, L=L,
+                           specs=None if spec is None else [spec], until=until,
+                           out_grids=None if out_grid is None else [out_grid])[0][0]
 
 
 def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -309,27 +306,3 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
     sols = _integrate(model, wave, c, runs, tol, grids)
     nm = len(modes)
     return [sols[i * nm:(i + 1) * nm] for i in range(len(lams))]
-
-
-def tangent_a(model: MultisymplecticModel, wave: WaveFamily, c: float,
-              tol: float = 1e-10, L: Optional[float] = None,
-              overlap: float = 2.0, n_out: int = 2001,
-              spec: Optional[InfinitySpectrum] = None):
-    """The two tangent solutions at lambda = 0.
-
-    a_minus rides mode 4 forward from -L, a_plus rides the adjoint mode 4
-    backward from +L; both are carried past the match point so pairings
-    can be sampled on a common grid [-overlap, overlap].  Because the two
-    rescaling exponents cancel, Omega(a_minus(xi), a_plus(xi)) equals the
-    pairing of the rescaled trajectories pointwise.
-
-    Returns (minus, plus) as RescaledSolution with dense grids.
-    """
-    Lbox = float(L) if L is not None else wave.default_L(c)
-    grid_m = np.linspace(-Lbox, overlap, n_out)
-    grid_p = np.linspace(Lbox, -overlap, n_out)
-    (minus, plus), = integrate_modes(
-        model, wave, c, [0.0], ((4, "u"), (4, "w")), tol=tol, L=Lbox,
-        specs=None if spec is None else [spec], until=(overlap, -overlap),
-        out_grids=(grid_m, grid_p))
-    return minus, plus

@@ -141,7 +141,6 @@ class PiData:
     samples: np.ndarray
     orientation_ratio: float
     flipped: bool
-    spec: InfinitySpectrum
 
 
 def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -197,7 +196,7 @@ def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
     if abs(pi) < 1e-10 * np.linalg.norm(minus.values[i0]) * np.linalg.norm(plus.values[j0]):
         raise NonTransverse("manifold tangents fail to cross transversely")
     return PiData(pi=pi, grid=pts, samples=samples, orientation_ratio=ratio,
-                  flipped=flipped, spec=sp)
+                  flipped=flipped)
 
 
 def lazutkin_pi(model: MultisymplecticModel, wave: WaveFamily, c: float) -> float:
@@ -285,13 +284,15 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     d_inf is the sign of D at the right end of the default scan window
     (lambda = 3), evaluated in the same batched integration as the
-    derivative stencil.
+    derivative stencil.  The spectrum at lambda = 0 is solved once and shared
+    by chi_factors and pi_profile.
     """
     nm = numerics or Numerics()
     I = momentum(model, wave, c)
     didc = dIdc(model, wave, c)
-    cm, cp, chi = chi_factors(model, wave, c)
-    pi = lazutkin_pi(model, wave, c)
+    sp = spectrum(model, c, 0.0)
+    cm, cp, chi = chi_factors(model, wave, c, spec=sp)
+    pi = pi_profile(model, wave, c, spec=sp).pi
     der = derivatives_at_zero(model, wave, c, numerics=nm, probes=[3.0])
     dval = der.probes[0].D.real
     d_inf = 1 if dval > 0 else (-1 if dval < 0 else 0)

@@ -1,7 +1,7 @@
 """Fixed-size complex linear algebra kernels.
 
 Everything that feeds the Evans-function pipeline lives in dimension 4
-(state space) or 6 (bivectors), plus small symmetric problems up to 12.
+(state space) or 6 (bivectors).
 The solvers here are hand-rolled so their sweep order, tolerances and
 tie-breaking are deterministic and pinned; no LAPACK driver choices leak
 into results.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, NoConverge, NonSkew, NonSymmetric, RankError
+from .errors import Degenerate, NoConverge, NonSkew, RankError
 
 BASIS2 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -53,18 +53,6 @@ class Bivector:
         if self.coords.shape != (6,):
             raise ValueError("bivector needs 6 coordinates")
 
-    def __add__(self, other: "Bivector") -> "Bivector":
-        return Bivector(self.coords + other.coords)
-
-    def __sub__(self, other: "Bivector") -> "Bivector":
-        return Bivector(self.coords - other.coords)
-
-    def __rmul__(self, s: complex) -> "Bivector":
-        return Bivector(s * self.coords)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
 
 @dataclass
 class Poly4:
@@ -83,9 +71,6 @@ class Poly4:
         for a in self.coeffs[::-1]:
             acc = acc * z + a
         return acc
-
-    def deriv(self) -> np.ndarray:
-        return self.coeffs[1:] * np.arange(1, 5)
 
 
 def _minor2(m: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> complex:
@@ -144,17 +129,6 @@ def interior2(q4coeff: complex, b: Bivector) -> Bivector:
     x = b.coords
     return Bivector(q4coeff * np.array(
         [x[5], -x[4], x[3], x[2], -x[1], x[0]], dtype=complex))
-
-
-def contract_vector(q, b: Bivector) -> np.ndarray:
-    """Interior product of a vector into a bivector: pairs as
-    dot(contract_vector(q, b), d) = pair2(b, wedge2(q, d))."""
-    q = as_cvec4(q)
-    bm = np.zeros((4, 4), dtype=complex)
-    for k, (i, j) in enumerate(BASIS2):
-        bm[i, j] = b.coords[k]
-        bm[j, i] = -b.coords[k]
-    return bm.T @ q
 
 
 def nullvector(m, tol: float = 1e-8) -> np.ndarray:
@@ -260,41 +234,3 @@ def quartic_roots(p: Poly4, tol: float = 1e-12) -> np.ndarray:
 
     idx = np.lexsort((z.imag, z.real))
     return z[idx]
-
-
-def sym_eigs(m, tol: float = 1e-13) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix (n <= 12), cyclic Jacobi.
-
-    Ascending order.  NonSymmetric if the skew part exceeds 1e-12 * norm.
-    """
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or n > 12:
-        raise ValueError("sym_eigs handles square matrices up to n=12")
-    nrm = np.linalg.norm(a)
-    if nrm == 0.0:
-        return np.zeros(n)
-    if np.linalg.norm(a - a.T) > 1e-12 * nrm:
-        raise NonSymmetric("matrix has a nontrivial skew part")
-    a = 0.5 * (a + a.T)
-    for _ in range(60):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * nrm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-16 * nrm:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = cs * rp - sn * rq
-                a[q, :] = sn * rp + cs * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = cs * cp - sn * cq
-                a[:, q] = sn * cp + cs * cq
-    else:
-        raise NoConverge("cyclic Jacobi failed to settle in 60 sweeps")
-    return np.sort(np.diag(a))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from evanskit.asymptotics import (check_hypotheses, continuous_spectrum_distance,
-                                  delta, spectrum)
+from evanskit.asymptotics import continuous_spectrum_distance, delta, spectrum
 from evanskit.errors import DegenerateMu, SplittingViolated
 from evanskit.linalg import symplectic_form
 from evanskit.model import build_coupled_wave, jc, oracle_coupled_wave
@@ -106,18 +105,6 @@ def test_mirror_minus_lambda(cw):
         assert abs(cos - 1.0) < 1e-9
 
 
-def test_branch_continuity_matching(cw):
-    model, _ = cw
-    prev = None
-    last = None
-    for t in np.linspace(0.0, 1.0, 9):
-        s = spectrum(model, 0.3, 1.0 + 0.6j * t, match_to=prev)
-        if last is not None:
-            assert np.max(np.abs(s.mu - last)) < 0.2  # no branch swap jumps
-        prev = s.mu
-        last = s.mu
-
-
 def test_splitting_failures(cw):
     model, _ = cw
     with pytest.raises(SplittingViolated):
@@ -132,16 +119,6 @@ def test_continuous_spectrum_distance(cw):
     assert continuous_spectrum_distance(model, 0.0, 2.0j) < 1e-10
     assert continuous_spectrum_distance(model, 0.0, 0.0) == pytest.approx(28.0, rel=1e-9)
     assert continuous_spectrum_distance(model, 0.0, 1.0) == pytest.approx(40.0, rel=1e-6)
-
-
-def test_check_hypotheses(cw):
-    model, _ = cw
-    for c in (0.0, 0.3, 0.6):
-        rep = check_hypotheses(model, c)
-        assert rep.ok
-        assert rep.jc_det == pytest.approx((1 - c * c) ** 2, rel=1e-12)
-        assert rep.min_mu_gap > 0.5
-    assert not check_hypotheses(model, 1.0).ok  # J(c) singular
 
 
 def test_spectrum_flipped_copy(cw):

@@ -147,6 +147,29 @@ def test_config_validation_messages():
     assert r.exit_code == 1 and "suite" in r.output
 
 
+@pytest.mark.parametrize("config", [
+    {"seeds": "x"},
+    {"c": "abc"},
+    {"c": None},
+    {"lambda_max": [1]},
+    {"numerics": {"tol": "x"}},
+    {"numerics": {"grid_n": None}},
+    {"rect": 5},
+    {"params": {"p": "x"}},
+    {"c": True},            # a JSON boolean is not a number here
+    {"params": 3},
+    {"out": 5},
+])
+def test_config_non_numbers_are_typed_errors(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    r = _run(["verify", "--suite", "clifford", "--config", str(cfg)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)   # not an uncaught error
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stdout + r.stderr
+
+
 def test_verify_exact_suites():
     r = _run(["verify", "--suite", "clifford"])
     assert r.exit_code == 0

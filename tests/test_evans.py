@@ -162,7 +162,7 @@ def test_second_derivative_sign_flips_at_large_p():
 def test_step_guard():
     model, wave = build_coupled_wave(1.0)
     with pytest.raises(StepTooLarge):
-        derivatives_at_zero(model, wave, 0.0, h=1.0)
+        derivatives_at_zero(model, wave, 0.0, numerics=Numerics(h=1.0))
 
 
 def test_scan_below_first_root():

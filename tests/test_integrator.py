@@ -5,7 +5,7 @@ import pytest
 
 from evanskit.asymptotics import spectrum
 from evanskit.errors import Overflow, StepFail
-from evanskit.integrator import _dopri5, integrate_mode, integrate_modes, tangent_a
+from evanskit.integrator import _dopri5, integrate_mode, integrate_modes
 from evanskit.linalg import symplectic_form
 from evanskit.model import (
     CANONICAL_K,
@@ -213,12 +213,3 @@ def test_dense_output_through_zero():
     stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, until=1.0)
     assert np.max(np.abs(r.values[2] - stop.value_at_end)) <= 1e-8
     assert np.array_equal(r.values[-1], r.value_at_end)
-
-
-def test_tangent_a_pairs_cover_overlap():
-    model, wave = _coupled()
-    mi, pl = tangent_a(model, wave, 0.0, n_out=801)
-    assert mi.grid[0] < -15 and mi.grid[-1] >= 2.0
-    assert pl.grid[0] > 15 and pl.grid[-1] <= -2.0
-    # both continuations stay real at lambda=0
-    assert np.max(np.abs(mi.values.imag)) <= 1e-10 * np.max(np.abs(mi.values.real))

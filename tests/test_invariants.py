@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evanskit.invariants as invariants
 from evanskit.asymptotics import spectrum
 from evanskit.errors import Degenerate, Inconsistent, NoPlateau
 from evanskit.integrator import integrate_mode
@@ -155,6 +156,21 @@ def _tangent_pair(model, wave, c):
     minus = integrate_mode(model, wave, c, 0.0, 4, "u", spec=sp, out_grid=gm, until=2.0)
     plus = integrate_mode(model, wave, c, 0.0, 4, "w", spec=sp, out_grid=gp, until=-2.0)
     return minus, plus
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_library_tangent_pair_covers_overlap(c):
+    # the one lambda = 0 tangent path behind pi_profile and structural_checks
+    L = WAVE.default_L(c)
+    minus, plus = invariants._tangent_pair(MODEL, WAVE, c, 1e-10,
+                                           spectrum(MODEL, c, 0.0), L)
+    assert minus.grid[0] == -L and minus.grid[-1] == 2.0
+    assert plus.grid[0] == L and plus.grid[-1] == -2.0
+    assert np.all(np.isin(np.linspace(-2.0, 2.0, 9), minus.grid))
+    assert np.all(np.isin(np.linspace(-2.0, 2.0, 9), plus.grid))
+    # both continuations stay real at lambda = 0
+    for run in (minus, plus):
+        assert np.max(np.abs(run.values.imag)) <= 1e-10 * np.max(np.abs(run.values.real))
 
 
 def test_pairings_vanish_on_manifold_tangents():

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evanskit.errors import Degenerate, NonSkew, NonSymmetric, RankError
-from evanskit.linalg import (Bivector, Poly4, contract_vector, det4, interior2,
-                             nullvector, pair2, quartic_roots, sym_eigs,
-                             symplectic_form, wedge2, wedge22, wedge4)
+from evanskit.errors import Degenerate, NonSkew, RankError
+from evanskit.linalg import (Bivector, Poly4, det4, interior2, nullvector, pair2,
+                             quartic_roots, symplectic_form, wedge2, wedge22, wedge4)
 
 M = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
 K = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]], float)
@@ -83,9 +82,6 @@ def test_interior2_adjointness(seed):
     lhs = pair2(interior2(q, wedge2(a, b)), wedge2(c, d))
     assert abs(lhs - q * wedge4(a, b, c, d)) < 1e-9
     assert abs(wedge22(wedge2(a, b), wedge2(c, d)) - wedge4(a, b, c, d)) < 1e-9
-    # vector-level contraction pairs back through pair2
-    w = contract_vector(c, wedge2(a, b))
-    assert abs(np.dot(w, d) - pair2(wedge2(a, b), wedge2(c, d))) < 1e-9
 
 
 def test_nullvector_asymptotic_eigvec():
@@ -139,22 +135,6 @@ def test_quartic_roundtrip(seed):
     coeffs = np.poly(zs)[::-1]  # ascending, monic
     r = quartic_roots(Poly4(coeffs))
     assert np.max(np.abs(np.sort_complex(r) - np.sort_complex(zs))) < 1e-9
-
-
-def test_sym_eigs_matches_numpy():
-    rng = np.random.default_rng(3)
-    for n in (2, 5, 12):
-        s = rng.standard_normal((n, n))
-        s = 0.5 * (s + s.T)
-        ev = sym_eigs(s)
-        ref = np.linalg.eigvalsh(s)
-        assert np.max(np.abs(ev - ref)) <= 1e-10 * np.linalg.norm(s)
-        assert np.all(np.diff(ev) >= -1e-12)  # ascending
-
-
-def test_sym_eigs_rejects_skew_part():
-    with pytest.raises(NonSymmetric):
-        sym_eigs(np.array([[1.0, 2.0], [0.5, 3.0]]))
 
 
 def test_bivector_shape_guard():
