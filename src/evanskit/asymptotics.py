@@ -41,14 +41,6 @@ class InfinitySpectrum:
     Kconst: complex       # zeta_1^zeta_2^zeta_3^zeta_4 against vol
     tau: float            # -trace(J(c)^-1 M)
 
-    def flipped(self, j: int) -> "InfinitySpectrum":
-        """Copy with zeta_j and eta_j both negated (duality preserved)."""
-        z, e = self.zeta.copy(), self.eta.copy()
-        z[j] = -z[j]
-        e[j] = -e[j]
-        return InfinitySpectrum(self.c, self.lam, self.mu.copy(), z, e,
-                                -self.Kconst, self.tau)
-
 
 def _delta_poly(model: MultisymplecticModel, c: float, lam: complex) -> Poly4:
     """Delta(mu, lambda) as a quartic in mu: five determinants pin its coefficients."""

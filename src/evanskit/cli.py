@@ -24,8 +24,8 @@ from .evans import (CONTOUR_TOL, SCAN_N, Numerics, evans_det, evans_dets,
 from .finite_re import cor23_root, synth_re, theorem22_check
 from .invariants import stability_report, structural_checks
 from .model import (CANONICAL_K, CANONICAL_M, MultisymplecticModel,
-                    WaveFamily, build_coupled_wave, build_dirac, build_mtm,
-                    verify_wave)
+                    WaveFamily, build_coupled_wave, build_dirac,
+                    oracle_coupled_wave, verify_wave)
 
 _MODELS = ("coupled-wave", "mtm", "cme", "dirac-demo")
 _SUITES = ("appendix-a", "exact-evans", "theorem22", "structure", "clifford")
@@ -79,13 +79,15 @@ class RunConfig:
     suite: str | None = None
     seeds: int = 20
     out: str | None = None
-    format: str = "json"
+    format: str | None = None   # csv for scan, json otherwise
 
     def __post_init__(self):
         if self.task not in _TASKS:
             raise BadParameter(f"task: unknown task '{self.task}'")
         if self.model not in _MODELS:
             raise BadParameter(f"model: unknown model '{self.model}'")
+        if self.format is None:
+            self.format = "csv" if self.task == "scan" else "json"
         if self.format not in ("csv", "json"):
             raise BadParameter(f"format: must be csv or json, got '{self.format}'")
         for k, v in self.params.items():
@@ -126,10 +128,23 @@ class RunConfig:
         self.seeds = _count("seeds", self.seeds)
         if self.out is not None and not isinstance(self.out, str):
             raise BadParameter("out: must be a file path string")
+        # per-task rules; only the coupled wave has a wave family
+        if self.task != "scan" and self.format != "json":
+            raise BadParameter(f"format: {self.task} emits json only")
+        if self.task != "verify" and self.model != "coupled-wave":
+            raise BadParameter(f"model: '{self.model}' lacks wave family")
+        if self.task == "contour" and self.rect is None:
+            raise BadParameter("rect: required for contour")
+        if self.task == "verify" and self.suite is None:
+            raise BadParameter("suite: required for verify")
 
     def numerics_obj(self) -> Numerics:
         n = self.numerics
         return Numerics(tol=n["tol"], L=n["L_override"], h=n["h"])
+
+    def coupled_wave(self):
+        """(model, wave) of the coupled wave system at params p (default 1)."""
+        return build_coupled_wave(float(self.params.get("p", 1.0)))
 
 
 def _merge_config(task, config_path, kw) -> RunConfig:
@@ -157,45 +172,20 @@ def _merge_config(task, config_path, kw) -> RunConfig:
                       ("big_l", "L_override")):
         if kw.get(flag) is not None:
             numerics[key] = kw[flag]
-    rect = data.get("rect")
+    # only values given in the file or by a flag; RunConfig holds the defaults
+    given = {k: v for k, v in data.items() if k not in ("task", "params", "numerics")}
+    for key in ("model", "c", "lambda_max", "suite", "seeds", "out", "format"):
+        if kw.get(key) is not None:
+            given[key] = kw[key]
     if kw.get("rect") is not None:
         parts = kw["rect"].split(",")
         if len(parts) != 4:
             raise BadParameter("rect: need re0,re1,im0,im1")
         try:
-            rect = tuple(float(v) for v in parts)
+            given["rect"] = tuple(float(v) for v in parts)
         except ValueError:
             raise BadParameter(f"rect: could not parse '{kw['rect']}'")
-
-    def pick(name, default, file_key=None):
-        v = kw.get(name)
-        return v if v is not None else data.get(file_key or name, default)
-
-    return RunConfig(
-        task=task,
-        model=pick("model", "coupled-wave"),
-        params=params,
-        c=pick("c", 0.0),
-        numerics=numerics,
-        lambda_max=pick("lambda_max", 3.0),
-        rect=rect,
-        suite=pick("suite", None),
-        seeds=pick("seeds", 20),
-        out=pick("out", None),
-        format=pick("fmt", "csv" if task == "scan" else "json",
-                    file_key="format"),
-    )
-
-
-def _instantiate(cfg: RunConfig):
-    p = float(cfg.params.get("p", 1.0))
-    nu = float(cfg.params.get("nu", 1.0))
-    alpha = float(cfg.params.get("alpha", 1.0))
-    if cfg.model == "coupled-wave":
-        return build_coupled_wave(p)
-    if cfg.model in ("mtm", "cme"):
-        return build_mtm(alpha, nu), None
-    return build_dirac(), None
+    return RunConfig(task=task, params=params, numerics=numerics, **given)
 
 
 def _emit(text: str, out):
@@ -206,11 +196,7 @@ def _emit(text: str, out):
 
 
 def _cmd_report(cfg: RunConfig) -> int:
-    if cfg.format != "json":
-        raise BadParameter("format: report emits json only")
-    model, wave = _instantiate(cfg)
-    if wave is None:
-        raise BadParameter(f"model: '{cfg.model}' lacks wave family")
+    model, wave = cfg.coupled_wave()
     nm = cfg.numerics_obj()
     hc = verify_wave(model, wave, cfg.c, L=nm.L)
     if hc.max_residual() > 1e-6 or hc.tail_norm > 1e-8:
@@ -227,9 +213,7 @@ def _cmd_report(cfg: RunConfig) -> int:
 
 
 def _cmd_scan(cfg: RunConfig) -> int:
-    model, wave = _instantiate(cfg)
-    if wave is None:
-        raise BadParameter(f"model: '{cfg.model}' lacks wave family")
+    model, wave = cfg.coupled_wave()
     res = real_axis_scan(model, wave, cfg.c, cfg.lambda_max,
                          n=cfg.numerics["grid_n"], numerics=cfg.numerics_obj())
     sidecar = {"brackets": [[float(a), float(b)] for a, b in res.brackets],
@@ -256,13 +240,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_contour(cfg: RunConfig) -> int:
-    if cfg.format != "json":
-        raise BadParameter("format: contour emits json only")
-    model, wave = _instantiate(cfg)
-    if wave is None:
-        raise BadParameter(f"model: '{cfg.model}' lacks wave family")
-    if cfg.rect is None:
-        raise BadParameter("rect: required for contour")
+    model, wave = cfg.coupled_wave()
     w = winding_count(model, wave, cfg.c, cfg.rect, numerics=cfg.numerics_obj())
     _emit(_json({"model": cfg.model, "c": cfg.c, "rect": list(cfg.rect),
                  "winding": int(w)}), cfg.out)
@@ -286,7 +264,7 @@ def _suite_clifford(cfg: RunConfig):
         "induced-skew-pair",
         np.array_equal(d.M, d.R4 @ d.J1) and np.array_equal(d.K, d.R4 @ d.J2),
         "M = R4 J1 and K = R4 J2"))
-    model, wave = build_coupled_wave(float(cfg.params.get("p", 1.0)))
+    model, wave = cfg.coupled_wave()
     R = model.R
     ok = (np.array_equal(R @ R, np.eye(4))
           and np.array_equal(R @ model.M, -model.M @ R)
@@ -301,7 +279,7 @@ def _suite_clifford(cfg: RunConfig):
 
 
 def _suite_appendix_a(cfg: RunConfig):
-    model, wave = build_coupled_wave(float(cfg.params.get("p", 1.0)))
+    model, wave = cfg.coupled_wave()
     sp = spectrum(model, cfg.c, 0.0)
     res = eta_identity_residual(model, sp)
     out = [_check("eta-pair-identity", res <= 1e-10, f"residual {_r(res)}")]
@@ -327,26 +305,21 @@ def _suite_appendix_a(cfg: RunConfig):
 
 
 def _suite_exact_evans(cfg: RunConfig):
-    p = float(cfg.params.get("p", 1.0))
-    model, wave = build_coupled_wave(p)
-    nm = cfg.numerics_obj()
-    alpha = 1.0 / np.sqrt(1.0 - cfg.c ** 2)
-    lams, denoms = [], []
-    for k in range(1, 16):
-        lam = 0.2 * k
-        y = (alpha * lam) ** 2
-        P = ((3 + y) * (5 - y) * (3 + 3 * p + y) * (3 * p + y)
-             * (5 - 3 * p - y))
-        denom = lam ** 2 * P
-        if abs(denom) < 1e-12:
-            continue
-        lams.append(lam)
-        denoms.append(denom)
-    samples = evans_dets(model, wave, cfg.c, lams, numerics=nm)
-    r = np.array([s.D.real / denom for s, denom in zip(samples, denoms)])
+    model, wave = cfg.coupled_wave()
+    o = oracle_coupled_wave(model.params["p"], cfg.c)
+    lams = 0.2 * np.arange(1, 16)
+    denoms = lams ** 2 * o.quintic(lams)
+    keep = np.abs(denoms) >= 1e-12   # off the roots of the closed form
+    lams, denoms = lams[keep], denoms[keep]
+    D = np.array([s.D.real for s in evans_dets(model, wave, cfg.c, lams,
+                                                numerics=cfg.numerics_obj())])
+    r = D / denoms
     drift = float((r.max() - r.min()) / abs(r.mean()))
+    err = float(np.max(np.abs(D / o.evans_det(lams) - 1.0)))
     return [_check("shape-ratio-constancy", drift <= 1e-4,
-                   f"relative drift {_r(drift)} over {len(r)} samples")]
+                   f"relative drift {_r(drift)} over {len(r)} samples"),
+            _check("closed-form-agreement", err <= 1e-6,
+                   f"max relative error {_r(err)} over {len(r)} samples")]
 
 
 def _suite_theorem22(cfg: RunConfig):
@@ -372,8 +345,8 @@ def _suite_theorem22(cfg: RunConfig):
 
 
 def _suite_structure(cfg: RunConfig):
-    model, wave = build_coupled_wave(float(cfg.params.get("p", 1.0)))
-    r = structural_checks(model, wave, cfg.c)
+    model, wave = cfg.coupled_wave()
+    r = structural_checks(model, wave, cfg.c, numerics=cfg.numerics_obj())
     return [
         _check("tangent-pairing-plus", r.max_tangent_plus <= 1e-7,
                f"max {_r(r.max_tangent_plus)}"),
@@ -396,10 +369,6 @@ _SUITE_FNS = {
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.format != "json":
-        raise BadParameter("format: verify emits json only")
-    if cfg.suite is None:
-        raise BadParameter("suite: required for verify")
     checks = _SUITE_FNS[cfg.suite](cfg)
     passed = all(c["passed"] for c in checks)
     _emit(_json({"suite": cfg.suite, "passed": passed, "checks": checks}),
@@ -454,7 +423,7 @@ def _options(f):
                      help="number of random pencil seeds for theorem22."),
         click.option("--out", type=click.Path(), default=None,
                      help="output file (stdout when omitted)."),
-        click.option("--format", "fmt", default=None,
+        click.option("--format", default=None,
                      help="csv or json (scan only; other tasks emit json)."),
     ]
     for o in reversed(opts):

@@ -134,7 +134,7 @@ def evans_wedge(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: co
     sols, = integrate_modes(model, wave, c, [lam], [(j, "u") for j in (1, 2, 3, 4)],
                             tol=nm.tol, L=nm.L,
                             specs=None if spec is None else [spec])
-    return complex(wedge4(*(s.value_at_zero for s in sols)))
+    return complex(wedge4(*(s.value_at_end for s in sols)))
 
 
 def eta_identity_residual(model: MultisymplecticModel, spec: InfinitySpectrum) -> float:

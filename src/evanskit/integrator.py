@@ -8,11 +8,13 @@ equals the true mode exactly at xi = 0.
 
 Runs are seeded with the matching eigenvector of the system at infinity
 on the side where the true mode decays and integrated toward the match
-point.  The stepper is an explicit Dormand-Prince 5(4) pair with the
-standard quartic dense-output interpolant; local error is controlled per
-unit xi.  It advances a batch of runs (many lambda values, several modes
-each) in one loop, so the interpreter overhead of a step is paid once per
-batch; every run keeps its own steps, and a single run is a batch of one.
+point.  A run returns its end value (the true mode when it ends at
+xi = 0), its step counts and, on request, dense samples.  The stepper is
+an explicit Dormand-Prince 5(4) pair with the standard quartic
+dense-output interpolant; local error is controlled per unit xi.  It
+advances a batch of runs (many lambda values, several modes each) in one
+loop, so the interpreter overhead of a step is paid once per batch; every
+run keeps its own steps, and a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -64,21 +66,16 @@ class StepStats(NamedTuple):
 
 @dataclass
 class RescaledSolution:
-    """One rescaled mode run.
+    """One rescaled mode run: its end value, step counts and dense samples.
 
-    value_at_zero is the true (unscaled) mode at xi = 0 because the
+    value_at_end is the rescaled solution where the run stops; for a run
+    that ends at xi = 0 it is the true (unscaled) mode, because the
     rescaling factor is 1 there.  grid/values hold dense samples of the
     rescaled solution when requested.
     """
 
-    mu: complex
-    lam_ode: complex
-    sigma: int
-    seed: np.ndarray
     xi_seed: float
-    xi_end: float
     value_at_end: np.ndarray
-    value_at_zero: Optional[np.ndarray]
     grid: Optional[np.ndarray]
     values: Optional[np.ndarray]
     nsteps: int
@@ -194,76 +191,6 @@ def _check_mode(j: int, kind: str):
         raise ValueError("mode index j must be 1..4")
 
 
-def _integrate(model: MultisymplecticModel, wave: WaveFamily, c: float,
-               runs, tol: float, out_grids=None) -> list:
-    """Rescaled mode runs, all in one batched stepper call.
-
-    runs holds one (lam, j, kind, spec, L, until) per run; out_grids, when
-    given, one dense-output grid or None per run.
-    """
-    n = len(runs)
-    mu = np.empty(n, complex)
-    sigma = np.empty(n)
-    lam_ode = np.empty(n, complex)
-    seed = np.empty((n, 4), complex)
-    xi_seed = np.empty(n)
-    until = np.array([float(r[5]) for r in runs])
-    for m, (lam, j, kind, spec, Lbox, _) in enumerate(runs):
-        mu[m] = spec.mu[j - 1]
-        if kind == "u":
-            sigma[m], lam_ode[m], seed[m] = +1, complex(lam), spec.zeta[j - 1]
-            xi_seed[m] = -Lbox if j in (3, 4) else +Lbox
-        else:
-            sigma[m], lam_ode[m], seed[m] = -1, -complex(lam), spec.eta[j - 1]
-            xi_seed[m] = +Lbox if j in (3, 4) else -Lbox
-
-    # a run that passes through xi = 0 samples its interpolant there
-    grids = list(out_grids) if out_grids is not None else [None] * n
-    order = [None] * n
-    for m in range(n):
-        if xi_seed[m] * until[m] < 0:
-            g = np.append(grids[m] if grids[m] is not None else [], 0.0)
-            order[m] = np.argsort(np.sign(until[m] - xi_seed[m]) * g, kind="stable")
-            grids[m] = g[order[m]]
-
-    jinv = np.linalg.inv(jc(model, c))
-    shift = sigma * mu
-    # A(xi) - sigma mu I with A = J(c)^-1 (hessS(zhat(xi)) - lambda M), the
-    # xi-independent part per run
-    cmat = (lam_ode[:, None, None] * (jinv @ model.M)
-            + shift[:, None, None] * np.eye(4))
-    hess = model.hessS
-    zhat = wave.zhat
-
-    def rhs(xi, v):
-        a = jinv @ hess(zhat(xi, c)) - cmat
-        return (a @ v[:, :, None])[:, :, 0]
-
-    y_end, out_vals, stats = _dopri5(rhs, xi_seed, until, seed, tol, grids)
-    sols = []
-    for m in range(n):
-        values = out_vals[m]
-        if order[m] is not None:
-            unsorted = np.empty_like(values)
-            unsorted[order[m]] = values
-            values, y_zero = unsorted[:-1], unsorted[-1]
-        elif until[m] == 0.0:
-            y_zero = y_end[m]
-        elif xi_seed[m] == 0.0:
-            y_zero = seed[m]
-        else:
-            y_zero = None
-        grid = None if out_grids is None else out_grids[m]
-        sols.append(RescaledSolution(
-            mu=mu[m], lam_ode=lam_ode[m], sigma=int(sigma[m]), seed=seed[m],
-            xi_seed=float(xi_seed[m]), xi_end=float(until[m]),
-            value_at_end=y_end[m], value_at_zero=y_zero,
-            grid=grid, values=values if grid is not None else None,
-            nsteps=stats[m].accepted, nrejected=stats[m].rejected,
-            h_min=stats[m].h_min))
-    return sols
-
-
 def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
                    lam: complex, j: int, kind: str = "u",
                    tol: float = 1e-10, L: Optional[float] = None,
@@ -299,10 +226,42 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
     if specs is None:
         specs = [spectrum(model, c, lam) for lam in lams]
     Lbox = float(L) if L is not None else wave.default_L(c)
+    runs = [(lam, spec, j, kind) for lam, spec in zip(lams, specs) for j, kind in modes]
+    n = len(runs)
     ends = np.broadcast_to(np.asarray(until, dtype=float), (len(modes),))
-    runs = [(lam, j, kind, spec, Lbox, end)
-            for lam, spec in zip(lams, specs) for (j, kind), end in zip(modes, ends)]
+    until = np.tile(ends, len(lams))
     grids = None if out_grids is None else list(out_grids) * len(lams)
-    sols = _integrate(model, wave, c, runs, tol, grids)
+    mu = np.empty(n, complex)
+    sigma = np.empty(n)
+    lam_ode = np.empty(n, complex)
+    seed = np.empty((n, 4), complex)
+    xi_seed = np.empty(n)
+    for m, (lam, spec, j, kind) in enumerate(runs):
+        mu[m] = spec.mu[j - 1]
+        if kind == "u":
+            sigma[m], lam_ode[m], seed[m] = +1, complex(lam), spec.zeta[j - 1]
+            xi_seed[m] = -Lbox if j in (3, 4) else +Lbox
+        else:
+            sigma[m], lam_ode[m], seed[m] = -1, -complex(lam), spec.eta[j - 1]
+            xi_seed[m] = +Lbox if j in (3, 4) else -Lbox
+
+    jinv = np.linalg.inv(jc(model, c))
+    # A(xi) - sigma mu I with A = J(c)^-1 (hessS(zhat(xi)) - lambda M), the
+    # xi-independent part per run
+    cmat = (lam_ode[:, None, None] * (jinv @ model.M)
+            + (sigma * mu)[:, None, None] * np.eye(4))
+    hess = model.hessS
+    zhat = wave.zhat
+
+    def rhs(xi, v):
+        a = jinv @ hess(zhat(xi, c)) - cmat
+        return (a @ v[:, :, None])[:, :, 0]
+
+    y_end, out_vals, stats = _dopri5(rhs, xi_seed, until, seed, tol, grids)
+    sols = [RescaledSolution(xi_seed=float(xi_seed[m]), value_at_end=y_end[m],
+                             grid=None if grids is None else grids[m],
+                             values=out_vals[m], nsteps=stats[m].accepted,
+                             nrejected=stats[m].rejected, h_min=stats[m].h_min)
+            for m in range(n)]
     nm = len(modes)
     return [sols[i * nm:(i + 1) * nm] for i in range(len(lams))]

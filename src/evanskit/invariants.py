@@ -120,14 +120,15 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
 _PAIR_PTS = np.linspace(-2.0, 2.0, 9)
 
 
-def _tangent_pair(model, wave, c, tol, spec, L):
+def _tangent_pair(model, wave, c, nm: Numerics, spec):
     # the lambda = 0 manifold tangents a_minus (zeta_4 from -L) and a_plus
     # (eta_4 from +L), carried past each other, sampled on grids holding
     # _PAIR_PTS; both runs ride one stepper call
+    L = nm.L if nm.L is not None else wave.default_L(c)
     gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), _PAIR_PTS]))
     gp = np.unique(np.concatenate([_PAIR_PTS, np.linspace(2.0, L, 21)]))[::-1]
     (minus, plus), = integrate_modes(model, wave, c, [0.0], ((4, "u"), (4, "w")),
-                                     tol=tol, specs=[spec], until=(2.0, -2.0),
+                                     tol=nm.tol, L=L, specs=[spec], until=(2.0, -2.0),
                                      out_grids=(gm, gp))
     return minus, plus
 
@@ -144,48 +145,38 @@ class PiData:
 
 
 def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
-               tol: float = 1e-10, spec: InfinitySpectrum | None = None) -> PiData:
+               numerics: Numerics | None = None,
+               spec: InfinitySpectrum | None = None) -> PiData:
     """Omega(a_minus, a_plus) on a 9-point grid plus the orientation step.
 
     The manifold tangents are the zeta_4- and eta_4-seeded continuations at
-    lambda = 0.  If the 4-fold boundary wedge has negative sign against the
-    orientation constant, the (zeta_4, eta_4) pair is flipped and everything
-    recomputed; by linearity the flip negates both trajectories exactly, so
-    the pairing itself is flip-invariant while the orientation constant is not.
+    lambda = 0, integrated with the tolerance and half-width of numerics.
+    If the 4-fold boundary wedge has negative sign against the orientation
+    constant, the (zeta_4, eta_4) pair is flipped.  Negating both negates
+    both trajectories exactly, which leaves the pairing and the boundary
+    wedge unchanged and negates the orientation constant, so the flipped
+    orientation ratio is the absolute value of the unflipped one.
     """
+    nm = numerics or Numerics()
     sp = spec if spec is not None else spectrum(model, c, 0.0)
-    L = wave.default_L(c)
     J = jc(model, c)
     pts = _PAIR_PTS
-    minus, plus = _tangent_pair(model, wave, c, tol, sp, L)
+    minus, plus = _tangent_pair(model, wave, c, nm, sp)
+    L = plus.xi_seed   # the half-width the tangent pair was seeded at
     mvals = {float(x): v for x, v in zip(minus.grid, minus.values)}
     pvals = {float(x): v for x, v in zip(plus.grid, plus.values)}
+    samples = np.array([float(symplectic_form(J, mvals[float(x)], pvals[float(x)]).real)
+                        for x in pts])
 
-    def assemble(sgn):
-        out = []
-        for x in pts:
-            out.append(float(symplectic_form(J, sgn * mvals[float(x)],
-                                             sgn * pvals[float(x)]).real))
-        return np.array(out)
+    amp = np.exp(sp.mu[2].real * L)
+    num = wedge4(amp * wave.zhat_xi(L, c), sp.eta[3], amp * wave.zhat_xi(-L, c), sp.zeta[3])
+    scale = np.linalg.norm(sp.eta[3]) * np.linalg.norm(sp.zeta[3])
+    if abs(num) < 1e-12 * max(scale, 1.0):
+        raise OrientationFail("boundary wedge vanishes")
+    ratio = float(num.real / sp.Kconst.real)
+    flipped = ratio < 0
+    ratio = abs(ratio)
 
-    def orientation(sp_, sgn):
-        mu3 = sp_.mu[2].real
-        amp = np.exp(mu3 * L)
-        num = wedge4(amp * wave.zhat_xi(L, c), sgn * sp_.eta[3],
-                     amp * wave.zhat_xi(-L, c), sgn * sp_.zeta[3])
-        scale = np.linalg.norm(sp_.eta[3]) * np.linalg.norm(sp_.zeta[3])
-        if abs(num) < 1e-12 * max(scale, 1.0):
-            raise OrientationFail("boundary wedge vanishes")
-        return float(num.real / sp_.Kconst.real)
-
-    samples = assemble(1.0)
-    ratio = orientation(sp, 1.0)
-    flipped = False
-    if ratio < 0:
-        sp = sp.flipped(3)
-        samples = assemble(-1.0)
-        ratio = orientation(sp, 1.0)
-        flipped = True
     m = float(np.mean(samples))
     if abs(np.std(samples)) > 1e-6 * abs(m):
         raise Inconsistent(f"pairing drifts along xi: rel std "
@@ -217,18 +208,19 @@ class StructureReport:
 
 
 def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                      pair=None, tol: float = 1e-10) -> StructureReport:
+                      pair=None, numerics: Numerics | None = None) -> StructureReport:
     """Lagrangian-subspace pairings on a 9-point grid plus the chain identity.
 
     pair overrides the two manifold-tangent continuations (minus, plus); each
-    must carry values on a grid containing linspace(-2, 2, 9).
+    must carry values on a grid containing linspace(-2, 2, 9).  Otherwise
+    they are integrated with the tolerance and half-width of numerics.
     """
-    sp = spectrum(model, c, 0.0)
     L = wave.default_L(c)
     J = jc(model, c)
     pts = _PAIR_PTS
     if pair is None:
-        minus, plus = _tangent_pair(model, wave, c, tol, sp, L)
+        minus, plus = _tangent_pair(model, wave, c, numerics or Numerics(),
+                                    spectrum(model, c, 0.0))
     else:
         minus, plus = pair
     rel_p = rel_m = rel_z = 0.0
@@ -285,14 +277,15 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
     d_inf is the sign of D at the right end of the default scan window
     (lambda = 3), evaluated in the same batched integration as the
     derivative stencil.  The spectrum at lambda = 0 is solved once and shared
-    by chi_factors and pi_profile.
+    by chi_factors and pi_profile; numerics reaches both the stencil and
+    pi_profile's tangent pair.
     """
     nm = numerics or Numerics()
     I = momentum(model, wave, c)
     didc = dIdc(model, wave, c)
     sp = spectrum(model, c, 0.0)
     cm, cp, chi = chi_factors(model, wave, c, spec=sp)
-    pi = pi_profile(model, wave, c, spec=sp).pi
+    pi = pi_profile(model, wave, c, numerics=nm, spec=sp).pi
     der = derivatives_at_zero(model, wave, c, numerics=nm, probes=[3.0])
     dval = der.probes[0].D.real
     d_inf = 1 if dval > 0 else (-1 if dval < 0 else 0)

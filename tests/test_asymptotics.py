@@ -119,14 +119,3 @@ def test_continuous_spectrum_distance(cw):
     assert continuous_spectrum_distance(model, 0.0, 2.0j) < 1e-10
     assert continuous_spectrum_distance(model, 0.0, 0.0) == pytest.approx(28.0, rel=1e-9)
     assert continuous_spectrum_distance(model, 0.0, 1.0) == pytest.approx(40.0, rel=1e-6)
-
-
-def test_spectrum_flipped_copy(cw):
-    model, _ = cw
-    s = spectrum(model, 0.0, 0.0)
-    f = s.flipped(3)
-    assert np.allclose(f.zeta[3], -s.zeta[3])
-    assert np.allclose(f.eta[3], -s.eta[3])
-    assert f.Kconst == -s.Kconst
-    J = jc(model, 0.0)
-    assert symplectic_form(J, f.eta[3], f.zeta[3]) == pytest.approx(1.0, abs=1e-10)

@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 import evanskit.cli as cli
-from evanskit.model import WaveCheck
+from evanskit.evans import Numerics
+from evanskit.invariants import pi_profile
+from evanskit.model import WaveCheck, build_coupled_wave
 
 
 def _run(args):
@@ -29,6 +31,15 @@ def test_report_verdicts(tmp_path):
     assert d["verdict"] == "Inconclusive"
     assert abs(d["ratio_check"] - 1.0) <= 1e-3
     assert list(d) == sorted(d)
+
+
+def test_report_numerics_reach_pi():
+    # --tol and --L reach the lambda = 0 tangent pair behind Pi
+    r = _run(["report", "--p", "1", "--c", "0.3", "--tol", "1e-9", "--L", "15"])
+    assert r.exit_code == 0
+    model, wave = build_coupled_wave(1.0)
+    want = pi_profile(model, wave, 0.3, numerics=Numerics(tol=1e-9, L=15.0)).pi
+    assert json.loads(r.output)["Pi"] == want
 
 
 def test_report_rejects_waveless_model():
@@ -118,6 +129,7 @@ def test_contour_numerical_failures():
 def test_config_file_merge_and_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
+        "task": "report",   # accepted and ignored: the subcommand decides
         "model": "coupled-wave", "params": {"p": 2.0}, "c": 0.0,
         "numerics": {"tol": 1e-9}, "lambda_max": 2.0, "format": "json"}))
     r = _run(["scan", "--config", str(cfg), "--grid-n", "7"])
@@ -207,3 +219,14 @@ def test_verify_shape_constancy_fails():
     assert d["passed"] is False
     drift = float(d["checks"][0]["detail"].split()[2])
     assert drift > 1e-4
+
+
+def test_verify_exact_evans_closed_form_agrees():
+    # the unnormalized ratio stays red; the normalized closed form matches
+    r = _run(["verify", "--suite", "exact-evans", "--p", "2", "--c", "0.3"])
+    assert r.exit_code == 2
+    checks = json.loads(r.output)["checks"]
+    assert [c["name"] for c in checks] == ["shape-ratio-constancy", "closed-form-agreement"]
+    assert checks[0]["passed"] is False
+    assert checks[1]["passed"] is True
+    assert float(checks[1]["detail"].split()[3]) <= 1e-6

@@ -23,19 +23,8 @@ from evanskit.model import (
     MultisymplecticModel,
     WaveFamily,
     build_coupled_wave,
+    oracle_coupled_wave,
 )
-
-
-def _exact_shape(lam, p, alpha=1.0):
-    # closed-form profile of the determinant pipeline on the real axis:
-    # lam^2 * quintic product over the squared normalization factors
-    y = (alpha * lam) ** 2
-    P = (3 + y) * (5 - y) * (3 + 3 * p + y) * (3 * p + y) * (5 - 3 * p - y)
-    g1 = np.sqrt(4 + y)
-    g2 = np.sqrt(4 + 3 * p + y)
-    f1 = (6 * (y + 5) + g1 * (y + 15)) / 15
-    f2 = (10 + 6 * p + 2 * y) / 5 + g2 * (15 + 3 * p + y) / 15
-    return lam ** 2 * P / (f1 ** 2 * f2 ** 2)
 
 
 def test_point_value_frozen():
@@ -72,7 +61,8 @@ def test_ratio_matches_closed_form():
     model, wave = build_coupled_wave(1.0)
     a = evans_det(model, wave, 0.0, 1.0).D.real
     b = evans_det(model, wave, 0.0, 1.5).D.real
-    want = _exact_shape(1.5, 1.0) / _exact_shape(1.0, 1.0)
+    o = oracle_coupled_wave(1.0, 0.0)
+    want = o.evans_det(1.5) / o.evans_det(1.0)
     assert abs(b / a - want) <= 1e-6 * abs(want)
     assert abs(b / a - (-0.4130081122212993)) <= 1e-8
 

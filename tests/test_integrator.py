@@ -58,7 +58,7 @@ def test_frozen_coefficients_leave_seed_invariant():
     for j, kind in ((1, "u"), (2, "u"), (3, "u"), (4, "w")):
         r = integrate_mode(frozen, fwave, 0.0, 0.7, j, kind, spec=s)
         seed = s.zeta[j - 1] if kind == "u" else s.eta[j - 1]
-        assert np.max(np.abs(r.value_at_zero - seed)) <= 1e-8
+        assert np.max(np.abs(r.value_at_end - seed)) <= 1e-8
 
 
 def test_unstable_direction_is_wave_tangent():
@@ -66,7 +66,7 @@ def test_unstable_direction_is_wave_tangent():
     for c in (0.0, 0.3, -0.3):
         model, wave = _coupled()
         u3 = integrate_mode(model, wave, c, 0.0, 3, "u")
-        v = u3.value_at_zero
+        v = u3.value_at_end
         t = wave.zhat_xi(0.0, c)
         cos = abs(np.vdot(v, t)) / (np.linalg.norm(v) * np.linalg.norm(t))
         assert 1.0 - cos <= 1e-8
@@ -79,11 +79,11 @@ def test_fast_modes_match_scattering_solutions():
         o = oracle_coupled_wave(p, c)
         s = spectrum(model, c, 0.0)
         u4 = integrate_mode(model, wave, c, 0.0, 4, "u", spec=s)
-        v = u4.value_at_zero.real
+        v = u4.value_at_end.real
         a = o.a_minus(0.0)
         assert 1.0 - abs(np.dot(v, a)) / (np.linalg.norm(v) * np.linalg.norm(a)) <= 1e-8
         w4 = integrate_mode(model, wave, c, 0.0, 4, "w", spec=s)
-        v = w4.value_at_zero.real
+        v = w4.value_at_end.real
         a = o.a_plus(0.0)
         assert 1.0 - abs(np.dot(v, a)) / (np.linalg.norm(v) * np.linalg.norm(a)) <= 1e-8
 
@@ -140,16 +140,16 @@ def test_tangent_pair_crossing_is_grid_independent():
 def test_domain_truncation_converged():
     model, wave = _coupled()
     s = spectrum(model, 0.0, 0.0)
-    a = integrate_mode(model, wave, 0.0, 0.0, 4, "u", spec=s).value_at_zero
-    b = integrate_mode(model, wave, 0.0, 0.0, 4, "u", spec=s, L=40.0).value_at_zero
+    a = integrate_mode(model, wave, 0.0, 0.0, 4, "u", spec=s).value_at_end
+    b = integrate_mode(model, wave, 0.0, 0.0, 4, "u", spec=s, L=40.0).value_at_end
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
 def test_tolerance_consistency():
     model, wave = _coupled()
     s = spectrum(model, 0.0, 0.9)
-    a = integrate_mode(model, wave, 0.0, 0.9, 3, "u", spec=s, tol=1e-8).value_at_zero
-    b = integrate_mode(model, wave, 0.0, 0.9, 3, "u", spec=s, tol=1e-11).value_at_zero
+    a = integrate_mode(model, wave, 0.0, 0.9, 3, "u", spec=s, tol=1e-8).value_at_end
+    b = integrate_mode(model, wave, 0.0, 0.9, 3, "u", spec=s, tol=1e-11).value_at_end
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
@@ -158,7 +158,15 @@ def test_dense_output_consistent_at_zero():
     L = wave.default_L(0.0)
     g = np.linspace(-L, 0.0, 7)
     r = integrate_mode(model, wave, 0.0, 0.0, 3, "u", out_grid=g)
-    assert np.max(np.abs(r.values[-1] - r.value_at_zero)) <= 1e-14
+    assert np.max(np.abs(r.values[-1] - r.value_at_end)) <= 1e-14
+    # a run carried past xi = 0 samples its interpolant on the far side too,
+    # in agreement with a run that stops at the sample point
+    s = spectrum(model, 0.0, 0.5)
+    g = np.array([-3.0, -1.0, 1.0, 2.0])
+    r = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, out_grid=g, until=2.0)
+    stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, until=1.0)
+    assert np.max(np.abs(r.values[2] - stop.value_at_end)) <= 1e-8
+    assert np.array_equal(r.values[-1], r.value_at_end)
 
 
 def test_overflow_guard():
@@ -196,20 +204,5 @@ def test_batched_runs_keep_their_own_steps():
     for lam, sols in zip(lams, batch):
         for (j, kind), b in zip(modes, sols):
             a = integrate_mode(model, wave, c, lam, j, kind, tol=1e-9)
-            assert np.array_equal(a.value_at_zero, b.value_at_zero)
+            assert np.array_equal(a.value_at_end, b.value_at_end)
             assert a.stats == b.stats and a.nsteps > 0 and a.h_min > 0
-
-
-def test_dense_output_through_zero():
-    # a run carried past xi = 0 samples its interpolant there; the samples
-    # agree with runs that stop at the sample points
-    model, wave = _coupled()
-    s = spectrum(model, 0.0, 0.5)
-    g = np.array([-3.0, -1.0, 1.0, 2.0])
-    r = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, out_grid=g, until=2.0)
-    assert r.value_at_zero is not None
-    stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s)
-    assert np.max(np.abs(r.value_at_zero - stop.value_at_zero)) <= 1e-8
-    stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, until=1.0)
-    assert np.max(np.abs(r.values[2] - stop.value_at_end)) <= 1e-8
-    assert np.array_equal(r.values[-1], r.value_at_end)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import evanskit.invariants as invariants
 from evanskit.asymptotics import spectrum
 from evanskit.errors import Degenerate, Inconsistent, NoPlateau
+from evanskit.evans import Numerics
 from evanskit.integrator import integrate_mode
 from evanskit.invariants import (
     chi_factors,
@@ -162,8 +163,8 @@ def _tangent_pair(model, wave, c):
 def test_library_tangent_pair_covers_overlap(c):
     # the one lambda = 0 tangent path behind pi_profile and structural_checks
     L = WAVE.default_L(c)
-    minus, plus = invariants._tangent_pair(MODEL, WAVE, c, 1e-10,
-                                           spectrum(MODEL, c, 0.0), L)
+    minus, plus = invariants._tangent_pair(MODEL, WAVE, c, Numerics(),
+                                           spectrum(MODEL, c, 0.0))
     assert minus.grid[0] == -L and minus.grid[-1] == 2.0
     assert plus.grid[0] == L and plus.grid[-1] == -2.0
     assert np.all(np.isin(np.linspace(-2.0, 2.0, 9), minus.grid))

@@ -163,7 +163,11 @@ def test_oracle_frozen_values():
     assert o.psi_plus(0.0) == pytest.approx(np.sqrt(7) / 5, abs=1e-14)
     assert o.psi_minus(0.0) == pytest.approx(-np.sqrt(7) / 5, abs=1e-14)
     assert o.chi == pytest.approx(-1.302083e-3, rel=1e-6)
-    assert o.evans_exact(1.0) == pytest.approx(2688 * np.sqrt(10) / 810000, rel=1e-14)
+    # y = 1: P = 4 * 4 * 7 * 4 * 1, f1 = (36 + 16 sqrt 5) / 15, f2 = (54 + 38 sqrt 2) / 15
+    f1, f2 = (36 + 16 * np.sqrt(5)) / 15, (54 + 38 * np.sqrt(2)) / 15
+    assert o.quintic(1.0) == 448
+    want = 16 * 448 / (810000 * f1 ** 2 * f2 ** 2)
+    assert o.evans_det(1.0) == pytest.approx(want, rel=1e-14)
     assert o.dIdc == -3.2
     assert np.allclose(o.mu_at_zero, [-np.sqrt(7), -2, 2, np.sqrt(7)])
     o6 = oracle_coupled_wave(1.0, 0.6)
