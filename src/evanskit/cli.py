@@ -131,7 +131,7 @@ class RunConfig:
         # per-task rules; only the coupled wave has a wave family
         if self.task != "scan" and self.format != "json":
             raise BadParameter(f"format: {self.task} emits json only")
-        if self.task != "verify" and self.model != "coupled-wave":
+        if self.model != "coupled-wave":
             raise BadParameter(f"model: '{self.model}' lacks wave family")
         if self.task == "contour" and self.rect is None:
             raise BadParameter("rect: required for contour")

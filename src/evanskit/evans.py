@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .asymptotics import InfinitySpectrum, continuous_spectrum_distance, spectrum
 from .errors import BadParameter, ContourOnSpectrum, NoConverge, NonClosure, StepTooLarge
@@ -54,6 +53,7 @@ _DEFAULT = Numerics()
 CONTOUR_TOL = 1e-8   # contours default to a looser tolerance than point values
 SCAN_N = 31          # default sample count of real-axis scans
 ROOT_XTOL = 1e-10    # absolute tolerance of real-axis root polish
+_POLISH_ROUNDS = 100  # cap on lockstep polish rounds; each at least halves a bracket
 
 
 @dataclass
@@ -76,6 +76,34 @@ class EvansSample:
 _DET_MODES = ((3, "u"), (4, "u"), (3, "w"), (4, "w"))
 
 
+def _det_runs(lams, specs, xi_star: float = 0.0) -> list:
+    # u3, u4 from -L and w3, w4 from +L to xi_star, per lambda, as
+    # integrate_modes runs
+    return [(lam, spec, j, kind, xi_star, None)
+            for lam, spec in zip(lams, specs) for j, kind in _DET_MODES]
+
+
+def _det_samples(model, c, lams, specs, sols, xi_star: float = 0.0) -> list[EvansSample]:
+    # the determinants from the solutions of _det_runs(lams, specs, xi_star)
+    J = jc(model, c)
+    out = []
+    for n, (lam, spec) in enumerate(zip(lams, specs)):
+        r = {f"{kind}{j}": sol
+             for (j, kind), sol in zip(_DET_MODES, sols[4 * n:4 * n + 4])}
+        mu = spec.mu
+
+        def pair(i, j):
+            # Omega(w_i, u_j), rebalanced to the scale of the matching point
+            return (symplectic_form(J, r[f"w{i}"].value_at_end, r[f"u{j}"].value_at_end)
+                    * np.exp((mu[j - 1] - mu[i - 1]) * xi_star))
+
+        d1, d2, d3, d4 = pair(3, 3), pair(4, 4), pair(3, 4), pair(4, 3)
+        out.append(EvansSample(lam=complex(lam), D=d1 * d2 - d3 * d4,
+                               d1=d1, d2=d2, d3=d3, d4=d4,
+                               stats={k: sol.stats for k, sol in r.items()}))
+    return out
+
+
 def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
                numerics: Numerics | None = None, specs=None,
                xi_star: float = 0.0) -> list[EvansSample]:
@@ -94,24 +122,9 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     nm = numerics or _DEFAULT
     if specs is None:
         specs = [spectrum(model, c, lam) for lam in lams]
-    runs = integrate_modes(model, wave, c, lams, _DET_MODES, tol=nm.tol, L=nm.L,
-                           specs=specs, until=xi_star)
-    J = jc(model, c)
-    out = []
-    for lam, spec, sols in zip(lams, specs, runs):
-        r = {f"{kind}{j}": sol for (j, kind), sol in zip(_DET_MODES, sols)}
-        mu = spec.mu
-
-        def pair(i, j):
-            # Omega(w_i, u_j), rebalanced to the scale of the matching point
-            return (symplectic_form(J, r[f"w{i}"].value_at_end, r[f"u{j}"].value_at_end)
-                    * np.exp((mu[j - 1] - mu[i - 1]) * xi_star))
-
-        d1, d2, d3, d4 = pair(3, 3), pair(4, 4), pair(3, 4), pair(4, 3)
-        out.append(EvansSample(lam=complex(lam), D=d1 * d2 - d3 * d4,
-                               d1=d1, d2=d2, d3=d3, d4=d4,
-                               stats={k: sol.stats for k, sol in r.items()}))
-    return out
+    sols = integrate_modes(model, wave, c, _det_runs(lams, specs, xi_star),
+                           tol=nm.tol, L=nm.L)
+    return _det_samples(model, c, lams, specs, sols, xi_star)
 
 
 def evans_det(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: complex,
@@ -131,9 +144,10 @@ def evans_wedge(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: co
     the matching point xi = 0.
     """
     nm = numerics or _DEFAULT
-    sols, = integrate_modes(model, wave, c, [lam], [(j, "u") for j in (1, 2, 3, 4)],
-                            tol=nm.tol, L=nm.L,
-                            specs=None if spec is None else [spec])
+    if spec is None:
+        spec = spectrum(model, c, lam)
+    runs = [(lam, spec, j, "u", 0.0, None) for j in (1, 2, 3, 4)]
+    sols = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
     return complex(wedge4(*(s.value_at_end for s in sols)))
 
 
@@ -165,25 +179,15 @@ class Derivatives:
     D2_scaled: float      # D2_raw / 2, matching the rescaled statement
     scale: float          # max |D| over the sample stencil
     samples: dict = field(default_factory=dict)
-    probes: list = field(default_factory=list)   # EvansSample per extra lambda
 
 
-def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                        numerics: Numerics | None = None,
-                        probes=()) -> Derivatives:
-    """D, D', D'' at lambda = 0 by central differences with Richardson extrapolation.
+def _stencil(h: float) -> list[float]:
+    return [0.0, h / 2, -h / 2, h, -h]
 
-    Samples at {0, +-h/2, +-h} with h = numerics.h.  Raises StepTooLarge when
-    a least-squares quadratic through the five samples leaves more than 1e-3
-    relative residual, which signals that h reaches outside the quadratic
-    neighborhood of 0.
-    Any lambda in probes is evaluated in the same batched integration as the
-    stencil and returned as an EvansSample in Derivatives.probes.
-    """
-    nm = numerics or _DEFAULT
-    h = nm.h
-    lams = [0.0, h / 2, -h / 2, h, -h]
-    samples = evans_dets(model, wave, c, lams + list(probes), numerics=nm)
+
+def _derivatives(h: float, samples) -> Derivatives:
+    # D, D', D'' at 0 from the EvansSamples at _stencil(h), in that order
+    lams = _stencil(h)
     vals = {lam: s.D.real for lam, s in zip(lams, samples)}
     scale = max(abs(v) for v in vals.values())
     # quadratic-fit guard: the stencil must sit inside the parabolic regime
@@ -201,7 +205,20 @@ def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
     d2_h2 = (vals[h / 2] - 2 * vals[0.0] + vals[-h / 2]) / (h / 2) ** 2
     d2 = (4 * d2_h2 - d2_h) / 3
     return Derivatives(D0=vals[0.0], D1=d1, D2_raw=d2, D2_scaled=d2 / 2,
-                       scale=scale, samples=vals, probes=samples[len(lams):])
+                       scale=scale, samples=vals)
+
+
+def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
+                        numerics: Numerics | None = None) -> Derivatives:
+    """D, D', D'' at lambda = 0 by central differences with Richardson extrapolation.
+
+    Samples at {0, +-h/2, +-h} with h = numerics.h, in one batched
+    integration.  Raises StepTooLarge when a least-squares quadratic through
+    the five samples leaves more than 1e-3 relative residual, which signals
+    that h reaches outside the quadratic neighborhood of 0.
+    """
+    nm = numerics or _DEFAULT
+    return _derivatives(nm.h, evans_dets(model, wave, c, _stencil(nm.h), numerics=nm))
 
 
 @dataclass
@@ -209,18 +226,89 @@ class ScanResult:
     lams: np.ndarray
     values: np.ndarray            # complex D(lambda)
     brackets: list                # (lo, hi) sign-change intervals before refinement
-    roots: list                   # Brent-refined root locations
+    roots: list                   # midpoints of brackets polished to ROOT_XTOL
     d_inf: int                    # sign of D at the right end
+
+
+def _inverse_interp(xs, fs) -> list:
+    # zeros of the inverse interpolants x(f) through the first 1, 2, ... of
+    # the points (xs, fs), by Neville's scheme; nan or inf where f values
+    # coincide
+    p = np.array(xs, dtype=float)
+    f = np.array(fs, dtype=float)
+    ests = [p[0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, len(p)):
+            p = (f[m:] * p[:-1] - f[:-m] * p[1:]) / (f[m:] - f[:-m])
+            ests.append(p[0])
+    return ests
+
+
+def _polish(f, brackets, known):
+    """Shrink sign-change brackets of f to ROOT_XTOL in lockstep, one f call per round.
+
+    f maps a list of points to their real values.  known maps every point
+    evaluated so far, the bracket ends included, to its value.  Each round
+    evaluates, for every open bracket, its midpoint and an estimate est with
+    est -+ max(err, ROOT_XTOL / 2), points outside the bracket dropped.
+    est is the zero of the inverse interpolant through the 4, 3 or 2 known
+    points nearest the bracket, the first of these that falls inside it
+    (the last, through the bracket ends, always does), and err its last
+    Neville correction.  The bracket then becomes the first sign-change
+    interval among the points it holds, so it stays an interval between
+    evaluated points of opposite sign and at least halves.  A bracket ends
+    at width <= 2 ROOT_XTOL, or as (x, x) on a point x where f is exactly 0.
+    Returns the final brackets and the number of rounds; raises NoConverge
+    when brackets are still open after _POLISH_ROUNDS rounds.
+    """
+    known = dict(known)
+    brackets = list(brackets)
+    live = [k for k, (lo, hi) in enumerate(brackets) if hi - lo > 2 * ROOT_XTOL]
+    rounds = 0
+    while live:
+        if rounds == _POLISH_ROUNDS:
+            raise NoConverge(f"root polish left {len(live)} brackets wider than "
+                             f"{2 * ROOT_XTOL:g} after {rounds} rounds")
+        inner = {}
+        for k in live:
+            lo, hi = brackets[k]
+            mid = 0.5 * (lo + hi)
+            near = sorted(known, key=lambda x: abs(x - mid))[:4]
+            ests = _inverse_interp(near, [known[x] for x in near])
+            inside = [i for i in range(1, len(ests)) if lo < ests[i] < hi]
+            pts = [mid]
+            if inside:
+                i = inside[-1]
+                d = max(abs(ests[i] - ests[i - 1]), 0.5 * ROOT_XTOL)
+                pts += [ests[i] - d, ests[i], ests[i] + d]
+            inner[k] = sorted({float(x) for x in pts if lo < x < hi})
+        new = sorted({x for pts in inner.values() for x in pts} - known.keys())
+        if new:   # empty only when no float lies inside any open bracket
+            known.update(zip(new, (float(v) for v in f(new))))
+        rounds += 1
+        for k in live:
+            lo, hi = brackets[k]
+            zeros = [x for x in inner[k] if known[x] == 0.0]
+            if zeros:
+                brackets[k] = (zeros[0], zeros[0])
+                continue
+            xs = [lo, *inner[k], hi]
+            brackets[k] = next((a, b) for a, b in zip(xs, xs[1:])
+                               if (known[a] < 0) != (known[b] < 0))
+        live = [k for k in live if brackets[k][1] - brackets[k][0] > 2 * ROOT_XTOL]
+    return brackets, rounds
 
 
 def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
                    lam_max: float, n: int = SCAN_N,
                    numerics: Numerics | None = None) -> ScanResult:
-    """Sample D on (0, lam_max], bracket sign changes, refine roots by Brent's method.
+    """Sample D on (0, lam_max], bracket sign changes, polish every root together.
 
-    The grid samples are one batched evaluation.  A root is polished to
-    ROOT_XTOL; the polish reuses the bracket's sample values, which equal
-    what a fresh evaluation there would give.
+    The grid samples are one batched evaluation.  Each sign-change interval
+    of the grid is then shrunk to width 2 ROOT_XTOL or less by _polish, all
+    brackets in lockstep, one batched evaluation per round; a root is the
+    midpoint of its final bracket, so it lies within ROOT_XTOL of the sign
+    change of D.  A grid sample where D is exactly 0 is a root as it stands.
     """
     nm = numerics or _DEFAULT
     n = int(n)
@@ -235,22 +323,16 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
     samples = evans_dets(model, wave, c, lams, numerics=nm)
     vals = np.array([s.D for s in samples])
     re = vals.real
-    known = {float(lam): float(v) for lam, v in zip(lams, re)}
 
-    def f(lam):
-        if lam not in known:
-            known[lam] = evans_det(model, wave, c, lam, numerics=nm).D.real
-        return known[lam]
+    def f(points):
+        return [s.D.real for s in evans_dets(model, wave, c, points, numerics=nm)]
 
-    brackets, roots = [], []
-    for k in range(n - 1):
-        if re[k] == 0.0:
-            roots.append(float(lams[k]))
-            continue
-        if re[k] * re[k + 1] < 0:
-            lo, hi = float(lams[k]), float(lams[k + 1])
-            brackets.append((lo, hi))
-            roots.append(float(brentq(f, lo, hi, xtol=ROOT_XTOL)))
+    brackets = [(float(lams[k]), float(lams[k + 1])) for k in range(n - 1)
+                if re[k] * re[k + 1] < 0]
+    polished, _ = _polish(f, brackets, dict(zip(lams.tolist(), re.tolist())))
+    # brackets are disjoint and end at nonzero samples: sorting keeps grid order
+    roots = sorted([float(lams[k]) for k in range(n - 1) if re[k] == 0.0]
+                   + [0.5 * (lo + hi) for lo, hi in polished])
     d_inf = 1 if re[-1] > 0 else (-1 if re[-1] < 0 else 0)
     return ScanResult(lams=lams, values=vals, brackets=brackets, roots=roots,
                       d_inf=d_inf)

@@ -12,9 +12,10 @@ point.  A run returns its end value (the true mode when it ends at
 xi = 0), its step counts and, on request, dense samples.  The stepper is
 an explicit Dormand-Prince 5(4) pair with the standard quartic
 dense-output interpolant; local error is controlled per unit xi.  It
-advances a batch of runs (many lambda values, several modes each) in one
-loop, so the interpreter overhead of a step is paid once per batch; every
-run keeps its own steps, and a single run is a batch of one.
+advances a flat list of runs (any mix of lambda values, modes, end points
+and dense grids) in one loop, so the interpreter overhead of a step is
+paid once per batch; every run keeps its own steps, and a single run is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -205,38 +206,35 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     solves with -lambda, seeds eta_j, with the opposite seeding sides.
     This is the batch-of-one case of integrate_modes.
     """
-    return integrate_modes(model, wave, c, [lam], [(j, kind)], tol=tol, L=L,
-                           specs=None if spec is None else [spec], until=until,
-                           out_grids=None if out_grid is None else [out_grid])[0][0]
+    if spec is None:
+        spec = spectrum(model, c, lam)
+    return integrate_modes(model, wave, c, [(lam, spec, j, kind, until, out_grid)],
+                           tol=tol, L=L)[0]
 
 
 def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                    lams, modes, tol: float = 1e-10, L: Optional[float] = None,
-                    specs=None, until=0.0, out_grids=None) -> list:
-    """Every (j, kind) of modes at every lambda of lams, in one stepper call.
+                    runs, tol: float = 1e-10, L: Optional[float] = None) -> list:
+    """Every run of a flat run list in one stepper call.
 
-    until is one end point for all runs or one per mode; out_grids is None
-    or one dense-output grid (or None) per mode.  Returns one list per
-    lambda holding a RescaledSolution per entry of modes.  Each run keeps
-    its own steps, so each solution equals what integrate_mode returns for
-    that run alone.
+    Each run is (lam, spec, j, kind, until, grid): the spectral point, its
+    spectrum at infinity, the mode as in integrate_mode, the end point, and
+    a dense-output grid or None.  Runs of different lambda values, modes,
+    end points and grids mix freely; all share tol and the half-width L.
+    Returns one RescaledSolution per run, in order.  Each run keeps its own
+    steps, so each solution equals what integrate_mode returns for that run
+    alone.
     """
-    for j, kind in modes:
-        _check_mode(j, kind)
-    if specs is None:
-        specs = [spectrum(model, c, lam) for lam in lams]
     Lbox = float(L) if L is not None else wave.default_L(c)
-    runs = [(lam, spec, j, kind) for lam, spec in zip(lams, specs) for j, kind in modes]
     n = len(runs)
-    ends = np.broadcast_to(np.asarray(until, dtype=float), (len(modes),))
-    until = np.tile(ends, len(lams))
-    grids = None if out_grids is None else list(out_grids) * len(lams)
     mu = np.empty(n, complex)
     sigma = np.empty(n)
     lam_ode = np.empty(n, complex)
     seed = np.empty((n, 4), complex)
     xi_seed = np.empty(n)
-    for m, (lam, spec, j, kind) in enumerate(runs):
+    until = np.empty(n)
+    grids = []
+    for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
+        _check_mode(j, kind)
         mu[m] = spec.mu[j - 1]
         if kind == "u":
             sigma[m], lam_ode[m], seed[m] = +1, complex(lam), spec.zeta[j - 1]
@@ -244,6 +242,8 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
         else:
             sigma[m], lam_ode[m], seed[m] = -1, -complex(lam), spec.eta[j - 1]
             xi_seed[m] = +Lbox if j in (3, 4) else -Lbox
+        until[m] = end
+        grids.append(grid)
 
     jinv = np.linalg.inv(jc(model, c))
     # A(xi) - sigma mu I with A = J(c)^-1 (hessS(zhat(xi)) - lambda M), the
@@ -258,10 +258,8 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
         return (a @ v[:, :, None])[:, :, 0]
 
     y_end, out_vals, stats = _dopri5(rhs, xi_seed, until, seed, tol, grids)
-    sols = [RescaledSolution(xi_seed=float(xi_seed[m]), value_at_end=y_end[m],
-                             grid=None if grids is None else grids[m],
-                             values=out_vals[m], nsteps=stats[m].accepted,
-                             nrejected=stats[m].rejected, h_min=stats[m].h_min)
+    return [RescaledSolution(xi_seed=float(xi_seed[m]), value_at_end=y_end[m],
+                             grid=grids[m], values=out_vals[m],
+                             nsteps=stats[m].accepted, nrejected=stats[m].rejected,
+                             h_min=stats[m].h_min)
             for m in range(n)]
-    nm = len(modes)
-    return [sols[i * nm:(i + 1) * nm] for i in range(len(lams))]

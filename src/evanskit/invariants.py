@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from .asymptotics import InfinitySpectrum, spectrum
 from .errors import (Degenerate, Inconsistent, NonTransverse, NoPlateau,
                      OrientationFail)
-from .evans import Numerics, derivatives_at_zero
+from .evans import Numerics, _derivatives, _det_runs, _det_samples, _stencil
 from .integrator import integrate_modes
 from .linalg import symplectic_form, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
@@ -120,17 +120,14 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
 _PAIR_PTS = np.linspace(-2.0, 2.0, 9)
 
 
-def _tangent_pair(model, wave, c, nm: Numerics, spec):
+def _tangent_pair(wave, c, nm: Numerics, spec) -> list:
     # the lambda = 0 manifold tangents a_minus (zeta_4 from -L) and a_plus
-    # (eta_4 from +L), carried past each other, sampled on grids holding
-    # _PAIR_PTS; both runs ride one stepper call
+    # (eta_4 from +L), carried past each other and sampled on grids holding
+    # _PAIR_PTS, as integrate_modes runs at nm.tol and nm.L
     L = nm.L if nm.L is not None else wave.default_L(c)
     gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), _PAIR_PTS]))
     gp = np.unique(np.concatenate([_PAIR_PTS, np.linspace(2.0, L, 21)]))[::-1]
-    (minus, plus), = integrate_modes(model, wave, c, [0.0], ((4, "u"), (4, "w")),
-                                     tol=nm.tol, L=L, specs=[spec], until=(2.0, -2.0),
-                                     out_grids=(gm, gp))
-    return minus, plus
+    return [(0.0, spec, 4, "u", 2.0, gm), (0.0, spec, 4, "w", -2.0, gp)]
 
 
 @dataclass
@@ -159,9 +156,15 @@ def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
     """
     nm = numerics or Numerics()
     sp = spec if spec is not None else spectrum(model, c, 0.0)
+    minus, plus = integrate_modes(model, wave, c, _tangent_pair(wave, c, nm, sp),
+                                  tol=nm.tol, L=nm.L)
+    return _pi_data(model, wave, c, sp, minus, plus)
+
+
+def _pi_data(model, wave, c, sp: InfinitySpectrum, minus, plus) -> PiData:
+    # pi_profile from the solutions of _tangent_pair(wave, c, nm, sp)
     J = jc(model, c)
     pts = _PAIR_PTS
-    minus, plus = _tangent_pair(model, wave, c, nm, sp)
     L = plus.xi_seed   # the half-width the tangent pair was seeded at
     mvals = {float(x): v for x, v in zip(minus.grid, minus.values)}
     pvals = {float(x): v for x, v in zip(plus.grid, plus.values)}
@@ -219,8 +222,9 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
     J = jc(model, c)
     pts = _PAIR_PTS
     if pair is None:
-        minus, plus = _tangent_pair(model, wave, c, numerics or Numerics(),
-                                    spectrum(model, c, 0.0))
+        nm = numerics or Numerics()
+        runs = _tangent_pair(wave, c, nm, spectrum(model, c, 0.0))
+        minus, plus = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
     else:
         minus, plus = pair
     rel_p = rel_m = rel_z = 0.0
@@ -275,19 +279,25 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
     """Assemble the full verdict: real unstable eigenvalue iff chi*Pi*dIdc*d_inf < 0.
 
     d_inf is the sign of D at the right end of the default scan window
-    (lambda = 3), evaluated in the same batched integration as the
-    derivative stencil.  The spectrum at lambda = 0 is solved once and shared
-    by chi_factors and pi_profile; numerics reaches both the stencil and
-    pi_profile's tangent pair.
+    (lambda = 3).  Pi's tangent pair, the derivative stencil and the
+    lambda = 3 probe ride one stepper call, and give exactly what
+    pi_profile, derivatives_at_zero and evans_det give on their own.  The
+    spectrum at lambda = 0 is solved once and shared by chi_factors, the
+    tangent pair and the stencil's centre; numerics reaches every run.
     """
     nm = numerics or Numerics()
     I = momentum(model, wave, c)
     didc = dIdc(model, wave, c)
     sp = spectrum(model, c, 0.0)
     cm, cp, chi = chi_factors(model, wave, c, spec=sp)
-    pi = pi_profile(model, wave, c, numerics=nm, spec=sp).pi
-    der = derivatives_at_zero(model, wave, c, numerics=nm, probes=[3.0])
-    dval = der.probes[0].D.real
+    lams = _stencil(nm.h) + [3.0]   # the stencil starts at lambda = 0
+    specs = [sp] + [spectrum(model, c, lam) for lam in lams[1:]]
+    runs = _tangent_pair(wave, c, nm, sp) + _det_runs(lams, specs)
+    sols = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
+    pi = _pi_data(model, wave, c, sp, *sols[:2]).pi
+    samples = _det_samples(model, c, lams, specs, sols[2:])
+    der = _derivatives(nm.h, samples[:-1])
+    dval = samples[-1].D.real
     d_inf = 1 if dval > 0 else (-1 if dval < 0 else 0)
     denom = 2.0 * chi * pi * didc
     report = StabilityReport(

@@ -48,6 +48,15 @@ def test_report_rejects_waveless_model():
     assert "lacks wave family" in r.output
 
 
+def test_verify_rejects_waveless_model():
+    # every suite runs the coupled wave, so another model would be reported
+    # on numbers it never produced
+    r = _run(["verify", "--model", "mtm", "--nu", "3", "--suite", "appendix-a"])
+    assert r.exit_code == 1
+    assert r.stderr == "error: model: 'mtm' lacks wave family\n"
+    assert r.stdout == ""
+
+
 def test_report_hypothesis_gate(monkeypatch):
     monkeypatch.setattr(cli, "verify_wave",
                         lambda *a, **k: WaveCheck(1.0, 0.0, 0.0, 0.0))

@@ -1,14 +1,24 @@
 """Evans function assembly: frozen anchors, representation identity, invariances."""
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evanskit.asymptotics import spectrum
-from evanskit.errors import BadParameter, ContourOnSpectrum, StepTooLarge
+from evanskit.errors import BadParameter, ContourOnSpectrum, NoConverge, StepTooLarge
 from evanskit.evans import (
+    _POLISH_ROUNDS,
+    ROOT_XTOL,
     Numerics,
+    _polish,
     derivatives_at_zero,
     eta_identity_residual,
     evans_det,
@@ -161,6 +171,99 @@ def test_scan_below_first_root():
     assert r.brackets == [] and r.roots == []
     assert r.d_inf == 1
     assert np.all(r.values.real > 0)
+
+
+@pytest.mark.parametrize("p, c", [(0.8, -0.2), (1.2, 0.4), (2.3, 0.3)])
+def test_scan_roots_match_closed_form(p, c):
+    # roots at sqrt(5 - 3p)/alpha (for p < 5/3) and sqrt(5)/alpha
+    model, wave = build_coupled_wave(p)
+    r = real_axis_scan(model, wave, c, 3.0, n=13, numerics=Numerics(tol=1e-9))
+    alpha = 1.0 / math.sqrt(1.0 - c * c)
+    want = [math.sqrt(5.0 - 3.0 * p) / alpha] if p < 5.0 / 3.0 else []
+    want.append(math.sqrt(5.0) / alpha)
+    assert len(r.roots) == len(want) == len(r.brackets)
+    for got, w, (lo, hi) in zip(r.roots, want, r.brackets):
+        assert abs(got - w) <= ROOT_XTOL and lo < got < hi
+
+
+class _Batched:
+    """A scalar function evaluated point by point in batches, counting the batches."""
+
+    def __init__(self, g):
+        self.g, self.calls = g, 0
+
+    def __call__(self, xs):
+        self.calls += 1
+        return [self.g(x) for x in xs]
+
+
+def _grid_brackets(g, n):
+    xs = np.linspace(0.0, 3.0, n).tolist()
+    known = {x: g(x) for x in xs}
+    return [(a, b) for a, b in zip(xs, xs[1:]) if known[a] * known[b] < 0], known
+
+
+_CUBICS = st.tuples(st.just("cubic"), st.floats(-1e3, 1e3).filter(lambda a: abs(a) > 1e-3),
+                    st.lists(st.floats(0.05, 2.95), min_size=3, max_size=3))
+_STEPS = st.tuples(st.just("tanh"), st.floats(0.5, 1e4),
+                   st.lists(st.floats(0.05, 2.95), min_size=1, max_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_CUBICS, _STEPS), st.integers(3, 40))
+def test_polish_keeps_brackets_and_finds_roots(family, n):
+    kind, a, roots = family
+    if kind == "cubic":
+        def g(x):
+            return a * (x - roots[0]) * (x - roots[1]) * (x - roots[2])
+    else:
+        def g(x):
+            return math.tanh(a * (x - roots[0]))
+    brackets, known = _grid_brackets(g, n)
+    f = _Batched(g)
+    out, rounds = _polish(f, brackets, known)
+    assert len(out) == len(brackets)
+    assert f.calls == rounds < _POLISH_ROUNDS
+    if brackets:
+        # every round at least halves every open bracket
+        w0 = max(hi - lo for lo, hi in brackets)
+        assert rounds <= math.ceil(math.log2(w0 / (2 * ROOT_XTOL))) + 1
+    for (lo0, hi0), (lo, hi) in zip(brackets, out):
+        assert lo0 <= lo <= hi <= hi0
+        if lo == hi:
+            assert g(lo) == 0.0   # ended on an exact-zero sample
+        else:
+            assert hi - lo <= 2 * ROOT_XTOL
+            assert (g(lo) < 0) != (g(hi) < 0) and g(lo) != 0.0 != g(hi)
+        mid = 0.5 * (lo + hi)
+        assert min(abs(mid - r) for r in roots if lo0 < r < hi0) <= ROOT_XTOL
+
+
+def test_polish_ends_on_exact_zero():
+    # the first round's midpoint lands on the root
+    f = _Batched(lambda x: math.tanh(40.0 * (x - 1.25)))
+    out, rounds = _polish(f, [(1.0, 1.5)], {1.0: f.g(1.0), 1.5: f.g(1.5)})
+    assert out == [(1.25, 1.25)] and rounds == f.calls == 1
+
+
+def test_polish_round_cap():
+    # a bracket two floats wide near 1e7 cannot reach width 2 ROOT_XTOL
+    lo = 1e7
+    hi = float(np.nextafter(lo, 2 * lo))
+    f = _Batched(lambda x: x - lo - 1e-9)
+    with pytest.raises(NoConverge):
+        _polish(f, [(lo, hi)], {lo: f.g(lo), hi: f.g(hi)})
+
+
+def test_evans_imports_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, evanskit.evans; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_winding_rejects_bad_contours():

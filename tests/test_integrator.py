@@ -5,7 +5,9 @@ import pytest
 
 from evanskit.asymptotics import spectrum
 from evanskit.errors import Overflow, StepFail
+from evanskit.evans import Numerics, _det_runs
 from evanskit.integrator import _dopri5, integrate_mode, integrate_modes
+from evanskit.invariants import _tangent_pair
 from evanskit.linalg import symplectic_form
 from evanskit.model import (
     CANONICAL_K,
@@ -200,9 +202,29 @@ def test_batched_runs_keep_their_own_steps():
     model, wave = _coupled()
     c, lams = 0.3, (0.4, 1.1 + 0.3j)
     modes = ((3, "u"), (4, "w"), (1, "u"))
-    batch = integrate_modes(model, wave, c, lams, modes, tol=1e-9)
-    for lam, sols in zip(lams, batch):
-        for (j, kind), b in zip(modes, sols):
-            a = integrate_mode(model, wave, c, lam, j, kind, tol=1e-9)
-            assert np.array_equal(a.value_at_end, b.value_at_end)
-            assert a.stats == b.stats and a.nsteps > 0 and a.h_min > 0
+    runs = [(lam, spectrum(model, c, lam), j, kind, 0.0, None)
+            for lam in lams for j, kind in modes]
+    batch = integrate_modes(model, wave, c, runs, tol=1e-9)
+    for (lam, _, j, kind, _, _), b in zip(runs, batch):
+        a = integrate_mode(model, wave, c, lam, j, kind, tol=1e-9)
+        assert np.array_equal(a.value_at_end, b.value_at_end)
+        assert a.stats == b.stats and a.nsteps > 0 and a.h_min > 0
+
+
+def test_mixed_run_list_equals_runs_alone():
+    # determinant runs ending at 0 and the lambda = 0 tangent pair, which ends
+    # at +-2 with dense grids, in one call: each run equals the run made alone
+    model, wave = _coupled()
+    c, nm = 0.3, Numerics(tol=1e-9)
+    lams = [0.0, 0.7, 3.0]
+    specs = [spectrum(model, c, lam) for lam in lams]
+    runs = _det_runs(lams, specs) + _tangent_pair(wave, c, nm, specs[0])
+    batch = integrate_modes(model, wave, c, runs, tol=nm.tol)
+    assert [r.grid is not None for r in batch] == [False] * 12 + [True] * 2
+    for (lam, spec, j, kind, until, grid), b in zip(runs, batch):
+        a = integrate_mode(model, wave, c, lam, j, kind, tol=nm.tol, spec=spec,
+                           out_grid=grid, until=until)
+        assert np.array_equal(a.value_at_end, b.value_at_end)
+        assert a.stats == b.stats and a.xi_seed == b.xi_seed
+        if grid is not None:
+            assert np.array_equal(a.values, b.values) and a.grid is b.grid is grid

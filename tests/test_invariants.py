@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import evanskit.invariants as invariants
 from evanskit.asymptotics import spectrum
 from evanskit.errors import Degenerate, Inconsistent, NoPlateau
-from evanskit.evans import Numerics
-from evanskit.integrator import integrate_mode
+from evanskit.evans import Numerics, derivatives_at_zero, evans_det
+from evanskit.integrator import integrate_mode, integrate_modes
 from evanskit.invariants import (
     chi_factors,
     dIdc,
@@ -163,8 +163,8 @@ def _tangent_pair(model, wave, c):
 def test_library_tangent_pair_covers_overlap(c):
     # the one lambda = 0 tangent path behind pi_profile and structural_checks
     L = WAVE.default_L(c)
-    minus, plus = invariants._tangent_pair(MODEL, WAVE, c, Numerics(),
-                                           spectrum(MODEL, c, 0.0))
+    runs = invariants._tangent_pair(WAVE, c, Numerics(), spectrum(MODEL, c, 0.0))
+    minus, plus = integrate_modes(MODEL, WAVE, c, runs)
     assert minus.grid[0] == -L and minus.grid[-1] == 2.0
     assert plus.grid[0] == L and plus.grid[-1] == -2.0
     assert np.all(np.isin(np.linspace(-2.0, 2.0, 9), minus.grid))
@@ -207,6 +207,17 @@ def test_stability_report_p1():
     assert rep.dIdc < 0.0
     assert rep.D2_scaled == rep.D2_raw / 2.0
     assert rep.params == {"p": 1.0}
+
+
+@pytest.mark.parametrize("nm", [None, Numerics(tol=1e-9, L=15.0, h=0.05)])
+def test_report_equals_its_parts_alone(nm):
+    # the report's one stepper call gives exactly what the parts give alone
+    c = 0.3
+    rep = stability_report(MODEL, WAVE, c, numerics=nm)
+    assert rep.Pi == pi_profile(MODEL, WAVE, c, numerics=nm).pi
+    assert rep.D2_raw == derivatives_at_zero(MODEL, WAVE, c, numerics=nm).D2_raw
+    d = evans_det(MODEL, WAVE, c, 3.0, numerics=nm).D.real
+    assert rep.d_inf == (1 if d > 0 else -1)
 
 
 def test_stability_report_p2_flags_instability():
