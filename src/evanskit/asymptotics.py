@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
-from .linalg import Poly4, det4, nullvector, quartic_roots, symplectic_form, wedge4
+from .linalg import (Poly4, as_cmat4, det4, nullvectors, quartic_root_sets, skew_cmat4,
+                     symplectic_forms, wedge4)
 from .model import MultisymplecticModel, jc
 
 _NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
@@ -44,21 +45,13 @@ class InfinitySpectrum:
 
 def _delta_poly(model: MultisymplecticModel, c: float, lam: complex) -> Poly4:
     """Delta(mu, lambda) as a quartic in mu: five determinants pin its coefficients."""
-    vals = np.array([delta(model, c, lam, m) for m in _NODES])
+    j, binf = jc(model, c), model.binf()
+    vals = np.array([det4(binf - lam * model.M - m * j) for m in _NODES])
     return Poly4(np.linalg.solve(np.vander(_NODES, 5, increasing=True), vals))
 
 
-def spectrum(model: MultisymplecticModel, c: float, lam: complex,
-             tol: float = 1e-8) -> InfinitySpectrum:
-    """Solve the system at infinity and build the dual frames.
-
-    mu ordering is ascending real part (imaginary part breaks ties).
-    """
-    lam = complex(lam)
-    j = jc(model, c)
-    binf = model.binf()
-    mu = quartic_roots(_delta_poly(model, c, lam))
-
+def _exponents(lam: complex, mu: np.ndarray) -> np.ndarray:
+    """Snap, order and check the roots of Delta at one lambda."""
     if abs(lam.imag) < 1e-14:
         # real axis: exponents come in conjugate or real constellations;
         # strip solver roundoff so downstream frames stay real
@@ -72,33 +65,79 @@ def spectrum(model: MultisymplecticModel, c: float, lam: complex,
         raise DegenerateMu(f"exponent gap {min(gaps):.2e} below 1e-6 at lambda={lam}")
     if not (mu[0].real <= mu[1].real < 0.0 < mu[2].real <= mu[3].real):
         raise SplittingViolated(f"no two-two splitting at lambda={lam}: mu={mu}")
+    return mu
 
-    zeta = np.empty((4, 4), dtype=complex)
-    eta = np.empty((4, 4), dtype=complex)
-    for k in range(4):
-        zeta[k] = nullvector(binf - lam * model.M - mu[k] * j, tol)
-        raw = nullvector(binf + lam * model.M + mu[k] * j, tol)
-        pairing = symplectic_form(j, raw, zeta[k])
-        if abs(pairing) < 1e-10:
-            raise NormalizationFail(
-                f"dual pairing {abs(pairing):.2e} too small for mode {k + 1}")
-        eta[k] = raw / pairing
 
-    for i in range(4):
-        for k in range(4):
-            want = 1.0 if i == k else 0.0
-            got = symplectic_form(j, eta[i], zeta[k])
-            if abs(got - want) > 1e-9:
-                raise NormalizationFail(
-                    f"Omega(eta_{i + 1}, zeta_{k + 1}) = {got:.2e}, expected {want}")
+def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectrum]:
+    """Solve the system at infinity and build the dual frames at every lambda.
 
-    kconst = wedge4(*zeta)
-    if abs(kconst) < 1e-12:
-        raise Degenerate("zeta frame wedges to zero; frame degenerate")
+    mu ordering is ascending real part (imaginary part breaks ties).  The
+    quartics are solved together and all 8 * len(lams) null vectors come
+    from one stacked Jacobi call; every field equals what spectrum gives
+    at that lambda alone.  On failure the batch raises what the first
+    failing lambda, in list order, raises alone.
+    """
+    lams = [complex(lam) for lam in lams]
+    j = jc(model, c)
+    binf = model.binf()
+    roots, errs = quartic_root_sets([_delta_poly(model, c, lam) for lam in lams])
+    mus = {}
+    for i, lam in enumerate(lams):
+        if errs[i] is None:
+            try:
+                mus[i] = _exponents(lam, roots[i])
+            except (DegenerateMu, SplittingViolated) as e:
+                errs[i] = e
+
+    # per solved lambda and mode k: B_inf - lambda M - mu_k J and its adjoint
+    row = {i: n for n, i in enumerate(mus)}
+    lam_m = np.array([lams[i] for i in mus]).reshape(-1, 1, 1, 1) * model.M
+    mu_j = np.array(list(mus.values())).reshape(-1, 4, 1, 1) * j
+    mats = np.stack([binf - lam_m - mu_j, binf + lam_m + mu_j], axis=2)
+    vecs, vec_errs = nullvectors(mats.reshape(-1, 4, 4))
+    vecs = vecs.reshape(-1, 4, 2, 4)
+    zeta, raw = vecs[:, :, 0], vecs[:, :, 1]
+    jj = as_cmat4(j)
+    pairing = symplectic_forms(jj, raw, zeta)
+    with np.errstate(divide="ignore", invalid="ignore"):   # refused below, as alone
+        eta = raw / pairing[..., None]
+    got = symplectic_forms(jj, eta[:, :, None], zeta[:, None, :])
     tau = -float(np.real(np.trace(np.linalg.solve(j, model.M))))
 
-    return InfinitySpectrum(c=c, lam=lam, mu=mu, zeta=zeta, eta=eta,
-                            Kconst=kconst, tau=tau)
+    out = []
+    for i, lam in enumerate(lams):
+        if errs[i] is not None:
+            raise errs[i]
+        n = row[i]
+        for k in range(4):
+            for err in vec_errs[8 * n + 2 * k:8 * n + 2 * k + 2]:
+                if err is not None:
+                    raise err
+            if k == 0:
+                skew_cmat4(j)   # symplectic_form's check, where the first pairing made it
+            pk = complex(pairing[n, k])
+            if abs(pk) < 1e-10:
+                raise NormalizationFail(
+                    f"dual pairing {abs(pk):.2e} too small for mode {k + 1}")
+        for a in range(4):
+            for k in range(4):
+                want = 1.0 if a == k else 0.0
+                g = complex(got[n, a, k])
+                if abs(g - want) > 1e-9:
+                    raise NormalizationFail(
+                        f"Omega(eta_{a + 1}, zeta_{k + 1}) = {g:.2e}, expected {want}")
+        z = zeta[n].copy()
+        kconst = wedge4(*z)
+        if abs(kconst) < 1e-12:
+            raise Degenerate("zeta frame wedges to zero; frame degenerate")
+        out.append(InfinitySpectrum(c=c, lam=lam, mu=mus[i], zeta=z, eta=eta[n].copy(),
+                                    Kconst=kconst, tau=tau))
+    return out
+
+
+def spectrum(model: MultisymplecticModel, c: float, lam: complex) -> InfinitySpectrum:
+    """Solve the system at infinity and build the dual frames: spectra of one."""
+    return spectra(model, c, [lam])[0]
 
 
 def continuous_spectrum_distance(model: MultisymplecticModel, c: float,

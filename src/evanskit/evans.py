@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import InfinitySpectrum, continuous_spectrum_distance, spectrum
+from .asymptotics import InfinitySpectrum, continuous_spectrum_distance, spectra, spectrum
 from .errors import BadParameter, ContourOnSpectrum, NoConverge, NonClosure, StepTooLarge
 from .integrator import integrate_modes
 from .linalg import symplectic_form, wedge4
@@ -121,7 +121,7 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     """
     nm = numerics or _DEFAULT
     if specs is None:
-        specs = [spectrum(model, c, lam) for lam in lams]
+        specs = spectra(model, c, lams)
     sols = integrate_modes(model, wave, c, _det_runs(lams, specs, xi_star),
                            tol=nm.tol, L=nm.L)
     return _det_samples(model, c, lams, specs, sols, xi_star)

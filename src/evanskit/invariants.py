@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .asymptotics import InfinitySpectrum, spectrum
+from .asymptotics import InfinitySpectrum, spectra, spectrum
 from .errors import (Degenerate, Inconsistent, NonTransverse, NoPlateau,
                      OrientationFail)
 from .evans import Numerics, _derivatives, _det_runs, _det_samples, _stencil
@@ -29,7 +29,6 @@ __all__ = [
     "chi_factors",
     "PiData",
     "pi_profile",
-    "lazutkin_pi",
     "StructureReport",
     "structural_checks",
     "StabilityReport",
@@ -193,11 +192,6 @@ def _pi_data(model, wave, c, sp: InfinitySpectrum, minus, plus) -> PiData:
                   flipped=flipped)
 
 
-def lazutkin_pi(model: MultisymplecticModel, wave: WaveFamily, c: float) -> float:
-    """Sign-fixed transversality invariant Pi = Omega(a_minus, a_plus) at xi=0."""
-    return pi_profile(model, wave, c).pi
-
-
 @dataclass
 class StructureReport:
     """Lagrangian pairing maxima and the Jordan-chain obstruction value."""
@@ -281,17 +275,18 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
     d_inf is the sign of D at the right end of the default scan window
     (lambda = 3).  Pi's tangent pair, the derivative stencil and the
     lambda = 3 probe ride one stepper call, and give exactly what
-    pi_profile, derivatives_at_zero and evans_det give on their own.  The
-    spectrum at lambda = 0 is solved once and shared by chi_factors, the
-    tangent pair and the stencil's centre; numerics reaches every run.
+    pi_profile, derivatives_at_zero and evans_det give on their own.  One
+    spectra call solves the stencil and the probe; its lambda = 0 entry is
+    shared by chi_factors, the tangent pair and the stencil's centre;
+    numerics reaches every run.
     """
     nm = numerics or Numerics()
     I = momentum(model, wave, c)
     didc = dIdc(model, wave, c)
-    sp = spectrum(model, c, 0.0)
-    cm, cp, chi = chi_factors(model, wave, c, spec=sp)
     lams = _stencil(nm.h) + [3.0]   # the stencil starts at lambda = 0
-    specs = [sp] + [spectrum(model, c, lam) for lam in lams[1:]]
+    specs = spectra(model, c, lams)
+    sp = specs[0]
+    cm, cp, chi = chi_factors(model, wave, c, spec=sp)
     runs = _tangent_pair(wave, c, nm, sp) + _det_runs(lams, specs)
     sols = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
     pi = _pi_data(model, wave, c, sp, *sols[:2]).pi

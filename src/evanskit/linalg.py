@@ -6,6 +6,18 @@ The solvers here are hand-rolled so their sweep order, tolerances and
 tie-breaking are deterministic and pinned; no LAPACK driver choices leak
 into results.
 
+The null-vector and quartic solvers are batched (nullvectors,
+quartic_root_sets): a whole stack iterates in lockstep, each item keeping
+its own stopping test, so nullvector and quartic_roots are batches of one.
+Each item must get the bits of one-at-a-time arithmetic on complex
+scalars, on which every pinned D, root and Pi rests.  numpy's array loops
+round differently from its scalar arithmetic: the SIMD complex product
+fuses multiply-adds, and complex abs on arrays is not libm's hypot.  So
+products of per-item scalars are written in real parts (_cmul), abs() of
+a per-item scalar is np.hypot, and np.vdot becomes a stack of 1x4 @ 4x1
+matmuls, which call the same BLAS dot.  What is an array operation for
+one item (a column times a scalar, np.abs of a vector) stays one.
+
 Bivector coordinates are always stored against the ordered basis
 
     e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4
@@ -90,12 +102,27 @@ def det4(m) -> complex:
             + p[3] * q[2] - p[4] * q[1] + p[5] * q[0])
 
 
-def symplectic_form(jmat, u, v) -> complex:
-    """<J u, v> without conjugation; J must be skew-symmetric."""
+def skew_cmat4(jmat) -> np.ndarray:
+    """jmat as a complex 4x4 matrix; NonSkew unless it is skew-symmetric."""
     j = as_cmat4(jmat)
     if np.max(np.abs(j + j.T)) > 1e-12:
         raise NonSkew("pairing matrix is not skew-symmetric")
-    return complex(np.dot(j @ as_cvec4(u), as_cvec4(v)))
+    return j
+
+
+def symplectic_form(jmat, u, v) -> complex:
+    """<J u, v> without conjugation; J must be skew-symmetric."""
+    return complex(np.dot(skew_cmat4(jmat) @ as_cvec4(u), as_cvec4(v)))
+
+
+def symplectic_forms(j: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """symplectic_form over broadcast stacks of 4-vectors; j comes from skew_cmat4.
+
+    Stacked matrix-vector and 1x4 @ 4x1 products run the same BLAS gemv and
+    dot as the single call, so every entry has its bits.
+    """
+    ju = np.matmul(j, us[..., None])
+    return np.matmul(np.swapaxes(ju, -1, -2), vs[..., None])[..., 0, 0]
 
 
 def wedge2(u, v) -> Bivector:
@@ -131,106 +158,198 @@ def interior2(q4coeff: complex, b: Bivector) -> Bivector:
         [x[5], -x[4], x[3], x[2], -x[1], x[0]], dtype=complex))
 
 
-def nullvector(m, tol: float = 1e-8) -> np.ndarray:
-    """One-dimensional kernel direction of a 4x4 complex matrix.
+NULLVECTOR_TOL = 1e-8   # a kernel direction needs sigma_min <= NULLVECTOR_TOL * sigma_max
+QUARTIC_TOL = 1e-12     # quartic residuals must stay below QUARTIC_TOL * local scale
+_JACOBI_SWEEPS = 40
+_JACOBI_PAIRS = tuple((p, q) for p in range(3) for q in range(p + 1, 4))
+_DK_ITERS = 200
+_DK_START = (0.4 + 0.9j) ** np.arange(1, 5)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b elementwise, written in real parts to round as a numpy scalar product does."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vdot(x[n], y[n]) for each n: a stack of 1x4 @ 4x1 products runs the same BLAS dot."""
+    return np.matmul(np.conj(x)[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def nullvectors(ms) -> tuple[np.ndarray, list]:
+    """One-dimensional kernel directions of a (K, 4, 4) stack of complex matrices.
 
     One-sided Jacobi SVD: columns of a working copy are orthogonalized by
     deterministic sweeps over the pairs (0,1),(0,2),...,(2,3); the
     accumulated right factor holds the singular vectors.  The null
     vector is the right singular vector of the smallest singular value.
+    All matrices sweep in lockstep; a pair is skipped for a matrix whose
+    columns are already orthogonal, and a matrix stops once its own
+    off-diagonal measure falls to 1e-14, so each ends exactly where it
+    would alone.
 
-    Raises RankError unless exactly one singular value falls below
-    tol * sigma_max.  The returned vector has unit norm and its largest
-    component is rotated to lie on the positive real axis.
+    Returns (vecs, errs).  vecs[n] has unit norm and its largest component
+    rotated onto the positive real axis.  errs[n] is None, or the error
+    nullvector(ms[n]) raises: RankError unless exactly one singular value
+    falls below NULLVECTOR_TOL * sigma_max, NoConverge if the sweeps do
+    not settle; such rows of vecs hold NaN.
     """
-    a = as_cmat4(m).copy()
-    v = np.eye(4, dtype=complex)
-    for _ in range(40):
-        off = 0.0
-        for p in range(3):
-            for q in range(p + 1, 4):
-                app = float(np.real(np.vdot(a[:, p], a[:, p])))
-                aqq = float(np.real(np.vdot(a[:, q], a[:, q])))
-                apq = complex(np.vdot(a[:, p], a[:, q]))
-                g = abs(apq)
-                denom = np.sqrt(app * aqq)
-                if denom == 0.0 or g <= 1e-15 * denom:
-                    continue
-                off = max(off, g / denom)
-                phase = apq / g
-                tau = (aqq - app) / (2.0 * g)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                # unitary R = [[cs, sn], [-sn/phase, cs/phase]] applied on the right
-                for w in (a, v):
-                    wp = w[:, p].copy()
-                    wq = w[:, q] / phase
-                    w[:, p] = cs * wp - sn * wq
-                    w[:, q] = sn * wp + cs * wq
-        if off <= 1e-14:
+    a = np.array(ms, dtype=complex)
+    if a.ndim != 3 or a.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {np.shape(ms)}")
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("non-finite entries in 4x4 matrix")
+    k = len(a)
+    # rows 0-3 hold the working copy, rows 4-7 the right factor; both rotate alike
+    w = np.concatenate([a, np.broadcast_to(np.eye(4, dtype=complex), a.shape)], axis=1)
+    live = np.ones(k, dtype=bool)
+    for _ in range(_JACOBI_SWEEPS):
+        off = np.zeros(k)
+        for p, q in _JACOBI_PAIRS:
+            app = _vdots(w[:, :4, p], w[:, :4, p]).real
+            aqq = _vdots(w[:, :4, q], w[:, :4, q]).real
+            apq = _vdots(w[:, :4, p], w[:, :4, q])
+            g = np.hypot(apq.real, apq.imag)    # abs() of a Python complex
+            denom = np.sqrt(app * aqq)
+            r = np.flatnonzero(live & (denom != 0.0) & ~(g <= 1e-15 * denom))
+            if r.size == 0:
+                continue
+            g, apq = g[r], apq[r]
+            off[r] = np.maximum(off[r], g / denom[r])
+            # Python's complex / float: (re + im * 0) / g, zero signs included
+            phase = np.empty(r.size, dtype=complex)
+            phase.real = (apq.real + apq.imag * 0.0) / g
+            phase.imag = (apq.imag - apq.real * 0.0) / g
+            tau = (aqq[r] - app[r]) / (2.0 * g)
+            t = np.ones_like(tau)
+            nz = tau != 0
+            t[nz] = np.sign(tau[nz]) / (np.abs(tau[nz]) + np.sqrt(1.0 + tau[nz] * tau[nz]))
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = cs * t
+            # unitary R = [[cs, sn], [-sn/phase, cs/phase]] applied on the right
+            wp = w[r, :, p]
+            wq = w[r, :, q] / phase[:, None]
+            w[r, :, p] = cs[:, None] * wp - sn[:, None] * wq
+            w[r, :, q] = sn[:, None] * wp + cs[:, None] * wq
+        live &= ~(off <= 1e-14)
+        if not live.any():
             break
-    else:
-        raise NoConverge("one-sided Jacobi SVD failed to settle in 40 sweeps")
 
-    sigma = np.linalg.norm(a, axis=0)
-    order = np.argsort(sigma)
-    smax = sigma[order[-1]]
-    if smax == 0.0:
-        raise RankError("zero matrix has no one-dimensional kernel")
-    if sigma[order[0]] > tol * smax:
-        raise RankError(
-            f"no kernel direction: smallest sigma {sigma[order[0]]:.3e} "
-            f"exceeds {tol:.1e} * {smax:.3e}")
-    if sigma[order[1]] <= tol * smax:
-        raise RankError("kernel dimension >= 2 at this tolerance")
+    errs: list = [None] * k
+    for n in np.flatnonzero(live):
+        errs[n] = NoConverge("one-sided Jacobi SVD failed to settle in 40 sweeps")
+    sigma = np.linalg.norm(np.ascontiguousarray(w[:, :4]), axis=1)
+    order = np.argsort(sigma, axis=1)
+    s0, s1, smax = (np.take_along_axis(sigma, order[:, i:i + 1], axis=1)[:, 0]
+                    for i in (0, 1, 3))
+    tol = NULLVECTOR_TOL
+    for n in range(k):
+        if errs[n] is not None:
+            continue
+        if smax[n] == 0.0:
+            errs[n] = RankError("zero matrix has no one-dimensional kernel")
+        elif s0[n] > tol * smax[n]:
+            errs[n] = RankError(
+                f"no kernel direction: smallest sigma {s0[n]:.3e} "
+                f"exceeds {tol:.1e} * {smax[n]:.3e}")
+        elif s1[n] <= tol * smax[n]:
+            errs[n] = RankError("kernel dimension >= 2 at this tolerance")
 
-    vec = v[:, order[0]]
-    k = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.conj(vec[k]) / abs(vec[k]))
-    return vec / np.linalg.norm(vec)
+    vec = np.take_along_axis(w[:, 4:], order[:, None, :1], axis=2)[:, :, 0]
+    top = vec[np.arange(k), np.argmax(np.abs(vec), axis=1)]
+    vec = vec * (np.conj(top) / np.hypot(top.real, top.imag))[:, None]   # abs() of a scalar
+    re = vec.real   # np.linalg.norm of a complex vector: two real dots
+    norm = np.sqrt(np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+                   + np.matmul(vec.imag[:, None, :], vec.imag[:, :, None])[:, 0, 0])
+    vec = vec / norm[:, None]
+    vec[[e is not None for e in errs]] = np.nan
+    return vec, errs
 
 
-def quartic_roots(p: Poly4, tol: float = 1e-12) -> np.ndarray:
-    """All four roots of a genuine quartic, Durand-Kerner plus Newton polish.
+def nullvector(m) -> np.ndarray:
+    """One-dimensional kernel direction of a 4x4 complex matrix: nullvectors of one."""
+    vecs, errs = nullvectors(as_cmat4(m)[None])
+    if errs[0] is not None:
+        raise errs[0]
+    return vecs[0]
 
-    Roots come back sorted by (Re, Im).  Raises Degenerate if the leading
-    coefficient vanishes relative to the others, NoConverge if residuals
-    stay above tol * local scale.
+
+def _monic_val(z: np.ndarray, mon: np.ndarray) -> np.ndarray:
+    """Horner value of monic quartics mon (ascending, one per row) at z[n, :]."""
+    acc = z + mon[:, 3:4]
+    for i in (2, 1, 0):
+        acc = _cmul(acc, z) + mon[:, i:i + 1]
+    return acc
+
+
+def quartic_root_sets(polys) -> tuple[np.ndarray, list]:
+    """All four roots of each genuine quartic, Durand-Kerner plus Newton polish.
+
+    The quartics iterate in lockstep, each stopping on its own shift test,
+    so each ends exactly where it would alone.  Returns (roots, errs): the
+    roots of polys[n] sorted by (Re, Im) in roots[n], and in errs[n] None
+    or the error quartic_roots(polys[n]) raises: Degenerate if the leading
+    coefficient vanishes relative to the others, NoConverge if the
+    iteration stalls or residuals stay above QUARTIC_TOL * local scale.
+    Rows with an error hold NaN.
     """
-    c = p.coeffs
-    cmax = float(np.max(np.abs(c)))
-    if cmax == 0.0 or abs(c[4]) < 1e-14 * cmax:
-        raise Degenerate("leading coefficient vanishes; not a quartic")
-    mon = c / c[4]
+    c = np.array([p.coeffs for p in polys], dtype=complex).reshape(-1, 5)
+    n = len(c)
+    errs: list = [None] * n
+    cmax = np.max(np.abs(c), axis=1)
+    lead = np.hypot(c[:, 4].real, c[:, 4].imag)   # abs() of a numpy scalar
+    flat = (cmax == 0.0) | (lead < 1e-14 * cmax)
+    for i in np.flatnonzero(flat):
+        errs[i] = Degenerate("leading coefficient vanishes; not a quartic")
+    ix = np.flatnonzero(~flat)
+    mon = c[ix] / c[ix, 4:5]
 
-    def val(z):
-        return (((z + mon[3]) * z + mon[2]) * z + mon[1]) * z + mon[0]
-
-    r = 1.0 + float(np.max(np.abs(mon[:4])))  # Cauchy bound
-    z = r * (0.4 + 0.9j) ** np.arange(1, 5)
-    for _ in range(200):
-        zn = z.copy()
+    z = (1.0 + np.max(np.abs(mon[:, :4]), axis=1))[:, None] * _DK_START  # Cauchy bound
+    live = np.ones(len(ix), dtype=bool)
+    for _ in range(_DK_ITERS):
+        r = np.flatnonzero(live)
+        z0, zn, m = z[r], z[r], mon[r]
         for k in range(4):
-            d = np.prod([zn[k] - zn[j] for j in range(4) if j != k])
-            zn[k] = zn[k] - val(zn[k]) / d
-        shift = np.max(np.abs(zn - z) / (1.0 + np.abs(zn)))
-        z = zn
-        if shift < 1e-14:
+            zk = zn[:, k:k + 1]
+            d = zk - zn[:, [j for j in range(4) if j != k]]
+            d = _cmul(_cmul(d[:, 0], d[:, 1]), d[:, 2])[:, None]
+            zn[:, k:k + 1] = zk - _monic_val(zk, m) / d
+        shift = np.max(np.abs(zn - z0) / (1.0 + np.abs(zn)), axis=1)
+        z[r] = zn
+        live[r[shift < 1e-14]] = False
+        if not live.any():
             break
-    else:
-        raise NoConverge("Durand-Kerner stalled on quartic")
+    for i in ix[live]:
+        errs[i] = NoConverge("Durand-Kerner stalled on quartic")
+    z, mon, ix = z[~live], mon[~live], ix[~live]
 
-    for k in range(4):
-        for _ in range(3):
-            dv = ((4 * z[k] + 3 * mon[3]) * z[k] + 2 * mon[2]) * z[k] + mon[1]
-            if dv != 0:
-                z[k] = z[k] - val(z[k]) / dv
+    for _ in range(3):   # Newton; integer factors multiply as complex scalars
+        dv = _cmul(4.0 + 0j, z) + _cmul(3.0 + 0j, mon[:, 3:4])
+        dv = _cmul(_cmul(dv, z) + _cmul(2.0 + 0j, mon[:, 2:3]), z) + mon[:, 1:2]
+        s = dv != 0
+        z[s] = z[s] - _monic_val(z, mon)[s] / dv[s]
 
-    scale = cmax * (1.0 + np.abs(z)) ** 4
-    resid = np.abs([p(zk) for zk in z])
-    if np.any(resid > tol * scale):
-        raise NoConverge(f"quartic residual {np.max(resid / scale):.2e} above {tol:.1e}")
+    scale = cmax[ix, None] * (1.0 + np.abs(z)) ** 4
+    acc = np.zeros_like(z)
+    for a in c[ix, ::-1].T:   # Poly4.__call__, Horner from 0
+        acc = _cmul(acc, z) + a[:, None]
+    resid = np.abs(acc)
+    for k in np.flatnonzero(np.any(resid > QUARTIC_TOL * scale, axis=1)):
+        errs[ix[k]] = NoConverge(f"quartic residual {np.max(resid[k] / scale[k]):.2e} "
+                                 f"above {QUARTIC_TOL:.1e}")
 
-    idx = np.lexsort((z.imag, z.real))
-    return z[idx]
+    roots = np.full((n, 4), np.nan, dtype=complex)
+    roots[ix] = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
+    roots[[e is not None for e in errs]] = np.nan
+    return roots, errs
+
+
+def quartic_roots(p: Poly4) -> np.ndarray:
+    """All four roots of a genuine quartic, sorted by (Re, Im): quartic_root_sets of one."""
+    roots, errs = quartic_root_sets([p])
+    if errs[0] is not None:
+        raise errs[0]
+    return roots[0]

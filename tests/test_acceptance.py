@@ -24,7 +24,6 @@ from evanskit.finite_re import cor23_root, mu_product, synth_re, theorem22_check
 from evanskit.invariants import (
     chi_factors,
     dIdc,
-    lazutkin_pi,
     pi_profile,
     structural_checks,
 )
@@ -43,7 +42,7 @@ def test_criterion_01_second_derivative_identity():
         for c in (0.0, 0.3, -0.3):
             der = derivatives_at_zero(model, wave, c)
             chi = chi_factors(model, wave, c)[2]
-            pi = lazutkin_pi(model, wave, c)
+            pi = pi_profile(model, wave, c).pi
             didc = dIdc(model, wave, c)
             ratio = der.D2_raw / (2.0 * chi * pi * didc)
             assert abs(ratio - 1.0) <= 1e-3, (p, c, ratio)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from evanskit.asymptotics import continuous_spectrum_distance, delta, spectrum
-from evanskit.errors import DegenerateMu, SplittingViolated
+from evanskit.asymptotics import continuous_spectrum_distance, delta, spectra, spectrum
+from evanskit.errors import DegenerateMu, NoConverge, SplittingViolated
 from evanskit.linalg import symplectic_form
 from evanskit.model import build_coupled_wave, jc, oracle_coupled_wave
 
@@ -119,3 +119,40 @@ def test_continuous_spectrum_distance(cw):
     assert continuous_spectrum_distance(model, 0.0, 2.0j) < 1e-10
     assert continuous_spectrum_distance(model, 0.0, 0.0) == pytest.approx(28.0, rel=1e-9)
     assert continuous_spectrum_distance(model, 0.0, 1.0) == pytest.approx(40.0, rel=1e-6)
+
+
+def _bits(s):
+    return (s.c, s.lam, s.mu.tobytes(), s.zeta.tobytes(), s.eta.tobytes(),
+            np.complex128(s.Kconst).tobytes(), np.float64(s.tau).tobytes())
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_spectra_equal_singletons_bit_for_bit(cw, c):
+    model, _ = cw
+    re, im = np.linspace(0.5, 3.0, 12), np.linspace(-0.8, 0.8, 12)
+    edge = (list(re - 0.8j) + list(3.0 + 1j * im) + list(re[::-1] + 0.8j)
+            + list(0.5 + 1j * im[::-1]))
+    stencil = [0.0, 0.05, -0.05, 0.1, -0.1, 3.0]
+    lams = stencil + edge[:40] + [0.7 + 0.2j, 0.0]   # 48, two of them repeated
+    want = {lam: _bits(spectrum(model, c, lam)) for lam in lams + [1.0 + 0.5j, 2.0]}
+    for batch in ([1.0 + 0.5j], [0.7 + 0.2j, 2.0], lams, lams[::-1]):
+        assert [_bits(s) for s in spectra(model, c, batch)] == [want[lam] for lam in batch]
+
+
+def test_spectra_raise_first_failing_lambda(cw):
+    model, _ = cw
+    assert _raised(spectra, model, 0.0, [1.0, 2.5j, 2.0j]) == \
+        _raised(spectrum, model, 0.0, 2.5j)
+    assert _raised(spectra, model, 0.0, [1.0, 2.5j, 2.0j])[0] is SplittingViolated
+    assert _raised(spectra, model, 0.0, [1.0, 2.0j, 2.5j])[0] is DegenerateMu
+    # Durand-Kerner stalls at lambda = 20 but converges at 18 and 30
+    stall = _raised(spectra, model, 0.0, [1.0, 20.0])
+    assert stall[0] is NoConverge and stall == _raised(spectrum, model, 0.0, 20.0)
+    assert [_bits(s) for s in spectra(model, 0.0, [18.0, 30.0])] == \
+        [_bits(spectrum(model, 0.0, lam)) for lam in (18.0, 30.0)]

@@ -16,7 +16,6 @@ from evanskit.integrator import integrate_mode, integrate_modes
 from evanskit.invariants import (
     chi_factors,
     dIdc,
-    lazutkin_pi,
     momentum,
     pi_profile,
     stability_report,
@@ -125,7 +124,7 @@ def test_pi_frozen_values():
     assert pd.flipped is True
     assert pd.orientation_ratio > 0.0
     assert np.std(pd.samples) <= 1e-6 * abs(np.mean(pd.samples))
-    assert lazutkin_pi(MODEL, WAVE, 0.3) > 0.0
+    assert pi_profile(MODEL, WAVE, 0.3).pi > 0.0
 
     model2, wave2 = build_coupled_wave(2.0)
     pd2 = pi_profile(model2, wave2, 0.0)

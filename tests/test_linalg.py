@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evanskit.errors import Degenerate, NonSkew, RankError
-from evanskit.linalg import (Bivector, Poly4, det4, interior2, nullvector, pair2,
-                             quartic_roots, symplectic_form, wedge2, wedge22, wedge4)
+from evanskit.linalg import (NULLVECTOR_TOL, Bivector, Poly4, det4, interior2, nullvector,
+                             nullvectors, pair2, quartic_root_sets, quartic_roots,
+                             symplectic_form, wedge2, wedge22, wedge4)
 
 M = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
 K = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]], float)
@@ -140,3 +141,43 @@ def test_quartic_roundtrip(seed):
 def test_bivector_shape_guard():
     with pytest.raises(ValueError):
         Bivector(np.zeros(5))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12))
+@settings(max_examples=30, deadline=None)
+def test_nullvectors_equal_singletons_on_rank3_stacks(seed, k):
+    rng = np.random.default_rng(seed)
+    ms = []
+    for _ in range(k):
+        u, _, vh = np.linalg.svd(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        ms.append(u @ np.diag(np.append(rng.uniform(0.1, 3.0, 3), 0.0)) @ vh)
+    bad = seed % (k + 1)
+    ms.insert(bad, np.eye(4))   # no kernel: only its own row fails
+    vecs, errs = nullvectors(np.array(ms))
+    with pytest.raises(RankError) as alone:
+        nullvector(np.eye(4))
+    assert type(errs[bad]) is RankError and str(errs[bad]) == str(alone.value)
+    assert np.all(np.isnan(vecs[bad]))
+    del ms[bad], errs[bad]
+    vecs = np.delete(vecs, bad, axis=0)
+    assert errs == [None] * k
+    for m, v in zip(ms, vecs):
+        assert v.tobytes() == nullvector(m).tobytes()
+        assert np.linalg.norm(m @ v) <= NULLVECTOR_TOL * np.linalg.norm(m, 2)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12))
+@settings(max_examples=30, deadline=None)
+def test_quartic_root_sets_equal_singletons(seed, n):
+    rng = np.random.default_rng(seed)
+    polys = []
+    while len(polys) < n:
+        zs = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
+        if min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:]) > 0.3:
+            polys.append(Poly4(np.poly(zs)[::-1] * rng.uniform(0.5, 2.0)))
+    roots, errs = quartic_root_sets(polys)
+    assert errs == [None] * n
+    for p, r in zip(polys, roots):
+        assert r.tobytes() == quartic_roots(p).tobytes()
+        ref = np.sort_complex(np.roots(p.coeffs[::-1]))
+        assert np.max(np.abs(np.sort_complex(r) - ref)) < 1e-10
