@@ -23,6 +23,8 @@ from .linalg import (Poly4, as_cmat4, det4, nullvectors, quartic_root_sets, skew
 from .model import MultisymplecticModel, jc
 
 _NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
+_KAPPA_SPAN = 10.0
+_KAPPA_N = 4001
 
 
 def delta(model: MultisymplecticModel, c: float, lam: complex, mu: complex) -> complex:
@@ -141,16 +143,15 @@ def spectrum(model: MultisymplecticModel, c: float, lam: complex) -> InfinitySpe
 
 
 def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
-                                 lam: complex, kappa_max: float = None,
-                                 n: int = 4001) -> float:
+                                 lam: complex) -> float:
     """min over real kappa of |det(B_inf - lambda M - i kappa J(c))|.
 
-    Zero exactly when lambda sits on the continuous spectrum.  Grid scan
-    followed by parabolic refinement of the squared modulus.
+    Zero exactly when lambda sits on the continuous spectrum.  A scan of
+    _KAPPA_N kappas in |kappa| <= _KAPPA_SPAN (1 + |lambda|), then
+    golden-section refinement around the smallest sample.
     """
-    if kappa_max is None:
-        kappa_max = 10.0 * (1.0 + abs(lam))
-    kappas = np.linspace(-kappa_max, kappa_max, n)
+    kappa_max = _KAPPA_SPAN * (1.0 + abs(lam))
+    kappas = np.linspace(-kappa_max, kappa_max, _KAPPA_N)
 
     # Delta is a quartic in mu, so the grid scan is a vectorized polyval
     poly = _delta_poly(model, c, lam)
@@ -161,7 +162,7 @@ def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
     vals = np.abs(np.polyval(poly.coeffs[::-1], 1j * kappas))
     i = int(np.argmin(vals))
     lo = max(0, i - 1)
-    hi = min(n - 1, i + 1)
+    hi = min(_KAPPA_N - 1, i + 1)
     a, b = kappas[lo], kappas[hi]
     # golden-section polish on the bracket
     gr = (np.sqrt(5.0) - 1.0) / 2.0

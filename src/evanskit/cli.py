@@ -27,10 +27,10 @@ from .model import (CANONICAL_K, CANONICAL_M, MultisymplecticModel,
                     WaveFamily, build_coupled_wave, build_dirac,
                     oracle_coupled_wave, verify_wave)
 
-_MODELS = ("coupled-wave", "mtm", "cme", "dirac-demo")
+_MODEL = "coupled-wave"   # the one model with a wave family
 _SUITES = ("appendix-a", "exact-evans", "theorem22", "structure", "clifford")
 _TASKS = ("report", "scan", "contour", "verify")
-_PARAM_KEYS = {"p", "nu", "alpha"}
+_PARAM_KEYS = {"p"}
 _NUM_KEYS = {"L_override", "tol", "h", "grid_n"}
 _TOP_KEYS = {"model", "params", "c", "numerics", "task", "lambda_max",
              "rect", "suite", "seeds", "out", "format"}
@@ -70,7 +70,7 @@ class RunConfig:
     """One validated run: model selection, numerics, task-specific fields."""
 
     task: str
-    model: str = "coupled-wave"
+    model: str = _MODEL
     params: dict = field(default_factory=dict)
     c: float = 0.0
     numerics: dict = field(default_factory=dict)
@@ -84,7 +84,7 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in _TASKS:
             raise BadParameter(f"task: unknown task '{self.task}'")
-        if self.model not in _MODELS:
+        if self.model != _MODEL:
             raise BadParameter(f"model: unknown model '{self.model}'")
         if self.format is None:
             self.format = "csv" if self.task == "scan" else "json"
@@ -128,11 +128,9 @@ class RunConfig:
         self.seeds = _count("seeds", self.seeds)
         if self.out is not None and not isinstance(self.out, str):
             raise BadParameter("out: must be a file path string")
-        # per-task rules; only the coupled wave has a wave family
+        # per-task rules
         if self.task != "scan" and self.format != "json":
             raise BadParameter(f"format: {self.task} emits json only")
-        if self.model != "coupled-wave":
-            raise BadParameter(f"model: '{self.model}' lacks wave family")
         if self.task == "contour" and self.rect is None:
             raise BadParameter("rect: required for contour")
         if self.task == "verify" and self.suite is None:
@@ -164,9 +162,8 @@ def _merge_config(task, config_path, kw) -> RunConfig:
         if not isinstance(data.get(key, {}), dict):
             raise BadParameter(f"{key}: must be a JSON object")
     params = dict(data.get("params", {}))
-    for name in ("p", "nu"):
-        if kw.get(name) is not None:
-            params[name] = kw[name]
+    if kw.get("p") is not None:
+        params["p"] = kw["p"]
     numerics = dict(data.get("numerics", {}))
     for flag, key in (("tol", "tol"), ("h", "h"), ("grid_n", "grid_n"),
                       ("big_l", "L_override")):
@@ -284,11 +281,10 @@ def _suite_appendix_a(cfg: RunConfig):
     res = eta_identity_residual(model, sp)
     out = [_check("eta-pair-identity", res <= 1e-10, f"residual {_r(res)}")]
     binf = model.binf()
-    frozen = MultisymplecticModel("frozen", CANONICAL_M, CANONICAL_K,
+    frozen = MultisymplecticModel(CANONICAL_M, CANONICAL_K,
                                   lambda z: binf @ z, lambda z: binf)
-    fwave = WaveFamily(zhat=lambda xi, c: np.zeros(4),
-                       zhat_xi=lambda xi, c: np.zeros(4),
-                       c_window=(-0.9, 0.9), decay_rate=lambda c: 2.0)
+    zero = lambda xi, c: np.zeros(4)
+    fwave = WaveFamily(zhat=zero, zhat_xi=zero, zhat_c=zero, decay_rate=lambda c: 2.0)
     spf = spectrum(frozen, cfg.c, 0.8)
     W = evans_wedge(frozen, fwave, cfg.c, 0.8, spec=spf)
     rel = abs(W - spf.Kconst) / abs(spf.Kconst)
@@ -398,11 +394,9 @@ def _options(f):
         click.option("--config", type=click.Path(), default=None,
                      help="JSON config file; explicit flags override it."),
         click.option("--model", default=None,
-                     help="coupled-wave, mtm, cme, or dirac-demo."),
+                     help="coupled-wave, the only model (the default)."),
         click.option("--p", "p", type=float, default=None,
                      help="coupling strength of the coupled wave system."),
-        click.option("--nu", type=float, default=None,
-                     help="quartic coefficient for mtm/cme."),
         click.option("--c", "c", type=float, default=None, help="wave speed."),
         click.option("--lambda-max", "lambda_max", type=float, default=None,
                      help="right end of the real-axis scan window."),
@@ -431,7 +425,25 @@ def _options(f):
     return f
 
 
-@click.group()
+class _Group(click.Group):
+    """Usage errors exit 1, not click's 2, which here means a failed check."""
+
+    def make_context(self, *args, **kwargs):   # options of the group itself
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+    def invoke(self, ctx):   # unknown commands and subcommand options
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+
+@click.group(cls=_Group)
 def main():
     """Evans-function toolkit: reports, scans, winding counts, verification."""
 

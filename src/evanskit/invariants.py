@@ -59,7 +59,7 @@ def dIdc(model: MultisymplecticModel, wave: WaveFamily, c: float) -> float:
     L = wave.default_L(c)
 
     def integrand(xi):
-        return float(model.M @ wave.zhat_xi(xi, c) @ wave.zc(xi, c))
+        return float(model.M @ wave.zhat_xi(xi, c) @ wave.zhat_c(xi, c))
 
     val, _ = quad(integrand, -L, L, points=[0.0], **_QUAD_OPTS)
     if abs(val) < 1e-10:
@@ -224,7 +224,7 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
     rel_p = rel_m = rel_z = 0.0
     for x in pts:
         zx = wave.zhat_xi(x, c)
-        zc = wave.zc(x, c)
+        zc = wave.zhat_c(x, c)
         vm = minus.values[int(np.argmin(np.abs(minus.grid - x)))]
         vp = plus.values[int(np.argmin(np.abs(plus.grid - x)))]
         nz = np.linalg.norm(zx)
@@ -233,7 +233,7 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
         rel_z = max(rel_z, abs(symplectic_form(J, zx, zc)) / (nz * max(np.linalg.norm(zc), 1e-300)))
 
     def integrand(xi):
-        return float(wave.zhat_xi(xi, c) @ (model.M @ wave.zc(xi, c)))
+        return float(wave.zhat_xi(xi, c) @ (model.M @ wave.zhat_c(xi, c)))
 
     chain, _ = quad(integrand, -L, L, points=[0.0], **_QUAD_OPTS)
     didc = dIdc(model, wave, c)

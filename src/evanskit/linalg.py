@@ -135,23 +135,12 @@ def wedge4(u1, u2, u3, u4) -> complex:
     return det4(np.column_stack([as_cvec4(u) for u in (u1, u2, u3, u4)]))
 
 
-def pair2(bstar: Bivector, b: Bivector) -> complex:
-    """Duality pairing on wedge^2; plain dot of coordinates, no conjugation."""
-    return complex(np.dot(bstar.coords, b.coords))
-
-
-def wedge22(b: Bivector, g: Bivector) -> complex:
-    """Coefficient of b^g against vol (two bivectors wedged to a 4-form)."""
-    x, y = b.coords, g.coords
-    return complex(x[0] * y[5] - x[1] * y[4] + x[2] * y[3]
-                   + x[3] * y[2] - x[4] * y[1] + x[5] * y[0])
-
-
 def interior2(q4coeff: complex, b: Bivector) -> Bivector:
     """Contract a bivector into a 4-form with coefficient q4coeff.
 
-    Defined by adjointness: pair2(interior2(q, b), g) = q * wedge22(b, g)
-    for every bivector g.
+    Defined by adjointness through the coordinate dot product, the duality
+    pairing on wedge^2: np.dot(interior2(q, wedge2(a, b)).coords,
+    wedge2(c, d).coords) = q * wedge4(a, b, c, d) for all 4-vectors a, b, c, d.
     """
     x = b.coords
     return Bivector(q4coeff * np.array(

@@ -1,11 +1,12 @@
-"""Canonical multisymplectic models M Z_t + K Z_x = grad S(Z) on R^4.
+"""The coupled wave system, a multisymplectic model M Z_t + K Z_x = grad S(Z) on R^4.
 
 A model is the algebraic data (M, K, S-derivatives, optional reversor);
 a wave family is a c-parametrized steady profile in the moving frame
 xi = x - c t together with its xi- and c-derivatives.  The coupled
-second-order wave system is the fully worked example: its profile,
-tangent solutions and Evans function all have closed forms, collected
-in oracle_coupled_wave for use as reference values.
+second-order wave system is the one model with a wave family: its
+profile, tangent solutions and Evans function all have closed forms,
+collected in oracle_coupled_wave for use as reference values.  The
+Clifford generators of build_dirac back the clifford verification suite.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class MultisymplecticModel:
     input also satisfies the contract, by broadcasting.
     """
 
-    name: str
     M: np.ndarray
     K: np.ndarray
     gradS: Callable[[np.ndarray], np.ndarray]
@@ -75,27 +75,18 @@ def jc(model: MultisymplecticModel, c: float) -> np.ndarray:
 
 @dataclass
 class WaveFamily:
-    """Solitary-wave profile zhat(xi, c) with derivatives.
+    """Solitary-wave profile zhat(xi, c) with its xi- and c-derivatives.
 
-    zhat_c may be omitted; the accessor zc() then falls back to a centered
-    difference in c with step 1e-4.  decay_rate(c) is the slowest
-    asymptotic decay exponent of the profile, used to size truncation
-    domains as L = 40 / decay_rate(c).  zhat broadcasts over xi: an array
-    of shape (N,) gives profile values of shape (4, N), the input that
-    MultisymplecticModel.hessS stacks.
+    decay_rate(c) is the slowest asymptotic decay exponent of the profile,
+    used to size truncation domains as L = 40 / decay_rate(c).  zhat
+    broadcasts over xi: an array of shape (N,) gives profile values of
+    shape (4, N), the input that MultisymplecticModel.hessS stacks.
     """
 
     zhat: Callable[[float, float], np.ndarray]
     zhat_xi: Callable[[float, float], np.ndarray]
-    c_window: tuple
+    zhat_c: Callable[[float, float], np.ndarray]
     decay_rate: Callable[[float], float]
-    zhat_c: Optional[Callable[[float, float], np.ndarray]] = None
-
-    def zc(self, xi: float, c: float) -> np.ndarray:
-        if self.zhat_c is not None:
-            return self.zhat_c(xi, c)
-        dc = 1e-4
-        return (self.zhat(xi, c + dc) - self.zhat(xi, c - dc)) / (2 * dc)
 
     def default_L(self, c: float) -> float:
         return 40.0 / self.decay_rate(c)
@@ -132,11 +123,11 @@ def verify_wave(model: MultisymplecticModel, wave: WaveFamily, c: float,
     for xi in grid:
         z = wave.zhat(xi, c)
         zx = wave.zhat_xi(xi, c)
-        zc = wave.zc(xi, c)
+        zc = wave.zhat_c(xi, c)
         r_ode = max(r_ode, float(np.max(np.abs(j @ zx - model.gradS(z)))))
         h = model.hessS(z)
         zxx = (wave.zhat_xi(xi + delta, c) - wave.zhat_xi(xi - delta, c)) / (2 * delta)
-        zcx = (wave.zc(xi + delta, c) - wave.zc(xi - delta, c)) / (2 * delta)
+        zcx = (wave.zhat_c(xi + delta, c) - wave.zhat_c(xi - delta, c)) / (2 * delta)
         r_ker = max(r_ker, float(np.max(np.abs(h @ zx - j @ zxx))))
         r_jor = max(r_jor, float(np.max(np.abs(h @ zc - j @ zcx - model.M @ zx))))
 
@@ -172,62 +163,6 @@ def build_dirac() -> DiracStructure:
     r4 = np.diag([1, 1, -1, -1])
     return DiracStructure(J1=j1, J2=j2, R4=r4, metric=np.diag([1, -1]),
                           M=r4 @ j1, K=r4 @ j2)
-
-
-# ---------------------------------------------------------------------------
-# Massive Thirring model (structure only; no wave family here)
-
-def build_mtm(alpha: float, nu: float) -> MultisymplecticModel:
-    """S(Z) = -a/2 (w.w - v.v) - nu/4 (w.w + v.v)^2 + nu (w1 v2 + w2 v1)^2."""
-
-    def gradS(z):
-        w1, w2, v1, v2 = z
-        t = w1 * w1 + w2 * w2 + v1 * v1 + v2 * v2
-        q = w1 * v2 + w2 * v1
-        return np.array([
-            -alpha * w1 - nu * t * w1 + 2 * nu * q * v2,
-            -alpha * w2 - nu * t * w2 + 2 * nu * q * v1,
-            alpha * v1 - nu * t * v1 + 2 * nu * q * w2,
-            alpha * v2 - nu * t * v2 + 2 * nu * q * w1,
-        ])
-
-    def hessS(z):
-        w1, w2, v1, v2 = z
-        t = w1 * w1 + w2 * w2 + v1 * v1 + v2 * v2
-        q = w1 * v2 + w2 * v1
-        h = np.empty(np.shape(w1) + (4, 4))
-        h[..., 0, 0] = -alpha - nu * (t + 2 * w1 * w1) + 2 * nu * v2 * v2
-        h[..., 1, 1] = -alpha - nu * (t + 2 * w2 * w2) + 2 * nu * v1 * v1
-        h[..., 2, 2] = alpha - nu * (t + 2 * v1 * v1) + 2 * nu * w2 * w2
-        h[..., 3, 3] = alpha - nu * (t + 2 * v2 * v2) + 2 * nu * w1 * w1
-        h[..., 0, 1] = h[..., 1, 0] = -2 * nu * w1 * w2 + 2 * nu * v1 * v2
-        h[..., 0, 2] = h[..., 2, 0] = -2 * nu * w1 * v1 + 2 * nu * v2 * w2
-        h[..., 0, 3] = h[..., 3, 0] = 2 * nu * q
-        h[..., 1, 2] = h[..., 2, 1] = 2 * nu * q
-        h[..., 1, 3] = h[..., 3, 1] = -2 * nu * w2 * v2 + 2 * nu * v1 * w1
-        h[..., 2, 3] = h[..., 3, 2] = -2 * nu * v1 * v2 + 2 * nu * w1 * w2
-        return h
-
-    return MultisymplecticModel(
-        name="mtm", M=CANONICAL_M.copy(), K=CANONICAL_K.copy(),
-        gradS=gradS, hessS=hessS, R=None,
-        params={"alpha": alpha, "nu": nu})
-
-
-def cme_to_Z(A: complex, B: complex) -> np.ndarray:
-    """Real coordinates (w1, w2, v1, v2) from complex mode amplitudes."""
-    w1 = 0.5 * (A.real + B.real)
-    w2 = 0.5 * (A.imag + B.imag)
-    v1 = 0.5 * (B.imag - A.imag)
-    v2 = 0.5 * (B.real - A.real)
-    return np.array([w1, w2, v1, v2])
-
-
-def z_to_cme(z) -> tuple:
-    w1, w2, v1, v2 = np.asarray(z, dtype=float)
-    a = (w1 - v2) + 1j * (w2 - v1)
-    b = (w1 + v2) + 1j * (w2 + v1)
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +208,7 @@ def build_coupled_wave(p: float):
         return h
 
     model = MultisymplecticModel(
-        name="coupled-wave", M=CANONICAL_M.copy(), K=CANONICAL_K.copy(),
+        M=CANONICAL_M.copy(), K=CANONICAL_K.copy(),
         gradS=gradS, hessS=hessS, R=REVERSOR.copy(), params={"p": p})
 
     def _profile(xi, c):
@@ -306,7 +241,6 @@ def build_coupled_wave(p: float):
 
     wave = WaveFamily(
         zhat=zhat, zhat_xi=zhat_xi, zhat_c=zhat_c,
-        c_window=(-1.0, 1.0),
         decay_rate=lambda c: 2.0 * _alpha_of(c))
     return model, wave
 

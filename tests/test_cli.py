@@ -1,6 +1,9 @@
 """Command-line front-end: exit codes, file formats, determinism, suites."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,19 +45,43 @@ def test_report_numerics_reach_pi():
     assert json.loads(r.output)["Pi"] == want
 
 
-def test_report_rejects_waveless_model():
-    r = _run(["report", "--model", "mtm"])
+@pytest.mark.parametrize("args, config, named", [
+    (["report", "--model", "mtm"], None, "model: unknown model 'mtm'"),
+    (["verify", "--model", "dirac-demo", "--suite", "clifford"], None,
+     "model: unknown model 'dirac-demo'"),
+    (["scan"], {"model": "cme"}, "model: unknown model 'cme'"),
+    (["report"], {"params": {"nu": 2.0}}, "params: unknown key 'nu'"),
+    (["report"], {"params": {"alpha": 1.0}}, "params: unknown key 'alpha'"),
+    (["report", "--nu", "3"], None, "option '--nu'"),
+], ids=["model-mtm", "model-dirac-demo", "config-model-cme", "config-params-nu",
+        "config-params-alpha", "flag-nu"])
+def test_only_the_coupled_wave_is_accepted(tmp_path, args, config, named):
+    # the coupled wave is the one model with a wave family, and p its one
+    # parameter: anything else would be echoed beside numbers it never touched
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    r = _run(args)
     assert r.exit_code == 1
-    assert "lacks wave family" in r.output
-
-
-def test_verify_rejects_waveless_model():
-    # every suite runs the coupled wave, so another model would be reported
-    # on numbers it never produced
-    r = _run(["verify", "--model", "mtm", "--nu", "3", "--suite", "appendix-a"])
-    assert r.exit_code == 1
-    assert r.stderr == "error: model: 'mtm' lacks wave family\n"
     assert r.stdout == ""
+    assert any(named in line for line in r.stderr.splitlines())
+
+
+@pytest.mark.parametrize("args, code", [
+    (["report", "--p", "abc"], 1),     # bad option value
+    (["report", "--bogus"], 1),        # unknown option
+    (["nosuch"], 1),                   # unknown command
+    (["--bogus"], 1),                  # unknown option of the group
+    (["--help"], 0),
+    (["report", "--help"], 0),
+], ids=["bad-value", "unknown-option", "unknown-command", "unknown-group-option",
+        "help", "command-help"])
+def test_usage_errors_exit_1(args, code):
+    # exit 2 is reserved for a failed hypothesis or suite check
+    r = _run(args)
+    assert r.exit_code == code
+    assert (r.stdout == "") == (code == 1)
 
 
 def test_report_hypothesis_gate(monkeypatch):
@@ -111,9 +138,6 @@ def test_scan_validation():
     r = _run(["scan", "--grid-n", "0"])
     assert r.exit_code == 1
     assert "grid_n" in r.output
-    r = _run(["scan", "--model", "cme"])
-    assert r.exit_code == 1
-    assert "lacks wave family" in r.output
 
 
 def test_contour_zero_free_rectangle():
@@ -239,3 +263,23 @@ def test_verify_exact_evans_closed_form_agrees():
     assert checks[0]["passed"] is False
     assert checks[1]["passed"] is True
     assert float(checks[1]["detail"].split()[3]) <= 1e-6
+
+
+def _readme_cli_commands():
+    """The evanskit commands in the fenced blocks of README's CLI section."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"^```\n(.*?)^```", section, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("evanskit "):
+                commands.append(line)
+    return commands
+
+
+@pytest.mark.parametrize("command", _readme_cli_commands())
+def test_readme_cli_examples_run(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)   # examples may write files
+    r = _run(shlex.split(command)[1:])
+    assert r.exit_code == (2 if "exact-evans" in command else 0), r.output

@@ -102,11 +102,10 @@ def test_wedge_equals_det_times_orientation_constant():
 def test_wedge_of_frozen_model_is_kconst():
     model, _ = build_coupled_wave(1.0)
     binf = model.binf()
-    frozen = MultisymplecticModel("frozen", CANONICAL_M, CANONICAL_K,
+    frozen = MultisymplecticModel(CANONICAL_M, CANONICAL_K,
                                   lambda z: binf @ z, lambda z: binf)
-    fwave = WaveFamily(zhat=lambda xi, c: np.zeros(4),
-                       zhat_xi=lambda xi, c: np.zeros(4),
-                       c_window=(-0.9, 0.9), decay_rate=lambda c: 2.0)
+    zero = lambda xi, c: np.zeros(4)
+    fwave = WaveFamily(zhat=zero, zhat_xi=zero, zhat_c=zero, decay_rate=lambda c: 2.0)
     sp = spectrum(frozen, 0.0, 0.8)
     W = evans_wedge(frozen, fwave, 0.0, 0.8, spec=sp)
     assert abs(W - sp.Kconst) <= 1e-8 * abs(sp.Kconst)

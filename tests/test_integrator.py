@@ -51,11 +51,10 @@ def test_frozen_coefficients_leave_seed_invariant():
     # v' = (A_inf - mu_j) v and the eigenvector seed is a fixed point
     model, _ = _coupled()
     binf = model.binf()
-    frozen = MultisymplecticModel("frozen", CANONICAL_M, CANONICAL_K,
+    frozen = MultisymplecticModel(CANONICAL_M, CANONICAL_K,
                                   lambda z: binf @ z, lambda z: binf)
-    fwave = WaveFamily(zhat=lambda xi, c: np.zeros(4),
-                       zhat_xi=lambda xi, c: np.zeros(4),
-                       c_window=(-0.9, 0.9), decay_rate=lambda c: 2.0)
+    zero = lambda xi, c: np.zeros(4)
+    fwave = WaveFamily(zhat=zero, zhat_xi=zero, zhat_c=zero, decay_rate=lambda c: 2.0)
     s = spectrum(frozen, 0.0, 0.7)
     for j, kind in ((1, "u"), (2, "u"), (3, "u"), (4, "w")):
         r = integrate_mode(frozen, fwave, 0.0, 0.7, j, kind, spec=s)

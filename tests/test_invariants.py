@@ -63,7 +63,6 @@ def test_degenerate_family_rejected():
     frozen = WaveFamily(
         zhat=lambda xi, c: WAVE.zhat(xi, 0.0),
         zhat_xi=lambda xi, c: WAVE.zhat_xi(xi, 0.0),
-        c_window=WAVE.c_window,
         decay_rate=lambda c: WAVE.decay_rate(0.0),
         zhat_c=lambda xi, c: np.zeros(4),
     )
@@ -74,7 +73,7 @@ def test_degenerate_family_rejected():
 def test_inconsistent_c_derivative_rejected():
     # declared zhat_c twice the true one: quadrature disagrees with the
     # centered difference of the momentum itself
-    doubled = dataclasses.replace(WAVE, zhat_c=lambda xi, c: 2.0 * WAVE.zc(xi, c))
+    doubled = dataclasses.replace(WAVE, zhat_c=lambda xi, c: 2.0 * WAVE.zhat_c(xi, c))
     with pytest.raises(Inconsistent):
         dIdc(MODEL, doubled, 0.3)
 
