@@ -36,12 +36,14 @@ REVERSOR = np.diag([1.0, -1.0, -1.0, 1.0])
 class MultisymplecticModel:
     """Algebraic data of M Z_t + K Z_x = grad S(Z).
 
-    gradS maps a point z of shape (4,) to grad S(z).  hessS maps z of shape
-    (4,) to the 4x4 Hessian and also broadcasts over a trailing batch axis:
-    z of shape (4, N) maps to an (N, 4, 4) stack whose n-th matrix equals
-    hessS(z[:, n]) exactly.  The mode integrator relies on this to advance
-    many runs at once.  A hessS that returns one constant 4x4 matrix for any
-    input also satisfies the contract, by broadcasting.
+    gradS maps a point z of shape (4,) to grad S(z), and z of shape (4, N)
+    to the (4, N) array of its columns' gradients; verify_wave relies on
+    this.  hessS maps z of shape (4,) to the 4x4 Hessian and also
+    broadcasts over a trailing batch axis: z of shape (4, N) maps to an
+    (N, 4, 4) stack whose n-th matrix equals hessS(z[:, n]) exactly.  The
+    mode integrator relies on this to advance many runs at once.  A hessS
+    that returns one constant 4x4 matrix for any input also satisfies the
+    contract, by broadcasting.
     """
 
     M: np.ndarray
@@ -78,9 +80,12 @@ class WaveFamily:
     """Solitary-wave profile zhat(xi, c) with its xi- and c-derivatives.
 
     decay_rate(c) is the slowest asymptotic decay exponent of the profile,
-    used to size truncation domains as L = 40 / decay_rate(c).  zhat
-    broadcasts over xi: an array of shape (N,) gives profile values of
-    shape (4, N), the input that MultisymplecticModel.hessS stacks.
+    used to size truncation domains as L = 40 / decay_rate(c).  zhat,
+    zhat_xi and zhat_c broadcast over xi: an array of shape (N,) gives
+    values of shape (4, N), the input that MultisymplecticModel.hessS
+    stacks.  A field constant in xi may return shape (4,) for any xi;
+    on_grid broadcasts it to (4, N), and the quadratures and verify_wave
+    read every field through on_grid.
     """
 
     zhat: Callable[[float, float], np.ndarray]
@@ -90,6 +95,11 @@ class WaveFamily:
 
     def default_L(self, c: float) -> float:
         return 40.0 / self.decay_rate(c)
+
+
+def on_grid(field: Callable, xi: np.ndarray, c: float) -> np.ndarray:
+    """field(xi, c) for a WaveFamily field on the array xi, shape (4, xi.size)."""
+    return np.broadcast_to(np.reshape(field(xi, c), (4, -1)), (4, np.size(xi)))
 
 
 @dataclass
@@ -105,35 +115,44 @@ class WaveCheck:
         return max(self.ode_residual, self.kernel_residual, self.jordan_residual)
 
 
+VERIFY_N = 201          # grid points of verify_wave on [-L, L]
+VERIFY_DELTA = 1e-5     # centered-difference step of verify_wave
+
+
 def verify_wave(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                L: Optional[float] = None, n: int = 201,
-                delta: float = 1e-5) -> WaveCheck:
-    """Check the profile equations on a grid.
+                L: Optional[float] = None) -> WaveCheck:
+    """Check the profile equations on a VERIFY_N-point grid.
 
     The operator L W = hessS(zhat) W - J(c) W_xi is applied to the two
     supplied fields with W_xi formed by centered differencing (step
-    delta) so the check is independent of any analytic differentiation
-    done inside the wave family.
+    VERIFY_DELTA) so the check is independent of any analytic
+    differentiation done inside the wave family.  The grid is evaluated as
+    one array, through the broadcasting contracts of WaveFamily and
+    MultisymplecticModel.
     """
     j = jc(model, c)
     Lbox = float(L) if L is not None else wave.default_L(c)
-    grid = np.linspace(-Lbox, Lbox, n)
+    grid = np.linspace(-Lbox, Lbox, VERIFY_N)
+    d = VERIFY_DELTA
 
-    r_ode = r_ker = r_jor = 0.0
-    for xi in grid:
-        z = wave.zhat(xi, c)
-        zx = wave.zhat_xi(xi, c)
-        zc = wave.zhat_c(xi, c)
-        r_ode = max(r_ode, float(np.max(np.abs(j @ zx - model.gradS(z)))))
-        h = model.hessS(z)
-        zxx = (wave.zhat_xi(xi + delta, c) - wave.zhat_xi(xi - delta, c)) / (2 * delta)
-        zcx = (wave.zhat_c(xi + delta, c) - wave.zhat_c(xi - delta, c)) / (2 * delta)
-        r_ker = max(r_ker, float(np.max(np.abs(h @ zx - j @ zxx))))
-        r_jor = max(r_jor, float(np.max(np.abs(h @ zc - j @ zcx - model.M @ zx))))
+    z, zx, zc = (on_grid(f, grid, c) for f in (wave.zhat, wave.zhat_xi, wave.zhat_c))
+    zxx = (on_grid(wave.zhat_xi, grid + d, c) - on_grid(wave.zhat_xi, grid - d, c)) / (2 * d)
+    zcx = (on_grid(wave.zhat_c, grid + d, c) - on_grid(wave.zhat_c, grid - d, c)) / (2 * d)
+    h = model.hessS(z)
 
+    def apply(a, w):
+        # a @ w[:, n] for every column n (a is one 4x4 matrix or an (N, 4, 4)
+        # stack), each a matrix-vector product of its own: a matrix-matrix
+        # product or an einsum sums in another order and moves the residuals'
+        # last bits
+        return np.matmul(a, w.T[..., None])[..., 0].T
+
+    r_ode = np.max(np.abs(apply(j, zx) - model.gradS(z)))
+    r_ker = np.max(np.abs(apply(h, zx) - apply(j, zxx)))
+    r_jor = np.max(np.abs(apply(h, zc) - apply(j, zcx) - apply(model.M, zx)))
     tail = max(float(np.max(np.abs(wave.zhat(-Lbox, c)))),
                float(np.max(np.abs(wave.zhat(Lbox, c)))))
-    return WaveCheck(r_ode, r_ker, r_jor, tail)
+    return WaveCheck(float(r_ode), float(r_ker), float(r_jor), tail)
 
 
 # ---------------------------------------------------------------------------

@@ -254,15 +254,25 @@ def test_polish_round_cap():
         _polish(f, [(lo, hi)], {lo: f.g(lo), hi: f.g(hi)})
 
 
-def test_evans_imports_no_scipy():
+def _scipy_modules_after_import(module):
+    # the scipy modules a fresh interpreter holds after importing module
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, evanskit.evans; "
+    code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_evans_imports_no_scipy():
+    assert _scipy_modules_after_import("evanskit.evans") == "[]"
+
+
+def test_cli_imports_no_scipy():
+    # the CLI imports every runtime module, so this bounds the whole package
+    assert _scipy_modules_after_import("evanskit.cli") == "[]"
 
 
 def test_winding_rejects_bad_contours():

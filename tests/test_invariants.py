@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import evanskit.invariants as invariants
 from evanskit.asymptotics import spectrum
-from evanskit.errors import Degenerate, Inconsistent, NoPlateau
+from evanskit.errors import Degenerate, Inconsistent, NoConverge, NoPlateau
 from evanskit.evans import Numerics, derivatives_at_zero, evans_det
 from evanskit.integrator import integrate_mode, integrate_modes
 from evanskit.invariants import (
@@ -18,10 +18,11 @@ from evanskit.invariants import (
     dIdc,
     momentum,
     pi_profile,
+    quad,
     stability_report,
     structural_checks,
 )
-from evanskit.model import WaveFamily, build_coupled_wave
+from evanskit.model import WaveFamily, build_coupled_wave, oracle_coupled_wave
 
 MODEL, WAVE = build_coupled_wave(1.0)
 
@@ -56,6 +57,47 @@ def test_momentum_derivative_values():
         got = dIdc(MODEL, WAVE, c)
         assert abs(got - want) <= 1e-6 * abs(want)
     assert abs(dIdc(MODEL, WAVE, 0.6) - (-6.25)) <= 1e-5
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.4, 2.0, 2.5])
+def test_momentum_and_dIdc_match_oracle(p):
+    model, wave = build_coupled_wave(p)
+    for c in (0.0, 0.3, -0.6, 0.8, 0.95, -0.97):
+        o = oracle_coupled_wave(p, c)
+        assert abs(momentum(model, wave, c) - o.momentum) <= 1e-12 * max(abs(o.momentum), 1.0)
+        assert abs(dIdc(model, wave, c) - o.dIdc) <= 1e-12 * abs(o.dIdc)
+
+
+def test_quad_one_call_on_array():
+    calls = []
+
+    def f(xi):
+        calls.append(xi.shape)
+        return np.cos(xi)
+
+    assert abs(quad(f, -3.0, 3.0) - 2.0 * np.sin(3.0)) <= 1e-14
+    assert len(calls) == 1 and len(calls[0]) == 1
+
+
+@pytest.mark.parametrize("x0, width", [
+    (0.37, 1e-2),
+    # on a node of the finer rule, where the half-panel rule has none
+    (float(20.0 * invariants._FINE[0][100]), 1e-3),
+], ids=["width-1e-2", "width-1e-3-on-node"])
+def test_quad_refuses_unresolved_spike(x0, width):
+    # a spike narrower than the node spacing, off the panel edges: the rule
+    # and its half-panel version disagree
+    with pytest.raises(NoConverge):
+        quad(lambda xi: np.exp(-((xi - x0) / width) ** 2), -20.0, 20.0)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.6, 0.95])
+def test_chain_identity_to_roundoff(c):
+    # the chain integral is -dI/dc: the same integrand with M transposed
+    r = structural_checks(MODEL, WAVE, c)
+    want = oracle_coupled_wave(1.0, c).dIdc
+    assert r.chain_residual <= 1e-12
+    assert abs(r.chain_obstruction + want) <= 1e-12 * abs(want)
 
 
 def test_degenerate_family_rejected():
