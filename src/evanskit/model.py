@@ -41,9 +41,10 @@ class MultisymplecticModel:
     this.  hessS maps z of shape (4,) to the 4x4 Hessian and also
     broadcasts over a trailing batch axis: z of shape (4, N) maps to an
     (N, 4, 4) stack whose n-th matrix equals hessS(z[:, n]) exactly.  The
-    mode integrator relies on this to advance many runs at once.  A hessS
-    that returns one constant 4x4 matrix for any input also satisfies the
-    contract, by broadcasting.
+    mode integrator relies on this to advance many runs at once: it calls
+    hessS once per step, on the profile at all stage abscissae of every
+    run, 5N points for N runs.  A hessS that returns one constant 4x4
+    matrix for any input also satisfies the contract, by broadcasting.
     """
 
     M: np.ndarray

@@ -159,6 +159,26 @@ def test_contour_numerical_failures():
     assert "rect" in r.output
 
 
+@pytest.mark.parametrize("args, code, named", [
+    (["report", "--p", "1.6666666", "--c", "0"], 3, "Inconsistent"),
+    (["report", "--p", "1", "--c", "0.995"], 2, '"passed": false'),
+    (["report", "--p", "1", "--c", "-0.999"], 2, '"passed": false'),
+    (["scan", "--p", "1", "--c", "0.995"], 3, "NormalizationFail"),
+    (["contour", "--p", "1", "--c", "0.99", "--rect", "0.5,3,-0.8,0.8"], 3,
+     "NormalizationFail"),
+], ids=["report-p-1.6666666", "report-c-0.995", "report-c--0.999", "scan-c-0.995",
+        "contour-c-0.99"])
+def test_degenerate_edges_refuse(args, code, named):
+    # next to p = 5/3, where Pi vanishes, and as |c| -> 1, where the profile
+    # narrows, a task ends in a typed error or a failed hypothesis check and
+    # prints none of the numbers it would otherwise report
+    r = _run(args)
+    assert r.exit_code == code
+    assert named in r.output
+    for key in ("Pi", "roots", "winding"):
+        assert key not in r.stdout
+
+
 def test_config_file_merge_and_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

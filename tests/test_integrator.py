@@ -46,15 +46,21 @@ def test_seed_matches_boundary_value():
     assert w2.xi_seed == -L
 
 
-def test_frozen_coefficients_leave_seed_invariant():
-    # with the hessian frozen at its rest value the rescaled mode equation is
-    # v' = (A_inf - mu_j) v and the eigenvector seed is a fixed point
-    model, _ = _coupled()
-    binf = model.binf()
+def _frozen():
+    # the coupled wave's hessian frozen at its rest value, one 4x4 matrix for
+    # any input, on a zero profile
+    binf = _coupled()[0].binf()
     frozen = MultisymplecticModel(CANONICAL_M, CANONICAL_K,
                                   lambda z: binf @ z, lambda z: binf)
     zero = lambda xi, c: np.zeros(4)
-    fwave = WaveFamily(zhat=zero, zhat_xi=zero, zhat_c=zero, decay_rate=lambda c: 2.0)
+    return frozen, WaveFamily(zhat=zero, zhat_xi=zero, zhat_c=zero,
+                              decay_rate=lambda c: 2.0)
+
+
+def test_frozen_coefficients_leave_seed_invariant():
+    # with the hessian frozen at its rest value the rescaled mode equation is
+    # v' = (A_inf - mu_j) v and the eigenvector seed is a fixed point
+    frozen, fwave = _frozen()
     s = spectrum(frozen, 0.0, 0.7)
     for j, kind in ((1, "u"), (2, "u"), (3, "u"), (4, "w")):
         r = integrate_mode(frozen, fwave, 0.0, 0.7, j, kind, spec=s)
@@ -170,29 +176,76 @@ def test_dense_output_consistent_at_zero():
     assert np.array_equal(r.values[-1], r.value_at_end)
 
 
+def _scalar_field(coef):
+    # A(x) = coef(x) I on a batch of one-dimensional runs: (S, N) -> (S, N, 1, 1)
+    def amat(x):
+        return np.asarray(coef(x), dtype=float)[..., None, None] * np.eye(1)
+    return amat
+
+
 def test_overflow_guard():
     with pytest.raises(Overflow):
-        _dopri5(lambda x, y: y, np.array([0.0]), np.array([40.0]),
+        _dopri5(_scalar_field(np.ones_like), np.array([0.0]), np.array([40.0]),
                 np.array([[1.0 + 0j]]), 1e-8, None)
 
 
 def test_step_collapse_on_discontinuity():
     with pytest.raises(StepFail):
-        _dopri5(lambda x, y: np.sign(0.5 - x)[:, None] + 0j,
-                np.array([0.0]), np.array([1.0]), np.array([[0.0 + 0j]]), 1e-10, None)
+        _dopri5(_scalar_field(lambda x: np.sign(0.5 - x)),
+                np.array([0.0]), np.array([1.0]), np.array([[1.0 + 0j]]), 1e-10, None)
 
 
 def test_step_collapse_on_nan_rhs():
-    # a right-hand side that turns NaN rejects every step until the step
-    # size collapses; the finite row next to it does not keep the loop alive
-    def f(x, y):
-        out = y.copy()
-        out[0] = np.nan
-        return out
+    # a matrix field that is NaN on row 0 rejects every step of that row
+    # until its step size collapses; the finite row next to it does not keep
+    # the loop alive
+    def coef(x):
+        a = np.ones_like(x)
+        a[:, 0] = np.nan
+        return a
 
     with pytest.raises(StepFail):
-        _dopri5(f, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+        _dopri5(_scalar_field(coef), np.array([0.0, 0.0]), np.array([1.0, 1.0]),
                 np.array([[1.0 + 0j], [1.0 + 0j]]), 1e-8, None)
+
+
+def test_matrix_field_evaluated_once_per_step():
+    # one call for the first stage, then one per loop iteration on all five
+    # distinct stage abscissae; the loop runs until the longest row is done
+    shapes = []
+    field = _scalar_field(lambda x: np.cos(3.0 * x))
+
+    def amat(x):
+        shapes.append(x.shape)
+        return field(x)
+
+    x0, x1 = np.array([0.0, 2.0]), np.array([2.0, -1.0])
+    y, _, stats = _dopri5(amat, x0, x1, np.array([[1.0 + 0j], [1.0 + 0j]]), 1e-8, None)
+    iterations = max(s.accepted + s.rejected for s in stats)
+    assert len(shapes) == 1 + iterations
+    assert shapes[0] == (1, 2) and set(shapes[1:]) == {(5, 2)}
+    # y' = cos(3x) y has the closed form exp((sin(3 x1) - sin(3 x0)) / 3)
+    exact = np.exp((np.sin(3.0 * x1) - np.sin(3.0 * x0)) / 3.0)
+    assert np.max(np.abs(y[:, 0] - exact)) <= 1e-6
+
+
+def test_constant_hessian_batch_equals_singletons():
+    # a hessS that returns one 4x4 matrix for any input is broadcast to the
+    # stage stack: a mixed-lambda batch of u and w runs equals each run alone
+    frozen, fwave = _frozen()
+    c = 0.2
+    modes = ((1, "u"), (3, "u"), (2, "w"), (4, "w"))
+    runs = [(lam, spectrum(frozen, c, lam), j, kind, 0.0, None)
+            for lam in (0.7, 1.3 + 0.4j) for j, kind in modes]
+    runs.append((0.7, runs[0][1], 3, "u", 1.0, np.linspace(-20.0, 1.0, 6)))
+    batch = integrate_modes(frozen, fwave, c, runs, tol=1e-9)
+    for (lam, spec, j, kind, until, grid), b in zip(runs, batch):
+        a = integrate_mode(frozen, fwave, c, lam, j, kind, tol=1e-9, spec=spec,
+                           out_grid=grid, until=until)
+        assert np.array_equal(a.value_at_end, b.value_at_end)
+        assert a.stats == b.stats and a.nsteps > 0
+        if grid is not None:
+            assert np.array_equal(a.values, b.values)
 
 
 def test_batched_runs_keep_their_own_steps():
