@@ -23,8 +23,6 @@ from .linalg import (Poly4, as_cmat4, det4, nullvectors, quartic_root_sets, skew
 from .model import MultisymplecticModel, jc
 
 _NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
-_KAPPA_SPAN = 10.0
-_KAPPA_N = 4001
 
 
 def delta(model: MultisymplecticModel, c: float, lam: complex, mu: complex) -> complex:
@@ -146,36 +144,14 @@ def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
                                  lam: complex) -> float:
     """min over real kappa of |det(B_inf - lambda M - i kappa J(c))|.
 
-    Zero exactly when lambda sits on the continuous spectrum.  A scan of
-    _KAPPA_N kappas in |kappa| <= _KAPPA_SPAN (1 + |lambda|), then
-    golden-section refinement around the smallest sample.
+    Zero exactly when lambda sits on the continuous spectrum.  With
+    P(kappa) = Delta(i kappa, lambda), |P|^2 is a real polynomial of degree
+    8 with a positive leading coefficient, so its minimum over the real
+    line sits at a real root of its derivative.  The minimum is taken over
+    the real parts of all 7 roots, which keeps a real critical point that
+    roundoff moved off the axis.
     """
-    kappa_max = _KAPPA_SPAN * (1.0 + abs(lam))
-    kappas = np.linspace(-kappa_max, kappa_max, _KAPPA_N)
-
-    # Delta is a quartic in mu, so the grid scan is a vectorized polyval
-    poly = _delta_poly(model, c, lam)
-
-    def f(kap):
-        return abs(poly(1j * kap))
-
-    vals = np.abs(np.polyval(poly.coeffs[::-1], 1j * kappas))
-    i = int(np.argmin(vals))
-    lo = max(0, i - 1)
-    hi = min(_KAPPA_N - 1, i + 1)
-    a, b = kappas[lo], kappas[hi]
-    # golden-section polish on the bracket
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = f(x2)
-    return float(min(f1, f2, vals[i]))
+    b = _delta_poly(model, c, lam).coeffs * 1j ** np.arange(5)   # P, ascending
+    sq = np.convolve(b, np.conj(b)).real
+    crit = np.roots(np.polyder(sq[::-1])).real
+    return float(np.min(np.abs(np.polyval(b[::-1], crit))))

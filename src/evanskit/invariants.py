@@ -122,14 +122,10 @@ def dIdc(model: MultisymplecticModel, wave: WaveFamily, c: float) -> float:
     return val
 
 
-def _attachment_index(wave, c, spec: InfinitySpectrum, L: float) -> int:
-    # least-squares slope of log ||Zhat_xi|| on the -infinity tail picks out
-    # which unstable exponent the wave tangent rides
-    xs = np.linspace(-L, -L + 5.0, 21)
-    ys = np.log([np.linalg.norm(wave.zhat_xi(x, c)) for x in xs])
-    slope = np.polyfit(xs, ys, 1)[0]
-    cands = [2, 3]
-    return min(cands, key=lambda k: abs(spec.mu[k].real - slope))
+def _attachment_index(wave, c, spec: InfinitySpectrum) -> int:
+    # the unstable exponent the wave tangent rides on the -infinity tail:
+    # the one nearest the profile's decay rate
+    return min([2, 3], key=lambda k: abs(spec.mu[k].real - wave.decay_rate(c)))
 
 
 def _plateau(vals: np.ndarray, what: str) -> float:
@@ -152,7 +148,7 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
         spec = spectrum(model, c, 0.0)
     L = wave.default_L(c)
     J = jc(model, c)
-    k = _attachment_index(wave, c, spec, L)
+    k = _attachment_index(wave, c, spec)
     mu = spec.mu[k].real
     xs = np.linspace(-L, -L + 5.0, 21)
     vm = np.array([np.exp(-mu * x)
@@ -310,7 +306,7 @@ class StabilityReport:
     D2_raw: float = 0.0
     D2_scaled: float = 0.0
     ratio_check: float = 0.0
-    d_inf: int = 0
+    d_inf: int = 1            # sign of D as lambda -> +infinity, by the normalization
     pi_sign: int = 0          # Maslov parity surrogate
     verdict: str = "Inconclusive"
 
@@ -324,35 +320,32 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
                      params: dict | None = None) -> StabilityReport:
     """Assemble the full verdict: real unstable eigenvalue iff chi*Pi*dIdc*d_inf < 0.
 
-    d_inf is the sign of D at the right end of the default scan window
-    (lambda = 3).  Pi's tangent pair, the derivative stencil and the
-    lambda = 3 probe ride one stepper call, and give exactly what
-    pi_profile, derivatives_at_zero and evans_det give on their own.  One
-    spectra call solves the stencil and the probe; its lambda = 0 entry is
-    shared by chi_factors, the tangent pair and the stencil's centre;
+    d_inf is the sign of D as lambda -> +infinity, which is +1: with the
+    frames normalized to Omega(eta_i, zeta_j) = delta_ij, D tends to 1
+    there.  Pi's tangent pair and the derivative stencil ride one stepper
+    call, and give exactly what pi_profile and derivatives_at_zero give on
+    their own.  One spectra call solves the stencil; its lambda = 0 entry
+    is shared by chi_factors, the tangent pair and the stencil's centre;
     numerics reaches every run.
     """
     nm = numerics or Numerics()
     I = momentum(model, wave, c)
     didc = dIdc(model, wave, c)
-    lams = _stencil(nm.h) + [3.0]   # the stencil starts at lambda = 0
+    lams = _stencil(nm.h)   # the stencil starts at lambda = 0
     specs = spectra(model, c, lams)
     sp = specs[0]
     cm, cp, chi = chi_factors(model, wave, c, spec=sp)
     runs = _tangent_pair(wave, c, nm, sp) + _det_runs(lams, specs)
     sols = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
     pi = _pi_data(model, wave, c, sp, *sols[:2]).pi
-    samples = _det_samples(model, c, lams, specs, sols[2:])
-    der = _derivatives(nm.h, samples[:-1])
-    dval = samples[-1].D.real
-    d_inf = 1 if dval > 0 else (-1 if dval < 0 else 0)
+    der = _derivatives(nm.h, _det_samples(model, c, lams, specs, sols[2:]))
     denom = 2.0 * chi * pi * didc
     report = StabilityReport(
         c=c, params=dict(params or {}),
         chi_minus=cm, chi_plus=cp, chi=chi, Pi=pi, I=I, dIdc=didc,
         D2_raw=der.D2_raw, D2_scaled=der.D2_scaled,
         ratio_check=der.D2_raw / denom,
-        d_inf=d_inf, pi_sign=1 if pi > 0 else -1,
-        verdict=("UnstableRealEigenvalue" if chi * pi * didc * d_inf < 0
+        pi_sign=1 if pi > 0 else -1,
+        verdict=("UnstableRealEigenvalue" if chi * pi * didc < 0
                  else "Inconclusive"))
     return report

@@ -81,7 +81,8 @@ class WaveFamily:
     """Solitary-wave profile zhat(xi, c) with its xi- and c-derivatives.
 
     decay_rate(c) is the slowest asymptotic decay exponent of the profile,
-    used to size truncation domains as L = 40 / decay_rate(c).  zhat,
+    used to size truncation domains as L = 40 / decay_rate(c) and to pick
+    the unstable exponent at lambda = 0 that chi's tails follow.  zhat,
     zhat_xi and zhat_c broadcast over xi: an array of shape (N,) gives
     values of shape (4, N), the input that MultisymplecticModel.hessS
     stacks.  A field constant in xi may return shape (4,) for any xi;

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from evanskit.asymptotics import continuous_spectrum_distance, delta, spectra, spectrum
+from evanskit.asymptotics import (_delta_poly, continuous_spectrum_distance, delta, spectra,
+                                  spectrum)
 from evanskit.errors import DegenerateMu, NoConverge, SplittingViolated
 from evanskit.linalg import symplectic_form
 from evanskit.model import build_coupled_wave, jc, oracle_coupled_wave
@@ -119,6 +120,19 @@ def test_continuous_spectrum_distance(cw):
     assert continuous_spectrum_distance(model, 0.0, 2.0j) < 1e-10
     assert continuous_spectrum_distance(model, 0.0, 0.0) == pytest.approx(28.0, rel=1e-9)
     assert continuous_spectrum_distance(model, 0.0, 1.0) == pytest.approx(40.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("p, c", [(1.0, 0.0), (2.0, 0.3), (0.5, -0.6)])
+def test_continuous_spectrum_distance_is_the_minimum(p, c):
+    # no sample of |Delta(i kappa)| on a dense grid lies below the minimum,
+    # up to the roundoff of evaluating Delta
+    model, _ = build_coupled_wave(p)
+    kappas = np.linspace(-40.0, 40.0, 80001)
+    for lam in (0.0, 1.0, 0.7 + 0.2j, 3.0 - 0.8j, 2.5j, 1e-3 + 2j, -0.5 + 2.2j):
+        dist = continuous_spectrum_distance(model, c, lam)
+        coeffs = _delta_poly(model, c, lam).coeffs
+        grid = np.abs(np.polyval(coeffs[::-1], 1j * kappas))
+        assert dist <= np.min(grid) * (1.0 + 1e-12) + 1e-12 * np.max(np.abs(coeffs))
 
 
 def _bits(s):

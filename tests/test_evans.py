@@ -51,7 +51,7 @@ def _same_sample(a, b):
 
 def test_batch_equals_singleton_calls():
     # every run keeps its own steps, so D(lambda) does not depend on which
-    # batch it rode in: the stencil plus the d_inf probe, and complex points
+    # batch it rode in: the stencil plus lambda = 3, and complex points
     cases = (
         (1.0, 0.3, Numerics(tol=1e-10), [0.0, 0.05, -0.05, 0.1, -0.1, 3.0]),
         (2.0, 0.0, Numerics(tol=1e-8), [1.0 + 0.4j, 1.0 - 0.4j, 0.5 + 0.8j, 2.9 - 0.3j]),

@@ -260,6 +260,25 @@ def test_report_equals_its_parts_alone(nm):
     assert rep.d_inf == (1 if d > 0 else -1)
 
 
+def test_report_integrates_pair_and_stencil_only(monkeypatch):
+    # one stepper call of 22 runs (the tangent pair and 4 per stencil
+    # lambda) and one spectra call of the 5 stencil lambdas: no finite
+    # lambda is probed for d_inf
+    runs, lams = [], []
+
+    def count(fn, seen, arg):
+        def wrapped(*args, **kwargs):
+            seen.append(len(args[arg]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(invariants, "integrate_modes",
+                        count(invariants.integrate_modes, runs, 3))
+    monkeypatch.setattr(invariants, "spectra", count(invariants.spectra, lams, 2))
+    assert stability_report(MODEL, WAVE, 0.3).d_inf == 1
+    assert runs == [22] and lams == [5]
+
+
 def test_stability_report_p2_flags_instability():
     model2, wave2 = build_coupled_wave(2.0)
     rep = stability_report(model2, wave2, 0.0, params={"p": 2.0})
