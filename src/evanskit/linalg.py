@@ -308,7 +308,7 @@ def quartic_root_sets(polys) -> tuple[np.ndarray, list]:
             zn[:, k:k + 1] = zk - _monic_val(zk, m) / d
         shift = np.max(np.abs(zn - z0) / (1.0 + np.abs(zn)), axis=1)
         z[r] = zn
-        live[r[shift < 1e-14]] = False
+        live[r[shift < 1e-12]] = False
         if not live.any():
             break
     for i in ix[live]:

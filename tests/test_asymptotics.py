@@ -165,8 +165,8 @@ def test_spectra_raise_first_failing_lambda(cw):
         _raised(spectrum, model, 0.0, 2.5j)
     assert _raised(spectra, model, 0.0, [1.0, 2.5j, 2.0j])[0] is SplittingViolated
     assert _raised(spectra, model, 0.0, [1.0, 2.0j, 2.5j])[0] is DegenerateMu
-    # Durand-Kerner stalls at lambda = 20 but converges at 18 and 30
-    stall = _raised(spectra, model, 0.0, [1.0, 20.0])
-    assert stall[0] is NoConverge and stall == _raised(spectrum, model, 0.0, 20.0)
+    # Durand-Kerner stalls at lambda = 135 but converges at 18 and 30
+    stall = _raised(spectra, model, 0.0, [1.0, 135.0])
+    assert stall[0] is NoConverge and stall == _raised(spectrum, model, 0.0, 135.0)
     assert [_bits(s) for s in spectra(model, 0.0, [18.0, 30.0])] == \
         [_bits(spectrum(model, 0.0, lam)) for lam in (18.0, 30.0)]

@@ -77,6 +77,21 @@ def test_ratio_matches_closed_form():
     assert abs(b / a - (-0.4130081122212993)) <= 1e-8
 
 
+def test_large_lambda_against_oracle():
+    # one call: D rises towards its limit 1 along lambda = 10, 20, 40, 80,
+    # and 20, 40 and 5 + 30i are regression points of the spectra solve
+    model, wave = build_coupled_wave(1.0)
+    o = oracle_coupled_wave(1.0, 0.0)
+    lams = [10.0, 20.0, 40.0, 80.0, 5.0 + 30.0j]
+    got = {s.lam: s.D for s in evans_dets(model, wave, 0.0, lams, numerics=Numerics(tol=1e-9))}
+    err = {lam: abs(got[lam] / o.evans_det(lam) - 1.0) for lam in lams}
+    real = [got[lam].real for lam in lams[:4]]
+    assert 0.0 < real[0] < real[1] < real[2] < real[3] < 1.0
+    assert all(abs(got[lam].imag) <= 1e-12 for lam in lams[:4])
+    assert max(err[lam] for lam in lams[:4]) <= 1e-9
+    assert max(err[lam] for lam in (20.0, 40.0, 5.0 + 30.0j)) <= 1e-10
+
+
 def test_zero_pattern_at_origin():
     model, wave = build_coupled_wave(1.0)
     s = evans_det(model, wave, 0.0, 0.0)

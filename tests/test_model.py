@@ -155,6 +155,16 @@ def test_oracle_frozen_values():
     assert o3.momentum == pytest.approx(-1.0063534432530414, abs=1e-12)
 
 
+def test_oracle_evans_det_tends_to_one():
+    # with Omega(eta_i, zeta_j) = delta_ij, D -> 1 as lambda -> +infinity:
+    # the sign of D there is +1
+    o = oracle_coupled_wave(1.0, 0.0)
+    d = [o.evans_det(lam).real for lam in (1e2, 1e4, 1e6)]
+    assert d == pytest.approx([0.7866420112706431, 0.9976028777153385, 0.9999760002879977],
+                              rel=1e-12)
+    assert 0.0 < 1.0 - d[2] < 1.0 - d[1] < 1.0 - d[0]
+
+
 def test_oracle_psi_solves_scattering_ode():
     # alpha^-2 psi'' + 12 sech^2(alpha xi) psi = (4 + 3p) psi at lambda = 0
     for p, c in ((1.0, 0.0), (2.0, 0.3), (0.5, -0.3)):
