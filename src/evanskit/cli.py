@@ -470,3 +470,7 @@ def contour(**kw):
 @_options
 def verify(**kw):
     _run("verify", kw)
+
+
+if __name__ == "__main__":
+    main()

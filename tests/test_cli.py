@@ -1,8 +1,11 @@
 """Command-line front-end: exit codes, file formats, determinism, suites."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -303,3 +306,21 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)   # examples may write files
     r = _run(shlex.split(command)[1:])
     assert r.exit_code == (2 if "exact-evans" in command else 0), r.output
+
+
+def _run_module(args):
+    # python -m evanskit.cli in a fresh interpreter, with this checkout's src first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "evanskit.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_runs_as_module():
+    args = ["report", "--p", "1", "--c", "0.3"]
+    r = _run_module(args)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == _run(args).stdout
+    bad = _run_module(["report", "--bogus"])
+    assert bad.returncode == 1 and bad.stdout == ""
