@@ -25,11 +25,6 @@ from .model import MultisymplecticModel, jc
 _NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
 
 
-def delta(model: MultisymplecticModel, c: float, lam: complex, mu: complex) -> complex:
-    """Characteristic function det(B_inf - lambda M - mu J(c))."""
-    return det4(model.binf() - lam * model.M - mu * jc(model, c))
-
-
 @dataclass
 class InfinitySpectrum:
     """Exponents and normalized frames of the system at infinity."""
