@@ -122,12 +122,6 @@ def dIdc(model: MultisymplecticModel, wave: WaveFamily, c: float) -> float:
     return val
 
 
-def _attachment_index(wave, c, spec: InfinitySpectrum) -> int:
-    # the unstable exponent the wave tangent rides on the -infinity tail:
-    # the one nearest the profile's decay rate
-    return min([2, 3], key=lambda k: abs(spec.mu[k].real - wave.decay_rate(c)))
-
-
 def _plateau(vals: np.ndarray, what: str) -> float:
     m = np.mean(vals)
     drift = (np.max(vals) - np.min(vals)) / abs(m)
@@ -148,7 +142,9 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
         spec = spectrum(model, c, 0.0)
     L = wave.default_L(c)
     J = jc(model, c)
-    k = _attachment_index(wave, c, spec)
+    # the unstable exponent the wave tangent rides on the -infinity tail:
+    # the one nearest the profile's decay rate
+    k = min([2, 3], key=lambda k: abs(spec.mu[k].real - wave.decay_rate(c)))
     mu = spec.mu[k].real
     xs = np.linspace(-L, -L + 5.0, 21)
     vm = np.array([np.exp(-mu * x)

@@ -136,7 +136,7 @@ def test_chi_values():
 
 def test_chi_requires_plateau():
     # multiplicative ripple on the tangent spoils the exponential plateau
-    # without changing the fitted decay slope
+    # without changing the decay rate
     ripple = dataclasses.replace(
         WAVE, zhat_xi=lambda xi, c: (1.0 + 0.05 * np.sin(xi)) * WAVE.zhat_xi(xi, c))
     with pytest.raises(NoPlateau):
