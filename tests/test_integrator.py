@@ -280,3 +280,25 @@ def test_mixed_run_list_equals_runs_alone():
         assert a.stats == b.stats and a.xi_seed == b.xi_seed
         if grid is not None:
             assert np.array_equal(a.values, b.values) and a.grid is b.grid is grid
+
+
+def test_tangent_pair_golden_bits():
+    # end values of the lambda = 0 tangent pair at p = 1, c = 0.3 as float.hex,
+    # with their step counts: Pi rests on them, and they must keep every bit
+    model, wave = build_coupled_wave(1.0)
+    nm = Numerics()
+    spec = spectrum(model, 0.3, 0.0)
+    minus, plus = integrate_modes(model, wave, 0.3, _tangent_pair(wave, 0.3, nm, spec),
+                                  tol=nm.tol, L=nm.L)
+    want = (
+        (["-0x1.b14da2bb22628p-10", "0x1.b70f3ca7d2aecp-11",
+          "-0x1.d28030724fd98p-9", "-0x1.b14da2bb22628p-11"], (536, 12)),
+        (["0x1.97312f1c19bfep-9", "0x1.9c99fc3174d6ap-10",
+          "-0x1.b6639bf48c240p-8", "0x1.97312f1c19bfep-10"], (595, 12)),
+    )
+    for sol, (re, steps) in zip((minus, plus), want):
+        assert [float(v.real).hex() for v in sol.value_at_end] == re
+        assert [float(v.imag).hex() for v in sol.value_at_end] == ["0x0.0p+0"] * 4
+        assert (sol.nsteps, sol.nrejected) == steps
+    assert minus.h_min.hex() == (0.0006957383375383319).hex()
+    assert plus.h_min.hex() == (0.005534137142400919).hex()
