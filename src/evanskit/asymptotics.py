@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import (Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
-from .linalg import (Poly4, as_cmat4, det4, nullvectors, quartic_root_sets, skew_cmat4,
-                     symplectic_forms, wedge4)
+from .linalg import (Poly4, as_cmat4, det4s, nullvectors, quartic_root_sets, skew_cmat4,
+                     symplectic_forms)
 from .model import MultisymplecticModel, jc
 
 _NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
+_VANDER = np.vander(_NODES, 5, increasing=True)
 
 
 @dataclass
@@ -38,11 +39,24 @@ class InfinitySpectrum:
     tau: float            # -trace(J(c)^-1 M)
 
 
+def _delta_coeffs(model: MultisymplecticModel, c: float, lams) -> np.ndarray:
+    """Delta(mu, lambda) as a quartic in mu at every lambda: (len(lams), 5), ascending.
+
+    Five determinants per lambda, all from one det4s call, pin the
+    coefficients; the 5x5 Vandermonde systems are one stacked solve.
+    """
+    lam = np.array(lams, dtype=complex).reshape(-1, 1, 1, 1)
+    mats = model.binf() - lam * model.M - _NODES[:, None, None] * jc(model, c)
+    if not np.all(np.isfinite(mats.view(float))):
+        raise ValueError("non-finite entries in 4x4 matrix")
+    vals = det4s(mats.reshape(-1, 4, 4)).reshape(-1, len(_NODES), 1)
+    vander = np.broadcast_to(_VANDER, (len(vals),) + _VANDER.shape)
+    return np.linalg.solve(vander, vals)[..., 0]
+
+
 def _delta_poly(model: MultisymplecticModel, c: float, lam: complex) -> Poly4:
-    """Delta(mu, lambda) as a quartic in mu: five determinants pin its coefficients."""
-    j, binf = jc(model, c), model.binf()
-    vals = np.array([det4(binf - lam * model.M - m * j) for m in _NODES])
-    return Poly4(np.linalg.solve(np.vander(_NODES, 5, increasing=True), vals))
+    """Delta(mu, lambda) as a quartic in mu at one lambda."""
+    return Poly4(_delta_coeffs(model, c, [lam])[0])
 
 
 def _exponents(lam: complex, mu: np.ndarray) -> np.ndarray:
@@ -67,15 +81,17 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     """Solve the system at infinity and build the dual frames at every lambda.
 
     mu ordering is ascending real part (imaginary part breaks ties).  The
-    quartics are solved together and all 8 * len(lams) null vectors come
-    from one stacked Jacobi call; every field equals what spectrum gives
-    at that lambda alone.  On failure the batch raises what the first
-    failing lambda, in list order, raises alone.
+    Delta coefficients of every lambda come from one det4s call and one
+    stacked solve (_delta_coeffs), the quartics are solved together, all
+    8 * len(lams) null vectors come from one stacked Jacobi call and the
+    Kconst of every frame from one more det4s call; every field equals
+    what spectrum gives at that lambda alone.  On failure the batch raises
+    what the first failing lambda, in list order, raises alone.
     """
     lams = [complex(lam) for lam in lams]
     j = jc(model, c)
     binf = model.binf()
-    roots, errs = quartic_root_sets([_delta_poly(model, c, lam) for lam in lams])
+    roots, errs = quartic_root_sets([Poly4(co) for co in _delta_coeffs(model, c, lams)])
     mus = {}
     for i, lam in enumerate(lams):
         if errs[i] is None:
@@ -98,6 +114,8 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
         eta = raw / pairing[..., None]
     got = symplectic_forms(jj, eta[:, :, None], zeta[:, None, :])
     tau = -float(np.real(np.trace(np.linalg.solve(j, model.M))))
+    # zeta_1^zeta_2^zeta_3^zeta_4 against vol: det of the matrix with columns zeta_k
+    kconst = det4s(np.swapaxes(zeta, 1, 2))
 
     out = []
     for i, lam in enumerate(lams):
@@ -121,12 +139,11 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
                 if abs(g - want) > 1e-9:
                     raise NormalizationFail(
                         f"Omega(eta_{a + 1}, zeta_{k + 1}) = {g:.2e}, expected {want}")
-        z = zeta[n].copy()
-        kconst = wedge4(*z)
-        if abs(kconst) < 1e-12:
+        kc = complex(kconst[n])
+        if abs(kc) < 1e-12:
             raise Degenerate("zeta frame wedges to zero; frame degenerate")
-        out.append(InfinitySpectrum(c=c, lam=lam, mu=mus[i], zeta=z, eta=eta[n].copy(),
-                                    Kconst=kconst, tau=tau))
+        out.append(InfinitySpectrum(c=c, lam=lam, mu=mus[i], zeta=zeta[n].copy(),
+                                    eta=eta[n].copy(), Kconst=kc, tau=tau))
     return out
 
 
@@ -135,18 +152,31 @@ def spectrum(model: MultisymplecticModel, c: float, lam: complex) -> InfinitySpe
     return spectra(model, c, [lam])[0]
 
 
-def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
-                                 lam: complex) -> float:
-    """min over real kappa of |det(B_inf - lambda M - i kappa J(c))|.
+def continuous_spectrum_distances(model: MultisymplecticModel, c: float,
+                                  lams) -> np.ndarray:
+    """min over real kappa of |det(B_inf - lambda M - i kappa J(c))| at every lambda.
 
     Zero exactly when lambda sits on the continuous spectrum.  With
     P(kappa) = Delta(i kappa, lambda), |P|^2 is a real polynomial of degree
     8 with a positive leading coefficient, so its minimum over the real
     line sits at a real root of its derivative.  The minimum is taken over
     the real parts of all 7 roots, which keeps a real critical point that
-    roundoff moved off the axis.
+    roundoff moved off the axis.  The coefficients of every P come from one
+    _delta_coeffs call; the roots are found lambda by lambda.
     """
-    b = _delta_poly(model, c, lam).coeffs * 1j ** np.arange(5)   # P, ascending
-    sq = np.convolve(b, np.conj(b)).real
-    crit = np.roots(np.polyder(sq[::-1])).real
-    return float(np.min(np.abs(np.polyval(b[::-1], crit))))
+    out = np.empty(len(lams))
+    for n, co in enumerate(_delta_coeffs(model, c, lams)):
+        b = co * 1j ** np.arange(5)   # P, ascending
+        sq = np.convolve(b, np.conj(b)).real
+        crit = np.roots(np.polyder(sq[::-1])).real
+        out[n] = np.min(np.abs(np.polyval(b[::-1], crit)))
+    return out
+
+
+def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
+                                 lam: complex) -> float:
+    """min over real kappa of |det(B_inf - lambda M - i kappa J(c))| at one lambda.
+
+    The batch of one of continuous_spectrum_distances, with the same bits.
+    """
+    return float(continuous_spectrum_distances(model, c, [lam])[0])

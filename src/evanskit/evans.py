@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import InfinitySpectrum, continuous_spectrum_distance, spectra, spectrum
+from .asymptotics import InfinitySpectrum, continuous_spectrum_distances, spectra, spectrum
 from .errors import BadParameter, ContourOnSpectrum, NoConverge, NonClosure, StepTooLarge
 from .integrator import integrate_modes
 from .linalg import symplectic_form, wedge4
@@ -43,10 +43,12 @@ class Numerics:
     h: float = 0.1           # derivative step at the origin
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise BadParameter("tol must be positive")
-        if self.h <= 0:
-            raise BadParameter("h must be positive")
+        # written so that NaN fails every test
+        for name in ("tol", "h"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise BadParameter(f"{name} must be finite and positive")
+        if self.L is not None and not 0.0 < self.L < np.inf:
+            raise BadParameter("L must be None or finite and positive")
 
 
 _DEFAULT = Numerics()
@@ -315,11 +317,10 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
     if lam_max <= 0 or n < 2:
         raise BadParameter("scan needs lam_max > 0 and at least two samples")
     lams = np.linspace(lam_max / n, lam_max, n)
-    for lam in lams:
-        if continuous_spectrum_distance(model, c, lam) < 1e-6:
-            warnings.warn(f"scan sample lambda={lam:.6g} sits on the continuous "
-                          "spectrum", stacklevel=2)
-            break
+    on_spectrum = np.flatnonzero(continuous_spectrum_distances(model, c, lams) < 1e-6)
+    if on_spectrum.size:
+        warnings.warn(f"scan sample lambda={lams[on_spectrum[0]]:.6g} sits on the "
+                      "continuous spectrum", stacklevel=2)
     samples = evans_dets(model, wave, c, lams, numerics=nm)
     vals = np.array([s.D for s in samples])
     re = vals.real
@@ -370,10 +371,10 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
         raise BadParameter("contour must not enclose or touch the origin, "
                            "where D vanishes identically")
     pts = _rect_path((re0, re1, im0, im1), m_per_edge)
-    for lam in pts[:-1]:
-        if continuous_spectrum_distance(model, c, lam) < 1e-6:
-            raise ContourOnSpectrum(f"contour point {lam:.6g} sits on the "
-                                    "continuous spectrum")
+    on_spectrum = np.flatnonzero(continuous_spectrum_distances(model, c, pts[:-1]) < 1e-6)
+    if on_spectrum.size:
+        raise ContourOnSpectrum(f"contour point {pts[on_spectrum[0]]:.6g} sits on the "
+                                "continuous spectrum")
     D: dict[complex, complex] = {}
 
     def evaluate(lams):

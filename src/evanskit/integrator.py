@@ -35,7 +35,7 @@ from .asymptotics import InfinitySpectrum, spectrum
 from .errors import Overflow, StepFail
 from .model import MultisymplecticModel, WaveFamily, jc
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; row 6 of _A holds the fifth-order weights (FSAL)
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array([
     [0, 0, 0, 0, 0, 0],
@@ -46,7 +46,6 @@ _A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ])
-_B = _A[6]  # fifth-order weights; FSAL
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
 # quartic dense-output coefficients (Shampine)
@@ -94,15 +93,11 @@ class RescaledSolution:
         return StepStats(self.nsteps, self.nrejected, self.h_min)
 
 
-def _weighted(w, k):
-    # sum_j w[j] k[j]: elementwise products summed along the leading axis,
-    # so every element of every row sees the same operations in the same order
-    return (w[:, None, None] * k[:len(w)]).sum(axis=0)
-
-
-def _apply(a, v):
-    # a[m] @ v[m] for every run m, one stacked matrix-vector product
-    return (a @ v[:, :, None])[:, :, 0]
+# stage weights as (i, 1, 1) constants: row i of _A weighs k[0..i-1] into the
+# argument of stage i, and row 6 into the new state
+_STAGE_W = [None] + [_A[i, :i].reshape(-1, 1, 1) for i in range(1, 7)]
+_ERR_W = _E.reshape(-1, 1, 1)
+_C_STAGES = _C[1:6, None]   # abscissa fractions of stages 1-5, as a column
 
 
 def _dopri5(amat, x0, x1, y0, tol: float, out_grids=None):
@@ -120,6 +115,11 @@ def _dopri5(amat, x0, x1, y0, tol: float, out_grids=None):
     abscissae x + C_i h; the FSAL stage reuses the matrices of the sixth
     stage, whose abscissa x + h is the same float.
 
+    A stage argument y + h sum_j a_ij k_j is formed as weights times stages,
+    a sum over the leading axis, times h, plus y: the same operations in the
+    same order for every element, written into buffers allocated once per
+    call, with x, y and the FSAL stage updated in place on accepted rows.
+
     out_grids, when given, holds per row a grid monotone in that row's
     direction of integration, or None; the row's dense interpolant is
     sampled there.  Returns (y_end, out_values, stats): out_values holds
@@ -135,9 +135,14 @@ def _dopri5(amat, x0, x1, y0, tol: float, out_grids=None):
     live = direction * (x1 - x) > 0
     h = np.where(live, direction * np.minimum(np.abs(span) / 100.0, 1.0), 0.0)
     k = np.empty((7,) + y.shape, dtype=complex)
-    k[0] = _apply(amat(x[None])[0], y)
+    np.matmul(amat(x[None])[0], y[..., None], out=k[0][..., None])
+    terms = np.empty_like(k)      # weights times stages
+    total = np.empty_like(y)      # their sum over the stages
+    incr = np.empty_like(y)       # h times the sum
+    arg = np.empty_like(y)        # y plus the increment: a stage's argument
+    y_new = np.empty_like(y)
     accepted = np.zeros(len(y), dtype=int)
-    rejected = np.zeros(len(y), dtype=int)
+    tried = np.zeros(len(y), dtype=int)
     h_min = np.full(len(y), np.inf)
     grids = [None] * len(y) if out_grids is None else out_grids
     dense = [m for m, g in enumerate(grids) if g is not None]
@@ -145,32 +150,45 @@ def _dopri5(amat, x0, x1, y0, tol: float, out_grids=None):
                 for g in grids]
     i_out = [0] * len(y)
 
+    def increment(w, hc):
+        # h sum_j w[j] k[j], into incr
+        t = terms[:len(w)]
+        np.multiply(w, k[:len(w)], out=t)
+        np.add.reduce(t, axis=0, out=total)
+        return np.multiply(hc, total, out=incr)
+
     while live.any():
         small = live & (np.abs(h) < floor)
         if small.any():
             m = int(np.argmax(small))
             raise StepFail(f"step size {h[m]:.2e} collapsed at xi={x[m]:.4f}")
-        last = direction * (x + h - x1) > 0
-        h = np.where(last, x1 - x, h)
+        x_end = x + h
+        last = direction * (x_end - x1) > 0
+        if last.any():
+            h = np.where(last, x1 - x, h)
+            x_end = np.where(last, x1, x_end)
         hc = h[:, None]
-        a = amat(x + _C[1:6, None] * h)
-        for i in range(1, 6):
-            k[i] = _apply(a[i - 1], y + hc * _weighted(_A[i, :i], k))
-        y_new = y + hc * _weighted(_B[:6], k)
-        k[6] = _apply(a[4], y_new)  # FSAL stage, feeds error estimate only
-        err_vec = hc * _weighted(_E, k)
-        sc = tol * np.where(live, np.abs(h), 1.0)[:, None] * (1.0 + np.abs(y_new))
+        abs_h = np.abs(h)
+        a = amat(x + _C_STAGES * h)
+        for i in range(1, 7):
+            # stages 1-5, then the new state and its FSAL stage on a[4]
+            out = y_new if i == 6 else arg
+            np.add(y, increment(_STAGE_W[i], hc), out=out)
+            np.matmul(a[min(i, 5) - 1], out[..., None], out=k[i][..., None])
+        err_vec = increment(_ERR_W, hc)
+        ay = np.abs(y_new)
+        sc = tol * np.where(live, abs_h, 1.0)[:, None] * (1.0 + ay)
         err = np.max(np.abs(err_vec) / sc, axis=1)
         ok = live & (err <= 1.0)
+        tried += live
         if ok.any():
-            x_new = np.where(last, x1, x + h)
             for m in dense:
                 if not ok[m]:
                     continue
-                # the dense interpolant of row m covers [x[m], x_new[m]]
+                # the dense interpolant of row m covers [x[m], x_end[m]]
                 g, i = grids[m], i_out[m]
                 q = None
-                while i < len(g) and direction[m] * (g[i] - x_new[m]) <= 0:
+                while i < len(g) and direction[m] * (g[i] - x_end[m]) <= 0:
                     if q is None:
                         q = k[:, m].T @ _P  # (n, 4)
                     th = (g[i] - x[m]) / h[m]
@@ -178,28 +196,29 @@ def _dopri5(amat, x0, x1, y0, tol: float, out_grids=None):
                     out_vals[m][i] = y[m] + h[m] * (q @ pows)
                     i += 1
                 i_out[m] = i
-            x = np.where(ok, x_new, x)
-            y = np.where(ok[:, None], y_new, y)
-            k[0] = np.where(ok[:, None], k[6], k[0])  # FSAL
+            np.copyto(x, x_end, where=ok)
+            np.copyto(y, y_new, where=ok[:, None])
+            np.copyto(k[0], k[6], where=ok[:, None])  # FSAL
             accepted += ok
-            h_min = np.where(ok, np.minimum(h_min, np.abs(h)), h_min)
-            big = ok & (np.max(np.abs(y), axis=1) > _OVERFLOW)
-            if big.any():
-                m = int(np.argmax(big))
-                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} at xi={x[m]:.3f}")
-        rejected += live & ~ok
-        fac = 0.9 * np.where(err > 0, err, 1.0) ** -0.2
-        grow = np.where(err > 0, np.minimum(5.0, fac), 5.0)
+            np.minimum(h_min, abs_h, out=h_min, where=ok)
+            if not ay.max() <= _OVERFLOW:   # true for a NaN too
+                big = ok & (np.max(ay, axis=1) > _OVERFLOW)
+                if big.any():
+                    m = int(np.argmax(big))
+                    raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} at xi={x[m]:.3f}")
+        pos = err > 0
+        fac = 0.9 * np.where(pos, err, 1.0) ** -0.2
+        grow = np.where(pos, np.minimum(5.0, fac), 5.0)
         shrink = np.where(err > 1.0, np.maximum(0.2, fac), 0.2)  # a NaN error shrinks most
-        h = np.where(ok, h * grow, h * shrink)
+        h = h * np.where(ok, grow, shrink)
         live = direction * (x1 - x) > 0
         h = np.where(live, h, 0.0)
 
     for m in dense:
         # grid points at the end point that no interpolant reached
         out_vals[m][i_out[m]:] = y[m]
-    stats = [StepStats(int(a), int(r), float(s))
-             for a, r, s in zip(accepted, rejected, h_min)]
+    stats = [StepStats(int(a), int(t - a), float(s))
+             for a, t, s in zip(accepted, tried, h_min)]
     return y, out_vals, stats
 
 
@@ -270,11 +289,22 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
             + (sigma * mu)[:, None, None] * np.eye(4))
     hess = model.hessS
     zhat = wave.zhat
+    cmat_re = np.ascontiguousarray(cmat.real)
+    bufs = {}   # one output per abscissa shape, reused from step to step
 
     def amat(xi):
-        # a hessS constant in z returns one 4x4 matrix: broadcast it to the stack
+        out = bufs.get(xi.shape)
+        if out is None:
+            # jinv and the Hessian are real, so the imaginary part is 0 - cmat.imag
+            # at every abscissa: it is written once
+            out = bufs[xi.shape] = np.empty(xi.shape + (4, 4), complex)
+            np.subtract(0.0, cmat.imag, out=out.imag)
         jh = jinv @ hess(zhat(xi.ravel(), c))
-        return np.broadcast_to(jh, (xi.size, 4, 4)).reshape(xi.shape + (4, 4)) - cmat
+        if jh.ndim == 3:
+            jh = jh.reshape(xi.shape + (4, 4))
+        # else a hessS constant in z returned one 4x4 matrix, which broadcasts
+        np.subtract(jh, cmat_re, out=out.real)
+        return out
 
     y_end, out_vals, stats = _dopri5(amat, xi_seed, until, seed, tol, grids)
     return [RescaledSolution(xi_seed=float(xi_seed[m]), value_at_end=y_end[m],

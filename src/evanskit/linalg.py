@@ -9,6 +9,7 @@ into results.
 The null-vector and quartic solvers are batched (nullvectors,
 quartic_root_sets): a whole stack iterates in lockstep, each item keeping
 its own stopping test, so nullvector and quartic_roots are batches of one.
+det4s is det4 over a stack, and det4 stays the scalar kernel.
 Each item must get the bits of one-at-a-time arithmetic on complex
 scalars, on which every pinned D, root and Pi rests.  numpy's array loops
 round differently from its scalar arithmetic: the SIMD complex product
@@ -156,11 +157,35 @@ _DK_START = (0.4 + 0.9j) ** np.arange(1, 5)
 
 
 def _cmul(a, b) -> np.ndarray:
-    """a * b elementwise, written in real parts to round as a numpy scalar product does."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    """a * b elementwise, written in real parts to round as a numpy scalar product does.
+
+    At least one of a, b is an array; the product takes the shape of its real part.
+    """
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def det4s(ms) -> np.ndarray:
+    """det4 of every matrix of a (K, 4, 4) stack, bit for bit.
+
+    The same complementary 2x2 minors and six-term sum as det4, in the same
+    order, with every product of two entries written by _cmul.  Entries are
+    not checked: a non-finite entry gives a non-finite determinant.
+    """
+    a = np.asarray(ms, dtype=complex)
+    if a.ndim != 3 or a.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {np.shape(ms)}")
+
+    def minor2(r0, r1, c0, c1):
+        return _cmul(a[:, r0, c0], a[:, r1, c1]) - _cmul(a[:, r0, c1], a[:, r1, c0])
+
+    p = [minor2(0, 1, i, j) for (i, j) in BASIS2]
+    q = [minor2(2, 3, i, j) for (i, j) in BASIS2]
+    return (_cmul(p[0], q[5]) - _cmul(p[1], q[4]) + _cmul(p[2], q[3])
+            + _cmul(p[3], q[2]) - _cmul(p[4], q[1]) + _cmul(p[5], q[0]))
 
 
 def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ class MultisymplecticModel:
 
     gradS maps a point z of shape (4,) to grad S(z), and z of shape (4, N)
     to the (4, N) array of its columns' gradients; verify_wave relies on
-    this.  hessS maps z of shape (4,) to the 4x4 Hessian and also
+    this.  hessS maps z of shape (4,) to the real 4x4 Hessian and also
     broadcasts over a trailing batch axis: z of shape (4, N) maps to an
     (N, 4, 4) stack whose n-th matrix equals hessS(z[:, n]) exactly.  The
     mode integrator relies on this to advance many runs at once: it calls

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from evanskit.asymptotics import _delta_poly, continuous_spectrum_distance, spectra, spectrum
+from evanskit.asymptotics import (_delta_coeffs, _delta_poly, continuous_spectrum_distance,
+                                  continuous_spectrum_distances, spectra, spectrum)
 from evanskit.errors import DegenerateMu, NoConverge, SplittingViolated
 from evanskit.linalg import symplectic_form
 from evanskit.model import build_coupled_wave, jc, oracle_coupled_wave
@@ -132,6 +133,25 @@ def test_continuous_spectrum_distance_is_the_minimum(p, c):
         coeffs = _delta_poly(model, c, lam).coeffs
         grid = np.abs(np.polyval(coeffs[::-1], 1j * kappas))
         assert dist <= np.min(grid) * (1.0 + 1e-12) + 1e-12 * np.max(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("p, c, seed", [(1.0, 0.0, 1), (2.0, 0.3, 2), (0.5, -0.6, 3)])
+def test_batched_distances_equal_singletons(p, c, seed):
+    # one _delta_coeffs call for a batch gives every lambda the bits of its own
+    # call: the Delta coefficients and the continuous-spectrum distances
+    model, _ = build_coupled_wave(p)
+    rng = np.random.default_rng(seed)
+    re, im = np.linspace(0.5, 3.0, 12), np.linspace(-0.8, 0.8, 12)
+    edge = (list(re - 0.8j) + list(3.0 + 1j * im) + list(re[::-1] + 0.8j)
+            + list(0.5 + 1j * im[::-1]))
+    lams = (edge + list(rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20))
+            + list(rng.uniform(0, 4, 10)) + [0.0, 0.05, -0.1, 2.5j, 2.0j, 1e-3 + 2j])
+    dists = continuous_spectrum_distances(model, c, lams)
+    coeffs = _delta_coeffs(model, c, lams)
+    assert dists.shape == (len(lams),) and coeffs.shape == (len(lams), 5)
+    for lam, d, co in zip(lams, dists, coeffs):
+        assert float(d).hex() == continuous_spectrum_distance(model, c, lam).hex()
+        assert co.tobytes() == _delta_poly(model, c, lam).coeffs.tobytes()
 
 
 def _bits(s):

@@ -67,6 +67,24 @@ def test_batch_equals_singleton_calls():
             assert all(st.accepted > 0 and st.h_min > 0 for st in b.stats.values())
 
 
+@pytest.mark.parametrize("bad", [
+    {"L": 0.0}, {"L": -5.0}, {"L": math.nan}, {"L": math.inf},
+    {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan}, {"tol": math.inf},
+    {"h": -0.1}, {"h": math.nan}, {"h": math.inf},
+])
+def test_numerics_refuses_bad_values(bad):
+    # L = 0 used to give D = 1 after zero steps, the lambda -> infinity limit,
+    # L < 0 a huge D, and h = NaN an untyped ValueError deep in the spectrum
+    with pytest.raises(BadParameter, match=next(iter(bad))):
+        Numerics(**bad)
+
+
+def test_numerics_accepts_good_values():
+    nm = Numerics(tol=1e-9, L=15.0, h=0.05)
+    assert (nm.tol, nm.L, nm.h) == (1e-9, 15.0, 0.05)
+    assert Numerics().L is None
+
+
 def test_ratio_matches_closed_form():
     model, wave = build_coupled_wave(1.0)
     a = evans_det(model, wave, 0.0, 1.0).D.real

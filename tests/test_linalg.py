@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evanskit.errors import Degenerate, NonSkew, RankError
-from evanskit.linalg import (NULLVECTOR_TOL, Bivector, Poly4, det4, interior2, nullvector,
+from evanskit.linalg import (NULLVECTOR_TOL, Bivector, Poly4, det4, det4s, interior2, nullvector,
                              nullvectors, quartic_root_sets, quartic_roots,
                              symplectic_form, wedge2, wedge4)
 
@@ -39,6 +39,25 @@ def test_det4_multiplicative(seed):
     b = rng.uniform(-10, 10, (4, 4)) + 1j * rng.uniform(-10, 10, (4, 4))
     lhs, rhs = det4(a @ b), det4(a) * det4(b)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_det4s_equals_det4_bit_for_bit(seed):
+    # entries over many magnitudes, exact zeros of either sign and purely real
+    # or imaginary rows: the stacked kernel must round exactly as det4 does
+    rng = np.random.default_rng(seed)
+    k = 40
+    a = (rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))) \
+        * np.exp(rng.uniform(-12, 12, (k, 4, 4)))
+    a[rng.random((k, 4, 4)) < 0.15] = 0.0
+    a[rng.random((k, 4, 4)) < 0.05] = -0.0
+    a.real[rng.random((k, 4, 4)) < 0.1] = 0.0
+    a.imag[rng.random((k, 4, 4)) < 0.1] = -0.0
+    got = det4s(a)
+    assert got.shape == (k,)
+    for m, d in zip(a, got):
+        assert np.complex128(d).tobytes() == np.complex128(det4(m)).tobytes()
+    assert det4s(a[:1]).tobytes() == got[:1].tobytes()
 
 
 def test_symplectic_form_basic():
