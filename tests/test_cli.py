@@ -1,5 +1,6 @@
 """Command-line front-end: exit codes, file formats, determinism, suites."""
 
+import hashlib
 import json
 import os
 import re
@@ -286,6 +287,37 @@ def test_verify_exact_evans_closed_form_agrees():
     assert checks[0]["passed"] is False
     assert checks[1]["passed"] is True
     assert float(checks[1]["detail"].split()[3]) <= 1e-6
+
+
+# sha256 of the default stdout of each command, beside it.  The scan and
+# contour commands carry perfbench/workloads.py's anchor flags.  A change
+# that means to move a printed digit re-records these and says so.
+_PINNED_STDOUT = [
+    ("report --p 1 --c 0.3",
+     "2a47d2169247dad62a59d120241226bec09d8b19a92d241bdf5dc44b9c541fd7"),
+    ("report --p 2 --c 0",
+     "273b26a34ad0551741494032185c466520016d84861b2256813c25ec5bede1e7"),
+    ("scan --model coupled-wave --p 1.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
+     "c63209f10d56794e67e05443f03cffbb5a9fa4f4ed46ed4fd1bac72007862943"),
+    ("scan --model coupled-wave --p 2.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
+     "757e7fcb685aadf2b3f79631b4c5ec5e1971bd4b0c82102bc3b4ecd9fbcc86f4"),
+    ("contour --model coupled-wave --p 1.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
+     "4ae2a03e2647f211b25d7a8733c4bfa1fd693a7b7822b9364a4b8764887383e6"),
+    ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
+     "6c65b769956c81a1fcfdf6816f82342dd7df60e833fc29cd93ece6b9cbde490f"),
+    ("verify --suite structure --c 0.3",
+     "5c3d8e7e72807fa55c2f4b85adeea55ff2eaa7e2a1ad7dad5c5124fe44e6bda4"),
+    ("verify --suite appendix-a --c 0.3",
+     "e212aed9a1cd3b71b1b21a5fa9588122f922570b9e079286fa9d46d1a827a5cc"),
+]
+
+
+@pytest.mark.parametrize("command, digest", _PINNED_STDOUT, ids=[c for c, _ in _PINNED_STDOUT])
+def test_pinned_stdout_bytes(command, digest):
+    r = _run(shlex.split(command))
+    assert r.exit_code == 0, r.output
+    assert r.stderr == ""
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def _readme_cli_commands():
