@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
-from .linalg import (Poly4, as_cmat4, det4s, nullvectors, quartic_root_sets, skew_cmat4,
+from .linalg import (Poly4, det4s, nullvectors, quartic_root_sets, skew_cmat4,
                      symplectic_forms)
 from .model import MultisymplecticModel, jc
 
@@ -108,7 +108,7 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     vecs, vec_errs = nullvectors(mats.reshape(-1, 4, 4))
     vecs = vecs.reshape(-1, 4, 2, 4)
     zeta, raw = vecs[:, :, 0], vecs[:, :, 1]
-    jj = as_cmat4(j)
+    jj = skew_cmat4(j)
     pairing = symplectic_forms(jj, raw, zeta)
     with np.errstate(divide="ignore", invalid="ignore"):   # refused below, as alone
         eta = raw / pairing[..., None]
@@ -126,8 +126,6 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
             for err in vec_errs[8 * n + 2 * k:8 * n + 2 * k + 2]:
                 if err is not None:
                     raise err
-            if k == 0:
-                skew_cmat4(j)   # symplectic_form's check, where the first pairing made it
             pk = complex(pairing[n, k])
             if abs(pk) < 1e-10:
                 raise NormalizationFail(

@@ -16,7 +16,7 @@ import numpy as np
 from .asymptotics import InfinitySpectrum, continuous_spectrum_distances, spectra, spectrum
 from .errors import BadParameter, ContourOnSpectrum, NoConverge, NonClosure, StepTooLarge
 from .integrator import integrate_modes
-from .linalg import symplectic_form, wedge4
+from .linalg import _cmul, skew_cmat4, symplectic_forms, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
 
 __all__ = [
@@ -86,24 +86,18 @@ def _det_runs(lams, specs, xi_star: float = 0.0) -> list:
 
 
 def _det_samples(model, c, lams, specs, sols, xi_star: float = 0.0) -> list[EvansSample]:
-    # the determinants from the solutions of _det_runs(lams, specs, xi_star)
-    J = jc(model, c)
-    out = []
-    for n, (lam, spec) in enumerate(zip(lams, specs)):
-        r = {f"{kind}{j}": sol
-             for (j, kind), sol in zip(_DET_MODES, sols[4 * n:4 * n + 4])}
-        mu = spec.mu
-
-        def pair(i, j):
-            # Omega(w_i, u_j), rebalanced to the scale of the matching point
-            return (symplectic_form(J, r[f"w{i}"].value_at_end, r[f"u{j}"].value_at_end)
-                    * np.exp((mu[j - 1] - mu[i - 1]) * xi_star))
-
-        d1, d2, d3, d4 = pair(3, 3), pair(4, 4), pair(3, 4), pair(4, 3)
-        out.append(EvansSample(lam=complex(lam), D=d1 * d2 - d3 * d4,
-                               d1=d1, d2=d2, d3=d3, d4=d4,
-                               stats={k: sol.stats for k, sol in r.items()}))
-    return out
+    # the determinants from the solutions of _det_runs(lams, specs, xi_star):
+    # per lambda, Omega(w_i, u_j) for (i, j) = (3, 3), (4, 4), (3, 4), (4, 3),
+    # rebalanced to the scale of the matching point by exp((mu_j - mu_i) xi_star)
+    ends = np.array([sol.value_at_end for sol in sols]).reshape(-1, 4, 4)   # u3 u4 w3 w4
+    om = symplectic_forms(skew_cmat4(jc(model, c)), ends[:, [2, 3, 2, 3]], ends[:, [0, 1, 1, 0]])
+    mu = np.array([spec.mu for spec in specs]).reshape(-1, 4)
+    d = _cmul(om, np.exp(_cmul(mu[:, [2, 3, 3, 2]] - mu[:, [2, 3, 2, 3]], complex(xi_star))))
+    dets = _cmul(d[:, 0], d[:, 1]) - _cmul(d[:, 2], d[:, 3])
+    names, stats = [f"{kind}{j}" for j, kind in _DET_MODES], [sol.stats for sol in sols]
+    return [EvansSample(lam=complex(lam), D=dets[n], d1=d[n, 0], d2=d[n, 1], d3=d[n, 2],
+                        d4=d[n, 3], stats=dict(zip(names, stats[4 * n:4 * n + 4])))
+            for n, lam in enumerate(lams)]
 
 
 def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,

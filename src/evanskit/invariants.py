@@ -20,7 +20,7 @@ from .errors import (Degenerate, Inconsistent, NoConverge, NonTransverse,
                      NoPlateau, OrientationFail)
 from .evans import Numerics, _derivatives, _det_runs, _det_samples, _stencil
 from .integrator import integrate_modes
-from .linalg import symplectic_form, wedge4
+from .linalg import skew_cmat4, symplectic_forms, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc, on_grid
 
 __all__ = [
@@ -141,21 +141,19 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
     if spec is None:
         spec = spectrum(model, c, 0.0)
     L = wave.default_L(c)
-    J = jc(model, c)
     # the unstable exponent the wave tangent rides on the -infinity tail:
     # the one nearest the profile's decay rate
     k = min([2, 3], key=lambda k: abs(spec.mu[k].real - wave.decay_rate(c)))
     mu = spec.mu[k].real
-    xs = np.linspace(-L, -L + 5.0, 21)
-    vm = np.array([np.exp(-mu * x)
-                   * float(symplectic_form(J, spec.eta[k].real, wave.zhat_xi(x, c)).real)
-                   for x in xs])
-    chi_minus = _plateau(vm, "chi_minus")
-    xs = np.linspace(L - 5.0, L, 21)
-    vp = np.array([np.exp(mu * x)
-                   * float(symplectic_form(J, wave.zhat_xi(x, c), spec.zeta[k].real).real)
-                   for x in xs])
-    chi_plus = _plateau(vp, "chi_plus")
+    xm, xp = np.linspace(-L, -L + 5.0, 21), np.linspace(L - 5.0, L, 21)
+    # zhat_xi point by point: on an array it rounds differently at some xi
+    zm, zp = (np.array([wave.zhat_xi(x, c) for x in xs]) for xs in (xm, xp))
+    # Omega(eta_k, zhat_xi) on the left tail, then Omega(zhat_xi, zeta_k) on the right
+    us = np.concatenate([np.broadcast_to(spec.eta[k].real, zm.shape), zp])
+    vs = np.concatenate([zm, np.broadcast_to(spec.zeta[k].real, zp.shape)])
+    om = symplectic_forms(skew_cmat4(jc(model, c)), us, vs).real
+    chi_minus = _plateau(np.exp(-mu * xm) * om[:21], "chi_minus")
+    chi_plus = _plateau(np.exp(mu * xp) * om[21:], "chi_plus")
     return chi_minus, chi_plus, 1.0 / (chi_plus * chi_minus)
 
 
@@ -170,6 +168,14 @@ def _tangent_pair(wave, c, nm: Numerics, spec) -> list:
     gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), _PAIR_PTS]))
     gp = np.unique(np.concatenate([_PAIR_PTS, np.linspace(2.0, L, 21)]))[::-1]
     return [(0.0, spec, 4, "u", 2.0, gm), (0.0, spec, 4, "w", -2.0, gp)]
+
+
+def _at_pair_pts(sol) -> np.ndarray:
+    # the values of a tangent-pair run at _PAIR_PTS, in that order
+    i = np.flatnonzero(np.isin(sol.grid, _PAIR_PTS))
+    if i.size != _PAIR_PTS.size:
+        raise ValueError("tangent-pair grid must hold linspace(-2, 2, 9)")
+    return sol.values[i[np.argsort(sol.grid[i])]]
 
 
 @dataclass
@@ -205,13 +211,10 @@ def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
 def _pi_data(model, wave, c, sp: InfinitySpectrum, minus, plus) -> PiData:
     # pi_profile from the solutions of _tangent_pair(wave, c, nm, sp)
-    J = jc(model, c)
     pts = _PAIR_PTS
     L = plus.xi_seed   # the half-width the tangent pair was seeded at
-    mvals = {float(x): v for x, v in zip(minus.grid, minus.values)}
-    pvals = {float(x): v for x, v in zip(plus.grid, plus.values)}
-    samples = np.array([float(symplectic_form(J, mvals[float(x)], pvals[float(x)]).real)
-                        for x in pts])
+    vm, vp = _at_pair_pts(minus), _at_pair_pts(plus)
+    samples = symplectic_forms(skew_cmat4(jc(model, c)), vm, vp).real
 
     amp = np.exp(sp.mu[2].real * L)
     num = wedge4(amp * wave.zhat_xi(L, c), sp.eta[3], amp * wave.zhat_xi(-L, c), sp.zeta[3])
@@ -226,10 +229,9 @@ def _pi_data(model, wave, c, sp: InfinitySpectrum, minus, plus) -> PiData:
     if abs(np.std(samples)) > 1e-6 * abs(m):
         raise Inconsistent(f"pairing drifts along xi: rel std "
                            f"{np.std(samples)/abs(m):.2e}")
-    pi = float(samples[np.argmin(np.abs(pts))])
-    i0 = int(np.argmin(np.abs(minus.grid)))
-    j0 = int(np.argmin(np.abs(plus.grid)))
-    if abs(pi) < 1e-10 * np.linalg.norm(minus.values[i0]) * np.linalg.norm(plus.values[j0]):
+    i0 = int(np.argmin(np.abs(pts)))
+    pi = float(samples[i0])
+    if abs(pi) < 1e-10 * np.linalg.norm(vm[i0]) * np.linalg.norm(vp[i0]):
         raise NonTransverse("manifold tangents fail to cross transversely")
     return PiData(pi=pi, grid=pts, samples=samples, orientation_ratio=ratio,
                   flipped=flipped)
@@ -256,24 +258,19 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
     they are integrated with the tolerance and half-width of numerics.
     """
     L = wave.default_L(c)
-    J = jc(model, c)
-    pts = _PAIR_PTS
     if pair is None:
         nm = numerics or Numerics()
         runs = _tangent_pair(wave, c, nm, spectrum(model, c, 0.0))
         minus, plus = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
     else:
         minus, plus = pair
-    rel_p = rel_m = rel_z = 0.0
-    for x in pts:
-        zx = wave.zhat_xi(x, c)
-        zc = wave.zhat_c(x, c)
-        vm = minus.values[int(np.argmin(np.abs(minus.grid - x)))]
-        vp = plus.values[int(np.argmin(np.abs(plus.grid - x)))]
-        nz = np.linalg.norm(zx)
-        rel_p = max(rel_p, abs(symplectic_form(J, zx, vp)) / (nz * np.linalg.norm(vp)))
-        rel_m = max(rel_m, abs(symplectic_form(J, zx, vm)) / (nz * np.linalg.norm(vm)))
-        rel_z = max(rel_z, abs(symplectic_form(J, zx, zc)) / (nz * max(np.linalg.norm(zc), 1e-300)))
+    zx, zc = (np.array([f(x, c) for x in _PAIR_PTS]) for f in (wave.zhat_xi, wave.zhat_c))
+    vs = (_at_pair_pts(plus), _at_pair_pts(minus), zc)
+    om = symplectic_forms(skew_cmat4(jc(model, c)), zx, np.stack(vs))
+    # norms one vector at a time, zc's as a real vector: a stacked norm rounds differently
+    nz = np.array([np.linalg.norm(z) for z in zx])
+    nv = np.maximum([[np.linalg.norm(v) for v in row] for row in vs], 1e-300)
+    rel_p, rel_m, rel_z = np.max(np.hypot(om.real, om.imag) / (nz * nv), axis=1)
 
     def integrand(xi):
         zx, zc = on_grid(wave.zhat_xi, xi, c), on_grid(wave.zhat_c, xi, c)

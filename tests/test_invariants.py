@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import evanskit.invariants as invariants
 from evanskit.asymptotics import spectrum
-from evanskit.errors import Degenerate, Inconsistent, NoConverge, NoPlateau
+from evanskit.errors import (Degenerate, Inconsistent, NoConverge, NonTransverse,
+                             NoPlateau, OrientationFail)
 from evanskit.evans import Numerics, derivatives_at_zero, evans_det
 from evanskit.integrator import integrate_mode, integrate_modes
 from evanskit.invariants import (
@@ -186,6 +187,31 @@ def test_pi_rescale_invariance():
         pds = pi_profile(MODEL, WAVE, c, spec=dataclasses.replace(sp, zeta=z, eta=e))
         assert abs(pds.pi - pd.pi) <= 1e-9 * abs(pd.pi)
         assert pds.flipped == pd.flipped
+
+
+def test_pi_refuses_equal_tangents():
+    # a pair whose plus values equal its minus values at the sample points
+    # pairs to Omega(v, v) = 0 there: the tangents do not cross transversely
+    c = 0.3
+    sp = spectrum(MODEL, c, 0.0)
+    minus, plus = integrate_modes(MODEL, WAVE, c, invariants._tangent_pair(WAVE, c, Numerics(), sp))
+    e1 = np.eye(4)[0]
+    same = [dataclasses.replace(run, values=np.outer(1.0 + run.grid ** 2, e1) + 0j)
+            for run in (minus, plus)]
+    with pytest.raises(NonTransverse):
+        invariants._pi_data(MODEL, WAVE, c, sp, *same)
+
+
+def test_pi_refuses_degenerate_boundary_wedge():
+    # zeta_4 parallel to zhat_xi(-L) makes the boundary wedge of the
+    # orientation step vanish
+    c = 0.3
+    sp = spectrum(MODEL, c, 0.0)
+    zx = WAVE.zhat_xi(-WAVE.default_L(c), c)
+    zeta = sp.zeta.copy()
+    zeta[3] = zx / np.linalg.norm(zx)
+    with pytest.raises(OrientationFail):
+        pi_profile(MODEL, WAVE, c, spec=dataclasses.replace(sp, zeta=zeta))
 
 
 def _tangent_pair(model, wave, c):

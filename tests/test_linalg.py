@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from evanskit.errors import Degenerate, NonSkew, RankError
 from evanskit.linalg import (NULLVECTOR_TOL, Bivector, Poly4, det4, det4s, interior2, nullvector,
                              nullvectors, quartic_root_sets, quartic_roots,
-                             symplectic_form, wedge2, wedge4)
+                             skew_cmat4, symplectic_forms, wedge2, wedge4)
 
 M = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
 K = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]], float)
@@ -60,12 +60,29 @@ def test_det4s_equals_det4_bit_for_bit(seed):
     assert det4s(a[:1]).tobytes() == got[:1].tobytes()
 
 
-def test_symplectic_form_basic():
+def test_symplectic_forms_basic():
     e = np.eye(4)
-    assert symplectic_form(M, e[0], e[1]) == 1.0  # <M e1, e2> = M[2,1] = 1
-    assert symplectic_form(M, e[1], e[0]) == -1.0
+    j = skew_cmat4(M)
+    assert symplectic_forms(j, e[0], e[1]) == 1.0  # <M e1, e2> = M[2,1] = 1
+    assert symplectic_forms(j, e[1], e[0]) == -1.0
     with pytest.raises(NonSkew):
-        symplectic_form(np.eye(4), e[0], e[1])
+        skew_cmat4(np.eye(4))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symplectic_forms_equal_one_pair_bit_for_bit(seed):
+    # every entry of a broadcast stack is (J @ u) @ v on its own pair
+    rng = np.random.default_rng(seed)
+    j = skew_cmat4(M + 0.37 * K)
+    scale = np.exp(rng.uniform(-12.0, 12.0, (5, 1, 1)))
+    us = scale * (rng.normal(size=(5, 7, 4)) + 1j * rng.normal(size=(5, 7, 4)))
+    vs = rng.normal(size=(7, 4))   # real, as a profile derivative is
+    got = symplectic_forms(j, us, vs)
+    assert got.shape == (5, 7)
+    for a in range(5):
+        for b in range(7):
+            want = (j @ us[a, b]) @ vs[b]
+            assert np.complex128(got[a, b]).tobytes() == np.complex128(want).tobytes()
 
 
 def test_wedge_basis_orientation():
