@@ -183,6 +183,23 @@ def test_degenerate_edges_refuse(args, code, named):
         assert key not in r.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["report", "--p", "1", "--c", "0.3"],
+    ["scan", "--p", "1", "--c", "0", "--lambda-max", "3", "--grid-n", "13"],
+    ["contour", "--p", "1", "--c", "0", "--rect", "0.5,3,-0.8,0.8"],
+], ids=["report", "scan", "contour"])
+def test_short_truncation_refused(args):
+    # at L = 2 the wave has not decayed (|zhat| = 0.27 at the ends): every
+    # task refuses with the report's hypothesis check rather than print the
+    # roots or winding of a truncated wave
+    r = _run(args + ["--L", "2"])
+    assert r.exit_code == 2
+    hrep = json.loads(r.stdout)["hypothesis_report"]
+    assert hrep["passed"] is False
+    assert hrep["tail_norm"] > cli.TAIL_TOL
+    assert r.stderr == ""
+
+
 def test_config_file_merge_and_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
