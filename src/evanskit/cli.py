@@ -198,9 +198,8 @@ def _wave_refused(cfg: RunConfig, model, wave, residuals: bool) -> bool:
     # are a report's own hypothesis, and as |c| -> 1 a scan or contour ends
     # in the typed error it raises there.  On failure, emit the check.
     hc = verify_wave(model, wave, cfg.c, L=cfg.numerics["L_override"])
-    if hc.tail_norm > TAIL_TOL or residuals and hc.max_residual() > 1e-6:
-        hrep = {**{k: float(v) for k, v in asdict(hc).items()}, "passed": False}
-        _emit(_json({"hypothesis_report": hrep}), cfg.out)
+    if hc.tail_norm > TAIL_TOL or (residuals and hc.max_residual() > 1e-6):
+        _emit(_json({"hypothesis_report": dict(asdict(hc), passed=False)}), cfg.out)
         return True
     return False
 

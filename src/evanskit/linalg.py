@@ -11,7 +11,7 @@ quartic_root_sets): a whole stack iterates in lockstep, each item keeping
 its own stopping test, so nullvector and quartic_roots are batches of one.
 The symplectic pairing has one kernel, symplectic_forms, called on stacks.
 det4s is det4 over a stack; det4 stays the scalar kernel, as one matrix
-takes det4 about 12 us and det4s about 206 us (numpy's per-call costs).
+takes det4 12-20 us and det4s about 230 us (numpy's per-call costs).
 Each item must get the bits of one-at-a-time arithmetic on complex
 scalars, on which every pinned D, root and Pi rests.  numpy's array loops
 round differently from its scalar arithmetic: the SIMD complex product
