@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import (Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
-from .linalg import (Poly4, det4s, nullvectors, quartic_root_sets, skew_cmat4,
-                     symplectic_forms)
+from .linalg import det4s, nullvectors, quartic_root_sets, skew_cmat4, symplectic_forms
 from .model import MultisymplecticModel, jc
 
 _NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
@@ -54,11 +53,6 @@ def _delta_coeffs(model: MultisymplecticModel, c: float, lams) -> np.ndarray:
     return np.linalg.solve(vander, vals)[..., 0]
 
 
-def _delta_poly(model: MultisymplecticModel, c: float, lam: complex) -> Poly4:
-    """Delta(mu, lambda) as a quartic in mu at one lambda."""
-    return Poly4(_delta_coeffs(model, c, [lam])[0])
-
-
 def _exponents(lam: complex, mu: np.ndarray) -> np.ndarray:
     """Snap, order and check the roots of Delta at one lambda."""
     if abs(lam.imag) < 1e-14:
@@ -91,7 +85,7 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     lams = [complex(lam) for lam in lams]
     j = jc(model, c)
     binf = model.binf()
-    roots, errs = quartic_root_sets([Poly4(co) for co in _delta_coeffs(model, c, lams)])
+    roots, errs = quartic_root_sets(_delta_coeffs(model, c, lams))
     mus = {}
     for i, lam in enumerate(lams):
         if errs[i] is None:

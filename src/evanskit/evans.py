@@ -16,7 +16,7 @@ import numpy as np
 from .asymptotics import InfinitySpectrum, continuous_spectrum_distances, spectra, spectrum
 from .errors import BadParameter, ContourOnSpectrum, NoConverge, NonClosure, StepTooLarge
 from .integrator import integrate_modes
-from .linalg import _cmul, skew_cmat4, symplectic_forms, wedge4
+from .linalg import _cmul, interior2, skew_cmat4, symplectic_forms, wedge2, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
 
 __all__ = [
@@ -153,15 +153,13 @@ def eta_identity_residual(model: MultisymplecticModel, spec: InfinitySpectrum) -
     J eta3 ^ J eta4 must equal the contraction of zeta1 ^ zeta2 into the
     4-form built from all four J eta_j.
     """
-    from .linalg import interior2, wedge2
-
     J = jc(model, spec.c)
     je = [J @ spec.eta[k] for k in range(4)]
     qstar = wedge4(*je)
     lhs = wedge2(je[2], je[3])
     rhs = interior2(qstar, wedge2(spec.zeta[0], spec.zeta[1]))
-    num = max(abs(a - b) for a, b in zip(lhs.coords, rhs.coords))
-    den = max(max(abs(x) for x in lhs.coords), 1e-300)
+    num = max(abs(a - b) for a, b in zip(lhs, rhs))
+    den = max(max(abs(x) for x in lhs), 1e-300)
     return num / den
 
 
@@ -174,7 +172,6 @@ class Derivatives:
     D2_raw: float
     D2_scaled: float      # D2_raw / 2, matching the rescaled statement
     scale: float          # max |D| over the sample stencil
-    samples: dict = field(default_factory=dict)
 
 
 def _stencil(h: float) -> list[float]:
@@ -183,25 +180,22 @@ def _stencil(h: float) -> list[float]:
 
 def _derivatives(h: float, samples) -> Derivatives:
     # D, D', D'' at 0 from the EvansSamples at _stencil(h), in that order
-    lams = _stencil(h)
-    vals = {lam: s.D.real for lam, s in zip(lams, samples)}
-    scale = max(abs(v) for v in vals.values())
+    vals = [s.D.real for s in samples]
+    v0, vh2, vmh2, vh, vmh = vals
+    scale = max(abs(v) for v in vals)
     # quadratic-fit guard: the stencil must sit inside the parabolic regime
-    xs = np.array(lams)
-    V = np.vander(xs, 3)
-    coef, *_ = np.linalg.lstsq(V, np.array([vals[l] for l in lams]), rcond=None)
-    resid = np.array([vals[l] for l in lams]) - V @ coef
-    if scale > 0 and np.sqrt(np.mean(resid ** 2)) / scale > 1e-3:
-        raise StepTooLarge(f"h={h} leaves quadratic-fit residual "
-                           f"{np.sqrt(np.mean(resid**2))/scale:.2e} relative")
-    d1_h = (vals[h] - vals[-h]) / (2 * h)
-    d1_h2 = (vals[h / 2] - vals[-h / 2]) / h
+    V, y = np.vander(np.array(_stencil(h)), 3), np.array(vals)
+    coef, *_ = np.linalg.lstsq(V, y, rcond=None)
+    rms = np.sqrt(np.mean((y - V @ coef) ** 2))
+    if scale > 0 and rms / scale > 1e-3:
+        raise StepTooLarge(f"h={h} leaves quadratic-fit residual {rms/scale:.2e} relative")
+    d1_h = (vh - vmh) / (2 * h)
+    d1_h2 = (vh2 - vmh2) / h
     d1 = (4 * d1_h2 - d1_h) / 3
-    d2_h = (vals[h] - 2 * vals[0.0] + vals[-h]) / h ** 2
-    d2_h2 = (vals[h / 2] - 2 * vals[0.0] + vals[-h / 2]) / (h / 2) ** 2
+    d2_h = (vh - 2 * v0 + vmh) / h ** 2
+    d2_h2 = (vh2 - 2 * v0 + vmh2) / (h / 2) ** 2
     d2 = (4 * d2_h2 - d2_h) / 3
-    return Derivatives(D0=vals[0.0], D1=d1, D2_raw=d2, D2_scaled=d2 / 2,
-                       scale=scale, samples=vals)
+    return Derivatives(D0=v0, D1=d1, D2_raw=d2, D2_scaled=d2 / 2, scale=scale)
 
 
 def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,

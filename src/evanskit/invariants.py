@@ -158,16 +158,14 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
 
 _PAIR_PTS = np.linspace(-2.0, 2.0, 9)
+_PAIR_PTS.setflags(write=False)   # every tangent-pair run shares it as its grid
 
 
-def _tangent_pair(wave, c, nm: Numerics, spec) -> list:
+def _tangent_pair(spec) -> list:
     # the lambda = 0 manifold tangents a_minus (zeta_4 from -L) and a_plus
-    # (eta_4 from +L), carried past each other and sampled on grids holding
-    # _PAIR_PTS, as integrate_modes runs at nm.tol and nm.L
-    L = nm.L if nm.L is not None else wave.default_L(c)
-    gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), _PAIR_PTS]))
-    gp = np.unique(np.concatenate([_PAIR_PTS, np.linspace(2.0, L, 21)]))[::-1]
-    return [(0.0, spec, 4, "u", 2.0, gm), (0.0, spec, 4, "w", -2.0, gp)]
+    # (eta_4 from +L) as integrate_modes runs, carried past each other to
+    # +-2 and sampled at _PAIR_PTS in the direction each runs
+    return [(0.0, spec, 4, "u", 2.0, _PAIR_PTS), (0.0, spec, 4, "w", -2.0, _PAIR_PTS[::-1])]
 
 
 def _at_pair_pts(sol) -> np.ndarray:
@@ -204,13 +202,13 @@ def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
     """
     nm = numerics or Numerics()
     sp = spec if spec is not None else spectrum(model, c, 0.0)
-    minus, plus = integrate_modes(model, wave, c, _tangent_pair(wave, c, nm, sp),
+    minus, plus = integrate_modes(model, wave, c, _tangent_pair(sp),
                                   tol=nm.tol, L=nm.L)
     return _pi_data(model, wave, c, sp, minus, plus)
 
 
 def _pi_data(model, wave, c, sp: InfinitySpectrum, minus, plus) -> PiData:
-    # pi_profile from the solutions of _tangent_pair(wave, c, nm, sp)
+    # pi_profile from the solutions of _tangent_pair(sp)
     pts = _PAIR_PTS
     L = plus.xi_seed   # the half-width the tangent pair was seeded at
     vm, vp = _at_pair_pts(minus), _at_pair_pts(plus)
@@ -260,7 +258,7 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
     L = wave.default_L(c)
     if pair is None:
         nm = numerics or Numerics()
-        runs = _tangent_pair(wave, c, nm, spectrum(model, c, 0.0))
+        runs = _tangent_pair(spectrum(model, c, 0.0))
         minus, plus = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
     else:
         minus, plus = pair
@@ -328,7 +326,7 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
     specs = spectra(model, c, lams)
     sp = specs[0]
     cm, cp, chi = chi_factors(model, wave, c, spec=sp)
-    runs = _tangent_pair(wave, c, nm, sp) + _det_runs(lams, specs)
+    runs = _tangent_pair(sp) + _det_runs(lams, specs)
     sols = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
     pi = _pi_data(model, wave, c, sp, *sols[:2]).pi
     der = _derivatives(nm.h, _det_samples(model, c, lams, specs, sols[2:]))

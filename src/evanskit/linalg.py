@@ -21,7 +21,9 @@ a per-item scalar is np.hypot, and np.vdot becomes a stack of 1x4 @ 4x1
 matmuls, which call the same BLAS dot.  What is an array operation for
 one item (a column times a scalar, np.abs of a vector) stays one.
 
-Bivector coordinates are always stored against the ordered basis
+Quartics are plain arrays of 5 coefficients, ascending (leading
+coefficient last).  A bivector, an element of wedge^2(C^4), is a complex
+6-array of coordinates against the ordered basis BASIS2,
 
     e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4
 
@@ -29,8 +31,6 @@ and 4-forms are scalars against vol = e1^e2^e3^e4.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,37 +55,6 @@ def as_cmat4(m) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("non-finite entries in 4x4 matrix")
     return a
-
-
-@dataclass
-class Bivector:
-    """Element of wedge^2(C^4) in the fixed ordered basis BASIS2."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=complex).reshape(-1)
-        if self.coords.shape != (6,):
-            raise ValueError("bivector needs 6 coordinates")
-
-
-@dataclass
-class Poly4:
-    """Polynomial of degree <= 4; coeffs ascending, leading coefficient last."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
-        if self.coeffs.shape != (5,):
-            raise ValueError("Poly4 needs exactly 5 coefficients")
-
-    def __call__(self, z: complex) -> complex:
-        # Horner, ascending storage
-        acc = 0.0 + 0.0j
-        for a in self.coeffs[::-1]:
-            acc = acc * z + a
-        return acc
 
 
 def _minor2(m: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> complex:
@@ -124,9 +93,10 @@ def symplectic_forms(j: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarra
     return np.matmul(np.swapaxes(ju, -1, -2), vs[..., None])[..., 0, 0]
 
 
-def wedge2(u, v) -> Bivector:
+def wedge2(u, v) -> np.ndarray:
+    """u ^ v as its 6 coordinates against BASIS2."""
     a, b = as_cvec4(u), as_cvec4(v)
-    return Bivector([a[i] * b[j] - a[j] * b[i] for (i, j) in BASIS2])
+    return np.array([a[i] * b[j] - a[j] * b[i] for (i, j) in BASIS2], dtype=complex)
 
 
 def wedge4(u1, u2, u3, u4) -> complex:
@@ -134,16 +104,14 @@ def wedge4(u1, u2, u3, u4) -> complex:
     return det4(np.column_stack([as_cvec4(u) for u in (u1, u2, u3, u4)]))
 
 
-def interior2(q4coeff: complex, b: Bivector) -> Bivector:
-    """Contract a bivector into a 4-form with coefficient q4coeff.
+def interior2(q4coeff: complex, x: np.ndarray) -> np.ndarray:
+    """Contract the bivector with coordinates x into a 4-form with coefficient q4coeff.
 
     Defined by adjointness through the coordinate dot product, the duality
-    pairing on wedge^2: np.dot(interior2(q, wedge2(a, b)).coords,
-    wedge2(c, d).coords) = q * wedge4(a, b, c, d) for all 4-vectors a, b, c, d.
+    pairing on wedge^2: np.dot(interior2(q, wedge2(a, b)), wedge2(c, d)) =
+    q * wedge4(a, b, c, d) for all 4-vectors a, b, c, d.
     """
-    x = b.coords
-    return Bivector(q4coeff * np.array(
-        [x[5], -x[4], x[3], x[2], -x[1], x[0]], dtype=complex))
+    return q4coeff * np.array([x[5], -x[4], x[3], x[2], -x[1], x[0]], dtype=complex)
 
 
 NULLVECTOR_TOL = 1e-8   # a kernel direction needs sigma_min <= NULLVECTOR_TOL * sigma_max
@@ -297,18 +265,21 @@ def _monic_val(z: np.ndarray, mon: np.ndarray) -> np.ndarray:
     return acc
 
 
-def quartic_root_sets(polys) -> tuple[np.ndarray, list]:
+def quartic_root_sets(coeffs) -> tuple[np.ndarray, list]:
     """All four roots of each genuine quartic, Durand-Kerner plus Newton polish.
 
-    The quartics iterate in lockstep, each stopping on its own shift test,
-    so each ends exactly where it would alone.  Returns (roots, errs): the
-    roots of polys[n] sorted by (Re, Im) in roots[n], and in errs[n] None
-    or the error quartic_roots(polys[n]) raises: Degenerate if the leading
-    coefficient vanishes relative to the others, NoConverge if the
-    iteration stalls or residuals stay above QUARTIC_TOL * local scale.
-    Rows with an error hold NaN.
+    coeffs is a (K, 5) array, one quartic per row, coefficients ascending
+    (leading coefficient last).  The quartics iterate in lockstep, each
+    stopping on its own shift test, so each ends exactly where it would
+    alone.  Returns (roots, errs): the roots of row n sorted by (Re, Im) in
+    roots[n], and in errs[n] None or the error quartic_roots(coeffs[n])
+    raises: Degenerate if the leading coefficient vanishes relative to the
+    others, NoConverge if the iteration stalls or residuals stay above
+    QUARTIC_TOL * local scale.  Rows with an error hold NaN.
     """
-    c = np.array([p.coeffs for p in polys], dtype=complex).reshape(-1, 5)
+    c = np.array(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] != 5:
+        raise ValueError(f"expected a (K, 5) coefficient array, got shape {np.shape(coeffs)}")
     n = len(c)
     errs: list = [None] * n
     cmax = np.max(np.abs(c), axis=1)
@@ -346,7 +317,7 @@ def quartic_root_sets(polys) -> tuple[np.ndarray, list]:
 
     scale = cmax[ix, None] * (1.0 + np.abs(z)) ** 4
     acc = np.zeros_like(z)
-    for a in c[ix, ::-1].T:   # Poly4.__call__, Horner from 0
+    for a in c[ix, ::-1].T:   # Horner from 0, as on one complex scalar
         acc = _cmul(acc, z) + a[:, None]
     resid = np.abs(acc)
     for k in np.flatnonzero(np.any(resid > QUARTIC_TOL * scale, axis=1)):
@@ -359,9 +330,9 @@ def quartic_root_sets(polys) -> tuple[np.ndarray, list]:
     return roots, errs
 
 
-def quartic_roots(p: Poly4) -> np.ndarray:
-    """All four roots of a genuine quartic, sorted by (Re, Im): quartic_root_sets of one."""
-    roots, errs = quartic_root_sets([p])
+def quartic_roots(coeffs) -> np.ndarray:
+    """All four roots of one quartic, 5 ascending coefficients: quartic_root_sets of one."""
+    roots, errs = quartic_root_sets(np.asarray(coeffs)[None])
     if errs[0] is not None:
         raise errs[0]
     return roots[0]

@@ -177,16 +177,38 @@ def test_wedge_equals_det_times_orientation_constant():
         assert eta_identity_residual(model, sp) <= 1e-10
 
 
-def test_wedge_of_frozen_model_is_kconst():
+def _frozen_coupled():
+    # the coupled wave's system at infinity on the whole line: every mode is
+    # an exact exponential
     model, _ = build_coupled_wave(1.0)
     binf = model.binf()
     frozen = MultisymplecticModel(CANONICAL_M, CANONICAL_K,
                                   lambda z: binf @ z, lambda z: binf)
     zero = lambda xi, c: np.zeros(4)
-    fwave = WaveFamily(zhat=zero, zhat_xi=zero, zhat_c=zero, decay_rate=lambda c: 2.0)
+    return frozen, WaveFamily(zhat=zero, zhat_xi=zero, zhat_c=zero, decay_rate=lambda c: 2.0)
+
+
+def test_wedge_of_frozen_model_is_kconst():
+    frozen, fwave = _frozen_coupled()
     sp = spectrum(frozen, 0.0, 0.8)
     W = evans_wedge(frozen, fwave, 0.0, 0.8, spec=sp)
     assert abs(W - sp.Kconst) <= 1e-8 * abs(sp.Kconst)
+
+
+def test_cross_pairing_rebalanced_to_matching_point():
+    # once u4 carries a zeta_3 part and w3 an eta_4 part, d3 = Om(w3, u4)
+    # is nonzero and, rebalanced by exp((mu_4 - mu_3) xi_star), the same at
+    # every matching point; D alone does not see the rebalancing (d4 ~ 0)
+    frozen, fwave = _frozen_coupled()
+    sp = spectrum(frozen, 0.0, 0.8)
+    eta, zeta = sp.eta.copy(), sp.zeta.copy()
+    eta[2] += eta[3]
+    zeta[3] += zeta[2]
+    mixed = dataclasses.replace(sp, eta=eta, zeta=zeta)
+    d3 = [evans_det(frozen, fwave, 0.0, 0.8, numerics=Numerics(L=6), spec=mixed,
+                    xi_star=x).d3 for x in (0.0, 0.5, -1.3)]
+    assert abs(d3[0]) > 30.0
+    assert max(abs(d - d3[0]) for d in d3) <= 1e-10 * abs(d3[0])
 
 
 def test_conjugate_symmetry():

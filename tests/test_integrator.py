@@ -269,7 +269,7 @@ def test_mixed_run_list_equals_runs_alone():
     c, nm = 0.3, Numerics(tol=1e-9)
     lams = [0.0, 0.7, 3.0]
     specs = [spectrum(model, c, lam) for lam in lams]
-    runs = _det_runs(lams, specs) + _tangent_pair(wave, c, nm, specs[0])
+    runs = _det_runs(lams, specs) + _tangent_pair(specs[0])
     batch = integrate_modes(model, wave, c, runs, tol=nm.tol)
     assert [r.grid is not None for r in batch] == [False] * 12 + [True] * 2
     for (lam, spec, j, kind, until, grid), b in zip(runs, batch):
@@ -287,7 +287,7 @@ def test_tangent_pair_golden_bits():
     model, wave = build_coupled_wave(1.0)
     nm = Numerics()
     spec = spectrum(model, 0.3, 0.0)
-    minus, plus = integrate_modes(model, wave, 0.3, _tangent_pair(wave, 0.3, nm, spec),
+    minus, plus = integrate_modes(model, wave, 0.3, _tangent_pair(spec),
                                   tol=nm.tol, L=nm.L)
     want = (
         (["-0x1.b14da2bb22628p-10", "0x1.b70f3ca7d2aecp-11",

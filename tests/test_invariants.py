@@ -194,7 +194,7 @@ def test_pi_refuses_equal_tangents():
     # pairs to Omega(v, v) = 0 there: the tangents do not cross transversely
     c = 0.3
     sp = spectrum(MODEL, c, 0.0)
-    minus, plus = integrate_modes(MODEL, WAVE, c, invariants._tangent_pair(WAVE, c, Numerics(), sp))
+    minus, plus = integrate_modes(MODEL, WAVE, c, invariants._tangent_pair(sp))
     e1 = np.eye(4)[0]
     same = [dataclasses.replace(run, values=np.outer(1.0 + run.grid ** 2, e1) + 0j)
             for run in (minus, plus)]
@@ -229,12 +229,11 @@ def _tangent_pair(model, wave, c):
 def test_library_tangent_pair_covers_overlap(c):
     # the one lambda = 0 tangent path behind pi_profile and structural_checks
     L = WAVE.default_L(c)
-    runs = invariants._tangent_pair(WAVE, c, Numerics(), spectrum(MODEL, c, 0.0))
+    runs = invariants._tangent_pair(spectrum(MODEL, c, 0.0))
     minus, plus = integrate_modes(MODEL, WAVE, c, runs)
-    assert minus.grid[0] == -L and minus.grid[-1] == 2.0
-    assert plus.grid[0] == L and plus.grid[-1] == -2.0
-    assert np.all(np.isin(np.linspace(-2.0, 2.0, 9), minus.grid))
-    assert np.all(np.isin(np.linspace(-2.0, 2.0, 9), plus.grid))
+    pts = np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(minus.grid, pts) and np.array_equal(plus.grid, pts[::-1])
+    assert (minus.xi_seed, plus.xi_seed) == (-L, L)
     # both continuations stay real at lambda = 0
     for run in (minus, plus):
         assert np.max(np.abs(run.values.imag)) <= 1e-10 * np.max(np.abs(run.values.real))
@@ -260,6 +259,17 @@ def test_non_lagrangian_perturbation_detected():
     r = structural_checks(MODEL, WAVE, c, pair=(minus, bad))
     assert r.max_tangent_plus > 1e-4
     assert r.max_tangent_minus <= 1e-7
+
+
+def test_structural_checks_refuse_pair_missing_a_point():
+    # an override pair must carry values at all of linspace(-2, 2, 9)
+    c = 0.3
+    minus, plus = _tangent_pair(MODEL, WAVE, c)
+    j0 = int(np.flatnonzero(plus.grid == 0.0)[0])
+    short = dataclasses.replace(plus, grid=np.delete(plus.grid, j0),
+                                values=np.delete(plus.values, j0, axis=0))
+    with pytest.raises(ValueError, match="linspace"):
+        structural_checks(MODEL, WAVE, c, pair=(minus, short))
 
 
 def test_stability_report_p1():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evanskit.errors import Degenerate, NonSkew, RankError
-from evanskit.linalg import (NULLVECTOR_TOL, Bivector, Poly4, det4, det4s, interior2, nullvector,
+from evanskit.linalg import (NULLVECTOR_TOL, det4, det4s, interior2, nullvector,
                              nullvectors, quartic_root_sets, quartic_roots,
                              skew_cmat4, symplectic_forms, wedge2, wedge4)
 
@@ -90,7 +90,7 @@ def test_wedge_basis_orientation():
     assert wedge4(e[0], e[1], e[2], e[3]) == 1.0
     assert wedge4(e[0], e[1], e[0], e[3]) == 0.0  # alternation
     # the duality pairing on wedge^2 is the plain dot of coordinates
-    assert np.dot(wedge2(e[0], e[1]).coords, wedge2(e[0], e[1]).coords) == 1.0
+    assert np.dot(wedge2(e[0], e[1]), wedge2(e[0], e[1])) == 1.0
 
 
 @given(st.integers(0, 10_000))
@@ -98,8 +98,8 @@ def test_wedge_basis_orientation():
 def test_wedge2_antisymmetry(seed):
     rng = np.random.default_rng(seed)
     u, v = cvec(rng), cvec(rng)
-    assert np.allclose(wedge2(u, v).coords, -wedge2(v, u).coords, atol=1e-12)
-    assert np.max(np.abs(wedge2(u, u).coords)) < 1e-12
+    assert np.allclose(wedge2(u, v), -wedge2(v, u), atol=1e-12)
+    assert np.max(np.abs(wedge2(u, u))) < 1e-12
 
 
 @given(st.integers(0, 10_000))
@@ -109,7 +109,7 @@ def test_pair2_det_rule(seed):
     a, b, c, d = cvec(rng), cvec(rng), cvec(rng), cvec(rng)
     det_rule = np.dot(a, c) * np.dot(b, d) - np.dot(a, d) * np.dot(b, c)
     # Cauchy-Binet: the coordinate dot of a^b and c^d is the 2x2 Gram determinant
-    assert abs(np.dot(wedge2(a, b).coords, wedge2(c, d).coords) - det_rule) < 1e-9
+    assert abs(np.dot(wedge2(a, b), wedge2(c, d)) - det_rule) < 1e-9
 
 
 @given(st.integers(0, 10_000))
@@ -118,7 +118,7 @@ def test_interior2_adjointness(seed):
     rng = np.random.default_rng(seed)
     a, b, c, d = cvec(rng), cvec(rng), cvec(rng), cvec(rng)
     q = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    lhs = np.dot(interior2(q, wedge2(a, b)).coords, wedge2(c, d).coords)
+    lhs = np.dot(interior2(q, wedge2(a, b)), wedge2(c, d))
     assert abs(lhs - q * wedge4(a, b, c, d)) < 1e-9
 
 
@@ -150,11 +150,11 @@ def test_nullvector_rank_errors():
 
 def test_quartic_frozen_examples():
     # mu^4 - 11 mu^2 + 28 = 0  ->  {+-2, +-sqrt(7)}
-    r = np.sort_complex(quartic_roots(Poly4([28, 0, -11, 0, 1])))
+    r = np.sort_complex(quartic_roots([28, 0, -11, 0, 1]))
     expect = np.sort_complex(np.array([-np.sqrt(7), -2, 2, np.sqrt(7)], complex))
     assert np.max(np.abs(r - expect)) < 1e-12
     # mu^4 - 13 mu^2 + 40 = 0  ->  {+-sqrt(5), +-2 sqrt(2)}
-    r = np.sort_complex(quartic_roots(Poly4([40, 0, -13, 0, 1])))
+    r = np.sort_complex(quartic_roots([40, 0, -13, 0, 1]))
     expect = np.sort_complex(np.array(
         [-2 * np.sqrt(2), -np.sqrt(5), np.sqrt(5), 2 * np.sqrt(2)], complex))
     assert np.max(np.abs(r - expect)) < 1e-12
@@ -162,7 +162,7 @@ def test_quartic_frozen_examples():
 
 def test_quartic_degenerate_leading():
     with pytest.raises(Degenerate):
-        quartic_roots(Poly4([1, 2, 3, 4, 0]))
+        quartic_roots([1, 2, 3, 4, 0])
 
 
 @given(st.integers(0, 10_000))
@@ -171,13 +171,18 @@ def test_quartic_roundtrip(seed):
     rng = np.random.default_rng(seed)
     zs = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
     coeffs = np.poly(zs)[::-1]  # ascending, monic
-    r = quartic_roots(Poly4(coeffs))
+    r = quartic_roots(coeffs)
     assert np.max(np.abs(np.sort_complex(r) - np.sort_complex(zs))) < 1e-9
 
 
-def test_bivector_shape_guard():
-    with pytest.raises(ValueError):
-        Bivector(np.zeros(5))
+def test_quartic_shape_guard():
+    # one quartic is a 5-vector and a batch a (K, 5) array; nothing else is reshaped into one
+    for shape in ((4,), (6,), (5, 1), (1, 5)):
+        with pytest.raises(ValueError):
+            quartic_roots(np.ones(shape))
+    for shape in ((5,), (2, 4), (2, 5, 1)):
+        with pytest.raises(ValueError):
+            quartic_root_sets(np.ones(shape))
 
 
 @given(st.integers(0, 10_000), st.integers(1, 12))
@@ -211,10 +216,10 @@ def test_quartic_root_sets_equal_singletons(seed, n):
     while len(polys) < n:
         zs = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
         if min(abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1:]) > 0.3:
-            polys.append(Poly4(np.poly(zs)[::-1] * rng.uniform(0.5, 2.0)))
+            polys.append(np.poly(zs)[::-1] * rng.uniform(0.5, 2.0))
     roots, errs = quartic_root_sets(polys)
     assert errs == [None] * n
     for p, r in zip(polys, roots):
         assert r.tobytes() == quartic_roots(p).tobytes()
-        ref = np.sort_complex(np.roots(p.coeffs[::-1]))
+        ref = np.sort_complex(np.roots(p[::-1]))
         assert np.max(np.abs(np.sort_complex(r) - ref)) < 1e-10
