@@ -156,8 +156,19 @@ def test_golden_bits(point):
 
 
 def test_zero_pattern_at_origin():
+    # d3 = Om(w3, u4) and d4 = Om(w4, u3) vanish at lambda = 0, but two-mode
+    # shooting leaves them on a rounding floor, not at integrator error.
+    # u3, rescaled by exp(-mu3 xi), picks up rounding of relative size eps
+    # along zeta_4 near its seed at -L; against u3 that part grows by
+    # exp((mu4 - mu3) xi) on the way to 0, and w4 pairs with it.  w3 picks up
+    # eta_4 from +L alike.  So |d3|, |d4| ~ eps exp((mu4 - mu3) L) |d2|: at
+    # p = 1, c = 0 that is 5.1e-13 |d2| at L = 12 and 9.0e-11 |d2| at the
+    # default L = 20, where a 1e-10 bound passes or fails by rounding luck.
+    # The bounds are asserted at L = 12, 200x above the floor (|zhat(12)| is
+    # 3e-10, inside the CLI's 1e-8 tail check), and at the default L the
+    # cross pairings are held to 64 times the floor.
     model, wave = build_coupled_wave(1.0)
-    s = evans_det(model, wave, 0.0, 0.0)
+    s = evans_det(model, wave, 0.0, 0.0, numerics=Numerics(L=12.0))
     scale = abs(s.d2)
     assert abs(s.d1) <= 1e-10 * scale
     assert abs(s.d3) <= 1e-10 * scale
@@ -165,6 +176,11 @@ def test_zero_pattern_at_origin():
     assert abs(s.D) <= 1e-8 * scale ** 2
     # the surviving corner is minus the transversality pairing
     assert abs(s.d2 - (-0.0039370688996)) <= 1e-6 * scale
+
+    sp = spectrum(model, 0.0, 0.0)
+    s = evans_det(model, wave, 0.0, 0.0, spec=sp)
+    floor = np.finfo(float).eps * np.exp((sp.mu[3] - sp.mu[2]).real * wave.default_L(0.0))
+    assert max(abs(s.d3), abs(s.d4)) <= 64 * floor * abs(s.d2)
 
 
 def test_wedge_equals_det_times_orientation_constant():
