@@ -146,8 +146,7 @@ def chi_factors(model: MultisymplecticModel, wave: WaveFamily, c: float,
     k = min([2, 3], key=lambda k: abs(spec.mu[k].real - wave.decay_rate(c)))
     mu = spec.mu[k].real
     xm, xp = np.linspace(-L, -L + 5.0, 21), np.linspace(L - 5.0, L, 21)
-    # zhat_xi point by point: on an array it rounds differently at some xi
-    zm, zp = (np.array([wave.zhat_xi(x, c) for x in xs]) for xs in (xm, xp))
+    zm, zp = (on_grid(wave.zhat_xi, xs, c).T for xs in (xm, xp))
     # Omega(eta_k, zhat_xi) on the left tail, then Omega(zhat_xi, zeta_k) on the right
     us = np.concatenate([np.broadcast_to(spec.eta[k].real, zm.shape), zp])
     vs = np.concatenate([zm, np.broadcast_to(spec.zeta[k].real, zp.shape)])
