@@ -111,31 +111,37 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     # zeta_1^zeta_2^zeta_3^zeta_4 against vol: det of the matrix with columns zeta_k
     kconst = det4s(np.swapaxes(zeta, 1, 2))
 
+    # the frame checks of every solved lambda as arrays: a dual pairing too
+    # small to normalize by, an orthonormality defect, a degenerate frame;
+    # abs() of a complex scalar is np.hypot of its parts
+    small = np.hypot(pairing.real, pairing.imag) < 1e-10
+    dev = got - np.eye(4)
+    skewed = np.hypot(dev.real, dev.imag) > 1e-9
+    flat = np.hypot(kconst.real, kconst.imag) < 1e-12
+    bad = (np.array([e is not None for e in vec_errs]).reshape(-1, 8).any(axis=1)
+           | small.any(axis=1) | skewed.any(axis=(1, 2)) | flat)
+
     out = []
     for i, lam in enumerate(lams):
         if errs[i] is not None:
             raise errs[i]
         n = row[i]
-        for k in range(4):
-            for err in vec_errs[8 * n + 2 * k:8 * n + 2 * k + 2]:
-                if err is not None:
-                    raise err
-            pk = complex(pairing[n, k])
-            if abs(pk) < 1e-10:
-                raise NormalizationFail(
-                    f"dual pairing {abs(pk):.2e} too small for mode {k + 1}")
-        for a in range(4):
+        if bad[n]:   # raise what the checks in order meet first
             for k in range(4):
-                want = 1.0 if a == k else 0.0
-                g = complex(got[n, a, k])
-                if abs(g - want) > 1e-9:
-                    raise NormalizationFail(
-                        f"Omega(eta_{a + 1}, zeta_{k + 1}) = {g:.2e}, expected {want}")
-        kc = complex(kconst[n])
-        if abs(kc) < 1e-12:
+                for err in vec_errs[8 * n + 2 * k:8 * n + 2 * k + 2]:
+                    if err is not None:
+                        raise err
+                if small[n, k]:
+                    raise NormalizationFail(f"dual pairing {abs(complex(pairing[n, k])):.2e} "
+                                            f"too small for mode {k + 1}")
+            if skewed[n].any():
+                a, k = np.argwhere(skewed[n])[0]
+                raise NormalizationFail(f"Omega(eta_{a + 1}, zeta_{k + 1}) = "
+                                        f"{complex(got[n, a, k]):.2e}, "
+                                        f"expected {1.0 if a == k else 0.0}")
             raise Degenerate("zeta frame wedges to zero; frame degenerate")
         out.append(InfinitySpectrum(c=c, lam=lam, mu=mus[i], zeta=zeta[n].copy(),
-                                    eta=eta[n].copy(), Kconst=kc, tau=tau))
+                                    eta=eta[n].copy(), Kconst=complex(kconst[n]), tau=tau))
     return out
 
 
