@@ -414,8 +414,8 @@ def _options(f):
         click.option("--rect", default=None,
                      help="contour rectangle re0,re1,im0,im1."),
         click.option("--tol", type=float, default=None,
-                     help=f"integrator tolerance (contour default {CONTOUR_TOL:g}, "
-                          f"else {Numerics.tol:g})."),
+                     help=f"integrator tolerance, which sets its mesh (contour default "
+                          f"{CONTOUR_TOL:g}, else {Numerics.tol:g})."),
         click.option("--h", "h", type=float, default=None,
                      help="base step for derivatives at the origin."),
         click.option("--L", "big_l", type=float, default=None,

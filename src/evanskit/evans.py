@@ -38,7 +38,7 @@ __all__ = [
 class Numerics:
     """Shared numerical knobs for Evans-function assembly."""
 
-    tol: float = 1e-10       # per-step integration tolerance
+    tol: float = 1e-10       # sets the integrator's mesh: integrator.mesh_steps(tol)
     L: float | None = None   # domain half-length override
     h: float = 0.1           # derivative step at the origin
 

@@ -9,75 +9,78 @@ equals the true mode exactly at xi = 0.
 Runs are seeded with the matching eigenvector of the system at infinity
 on the side where the true mode decays and integrated toward the match
 point.  A run returns its end value (the true mode when it ends at
-xi = 0), its step counts and, on request, dense samples.  The stepper is
-an explicit Dormand-Prince 5(4) pair with the standard quartic
-dense-output interpolant; local error is controlled per unit xi.  It
-advances a flat list of runs (any mix of lambda values, modes, end points
-and dense grids) in one loop, so the interpreter overhead of a step is
-paid once per batch; every run keeps its own steps, and a single run is a
-batch of one.
+xi = 0), its step counts and, on request, its values on a grid.
 
-The rescaled mode equation is linear, v' = A(xi) v, so the stepper takes
-the matrix field A rather than a right-hand side.  A step's six stage
-abscissae are known before any stage is computed, so A is evaluated once
-per step on all of them together (the FSAL stage shares the abscissa of
-the last stage), and each stage is one stacked matrix-vector product.
+The rescaled mode equation is linear, v' = (A(xi) - sigma mu I) v with
+A = J(c)^-1 (hessS(zhat(xi)) - lambda M), and the stepper is the
+sixth-order Magnus method on three Gauss-Legendre nodes of Blanes, Casas
+& Ros (BIT 40, 2000): a step multiplies v by the exponential of
+Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240, with a1, a2, a3
+the node combinations of A and C1, C2 their commutators; sigma mu I
+commutes with everything, so it leaves Omega as the scalar factor
+exp(-sigma mu h).  Because A is affine in lambda, Omega is a cubic
+W0 + lam W1 + lam^2 W2 + lam^3 W3 whose real coefficients depend only on
+the step, so a call tabulates them once for all its runs, and each
+(lambda, direction) costs one weighted sum and one 4x4 exponential
+(linalg.expm4s) per step.
+
+The steps lie on one mesh of [-L, L] that depends only on the model, the
+wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
+steps on [-L, 0] equidistribute ||J^-1 (hessS(zhat) - B_inf)||_F^(1/5)
+plus a floor of _FLOOR times its maximum, piece by piece between the
+nodes -L, -2, -1.5, -1, -0.5 and 0, and [0, L] is the mirror image; tol
+is the one accuracy knob.  The error of a step grows like |lambda|^5, so
+a run with |lambda| above LAMBDA_REF splits every step in
+refinement(lambda) equal parts.  Runs seeded at -L step up the mesh and
+runs seeded at +L down it.  A step that holds a run's end point or a grid
+point inside it is split there for that run, with exponents of its own,
+so a run's values depend only on the mesh, its lambda, its seed side, its
+end point and its grid, never on the batch it rides in; a single run is
+a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .asymptotics import InfinitySpectrum, spectrum
-from .errors import Overflow, StepFail
+from .errors import BadParameter, Overflow, StepFail
+from .linalg import expm4s
 from .model import MultisymplecticModel, WaveFamily, jc
 
-# Dormand-Prince 5(4) tableau; row 6 of _A holds the fifth-order weights (FSAL)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
-# quartic dense-output coefficients (Shampine)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-
+N_REF = 294        # mesh steps on [-L, 0] at tol = 1e-10
+MAX_STEPS = 4096   # cap on the steps on [-L, 0]; a tol that needs more is refused
+LAMBDA_REF = 10.0  # |lambda| up to which a run steps on the mesh as it is
+_BREAKS = (-2.0, -1.5, -1.0, -0.5)   # mesh nodes besides -L and 0 (and their mirror images)
+_POWER = 0.2       # the monitor is the field's distance from B_inf to this power
+_FLOOR = 0.005     # monitor floor, as a fraction of the monitor's maximum
+_FINE = 128        # monitor samples per mesh piece
+_EXP_BATCH = 256   # matrices per exponential call: steps times (lambda, direction) groups
+_TABLE_BATCH = 32  # steps per W-table build
 _OVERFLOW = 1e12
+_GAUSS = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])   # nodes on [0, 1]
 
 
 class StepStats(NamedTuple):
     """Step counts of one rescaled mode run."""
 
-    accepted: int
-    rejected: int
-    h_min: float    # smallest accepted |step|; inf when no step was taken
+    accepted: int   # steps taken
+    rejected: int   # always 0: the mesh is fixed
+    h_min: float    # smallest |step|; inf when no step was taken
 
 
 @dataclass
 class RescaledSolution:
-    """One rescaled mode run: its end value, step counts and dense samples.
+    """One rescaled mode run: its end value, step counts and grid values.
 
     value_at_end is the rescaled solution where the run stops; for a run
     that ends at xi = 0 it is the true (unscaled) mode, because the
-    rescaling factor is 1 there.  grid/values hold dense samples of the
-    rescaled solution when requested.
+    rescaling factor is 1 there.  grid/values hold the rescaled solution
+    on the requested grid.
     """
 
     xi_seed: float
@@ -93,133 +96,107 @@ class RescaledSolution:
         return StepStats(self.nsteps, self.nrejected, self.h_min)
 
 
-# stage weights as (i, 1, 1) constants: row i of _A weighs k[0..i-1] into the
-# argument of stage i, and row 6 into the new state
-_STAGE_W = [None] + [_A[i, :i].reshape(-1, 1, 1) for i in range(1, 7)]
-_ERR_W = _E.reshape(-1, 1, 1)
-_C_STAGES = _C[1:6, None]   # abscissa fractions of stages 1-5, as a column
+def mesh_steps(tol: float) -> int:
+    """Steps of the mesh on [-L, 0] at tol: ceil(N_REF (1e-10 / tol)^(1/6)).
 
-
-def _dopri5(amat, x0, x1, y0, tol: float, out_grids=None):
-    """Adaptive DP5(4) on a batch of independent linear runs y' = A(x) y.
-
-    Complex state, error per unit xi.  Row m of y0 (shape (N, n)) is
-    carried from x0[m] to x1[m].  Each row has its own x, step size, error
-    norm and accept/reject decision, and a finished row stays in the arrays
-    with h = 0, so a row's step sequence, and hence its result, is the same
-    whichever batch it rides in.
-
-    amat maps abscissae of shape (S, N), column m for row m, to the system
-    matrices of shape (S, N, n, n).  It is called once for the first stage
-    and then once per loop iteration, on that step's five distinct stage
-    abscissae x + C_i h; the FSAL stage reuses the matrices of the sixth
-    stage, whose abscissa x + h is the same float.
-
-    A stage argument y + h sum_j a_ij k_j is formed as weights times stages,
-    a sum over the leading axis, times h, plus y: the same operations in the
-    same order for every element, written into buffers allocated once per
-    call, with x, y and the FSAL stage updated in place on accepted rows.
-
-    out_grids, when given, holds per row a grid monotone in that row's
-    direction of integration, or None; the row's dense interpolant is
-    sampled there.  Returns (y_end, out_values, stats): out_values holds
-    per row a (len(grid), n) array or None, stats a StepStats per row.
+    Raises BadParameter for a tol that is not finite and positive, or that
+    needs more than MAX_STEPS steps (tol below about 1.4e-17).
     """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    y = np.array(y0, dtype=complex)
-    span = x1 - x0
-    direction = np.where(span > 0, 1.0, -1.0)
-    floor = 1e-12 * np.abs(span)
-    x = x0.copy()
-    live = direction * (x1 - x) > 0
-    h = np.where(live, direction * np.minimum(np.abs(span) / 100.0, 1.0), 0.0)
-    k = np.empty((7,) + y.shape, dtype=complex)
-    np.matmul(amat(x[None])[0], y[..., None], out=k[0][..., None])
-    terms = np.empty_like(k)      # weights times stages
-    total = np.empty_like(y)      # their sum over the stages
-    incr = np.empty_like(y)       # h times the sum
-    arg = np.empty_like(y)        # y plus the increment: a stage's argument
-    y_new = np.empty_like(y)
-    accepted = np.zeros(len(y), dtype=int)
-    tried = np.zeros(len(y), dtype=int)
-    h_min = np.full(len(y), np.inf)
-    grids = [None] * len(y) if out_grids is None else out_grids
-    dense = [m for m, g in enumerate(grids) if g is not None]
-    out_vals = [None if g is None else np.empty((len(g), y.shape[1]), complex)
-                for g in grids]
-    i_out = [0] * len(y)
+    if not 0.0 < tol < math.inf:
+        raise BadParameter("tol must be finite and positive")
+    n = math.ceil(N_REF * (1e-10 / tol) ** (1 / 6))
+    if n > MAX_STEPS:
+        raise BadParameter(f"tol={tol:g} needs {n} mesh steps per half-domain, "
+                           f"more than {MAX_STEPS}")
+    return n
 
-    def increment(w, hc):
-        # h sum_j w[j] k[j], into incr
-        t = terms[:len(w)]
-        np.multiply(w, k[:len(w)], out=t)
-        np.add.reduce(t, axis=0, out=total)
-        return np.multiply(hc, total, out=incr)
 
-    while live.any():
-        small = live & (np.abs(h) < floor)
-        if small.any():
-            m = int(np.argmax(small))
-            raise StepFail(f"step size {h[m]:.2e} collapsed at xi={x[m]:.4f}")
-        x_end = x + h
-        last = direction * (x_end - x1) > 0
-        if last.any():
-            h = np.where(last, x1 - x, h)
-            x_end = np.where(last, x1, x_end)
-        hc = h[:, None]
-        abs_h = np.abs(h)
-        a = amat(x + _C_STAGES * h)
-        for i in range(1, 7):
-            # stages 1-5, then the new state and its FSAL stage on a[4]
-            out = y_new if i == 6 else arg
-            np.add(y, increment(_STAGE_W[i], hc), out=out)
-            np.matmul(a[min(i, 5) - 1], out[..., None], out=k[i][..., None])
-        err_vec = increment(_ERR_W, hc)
-        ay = np.abs(y_new)
-        sc = tol * np.where(live, abs_h, 1.0)[:, None] * (1.0 + ay)
-        err = np.max(np.abs(err_vec) / sc, axis=1)
-        ok = live & (err <= 1.0)
-        tried += live
-        if ok.any():
-            for m in dense:
-                if not ok[m]:
-                    continue
-                # the dense interpolant of row m covers [x[m], x_end[m]]
-                g, i = grids[m], i_out[m]
-                q = None
-                while i < len(g) and direction[m] * (g[i] - x_end[m]) <= 0:
-                    if q is None:
-                        q = k[:, m].T @ _P  # (n, 4)
-                    th = (g[i] - x[m]) / h[m]
-                    pows = np.array([th, th ** 2, th ** 3, th ** 4])
-                    out_vals[m][i] = y[m] + h[m] * (q @ pows)
-                    i += 1
-                i_out[m] = i
-            np.copyto(x, x_end, where=ok)
-            np.copyto(y, y_new, where=ok[:, None])
-            np.copyto(k[0], k[6], where=ok[:, None])  # FSAL
-            accepted += ok
-            np.minimum(h_min, abs_h, out=h_min, where=ok)
-            if not ay.max() <= _OVERFLOW:   # true for a NaN too
-                big = ok & (np.max(ay, axis=1) > _OVERFLOW)
-                if big.any():
-                    m = int(np.argmax(big))
-                    raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} at xi={x[m]:.3f}")
-        pos = err > 0
-        fac = 0.9 * np.where(pos, err, 1.0) ** -0.2
-        grow = np.where(pos, np.minimum(5.0, fac), 5.0)
-        shrink = np.where(err > 1.0, np.maximum(0.2, fac), 0.2)  # a NaN error shrinks most
-        h = h * np.where(ok, grow, shrink)
-        live = direction * (x1 - x) > 0
-        h = np.where(live, h, 0.0)
+def _mesh(monitor, L: float, n: int) -> np.ndarray:
+    """Nodes of the graded mesh on [-L, 0], ascending.
 
-    for m in dense:
-        # grid points at the end point that no interpolant reached
-        out_vals[m][i_out[m]:] = y[m]
-    stats = [StepStats(int(a), int(t - a), float(s))
-             for a, t, s in zip(accepted, tried, h_min)]
-    return y, out_vals, stats
+    monitor maps an array of xi to the monitor's values there.  Each piece
+    of [-L, 0] between consecutive nodes of -L, _BREAKS and 0 gets its
+    share of the n steps by its monitor integral (at least one), placed so
+    that every step holds an equal part of it.
+    """
+    ends = np.array([-L, *(b for b in _BREAKS if b > -L), 0.0])
+    xs = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * np.linspace(0.0, 1.0, _FINE + 1)
+    f = monitor(xs.ravel()).reshape(xs.shape)
+    if not np.all(np.isfinite(f)):
+        bad = xs.ravel()[np.argmin(np.isfinite(f).ravel())]
+        raise StepFail(f"non-finite matrix field at xi={bad:.4f}")
+    top = f.max()
+    m = f + _FLOOR * top if top > 0 else np.ones_like(f)
+    cum = np.zeros_like(m)
+    cum[:, 1:] = np.cumsum(0.5 * (m[:, 1:] + m[:, :-1]) * np.diff(xs, axis=1), axis=1)
+    steps = np.maximum(1, np.rint(n * cum[:, -1] / cum[:, -1].sum()).astype(int))
+    left = [ends[:1]]
+    for piece, k in enumerate(steps):
+        nodes = np.interp(np.linspace(0.0, cum[piece, -1], k + 1), cum[piece], xs[piece])
+        nodes[-1] = ends[piece + 1]
+        left.append(nodes[1:])
+    return np.concatenate(left)
+
+
+def refinement(lam: complex) -> int:
+    """Sub-steps per mesh step at lambda: ceil((|lambda| / LAMBDA_REF)^(5/6)), at least 1.
+
+    The Magnus error on a fixed mesh grows like |lambda|^5 h^6 once |lambda|
+    passes LAMBDA_REF, so splitting each step in this many equal parts
+    keeps it at its |lambda| = LAMBDA_REF size.
+    """
+    return max(1, math.ceil((abs(lam) / LAMBDA_REF) ** (5 / 6)))
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+def _magnus(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W0..W3 of each step's exponent Omega = W0 + lam W1 + lam^2 W2 + lam^3 W3.
+
+    h holds the signed steps (S,), a the lambda-free part of A at their
+    three Gauss nodes in the direction of travel (S, 3, 4, 4), and b the
+    coefficient of lambda in A, -J^-1 M.  Returns an (S, 4, 4, 4) array,
+    W_k in [:, k].
+    """
+    hh = h[:, None, None]
+    a1, b1 = hh * a[:, 1], hh * b                         # alpha1 = a1 + lam b1
+    a2 = (np.sqrt(15.0) / 3.0) * hh * (a[:, 2] - a[:, 0])
+    a3 = (10.0 / 3.0) * hh * (a[:, 2] - 2.0 * a[:, 1] + a[:, 0])
+    c10, c11 = _commutator(a1, a2), _commutator(b1, a2)   # C1 = c10 + lam c11
+    e0 = 2.0 * a3 + c10                                   # 2 alpha3 + C1 = e0 + lam c11
+    c20 = _commutator(a1, e0) / -60.0                     # C2 = c20 + lam c21 + lam^2 c22
+    c21 = (_commutator(a1, c11) + _commutator(b1, e0)) / -60.0
+    c22 = _commutator(b1, c11) / -60.0
+    x0, x1 = -20.0 * a1 - a3 + c10, -20.0 * b1 + c11      # -20 alpha1 - alpha3 + C1
+    y0 = a2 + c20                                         # alpha2 + C2 = y0 + lam c21 + lam^2 c22
+    w = np.empty((len(h), 4, 4, 4))
+    w[:, 0] = a1 + a3 / 12.0 + _commutator(x0, y0) / 240.0
+    w[:, 1] = b1 + (_commutator(x0, c21) + _commutator(x1, y0)) / 240.0
+    w[:, 2] = (_commutator(x0, c22) + _commutator(x1, c21)) / 240.0
+    w[:, 3] = _commutator(x1, c22) / 240.0
+    return w
+
+
+def _exponentials(parts, powers: np.ndarray) -> np.ndarray:
+    """exp(W0 + lam W1 + lam^2 W2 + lam^3 W3) for S steps and G lambdas.
+
+    parts holds pairs (w, g): the W_k of S steps, (S, 4, 4, 4), and the
+    indices of the lambdas that take them.  powers holds 1, lam, lam^2,
+    lam^3 per lambda, (G, 4) complex; the real and imaginary parts of the
+    exponent are sums of W_k weighted by theirs, so a real lambda gives an
+    exponent with a zero imaginary part.  Returns an (S, G, 4, 4) complex
+    array.
+    """
+    omega = np.empty((len(parts[0][0]), len(powers), 4, 4), complex)
+    for w, g in parts:
+        for part, c in ((omega.real, powers.real[g]), (omega.imag, powers.imag[g])):
+            sub = w[:, None, 0] * c[:, 0, None, None]
+            for k in (1, 2, 3):
+                sub += w[:, None, k] * c[:, k, None, None]
+            part[:, g] = sub
+    return expm4s(omega.reshape(-1, 4, 4)).reshape(omega.shape)
 
 
 def _check_mode(j: int, kind: str):
@@ -254,61 +231,171 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
     """Every run of a flat run list in one stepper call.
 
     Each run is (lam, spec, j, kind, until, grid): the spectral point, its
-    spectrum at infinity, the mode as in integrate_mode, the end point, and
-    a dense-output grid or None.  Runs of different lambda values, modes,
-    end points and grids mix freely; all share tol and the half-width L.
-    Returns one RescaledSolution per run, in order.  Each run keeps its own
-    steps, so each solution equals what integrate_mode returns for that run
-    alone.
+    spectrum at infinity, the mode as in integrate_mode, the end point in
+    [-L, L], and a grid or None.  A grid runs from the seed toward the end
+    point and must lie between them.  Runs of different lambda values,
+    modes, end points and grids mix freely; all share tol and the
+    half-width L.  A run with |lambda| above LAMBDA_REF steps on the mesh
+    with every step split refinement(lambda) times.  Returns one
+    RescaledSolution per run, in order; each equals what integrate_mode
+    returns for that run alone.
     """
     Lbox = float(L) if L is not None else wave.default_L(c)
-    n = len(runs)
-    mu = np.empty(n, complex)
-    sigma = np.empty(n)
-    lam_ode = np.empty(n, complex)
-    seed = np.empty((n, 4), complex)
-    xi_seed = np.empty(n)
-    until = np.empty(n)
-    grids = []
+    n = mesh_steps(tol)
+    if not runs:
+        return []
+    jinv = np.linalg.inv(jc(model, c))
+    jb = jinv @ model.binf()
+
+    def field(xi):
+        # J^-1 hessS(zhat(xi)) on an array of xi, (xi.size, 4, 4)
+        return np.broadcast_to(jinv @ model.hessS(wave.zhat(xi, c)), (xi.size, 4, 4))
+
+    left = _mesh(lambda xi: np.linalg.norm(field(xi) - jb, axis=(1, 2)) ** _POWER, Lbox, n)
+    levels = {}
     for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
         _check_mode(j, kind)
-        mu[m] = spec.mu[j - 1]
-        if kind == "u":
-            sigma[m], lam_ode[m], seed[m] = +1, complex(lam), spec.zeta[j - 1]
-            xi_seed[m] = -Lbox if j in (3, 4) else +Lbox
-        else:
-            sigma[m], lam_ode[m], seed[m] = -1, -complex(lam), spec.eta[j - 1]
-            xi_seed[m] = +Lbox if j in (3, 4) else -Lbox
-        until[m] = end
-        grids.append(grid)
+        levels.setdefault(refinement(lam), []).append(m)
+    out = [None] * len(runs)
+    for r, idx in sorted(levels.items()):
+        if n * r > MAX_STEPS:
+            raise BadParameter(f"|lambda| = {abs(runs[idx[0]][0]):g} at tol={tol:g} needs "
+                               f"{n * r} mesh steps per half-domain, more than {MAX_STEPS}")
+        half = np.append((left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)).ravel(),
+                         left[-1])
+        sols = _sweep(np.concatenate([half, -half[-2::-1]]), field, -(jinv @ model.M),
+                      [runs[m] for m in idx])
+        for m, sol in zip(idx, sols):
+            out[m] = sol
+    return out
 
-    jinv = np.linalg.inv(jc(model, c))
-    # A(xi) - sigma mu I with A = J(c)^-1 (hessS(zhat(xi)) - lambda M), the
-    # xi-independent part per run
-    cmat = (lam_ode[:, None, None] * (jinv @ model.M)
-            + (sigma * mu)[:, None, None] * np.eye(4))
-    hess = model.hessS
-    zhat = wave.zhat
-    cmat_re = np.ascontiguousarray(cmat.real)
-    bufs = {}   # one output per abscissa shape, reused from step to step
 
-    def amat(xi):
-        out = bufs.get(xi.shape)
-        if out is None:
-            # jinv and the Hessian are real, so the imaginary part is 0 - cmat.imag
-            # at every abscissa: it is written once
-            out = bufs[xi.shape] = np.empty(xi.shape + (4, 4), complex)
-            np.subtract(0.0, cmat.imag, out=out.imag)
-        jh = jinv @ hess(zhat(xi.ravel(), c))
-        if jh.ndim == 3:
-            jh = jh.reshape(xi.shape + (4, 4))
-        # else a hessS constant in z returned one 4x4 matrix, which broadcasts
-        np.subtract(jh, cmat_re, out=out.real)
-        return out
+def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
+    """The runs of integrate_modes, all stepped on the symmetric mesh x in one loop.
 
-    y_end, out_vals, stats = _dopri5(amat, xi_seed, until, seed, tol, grids)
-    return [RescaledSolution(xi_seed=float(xi_seed[m]), value_at_end=y_end[m],
-                             grid=grids[m], values=out_vals[m],
-                             nsteps=stats[m].accepted, nrejected=stats[m].rejected,
-                             h_min=stats[m].h_min)
-            for m in range(n)]
+    field maps an array of xi to J^-1 hessS(zhat(xi)) there, and bmat is
+    -J^-1 M, the coefficient of lambda in A.  Returns their
+    RescaledSolutions.
+    """
+    h = np.diff(x)
+    nsteps = len(h)
+    nrun = len(runs)
+    # per run, in the coordinate t = d xi along its direction of travel
+    # d = +1 (seeded at -L) or -1 (seeded at +L), in which its nodes are x
+    kappa = np.empty(nrun, complex)   # exp(kappa h) is the rescaling factor of a step h in t
+    seed = np.empty((nrun, 4), complex)
+    dirs = np.empty(nrun, int)
+    group = np.empty(nrun, int)
+    full = np.empty(nrun, int)        # full mesh steps taken
+    groups = {}                       # (d, lambda in the equation) -> group index
+    split = {}                        # step -> [(run, [(stop, grid index or None)])]
+    at_node = {}                      # node -> [(run, grid index)]
+    out_vals = []
+    for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
+        sigma, lam_ode = (1, complex(lam)) if kind == "u" else (-1, -complex(lam))
+        d = -1 if (j in (3, 4)) == (kind == "w") else 1
+        seed[m] = spec.zeta[j - 1] if kind == "u" else spec.eta[j - 1]
+        kappa[m] = -sigma * d * spec.mu[j - 1]
+        dirs[m] = d
+        key = (d, complex(lam_ode.real + 0.0, lam_ode.imag + 0.0))
+        group[m] = groups.setdefault(key, len(groups))
+        stops = [] if grid is None else [float(g) * d for g in grid]
+        t_end = float(end) * d
+        if not (stops == sorted(stops) and x[0] <= t_end <= x[-1]
+                and all(x[0] <= t <= t_end for t in stops)):
+            raise ValueError("end point outside [-L, L], or a grid not monotone "
+                             "from the seed to the end point")
+        at = np.searchsorted(x, [*stops, t_end], side="right") - 1
+        full[m] = at[-1]
+        inside = {}
+        for i, (t, k) in enumerate(zip(stops, at[:-1])):
+            if t == x[k]:
+                at_node.setdefault(int(k), []).append((m, i))
+            else:
+                inside.setdefault(int(k), []).append((t, i))
+        if t_end > x[full[m]]:
+            inside.setdefault(int(full[m]), []).append((t_end, None))
+        for k, pts in inside.items():
+            if k < full[m]:
+                pts.append((x[k + 1], None))
+            split.setdefault(k, []).append((m, pts))
+        out_vals.append(None if grid is None else np.empty((len(stops), 4), complex))
+
+    # A's lambda-free part at the Gauss nodes of every step, up the mesh
+    a0 = field((x[:-1, None] + _GAUSS * h[:, None]).ravel()).reshape(nsteps, 3, 4, 4)
+    # 1, lambda, lambda^2, lambda^3 of each group, as Python complex products
+    powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
+    dir_g = np.array([d for d, _ in groups])
+    last = np.zeros(len(groups), int)   # full steps of each group's longest run
+    np.maximum.at(last, group, full)
+    length = max(full.max(), max(split, default=-1) + 1)
+    up, down = np.flatnonzero(dir_g > 0), np.flatnonzero(dir_g < 0)
+
+    v = seed.copy()
+    nsub = np.zeros(nrun, int)
+    hsub = np.full(nrun, np.inf)
+    for m, i in at_node.get(0, []):
+        out_vals[m][i] = v[m]
+
+    def substeps(m, t0, pts):
+        # run m across a split step from t0, stop by stop, recording its grid values
+        d = dirs[m]
+        for t, i in pts:
+            hs = t - t0
+            xi = d * (t0 + _GAUSS * hs)
+            w = _magnus(np.array([d * hs]), field(xi)[None], bmat)
+            e = _exponentials([(w, [0])], powers[group[m], None])[0, 0]
+            if not np.all(np.isfinite(e.view(float))):
+                raise StepFail(f"non-finite exponent at xi={d * t0:.4f}")
+            v[m] = (e @ v[m]) * np.exp(kappa[m] * hs)
+            nsub[m] += 1
+            hsub[m] = min(hsub[m], abs(hs))
+            if i is not None:
+                out_vals[m][i] = v[m]
+            t0 = t
+
+    batch = max(1, _EXP_BATCH // len(groups))
+    # the steps at which the set of runs on full steps changes
+    change = {0, *full.tolist(), *split, *(k + 1 for k in split)}
+    for t0 in range(0, length, _TABLE_BATCH):
+        t1 = min(t0 + _TABLE_BATCH, length)
+        # the W tables of steps t0..t1 up the mesh and down it: step k down
+        # the mesh is step nsteps-1-k up it, with its nodes reversed and h negated
+        tables = [(_magnus(d * h[t0:t1], a0[t0:t1] if d > 0
+                           else a0[nsteps - t1:nsteps - t0][::-1, ::-1], bmat), g)
+                  for d, g in ((1, up), (-1, down)) if g.size]
+        for k0 in range(t0, t1, batch):
+            k1 = min(k0 + batch, t1)
+            e = _exponentials([(w[k0 - t0:k1 - t0], g) for w, g in tables], powers)
+            bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
+            bad &= np.arange(k0, k1)[:, None] < last
+            if bad.any():
+                s, g = np.argwhere(bad)[0]
+                raise StepFail(f"non-finite exponent at xi={dir_g[g] * x[k0 + s]:.4f}")
+            shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
+            for k in range(k0, k1):
+                if k in change:
+                    skip = [m for m, _ in split.get(k, [])]
+                    live = np.flatnonzero(k < full)
+                    live = np.setdiff1d(live, skip) if skip else live
+                    every = live.size == nrun
+                ek = e[k - k0]
+                if every:
+                    v = np.matmul(ek[group], v[..., None])[..., 0] * shift[k - k0, :, None]
+                elif live.size:
+                    v[live] = (np.matmul(ek[group[live]], v[live, :, None])[..., 0]
+                               * shift[k - k0, live, None])
+                for m, pts in split.get(k, []):
+                    substeps(m, x[k], pts)
+                for m, i in at_node.get(k + 1, []):
+                    out_vals[m][i] = v[m]
+            if not np.abs(v).max() <= _OVERFLOW:   # true for a NaN too
+                m = int(np.argmax(~(np.abs(v).max(axis=1) <= _OVERFLOW)))
+                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
+
+    hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
+    return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],
+                             grid=runs[m][5], values=out_vals[m],
+                             nsteps=int(full[m] + nsub[m]), nrejected=0,
+                             h_min=float(min(hmin[full[m]], hsub[m])))
+            for m in range(nrun)]

@@ -330,6 +330,91 @@ def quartic_root_sets(coeffs) -> tuple[np.ndarray, list]:
     return roots, errs
 
 
+_EXP_THETA = 0.75   # inf-norm each matrix is scaled under before its Taylor
+                    # polynomial of degree 16, whose remainder there is below
+                    # 5e-17 of exp's norm
+_EXP_COEFFS = 1.0 / np.cumprod([1.0, *range(1, 17)])   # 1 / k!, k = 0..16
+
+
+def expms(x) -> np.ndarray:
+    """exp of every matrix of a real (K, n, n) stack, bit for bit as alone.
+
+    Matrix k is scaled by 2^-s_k, exactly, with s_k the least power that
+    brings its inf-norm under _EXP_THETA; the degree-16 Taylor polynomial
+    is evaluated by Paterson-Stockmeyer as B0 + X4 (B1 + X4 (B2 + X4 (B3 +
+    X4 / 16!))) with B_j = sum_i X^i / (4j + i)!, and the result is squared
+    s_k times.  Every product is a stacked matmul, one BLAS call per
+    matrix, and every other operation is elementwise; the matrices are
+    sorted by s_k so that each squaring is one call on a slice.  So a
+    matrix gets the same bits in any stack.  Entries are not checked: a
+    non-finite entry gives a non-finite exponential.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[1] != x.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {np.shape(x)}")
+    k, n = x.shape[:2]
+    s = np.maximum(np.frexp((np.abs(x) @ np.ones(n)).max(axis=1, initial=0.0)
+                            / _EXP_THETA)[1], 0)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    x1 = x[order]
+    x1.reshape(k, n * n)[...] *= np.ldexp(1.0, -s)[:, None]
+    x2 = x1 @ x1
+    x3 = x2 @ x1
+    x4 = x2 @ x2
+    c = _EXP_COEFFS
+    t, u = np.empty_like(x1), np.empty_like(x1)
+
+    def block(j, out):
+        # B_j into out, through u
+        np.multiply(x1, c[4 * j + 1], out=out)
+        for i, p in ((2, x2), (3, x3)):
+            out += np.multiply(p, c[4 * j + i], out=u)
+        out.reshape(k, n * n)[:, ::n + 1] += c[4 * j]
+        return out
+
+    e, b = block(3, np.empty_like(x1)), np.empty_like(x1)
+    e += np.multiply(x4, c[16], out=t)
+    for j in (2, 1, 0):
+        np.matmul(x4, e, out=t)
+        np.add(t, block(j, b), out=e)
+    for i in np.searchsorted(s, np.arange(1, s[-1] + 1 if k else 1)):
+        np.matmul(e[i:], e[i:], out=t[i:])
+        e[i:] = t[i:]
+    x1[order] = e
+    return x1
+
+
+def expm4s(a) -> np.ndarray:
+    """exp of every matrix of a (K, 4, 4) complex stack, bit for bit as alone.
+
+    A matrix with a zero imaginary part goes through expms as it is; any
+    other, P + iQ, as the real 8x8 matrix [[P, -Q], [Q, P]], whose
+    exponential holds Re exp and Im exp in its left column of blocks.  All
+    products are real matmuls, which run several times faster than complex
+    ones at these sizes.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3 or a.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {np.shape(a)}")
+    cplx = np.any(a.imag != 0.0, axis=(1, 2))
+    if not cplx.any():
+        return expms(a.real).astype(complex)
+    r = np.flatnonzero(cplx)
+    re, im = (a.real, a.imag) if r.size == len(a) else (a.real[r], a.imag[r])
+    big = np.empty((r.size, 8, 8))
+    big[:, :4, :4] = big[:, 4:, 4:] = re
+    big[:, 4:, :4] = im
+    big[:, :4, 4:] = -im
+    e = expms(big)
+    out = np.empty_like(a)
+    if r.size < len(a):
+        out.real[~cplx] = expms(a.real[~cplx])
+        out.imag[~cplx] = 0.0
+    out.real[r], out.imag[r] = e[:, :4, :4], e[:, 4:, :4]
+    return out
+
+
 def quartic_roots(coeffs) -> np.ndarray:
     """All four roots of one quartic, 5 ascending coefficients: quartic_root_sets of one."""
     roots, errs = quartic_root_sets(np.asarray(coeffs)[None])

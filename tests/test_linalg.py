@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evanskit.errors import Degenerate, NonSkew, RankError
-from evanskit.linalg import (NULLVECTOR_TOL, det4, det4s, interior2, nullvector,
-                             nullvectors, quartic_root_sets, quartic_roots,
+from evanskit.linalg import (NULLVECTOR_TOL, det4, det4s, expm4s, expms, interior2,
+                             nullvector, nullvectors, quartic_root_sets, quartic_roots,
                              skew_cmat4, symplectic_forms, wedge2, wedge4)
 
 M = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
@@ -223,3 +223,41 @@ def test_quartic_root_sets_equal_singletons(seed, n):
         assert r.tobytes() == quartic_roots(p).tobytes()
         ref = np.sort_complex(np.roots(p[::-1]))
         assert np.max(np.abs(np.sort_complex(r) - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 5.0, 20.0, 50.0])
+def test_expm4s_matches_scipy(norm):
+    # random complex stacks scaled to a 1-norm, a quarter of them real, against
+    # scipy's Pade expm; relative to each exponential's largest entry
+    from scipy.linalg import expm   # the test extra
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))
+    a[:10].imag = 0.0
+    a *= norm / np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
+    got = expm4s(a)
+    for g, m in zip(got, a):
+        ref = expm(m)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(got[:10].imag == 0.0)
+
+
+def test_expm4s_batch_of_one_is_bit_identical():
+    # each matrix keeps its own scaling and squarings: alone it has the bits
+    # it has in a stack of mixed norms, real and complex
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((30, 4, 4)) + 1j * rng.standard_normal((30, 4, 4))
+    a[::3].imag = 0.0
+    a *= np.geomspace(1e-3, 50.0, 30)[:, None, None]
+    stack = expm4s(a)
+    for m, e in zip(a, stack):
+        assert np.array_equal(expm4s(m[None])[0], e)
+    assert np.array_equal(expms(a.real)[4], expms(a.real[4:5])[0])
+
+
+def test_expm_shape_guards():
+    with pytest.raises(ValueError):
+        expm4s(np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        expms(np.zeros((2, 3, 4)))
+    assert expm4s(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    assert np.array_equal(expms(np.zeros((1, 8, 8)))[0], np.eye(8))
