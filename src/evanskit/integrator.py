@@ -329,7 +329,6 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     last = np.zeros(len(groups), int)   # full steps of each group's longest run
     np.maximum.at(last, group, full)
     length = max(full.max(), max(split, default=-1) + 1)
-    up, down = np.flatnonzero(dir_g > 0), np.flatnonzero(dir_g < 0)
 
     v = seed.copy()
     nsub = np.zeros(nrun, int)
@@ -362,16 +361,20 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
         # the W tables of steps t0..t1 up the mesh and down it: step k down
         # the mesh is step nsteps-1-k up it, with its nodes reversed and h negated
         tables = [(_magnus(d * h[t0:t1], a0[t0:t1] if d > 0
-                           else a0[nsteps - t1:nsteps - t0][::-1, ::-1], bmat), g)
-                  for d, g in ((1, up), (-1, down)) if g.size]
+                           else a0[nsteps - t1:nsteps - t0][::-1, ::-1], bmat), d)
+                  for d in (1, -1) if np.any(last[dir_g == d] > t0)]
         for k0 in range(t0, t1, batch):
             k1 = min(k0 + batch, t1)
-            e = _exponentials([(w[k0 - t0:k1 - t0], g) for w, g in tables], powers)
+            # exponentials for the groups with a full step left, in this order
+            act = np.flatnonzero(last > k0)
+            e = _exponentials([(w[k0 - t0:k1 - t0], np.flatnonzero(dir_g[act] == d))
+                               for w, d in tables], powers[act])
             bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
-            bad &= np.arange(k0, k1)[:, None] < last
+            bad &= np.arange(k0, k1)[:, None] < last[act]
             if bad.any():
                 s, g = np.argwhere(bad)[0]
-                raise StepFail(f"non-finite exponent at xi={dir_g[g] * x[k0 + s]:.4f}")
+                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
+            row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
             shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
             for k in range(k0, k1):
                 if k in change:
@@ -381,9 +384,9 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
                     every = live.size == nrun
                 ek = e[k - k0]
                 if every:
-                    v = np.matmul(ek[group], v[..., None])[..., 0] * shift[k - k0, :, None]
+                    v = np.matmul(ek[row], v[..., None])[..., 0] * shift[k - k0, :, None]
                 elif live.size:
-                    v[live] = (np.matmul(ek[group[live]], v[live, :, None])[..., 0]
+                    v[live] = (np.matmul(ek[row[live]], v[live, :, None])[..., 0]
                                * shift[k - k0, live, None])
                 for m, pts in split.get(k, []):
                     substeps(m, x[k], pts)
