@@ -336,7 +336,7 @@ _EXP_THETA = 0.75   # inf-norm each matrix is scaled under before its Taylor
 _EXP_COEFFS = 1.0 / np.cumprod([1.0, *range(1, 17)])   # 1 / k!, k = 0..16
 
 
-def expms(x) -> np.ndarray:
+def _expms(x) -> np.ndarray:
     """exp of every matrix of a real (K, n, n) stack, bit for bit as alone.
 
     Matrix k is scaled by 2^-s_k, exactly, with s_k the least power that
@@ -388,7 +388,7 @@ def expms(x) -> np.ndarray:
 def expm4s(a) -> np.ndarray:
     """exp of every matrix of a (K, 4, 4) complex stack, bit for bit as alone.
 
-    A matrix with a zero imaginary part goes through expms as it is; any
+    A matrix with a zero imaginary part goes through _expms as it is; any
     other, P + iQ, as the real 8x8 matrix [[P, -Q], [Q, P]], whose
     exponential holds Re exp and Im exp in its left column of blocks.  All
     products are real matmuls, which run several times faster than complex
@@ -399,17 +399,17 @@ def expm4s(a) -> np.ndarray:
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {np.shape(a)}")
     cplx = np.any(a.imag != 0.0, axis=(1, 2))
     if not cplx.any():
-        return expms(a.real).astype(complex)
+        return _expms(a.real).astype(complex)
     r = np.flatnonzero(cplx)
     re, im = (a.real, a.imag) if r.size == len(a) else (a.real[r], a.imag[r])
     big = np.empty((r.size, 8, 8))
     big[:, :4, :4] = big[:, 4:, 4:] = re
     big[:, 4:, :4] = im
     big[:, :4, 4:] = -im
-    e = expms(big)
+    e = _expms(big)
     out = np.empty_like(a)
     if r.size < len(a):
-        out.real[~cplx] = expms(a.real[~cplx])
+        out.real[~cplx] = _expms(a.real[~cplx])
         out.imag[~cplx] = 0.0
     out.real[r], out.imag[r] = e[:, :4, :4], e[:, 4:, :4]
     return out

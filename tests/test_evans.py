@@ -113,9 +113,8 @@ def test_large_lambda_against_oracle():
 # D, d1..d4 as float.hex (real, imag) and the StepStats of u3, u4, w3, w4
 # (accepted, rejected, h_min.hex()); the stepper and the spectrum are
 # rewritten for speed now and then, and these points must keep every bit.
-# Recorded on the Magnus stepper, whose D is within 4.2e-11 and 3.3e-11 of
-# the closed form at the stencil and complex points (the Dormand-Prince
-# values it replaced were within 2.9e-9 and 2.0e-9)
+# D is within 4.2e-11 and 3.3e-11 of the closed form at the stencil and
+# complex points
 _GOLDEN = {
     (1.0, 0.0, 1e-10, 0.0): (
         {"D": ("0x1.4ed136c58f0b4p-59", "-0x0.0p+0"),
