@@ -26,7 +26,7 @@ the step, so a call tabulates them once for all its runs, and each
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
-steps on [-L, 0] equidistribute ||J^-1 (hessS(zhat) - B_inf)||_F^(1/5)
+steps on [-L, 0] equidistribute ||J^-1 (hessS(zhat) - B_inf)||_F^(1/4)
 plus a floor of _FLOOR times its maximum, piece by piece between the
 nodes -L, -2, -1.5, -1, -0.5 and 0, and [0, L] is the mirror image; tol
 is the one accuracy knob.  The error of a step grows like |lambda|^5, so
@@ -56,7 +56,7 @@ N_REF = 294        # mesh steps on [-L, 0] at tol = 1e-10
 MAX_STEPS = 4096   # cap on the steps on [-L, 0]; a tol that needs more is refused
 LAMBDA_REF = 10.0  # |lambda| up to which a run steps on the mesh as it is
 _BREAKS = (-2.0, -1.5, -1.0, -0.5)   # mesh nodes besides -L and 0 (and their mirror images)
-_POWER = 0.2       # the monitor is the field's distance from B_inf to this power
+_POWER = 0.25      # the monitor is the field's distance from B_inf to this power
 _FLOOR = 0.005     # monitor floor, as a fraction of the monitor's maximum
 _FINE = 128        # monitor samples per mesh piece
 _EXP_BATCH = 256   # matrices per exponential call: steps times (lambda, direction) groups

@@ -313,21 +313,21 @@ def test_verify_exact_evans_closed_form_agrees():
 # that means to move a printed digit re-records these and says so.
 _PINNED_STDOUT = [
     ("report --p 1 --c 0.3",
-     "9a9ff1c4549dae0edaa31e737a292882fa50c24ba41e094dd3dd4e2e903bfb59"),
+     "7f30c4bc6c1b2af9be36c1378c0cb87364fa4f0fe616c256891362523cd068a6"),
     ("report --p 2 --c 0",
-     "83a6f1f7b9fce01682e00119a4cc7cd4f9ef072803f28f751733cc4f27b70a59"),
+     "c223f81680732f386e3db2072e5044c398ea7bb31162487215c2353295914c93"),
     ("scan --model coupled-wave --p 1.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "ca22685c972ce5a7b69c5cec569da9e6218dab05134d055cee10d38b70a7aa74"),
+     "1e7e3c71119e56886850750bec62d6b8e096a691bfd6e8b3708dc7fa8a8f461a"),
     ("scan --model coupled-wave --p 2.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "3bca2d14eb38b094e9fe5311cdcce664fec5611f75f9a91ad59b892ca32dcddd"),
+     "44867df940aa12224a83ac63e9814dd9e07aa971a068c32079f723c99c78e355"),
     ("contour --model coupled-wave --p 1.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "4ae2a03e2647f211b25d7a8733c4bfa1fd693a7b7822b9364a4b8764887383e6"),
     ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "6c65b769956c81a1fcfdf6816f82342dd7df60e833fc29cd93ece6b9cbde490f"),
     ("verify --suite structure --c 0.3",
-     "339f8544d47b63c405268ade6c8ae1d3a4a5b580a45e811a661a186e660a5f5e"),
+     "2680dcb8f557344088df88d7ec5d275a3f1300d6928c98e62e4fde44b96f337d"),
     ("verify --suite appendix-a --c 0.3",
-     "d15d8a821da4713c2f11881d03fbac7c3b9923186d571c73ba70ab5ed2f0fb34"),
+     "194987fa37daead39c8fd060aa9f9571c5d9a59d0ed0284699af02e8b676575f"),
 ]
 
 
