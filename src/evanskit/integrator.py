@@ -121,7 +121,7 @@ def _mesh(monitor, L: float, n: int) -> np.ndarray:
     """
     ends = np.array([-L, *(b for b in _BREAKS if b > -L), 0.0])
     xs = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * np.linspace(0.0, 1.0, _FINE + 1)
-    f = monitor(xs.ravel()).reshape(xs.shape)
+    f = np.array([monitor(row) for row in xs])   # a piece at a time, to bound memory
     if not np.all(np.isfinite(f)):
         bad = xs.ravel()[np.argmin(np.isfinite(f).ravel())]
         raise StepFail(f"non-finite matrix field at xi={bad:.4f}")
@@ -321,8 +321,6 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
             split.setdefault(k, []).append((m, pts))
         out_vals.append(None if grid is None else np.empty((len(stops), 4), complex))
 
-    # A's lambda-free part at the Gauss nodes of every step, up the mesh
-    a0 = field((x[:-1, None] + _GAUSS * h[:, None]).ravel()).reshape(nsteps, 3, 4, 4)
     # 1, lambda, lambda^2, lambda^3 of each group, as Python complex products
     powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
     dir_g = np.array([d for d, _ in groups])
@@ -335,6 +333,10 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     hsub = np.full(nrun, np.inf)
     for m, i in at_node.get(0, []):
         out_vals[m][i] = v[m]
+
+    def nodes(k0, k1):
+        # A's lambda-free part at the Gauss nodes of steps k0..k1 up the mesh
+        return field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel()).reshape(-1, 3, 4, 4)
 
     def substeps(m, t0, pts):
         # run m across a split step from t0, stop by stop, recording its grid values
@@ -360,8 +362,8 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
         t1 = min(t0 + _TABLE_BATCH, length)
         # the W tables of steps t0..t1 up the mesh and down it: step k down
         # the mesh is step nsteps-1-k up it, with its nodes reversed and h negated
-        tables = [(_magnus(d * h[t0:t1], a0[t0:t1] if d > 0
-                           else a0[nsteps - t1:nsteps - t0][::-1, ::-1], bmat), d)
+        tables = [(_magnus(d * h[t0:t1], nodes(t0, t1) if d > 0
+                           else nodes(nsteps - t1, nsteps - t0)[::-1, ::-1], bmat), d)
                   for d in (1, -1) if np.any(last[dir_g == d] > t0)]
         for k0 in range(t0, t1, batch):
             k1 = min(k0 + batch, t1)

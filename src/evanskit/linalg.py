@@ -363,21 +363,22 @@ def _expms(x) -> np.ndarray:
     x3 = x2 @ x1
     x4 = x2 @ x2
     c = _EXP_COEFFS
-    t, u = np.empty_like(x1), np.empty_like(x1)
+    t = np.empty_like(x1)
 
     def block(j, out):
-        # B_j into out, through u
+        # B_j into out, through t
         np.multiply(x1, c[4 * j + 1], out=out)
         for i, p in ((2, x2), (3, x3)):
-            out += np.multiply(p, c[4 * j + i], out=u)
+            out += np.multiply(p, c[4 * j + i], out=t)
         out.reshape(k, n * n)[:, ::n + 1] += c[4 * j]
         return out
 
     e, b = block(3, np.empty_like(x1)), np.empty_like(x1)
     e += np.multiply(x4, c[16], out=t)
     for j in (2, 1, 0):
+        block(j, b)
         np.matmul(x4, e, out=t)
-        np.add(t, block(j, b), out=e)
+        np.add(t, b, out=e)
     for i in np.searchsorted(s, np.arange(1, s[-1] + 1 if k else 1)):
         np.matmul(e[i:], e[i:], out=t[i:])
         e[i:] = t[i:]
