@@ -41,9 +41,9 @@ class MultisymplecticModel:
     this.  hessS maps z of shape (4,) to the real 4x4 Hessian and also
     broadcasts over a trailing batch axis: z of shape (4, N) maps to an
     (N, 4, 4) stack whose n-th matrix equals hessS(z[:, n]) exactly.  The
-    mode integrator relies on this to advance many runs at once: it calls
-    hessS once per step, on the profile at all stage abscissae of every
-    run, 5N points for N runs.  A hessS that returns one constant 4x4
+    mode integrator relies on this: it calls hessS on the profile at the
+    three Gauss nodes of every step of a 32-step chunk of its mesh, once
+    for all the runs of a call.  A hessS that returns one constant 4x4
     matrix for any input also satisfies the contract, by broadcasting.
     """
 

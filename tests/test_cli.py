@@ -176,7 +176,7 @@ def test_degenerate_edges_refuse(args, code, named):
     # next to p = 5/3, where Pi vanishes, and as |c| -> 1, where the profile
     # narrows, a task ends in a typed error or a failed hypothesis check and
     # prints none of the numbers it would otherwise report.  At p = 1.6666666
-    # the tangent pairing, Pi = 5.6e-10, holds along xi to 6e-9 relative, so
+    # the tangent pairing, Pi = 5.6e-10, holds along xi to 1e-9 relative, so
     # the refusal comes from the derivative stencil's quadratic fit
     r = _run(args)
     assert r.exit_code == code
