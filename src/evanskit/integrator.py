@@ -369,26 +369,26 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
             k1 = min(k0 + batch, t1)
             # exponentials for the groups with a full step left, in this order
             act = np.flatnonzero(last > k0)
-            e = _exponentials([(w[k0 - t0:k1 - t0], np.flatnonzero(dir_g[act] == d))
-                               for w, d in tables], powers[act])
-            bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
-            bad &= np.arange(k0, k1)[:, None] < last[act]
-            if bad.any():
-                s, g = np.argwhere(bad)[0]
-                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
-            row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
-            shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
+            if act.size:
+                e = _exponentials([(w[k0 - t0:k1 - t0], np.flatnonzero(dir_g[act] == d))
+                                   for w, d in tables], powers[act])
+                bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
+                bad &= np.arange(k0, k1)[:, None] < last[act]
+                if bad.any():
+                    s, g = np.argwhere(bad)[0]
+                    raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
+                row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
+                shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
             for k in range(k0, k1):
                 if k in change:
                     skip = [m for m, _ in split.get(k, [])]
                     live = np.flatnonzero(k < full)
                     live = np.setdiff1d(live, skip) if skip else live
                     every = live.size == nrun
-                ek = e[k - k0]
                 if every:
-                    v = np.matmul(ek[row], v[..., None])[..., 0] * shift[k - k0, :, None]
+                    v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
                 elif live.size:
-                    v[live] = (np.matmul(ek[row[live]], v[live, :, None])[..., 0]
+                    v[live] = (np.matmul(e[k - k0, row[live]], v[live, :, None])[..., 0]
                                * shift[k - k0, live, None])
                 for m, pts in split.get(k, []):
                     substeps(m, x[k], pts)

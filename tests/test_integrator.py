@@ -238,6 +238,19 @@ def test_frozen_model_is_exact():
             assert r.nrejected == 0 and abs(r.nsteps - k * mesh_steps(1e-9)) <= 5 * k
 
 
+def test_end_inside_first_step():
+    # a run that ends, or samples, inside its first mesh step takes only
+    # its own split steps; on the frozen model they keep the seed
+    frozen, fwave = _frozen()
+    s = spectrum(frozen, 0.0, 0.7)
+    L = fwave.default_L(0.0)
+    r = integrate_mode(frozen, fwave, 0.0, 0.7, 4, "u", spec=s, until=-L + 0.01,
+                       out_grid=np.array([-L, -L + 0.005]))
+    assert r.nsteps == 2 and abs(r.h_min - 0.005) <= 1e-12
+    assert np.max(np.abs(r.values - s.zeta[3])) <= 1e-14
+    assert np.max(np.abs(r.value_at_end - s.zeta[3])) <= 1e-14
+
+
 def test_sixth_order_against_oracle():
     # 64 times the tolerance is twice the steps: a sixth-order error falls 64x
     model, wave = _coupled()
