@@ -10,6 +10,8 @@ The null-vector and quartic solvers are batched (nullvectors,
 quartic_root_sets): a whole stack iterates in lockstep, each item keeping
 its own stopping test, so nullvector and quartic_roots are batches of one.
 The symplectic pairing has one kernel, symplectic_forms, called on stacks.
+expm4s exponentiates a stack of 4x4 matrices, each with its own scaling,
+through real matmuls alone.
 det4s is det4 over a stack; det4 stays the scalar kernel, as one matrix
 takes det4 12-20 us and det4s about 230 us (numpy's per-call costs).
 Each item must get the bits of one-at-a-time arithmetic on complex
