@@ -76,11 +76,12 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
 
     mu ordering is ascending real part (imaginary part breaks ties).  The
     Delta coefficients of every lambda come from one det4s call and one
-    stacked solve (_delta_coeffs), the quartics are solved together, all
-    8 * len(lams) null vectors come from one stacked Jacobi call and the
-    Kconst of every frame from one more det4s call; every field equals
-    what spectrum gives at that lambda alone.  On failure the batch raises
-    what the first failing lambda, in list order, raises alone.
+    stacked solve (_delta_coeffs), the quartics are solved together from
+    one stacked companion-matrix eigenvalue call, all 8 * len(lams) null
+    vectors come from one stacked SVD and the Kconst of every frame from
+    one more det4s call; every field equals what spectrum gives at that
+    lambda alone.  On failure the batch raises what the first failing
+    lambda, in list order, raises alone.
     """
     lams = [complex(lam) for lam in lams]
     j = jc(model, c)

@@ -2,13 +2,14 @@
 
 Everything that feeds the Evans-function pipeline lives in dimension 4
 (state space) or 6 (bivectors).
-The solvers here are hand-rolled so their sweep order, tolerances and
-tie-breaking are deterministic and pinned; no LAPACK driver choices leak
-into results.
+Results rest on numpy's BLAS and LAPACK builds: the null vectors come
+from a stacked SVD and the quartic roots from stacked companion-matrix
+eigenvalues, each polished and checked here with pinned tolerances.
 
 The null-vector and quartic solvers are batched (nullvectors,
-quartic_root_sets): a whole stack iterates in lockstep, each item keeping
-its own stopping test, so nullvector and quartic_roots are batches of one.
+quartic_root_sets): numpy runs LAPACK on each matrix of a stack alone and
+the polish is elementwise, so nullvector and quartic_roots are batches of
+one with the same bits.
 The symplectic pairing has one kernel, symplectic_forms, called on stacks.
 expm4s exponentiates a stack of 4x4 matrices, each with its own scaling,
 through real matmuls alone.
@@ -19,7 +20,7 @@ scalars, on which every pinned D, root and Pi rests.  numpy's array loops
 round differently from its scalar arithmetic: the SIMD complex product
 fuses multiply-adds, and complex abs on arrays is not libm's hypot.  So
 products of per-item scalars are written in real parts (_cmul), abs() of
-a per-item scalar is np.hypot, and np.vdot becomes a stack of 1x4 @ 4x1
+a per-item scalar is np.hypot, and a dot product is a stack of 1x4 @ 4x1
 matmuls, which call the same BLAS dot.  What is an array operation for
 one item (a column times a scalar, np.abs of a vector) stays one.
 
@@ -118,10 +119,6 @@ def interior2(q4coeff: complex, x: np.ndarray) -> np.ndarray:
 
 NULLVECTOR_TOL = 1e-8   # a kernel direction needs sigma_min <= NULLVECTOR_TOL * sigma_max
 QUARTIC_TOL = 1e-12     # quartic residuals must stay below QUARTIC_TOL * local scale
-_JACOBI_SWEEPS = 40
-_JACOBI_PAIRS = tuple((p, q) for p in range(3) for q in range(p + 1, 4))
-_DK_ITERS = 200
-_DK_START = (0.4 + 0.9j) ** np.arange(1, 5)
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -156,28 +153,17 @@ def det4s(ms) -> np.ndarray:
             + _cmul(p[3], q[2]) - _cmul(p[4], q[1]) + _cmul(p[5], q[0]))
 
 
-def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.vdot(x[n], y[n]) for each n: a stack of 1x4 @ 4x1 products runs the same BLAS dot."""
-    return np.matmul(np.conj(x)[:, None, :], y[:, :, None])[:, 0, 0]
-
-
 def nullvectors(ms) -> tuple[np.ndarray, list]:
     """One-dimensional kernel directions of a (K, 4, 4) stack of complex matrices.
 
-    One-sided Jacobi SVD: columns of a working copy are orthogonalized by
-    deterministic sweeps over the pairs (0,1),(0,2),...,(2,3); the
-    accumulated right factor holds the singular vectors.  The null
-    vector is the right singular vector of the smallest singular value.
-    All matrices sweep in lockstep; a pair is skipped for a matrix whose
-    columns are already orthogonal, and a matrix stops once its own
-    off-diagonal measure falls to 1e-14, so each ends exactly where it
-    would alone.
+    One stacked np.linalg.svd; the null vector is the right singular vector
+    of the smallest singular value, conj(vh[:, 3]).  numpy calls LAPACK on
+    each matrix of the stack alone, so each gets the bits of its own call.
 
     Returns (vecs, errs).  vecs[n] has unit norm and its largest component
-    rotated onto the positive real axis.  errs[n] is None, or the error
-    nullvector(ms[n]) raises: RankError unless exactly one singular value
-    falls below NULLVECTOR_TOL * sigma_max, NoConverge if the sweeps do
-    not settle; such rows of vecs hold NaN.
+    rotated onto the positive real axis.  errs[n] is None, or the RankError
+    nullvector(ms[n]) raises unless exactly one singular value falls below
+    NULLVECTOR_TOL * sigma_max; such rows of vecs hold NaN.
     """
     a = np.array(ms, dtype=complex)
     if a.ndim != 3 or a.shape[1:] != (4, 4):
@@ -185,52 +171,11 @@ def nullvectors(ms) -> tuple[np.ndarray, list]:
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("non-finite entries in 4x4 matrix")
     k = len(a)
-    # rows 0-3 hold the working copy, rows 4-7 the right factor; both rotate alike
-    w = np.concatenate([a, np.broadcast_to(np.eye(4, dtype=complex), a.shape)], axis=1)
-    live = np.ones(k, dtype=bool)
-    for _ in range(_JACOBI_SWEEPS):
-        off = np.zeros(k)
-        for p, q in _JACOBI_PAIRS:
-            app = _vdots(w[:, :4, p], w[:, :4, p]).real
-            aqq = _vdots(w[:, :4, q], w[:, :4, q]).real
-            apq = _vdots(w[:, :4, p], w[:, :4, q])
-            g = np.hypot(apq.real, apq.imag)    # abs() of a Python complex
-            denom = np.sqrt(app * aqq)
-            r = np.flatnonzero(live & (denom != 0.0) & ~(g <= 1e-15 * denom))
-            if r.size == 0:
-                continue
-            g, apq = g[r], apq[r]
-            off[r] = np.maximum(off[r], g / denom[r])
-            # Python's complex / float: (re + im * 0) / g, zero signs included
-            phase = np.empty(r.size, dtype=complex)
-            phase.real = (apq.real + apq.imag * 0.0) / g
-            phase.imag = (apq.imag - apq.real * 0.0) / g
-            tau = (aqq[r] - app[r]) / (2.0 * g)
-            t = np.ones_like(tau)
-            nz = tau != 0
-            t[nz] = np.sign(tau[nz]) / (np.abs(tau[nz]) + np.sqrt(1.0 + tau[nz] * tau[nz]))
-            cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = cs * t
-            # unitary R = [[cs, sn], [-sn/phase, cs/phase]] applied on the right
-            wp = w[r, :, p]
-            wq = w[r, :, q] / phase[:, None]
-            w[r, :, p] = cs[:, None] * wp - sn[:, None] * wq
-            w[r, :, q] = sn[:, None] * wp + cs[:, None] * wq
-        live &= ~(off <= 1e-14)
-        if not live.any():
-            break
-
-    errs: list = [None] * k
-    for n in np.flatnonzero(live):
-        errs[n] = NoConverge("one-sided Jacobi SVD failed to settle in 40 sweeps")
-    sigma = np.linalg.norm(np.ascontiguousarray(w[:, :4]), axis=1)
-    order = np.argsort(sigma, axis=1)
-    s0, s1, smax = (np.take_along_axis(sigma, order[:, i:i + 1], axis=1)[:, 0]
-                    for i in (0, 1, 3))
+    _, sigma, vh = np.linalg.svd(a)   # sigma descending
+    s0, s1, smax = sigma[:, 3], sigma[:, 2], sigma[:, 0]
     tol = NULLVECTOR_TOL
+    errs: list = [None] * k
     for n in range(k):
-        if errs[n] is not None:
-            continue
         if smax[n] == 0.0:
             errs[n] = RankError("zero matrix has no one-dimensional kernel")
         elif s0[n] > tol * smax[n]:
@@ -240,7 +185,7 @@ def nullvectors(ms) -> tuple[np.ndarray, list]:
         elif s1[n] <= tol * smax[n]:
             errs[n] = RankError("kernel dimension >= 2 at this tolerance")
 
-    vec = np.take_along_axis(w[:, 4:], order[:, None, :1], axis=2)[:, :, 0]
+    vec = np.conj(vh[:, 3])
     top = vec[np.arange(k), np.argmax(np.abs(vec), axis=1)]
     vec = vec * (np.conj(top) / np.hypot(top.real, top.imag))[:, None]   # abs() of a scalar
     re = vec.real   # np.linalg.norm of a complex vector: two real dots
@@ -259,29 +204,74 @@ def nullvector(m) -> np.ndarray:
     return vecs[0]
 
 
-def _monic_val(z: np.ndarray, mon: np.ndarray) -> np.ndarray:
-    """Horner value of monic quartics mon (ascending, one per row) at z[n, :]."""
-    acc = z + mon[:, 3:4]
-    for i in (2, 1, 0):
-        acc = _cmul(acc, z) + mon[:, i:i + 1]
-    return acc
+def _two_sum(a, b):
+    """a + b and its rounding error, both exact (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _split(a):
+    """a = hi + lo with hi and lo of 26 bits each, exactly (Veltkamp's split)."""
+    c = 134217729.0 * a   # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SIGN = np.array([-1.0, 1.0])[:, None, None]
+
+
+def _horner(z: np.ndarray, mon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(z) and p'(z) for monic quartics mon (ascending, one per row) at z[n, :].
+
+    p(z) by the compensated Horner scheme (Graillat, Langlois & Louvet,
+    2005): the exact rounding errors of each step, from Dekker's product
+    and _two_sum, run through a second Horner recurrence, so p(z) is as
+    accurate as if computed in twice the working precision.  Near a close
+    pair of large roots plain Horner's rounding swamps p.  p'(z) is plain
+    Horner.  A complex array w is a (re, im) pair on a leading axis, and
+    all arithmetic is real and elementwise: with z = x + iy and t = w b,
+    b = ((x, y), (y, x)), the product w z is t[:, 0] + (-1, 1) t[:, 1].
+    """
+    b = np.array([[z.real, z.imag], [z.imag, z.real]])
+    bh, bl = _split(b)
+    m = np.stack([mon.real, mon.imag])
+    w = np.zeros((2,) + z.shape)   # p by Horner from its leading 1,
+    w[0] = 1.0
+    err, dw = np.zeros_like(w), np.zeros_like(w)   # its rounding error and p'
+    for i in (3, 2, 1, 0):
+        t = dw * b
+        dw = (t[:, 0] + _SIGN * t[:, 1]) + w
+        t = err * b
+        err = t[:, 0] + _SIGN * t[:, 1]
+        ah, al = _split(w)
+        t = w * b
+        e = al * bl - (((t - ah * bh) - al * bh) - ah * bl)   # t + e = w b exactly
+        s, e1 = _two_sum(t[:, 0], _SIGN * t[:, 1])
+        w, e2 = _two_sum(s, m[:, :, i:i + 1])
+        err = err + (((e[:, 0] + _SIGN * e[:, 1]) + e1) + e2)
+    return (w[0] + err[0]) + 1j * (w[1] + err[1]), dw[0] + 1j * dw[1]
 
 
 def quartic_root_sets(coeffs) -> tuple[np.ndarray, list]:
-    """All four roots of each genuine quartic, Durand-Kerner plus Newton polish.
+    """All four roots of each genuine quartic: companion eigenvalues plus Newton polish.
 
     coeffs is a (K, 5) array, one quartic per row, coefficients ascending
-    (leading coefficient last).  The quartics iterate in lockstep, each
-    stopping on its own shift test, so each ends exactly where it would
-    alone.  Returns (roots, errs): the roots of row n sorted by (Re, Im) in
-    roots[n], and in errs[n] None or the error quartic_roots(coeffs[n])
-    raises: Degenerate if the leading coefficient vanishes relative to the
-    others, NoConverge if the iteration stalls or residuals stay above
-    QUARTIC_TOL * local scale.  Rows with an error hold NaN.
+    (leading coefficient last).  The roots start as the eigenvalues of the
+    monic companion matrices, from one stacked np.linalg.eigvals call that
+    runs LAPACK on each matrix alone, and take 3 Newton steps on the
+    compensated residual of _horner.  Returns
+    (roots, errs): the roots of row n sorted by (Re, Im) in roots[n], and
+    in errs[n] None or the error quartic_roots(coeffs[n]) raises:
+    Degenerate if the leading coefficient vanishes relative to the others,
+    NoConverge if residuals stay above QUARTIC_TOL * local scale.  Rows
+    with an error hold NaN.
     """
     c = np.array(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] != 5:
         raise ValueError(f"expected a (K, 5) coefficient array, got shape {np.shape(coeffs)}")
+    if not np.all(np.isfinite(c.view(float))):
+        raise ValueError("non-finite quartic coefficients")
     n = len(c)
     errs: list = [None] * n
     cmax = np.max(np.abs(c), axis=1)
@@ -291,37 +281,18 @@ def quartic_root_sets(coeffs) -> tuple[np.ndarray, list]:
         errs[i] = Degenerate("leading coefficient vanishes; not a quartic")
     ix = np.flatnonzero(~flat)
     mon = c[ix] / c[ix, 4:5]
+    comp = np.zeros((len(ix), 4, 4), dtype=complex)
+    comp[:, 0] = -mon[:, 3::-1]   # np.roots' companion form
+    comp[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    z = np.linalg.eigvals(comp)
 
-    z = (1.0 + np.max(np.abs(mon[:, :4]), axis=1))[:, None] * _DK_START  # Cauchy bound
-    live = np.ones(len(ix), dtype=bool)
-    for _ in range(_DK_ITERS):
-        r = np.flatnonzero(live)
-        z0, zn, m = z[r], z[r], mon[r]
-        for k in range(4):
-            zk = zn[:, k:k + 1]
-            d = zk - zn[:, [j for j in range(4) if j != k]]
-            d = _cmul(_cmul(d[:, 0], d[:, 1]), d[:, 2])[:, None]
-            zn[:, k:k + 1] = zk - _monic_val(zk, m) / d
-        shift = np.max(np.abs(zn - z0) / (1.0 + np.abs(zn)), axis=1)
-        z[r] = zn
-        live[r[shift < 1e-12]] = False
-        if not live.any():
-            break
-    for i in ix[live]:
-        errs[i] = NoConverge("Durand-Kerner stalled on quartic")
-    z, mon, ix = z[~live], mon[~live], ix[~live]
-
-    for _ in range(3):   # Newton; integer factors multiply as complex scalars
-        dv = _cmul(4.0 + 0j, z) + _cmul(3.0 + 0j, mon[:, 3:4])
-        dv = _cmul(_cmul(dv, z) + _cmul(2.0 + 0j, mon[:, 2:3]), z) + mon[:, 1:2]
+    for _ in range(3):   # Newton
+        val, dv = _horner(z, mon)
         s = dv != 0
-        z[s] = z[s] - _monic_val(z, mon)[s] / dv[s]
+        z[s] = z[s] - val[s] / dv[s]
 
     scale = cmax[ix, None] * (1.0 + np.abs(z)) ** 4
-    acc = np.zeros_like(z)
-    for a in c[ix, ::-1].T:   # Horner from 0, as on one complex scalar
-        acc = _cmul(acc, z) + a[:, None]
-    resid = np.abs(acc)
+    resid = np.abs(_horner(z, mon)[0]) * lead[ix, None]
     for k in np.flatnonzero(np.any(resid > QUARTIC_TOL * scale, axis=1)):
         errs[ix[k]] = NoConverge(f"quartic residual {np.max(resid[k] / scale[k]):.2e} "
                                  f"above {QUARTIC_TOL:.1e}")

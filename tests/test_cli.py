@@ -313,21 +313,21 @@ def test_verify_exact_evans_closed_form_agrees():
 # that means to move a printed digit re-records these and says so.
 _PINNED_STDOUT = [
     ("report --p 1 --c 0.3",
-     "7f30c4bc6c1b2af9be36c1378c0cb87364fa4f0fe616c256891362523cd068a6"),
+     "2b6553d5e8bdaed574724d6e40f8c42c4a463c9f9624e147b7e9fcaaa23044ea"),
     ("report --p 2 --c 0",
-     "c223f81680732f386e3db2072e5044c398ea7bb31162487215c2353295914c93"),
+     "7481867962eff4ceb50ed28290f434d0dede2cb04f362e9813b580ceb4328c06"),
     ("scan --model coupled-wave --p 1.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "1e7e3c71119e56886850750bec62d6b8e096a691bfd6e8b3708dc7fa8a8f461a"),
+     "42d01b4c1d552b3123ae88b376e09f461030c05ac51825896266ef845abf12e1"),
     ("scan --model coupled-wave --p 2.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "44867df940aa12224a83ac63e9814dd9e07aa971a068c32079f723c99c78e355"),
+     "5519bb6a1b6db942f901c62d4c3c062d55ea7b865fd38ae0d44ec2d2b6b60789"),
     ("contour --model coupled-wave --p 1.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "4ae2a03e2647f211b25d7a8733c4bfa1fd693a7b7822b9364a4b8764887383e6"),
     ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "6c65b769956c81a1fcfdf6816f82342dd7df60e833fc29cd93ece6b9cbde490f"),
     ("verify --suite structure --c 0.3",
-     "2680dcb8f557344088df88d7ec5d275a3f1300d6928c98e62e4fde44b96f337d"),
+     "df6b4c51edf051f4b7a864c2feb57a2bab8a363ce85679df448607e8d4fef92e"),
     ("verify --suite appendix-a --c 0.3",
-     "194987fa37daead39c8fd060aa9f9571c5d9a59d0ed0284699af02e8b676575f"),
+     "aea92e73d5ee4cd40149035df983a6b32e83abea4cdcff97215a7479f6cb262a"),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,42 @@ def test_nullvectors_equal_singletons_on_rank3_stacks(seed, k):
     assert errs == [None] * k
     for m, v in zip(ms, vecs):
         assert v.tobytes() == nullvector(m).tobytes()
+        assert np.linalg.norm(m @ v) <= NULLVECTOR_TOL * np.linalg.norm(m, 2)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12))
+@settings(max_examples=30, deadline=None)
+def test_nullvectors_contract_on_rank3_stacks(seed, k):
+    # every kernel direction has unit norm, its largest component real and
+    # positive, and |m v| <= NULLVECTOR_TOL * sigma_max; a full-rank and a
+    # rank-2 matrix in the stack get the RankError messages they always got
+    rng = np.random.default_rng(seed)
+
+    def of_rank(r):
+        u, _, vh = np.linalg.svd(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        return u @ np.diag(np.append(rng.uniform(0.1, 3.0, r), np.zeros(4 - r))) @ vh
+
+    ms = [of_rank(3) for _ in range(k)]
+    full, two = seed % (k + 1), (seed // 7) % (k + 2)
+    ms.insert(full, of_rank(4))
+    ms.insert(two, of_rank(2))
+    full += two <= full
+    vecs, errs = nullvectors(np.array(ms))
+    sigma = np.linalg.svd(ms[full], compute_uv=False)
+    assert re.fullmatch(r"no kernel direction: smallest sigma (\S+) exceeds 1\.0e-08 \* (\S+)",
+                        str(errs[full]))
+    got = [float(x) for x in re.findall(r"\d\.\d{3}e[+-]\d\d", str(errs[full]))]
+    assert np.allclose(got, [sigma[3], sigma[0]], rtol=1e-3)
+    assert str(errs[two]) == "kernel dimension >= 2 at this tolerance"
+    assert all(type(errs[n]) is RankError for n in (full, two))
+    for n, (m, v, err) in enumerate(zip(ms, vecs, errs)):
+        if n in (full, two):
+            assert np.all(np.isnan(v))
+            continue
+        assert err is None
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        top = v[np.argmax(np.abs(v))]
+        assert top.real > 0.0 and abs(top.imag) <= 1e-15 * top.real
         assert np.linalg.norm(m @ v) <= NULLVECTOR_TOL * np.linalg.norm(m, 2)
 
 
