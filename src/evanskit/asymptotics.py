@@ -157,19 +157,32 @@ def continuous_spectrum_distances(model: MultisymplecticModel, c: float,
 
     Zero exactly when lambda sits on the continuous spectrum.  With
     P(kappa) = Delta(i kappa, lambda), |P|^2 is a real polynomial of degree
-    8 with a positive leading coefficient, so its minimum over the real
+    8 with leading coefficient |det J(c)|^2, so its minimum over the real
     line sits at a real root of its derivative.  The minimum is taken over
     the real parts of all 7 roots, which keeps a real critical point that
     roundoff moved off the axis.  The coefficients of every P come from one
-    _delta_coeffs call; the roots are found lambda by lambda.
+    _delta_coeffs call, the roots of every derivative from one stacked
+    np.linalg.eigvals call on its 7x7 companion matrix, and |P| at them
+    from one Horner pass over the batch, all in real arithmetic.
     """
-    out = np.empty(len(lams))
-    for n, co in enumerate(_delta_coeffs(model, c, lams)):
-        b = co * 1j ** np.arange(5)   # P, ascending
-        sq = np.convolve(b, np.conj(b)).real
-        crit = np.roots(np.polyder(sq[::-1])).real
-        out[n] = np.min(np.abs(np.polyval(b[::-1], crit)))
-    return out
+    b = _delta_coeffs(model, c, lams) * 1j ** np.arange(5)   # P, ascending
+    br, bi = b.real, b.imag
+    sq = np.zeros((len(b), 9))   # |P|^2, ascending
+    for k in range(5):
+        sq[:, k:k + 5] += br[:, k:k + 1] * br + bi[:, k:k + 1] * bi
+    der = sq[:, 1:] * np.arange(1.0, 9.0)   # its derivative, ascending
+    flat = np.flatnonzero(~(der[:, 7] > 0.0))
+    if flat.size:
+        raise Degenerate(f"|det J(c)|^2 vanishes at lambda={lams[flat[0]]}; "
+                         "no continuous spectrum to measure against")
+    comp = np.zeros((len(b), 7, 7))
+    comp[:, 0] = -der[:, 6::-1] / der[:, 7:8]   # np.roots' companion form
+    comp[:, np.arange(1, 7), np.arange(6)] = 1.0
+    kappa = np.linalg.eigvals(comp).real
+    re, im = np.zeros_like(kappa), np.zeros_like(kappa)
+    for k in (4, 3, 2, 1, 0):
+        re, im = re * kappa + br[:, k:k + 1], im * kappa + bi[:, k:k + 1]
+    return np.min(np.hypot(re, im), axis=1)
 
 
 def continuous_spectrum_distance(model: MultisymplecticModel, c: float,

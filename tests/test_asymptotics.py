@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from evanskit import asymptotics
 from evanskit.asymptotics import (_delta_coeffs, continuous_spectrum_distance,
                                   continuous_spectrum_distances, spectra, spectrum)
-from evanskit.errors import DegenerateMu, NormalizationFail, SplittingViolated
+from evanskit.errors import Degenerate, DegenerateMu, NormalizationFail, SplittingViolated
 from evanskit.model import build_coupled_wave, jc, oracle_coupled_wave
 
 
@@ -137,6 +138,37 @@ def test_continuous_spectrum_distance_is_the_minimum(p, c):
         coeffs = _delta_coeffs(model, c, [lam])[0]
         grid = np.abs(np.polyval(coeffs[::-1], 1j * kappas))
         assert dist <= np.min(grid) * (1.0 + 1e-12) + 1e-12 * np.max(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_distances_match_per_lambda_np_roots(p):
+    # the per-lambda reference: np.roots on the derivative of |P|^2 and
+    # np.polyval of P; the stacked solve gives the same < 1e-6 decision and
+    # agrees to 1e-12 relative wherever the distance is above 1e-6
+    model, _ = build_coupled_wave(p)
+    rng = np.random.default_rng(int(4 * p))
+    lams = list(rng.uniform(-4, 4, 40) + 1j * rng.uniform(-4, 4, 40)) + \
+        list(1j * rng.uniform(-6, 6, 20)) + [0.0, 2.0j, 2.5j, 1e-3 + 2j]
+    for c in (0.0, 0.3, -0.35):
+        want = []
+        for co in _delta_coeffs(model, c, lams):
+            b = co * 1j ** np.arange(5)
+            crit = np.roots(np.polyder(np.convolve(b, np.conj(b)).real[::-1])).real
+            want.append(np.min(np.abs(np.polyval(b[::-1], crit))))
+        want, got = np.array(want), continuous_spectrum_distances(model, c, lams)
+        assert np.array_equal(got < 1e-6, want < 1e-6)
+        far = want > 1e-6
+        assert np.all(np.abs(got[far] - want[far]) <= 1e-12 * want[far])
+
+
+def test_distance_refuses_a_vanishing_leading_coefficient(cw, monkeypatch):
+    # |P|^2 of a Delta without its mu^4 term has no degree-8 leading
+    # coefficient to make its derivative monic by
+    model, _ = cw
+    coeffs = np.array([[28.0, 0.0, -11.0, 0.0, 0.0], [28.0, 0.0, -11.0, 0.0, 1.0]])
+    monkeypatch.setattr(asymptotics, "_delta_coeffs", lambda *args: coeffs)
+    with pytest.raises(Degenerate):
+        continuous_spectrum_distances(model, 0.0, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("p, c, seed", [(1.0, 0.0, 1), (2.0, 0.3, 2), (0.5, -0.6, 3)])
