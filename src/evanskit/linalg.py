@@ -260,12 +260,11 @@ def quartic_root_sets(coeffs) -> tuple[np.ndarray, list]:
     (leading coefficient last).  The roots start as the eigenvalues of the
     monic companion matrices, from one stacked np.linalg.eigvals call that
     runs LAPACK on each matrix alone, and take 3 Newton steps on the
-    compensated residual of _horner.  Returns
-    (roots, errs): the roots of row n sorted by (Re, Im) in roots[n], and
-    in errs[n] None or the error quartic_roots(coeffs[n]) raises:
-    Degenerate if the leading coefficient vanishes relative to the others,
-    NoConverge if residuals stay above QUARTIC_TOL * local scale.  Rows
-    with an error hold NaN.
+    compensated residual of _horner.  Returns (roots, errs): the roots of
+    row n sorted by (Re, Im) in roots[n], and in errs[n] None or the error
+    quartic_roots(coeffs[n]) raises: Degenerate if the leading coefficient
+    vanishes relative to the others, NoConverge if residuals stay above
+    QUARTIC_TOL * local scale.  Rows with an error hold NaN.
     """
     c = np.array(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] != 5:
