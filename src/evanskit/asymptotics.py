@@ -2,9 +2,9 @@
 
 The constant-coefficient system behind the mode equations is
 J(c) v' = (B_inf - lambda M) v with B_inf the Hessian of S at the origin.
-Its exponents mu solve the quartic Delta(mu, lambda) = det(B_inf -
-lambda M - mu J(c)) = 0 and are required to split two-two about the
-imaginary axis.  Eigenvectors zeta_j and dual eigenvectors eta_j are
+Its exponents mu, the eigenvalues of J(c)^-1 (B_inf - lambda M), solve the
+quartic Delta(mu, lambda) = det(B_inf - lambda M - mu J(c)) = 0 and are
+required to split two-two about the imaginary axis.  Eigenvectors zeta_j and dual eigenvectors eta_j are
 normalized against the symplectic pairing, Omega(eta_i, zeta_j) =
 delta_ij, which pins every later Evans-function value to a single
 convention.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
-from .linalg import det4s, nullvectors, quartic_root_sets, skew_cmat4, symplectic_forms
+from .linalg import det4s, skew_cmat4, symplectic_forms
 from .model import MultisymplecticModel, jc
 
 _NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
@@ -33,7 +33,7 @@ class InfinitySpectrum:
     lam: complex
     mu: np.ndarray        # 4 exponents, ascending real part
     zeta: np.ndarray      # zeta[j] unit norm, largest component real positive
-    eta: np.ndarray       # eta[j] scaled so Omega(eta_j, zeta_j) = 1
+    eta: np.ndarray       # dual frame: Omega(eta[i], zeta[j]) = delta_ij
     Kconst: complex       # zeta_1^zeta_2^zeta_3^zeta_4 against vol
     tau: float            # -trace(J(c)^-1 M)
 
@@ -53,95 +53,76 @@ def _delta_coeffs(model: MultisymplecticModel, c: float, lams) -> np.ndarray:
     return np.linalg.solve(vander, vals)[..., 0]
 
 
-def _exponents(lam: complex, mu: np.ndarray) -> np.ndarray:
-    """Snap, order and check the roots of Delta at one lambda."""
-    if abs(lam.imag) < 1e-14:
-        # real axis: exponents come in conjugate or real constellations;
-        # strip solver roundoff so downstream frames stay real
-        snap = np.abs(mu.imag) < 1e-9 * (1.0 + np.abs(mu))
-        mu = np.where(snap, mu.real + 0j, mu)
-
-    mu = mu[np.lexsort((mu.imag, mu.real))]
-
-    gaps = [abs(mu[a] - mu[b]) for a in range(4) for b in range(a + 1, 4)]
-    if min(gaps) < 1e-6:
-        raise DegenerateMu(f"exponent gap {min(gaps):.2e} below 1e-6 at lambda={lam}")
-    if not (mu[0].real <= mu[1].real < 0.0 < mu[2].real <= mu[3].real):
-        raise SplittingViolated(f"no two-two splitting at lambda={lam}: mu={mu}")
-    return mu
-
-
 def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectrum]:
     """Solve the system at infinity and build the dual frames at every lambda.
 
-    mu ordering is ascending real part (imaginary part breaks ties).  The
-    Delta coefficients of every lambda come from one det4s call and one
-    stacked solve (_delta_coeffs), the quartics are solved together from
-    one stacked companion-matrix eigenvalue call, all 8 * len(lams) null
-    vectors come from one stacked SVD and the Kconst of every frame from
-    one more det4s call; every field equals what spectrum gives at that
-    lambda alone.  On failure the batch raises what the first failing
-    lambda, in list order, raises alone.
+    The exponents mu and the eigenvectors zeta are the eigenpairs of
+    A(lambda) = J(c)^-1 (B_inf - lambda M): one stacked np.linalg.eig call
+    on the real A of the real lambdas, whose real eigenpairs so stay exactly
+    real, and one on the complex A of the rest.  mu ordering is ascending
+    real part (imaginary part breaks ties).  The dual frame is the rows of
+    (J(c)^T Z)^-1, Z with the columns zeta, from one stacked inverse, so
+    Omega(eta_i, zeta_k) = delta_ik up to the inverse's rounding, which is
+    checked.  numpy runs LAPACK on each matrix of a stack alone and the rest
+    is elementwise, so every field equals what spectrum gives at that lambda
+    alone.  On failure the batch raises what the first failing lambda, in
+    list order, raises alone.
     """
     lams = [complex(lam) for lam in lams]
     j = jc(model, c)
-    binf = model.binf()
-    roots, errs = quartic_root_sets(_delta_coeffs(model, c, lams))
-    mus = {}
-    for i, lam in enumerate(lams):
-        if errs[i] is None:
-            try:
-                mus[i] = _exponents(lam, roots[i])
-            except (DegenerateMu, SplittingViolated) as e:
-                errs[i] = e
-
-    # per solved lambda and mode k: B_inf - lambda M - mu_k J and its adjoint
-    row = {i: n for n, i in enumerate(mus)}
-    lam_m = np.array([lams[i] for i in mus]).reshape(-1, 1, 1, 1) * model.M
-    mu_j = np.array(list(mus.values())).reshape(-1, 4, 1, 1) * j
-    mats = np.stack([binf - lam_m - mu_j, binf + lam_m + mu_j], axis=2)
-    vecs, vec_errs = nullvectors(mats.reshape(-1, 4, 4))
-    vecs = vecs.reshape(-1, 4, 2, 4)
-    zeta, raw = vecs[:, :, 0], vecs[:, :, 1]
-    jj = skew_cmat4(j)
-    pairing = symplectic_forms(jj, raw, zeta)
-    with np.errstate(divide="ignore", invalid="ignore"):   # refused below, as alone
-        eta = raw / pairing[..., None]
-    got = symplectic_forms(jj, eta[:, :, None], zeta[:, None, :])
-    tau = -float(np.real(np.trace(np.linalg.solve(j, model.M))))
+    jb, jm = np.linalg.solve(j, model.binf()), np.linalg.solve(j, model.M)
+    lam = np.array(lams, dtype=complex).reshape(-1, 1, 1)
+    a = np.empty((len(lams), 4, 4), dtype=complex)
+    a.real, a.imag = jb - lam.real * jm, -lam.imag * jm
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("non-finite entries in 4x4 matrix")
+    mu, vecs = np.empty((len(lams), 4), dtype=complex), np.empty_like(a)
+    real = lam[:, 0, 0].imag == 0.0
+    for part, mats in ((real, a[real].real), (~real, a[~real])):
+        if part.any():
+            mu[part], vecs[part] = np.linalg.eig(mats)
+    order = np.lexsort((mu.imag, mu.real))
+    mu = np.take_along_axis(mu, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    # each column at unit norm, its largest component real and positive
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None, :], axis=1)
+    vecs = vecs * (np.conj(top) / np.hypot(top.real, top.imag))   # abs() of a scalar
+    vecs = vecs / np.sqrt(np.sum(vecs.real ** 2 + vecs.imag ** 2, axis=1, keepdims=True))
+    zeta = np.swapaxes(vecs, 1, 2)
+    tau = -float(np.trace(jm))
     # zeta_1^zeta_2^zeta_3^zeta_4 against vol: det of the matrix with columns zeta_k
-    kconst = det4s(np.swapaxes(zeta, 1, 2))
+    kconst = det4s(vecs)
 
-    # the frame checks of every solved lambda as arrays: a dual pairing too
-    # small to normalize by, an orthonormality defect, a degenerate frame;
-    # abs() of a complex scalar is np.hypot of its parts
-    small = np.hypot(pairing.real, pairing.imag) < 1e-10
+    # the checks of every lambda as arrays, each refusing the lambdas the
+    # earlier ones passed: an exponent gap, the two-two splitting, a
+    # degenerate frame, then the dual frame's orthonormality
+    upper = np.triu_indices(4, 1)
+    dmu = mu[:, upper[0]] - mu[:, upper[1]]
+    gaps = np.hypot(dmu.real, dmu.imag).min(axis=1)
+    close = gaps < 1e-6
+    split = ~close & ~((mu[:, 1].real < 0.0) & (0.0 < mu[:, 2].real))
+    flat = ~close & ~split & (np.hypot(kconst.real, kconst.imag) < 1e-12)
+    ok = ~(close | split | flat)
+    eta = np.full_like(a, np.nan)
+    eta[ok] = np.linalg.inv(np.matmul(j.T, vecs[ok]))
+    got = symplectic_forms(skew_cmat4(j), eta[:, :, None], zeta[:, None, :])
     dev = got - np.eye(4)
-    skewed = np.hypot(dev.real, dev.imag) > 1e-9
-    flat = np.hypot(kconst.real, kconst.imag) < 1e-12
-    bad = (np.array([e is not None for e in vec_errs]).reshape(-1, 8).any(axis=1)
-           | small.any(axis=1) | skewed.any(axis=(1, 2)) | flat)
+    skewed = ok[:, None, None] & (np.hypot(dev.real, dev.imag) > 1e-9)
 
     out = []
-    for i, lam in enumerate(lams):
-        if errs[i] is not None:
-            raise errs[i]
-        n = row[i]
-        if bad[n]:   # raise what the checks in order meet first
-            for k in range(4):
-                for err in vec_errs[8 * n + 2 * k:8 * n + 2 * k + 2]:
-                    if err is not None:
-                        raise err
-                if small[n, k]:
-                    raise NormalizationFail(f"dual pairing {abs(complex(pairing[n, k])):.2e} "
-                                            f"too small for mode {k + 1}")
-            if skewed[n].any():
-                a, k = np.argwhere(skewed[n])[0]
-                raise NormalizationFail(f"Omega(eta_{a + 1}, zeta_{k + 1}) = "
-                                        f"{complex(got[n, a, k]):.2e}, "
-                                        f"expected {1.0 if a == k else 0.0}")
+    for n, lam in enumerate(lams):
+        if close[n]:
+            raise DegenerateMu(f"exponent gap {gaps[n]:.2e} below 1e-6 at lambda={lam}")
+        if split[n]:
+            raise SplittingViolated(f"no two-two splitting at lambda={lam}: mu={mu[n]}")
+        if flat[n]:
             raise Degenerate("zeta frame wedges to zero; frame degenerate")
-        out.append(InfinitySpectrum(c=c, lam=lam, mu=mus[i], zeta=zeta[n].copy(),
+        if skewed[n].any():
+            i, k = np.argwhere(skewed[n])[0]
+            raise NormalizationFail(f"Omega(eta_{i + 1}, zeta_{k + 1}) = "
+                                    f"{complex(got[n, i, k]):.2e}, "
+                                    f"expected {1.0 if i == k else 0.0}")
+        out.append(InfinitySpectrum(c=c, lam=lam, mu=mu[n].copy(), zeta=zeta[n].copy(),
                                     eta=eta[n].copy(), Kconst=complex(kconst[n]), tau=tau))
     return out
 

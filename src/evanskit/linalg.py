@@ -2,14 +2,9 @@
 
 Everything that feeds the Evans-function pipeline lives in dimension 4
 (state space) or 6 (bivectors).
-Results rest on numpy's BLAS and LAPACK builds: the null vectors come
-from a stacked SVD and the quartic roots from stacked companion-matrix
-eigenvalues, each polished and checked here with pinned tolerances.
-
-The null-vector and quartic solvers are batched (nullvectors,
-quartic_root_sets): numpy runs LAPACK on each matrix of a stack alone and
-the polish is elementwise, so nullvector and quartic_roots are batches of
-one with the same bits.
+Results rest on numpy's BLAS and LAPACK builds.  nullvector (an SVD) and
+quartic_roots (np.roots) take one input each and keep their pinned
+tolerances; the spectrum at infinity uses neither.
 The symplectic pairing has one kernel, symplectic_forms, called on stacks.
 expm4s exponentiates a stack of 4x4 matrices, each with its own scaling,
 through real matmuls alone.
@@ -24,7 +19,7 @@ a per-item scalar is np.hypot, and a dot product is a stack of 1x4 @ 4x1
 matmuls, which call the same BLAS dot.  What is an array operation for
 one item (a column times a scalar, np.abs of a vector) stays one.
 
-Quartics are plain arrays of 5 coefficients, ascending (leading
+A quartic is a plain array of 5 coefficients, ascending (leading
 coefficient last).  A bivector, an element of wedge^2(C^4), is a complex
 6-array of coordinates against the ordered basis BASIS2,
 
@@ -153,155 +148,6 @@ def det4s(ms) -> np.ndarray:
             + _cmul(p[3], q[2]) - _cmul(p[4], q[1]) + _cmul(p[5], q[0]))
 
 
-def nullvectors(ms) -> tuple[np.ndarray, list]:
-    """One-dimensional kernel directions of a (K, 4, 4) stack of complex matrices.
-
-    One stacked np.linalg.svd; the null vector is the right singular vector
-    of the smallest singular value, conj(vh[:, 3]).  numpy calls LAPACK on
-    each matrix of the stack alone, so each gets the bits of its own call.
-
-    Returns (vecs, errs).  vecs[n] has unit norm and its largest component
-    rotated onto the positive real axis.  errs[n] is None, or the RankError
-    nullvector(ms[n]) raises unless exactly one singular value falls below
-    NULLVECTOR_TOL * sigma_max; such rows of vecs hold NaN.
-    """
-    a = np.array(ms, dtype=complex)
-    if a.ndim != 3 or a.shape[1:] != (4, 4):
-        raise ValueError(f"expected a stack of 4x4 matrices, got shape {np.shape(ms)}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("non-finite entries in 4x4 matrix")
-    k = len(a)
-    _, sigma, vh = np.linalg.svd(a)   # sigma descending
-    s0, s1, smax = sigma[:, 3], sigma[:, 2], sigma[:, 0]
-    tol = NULLVECTOR_TOL
-    errs: list = [None] * k
-    for n in range(k):
-        if smax[n] == 0.0:
-            errs[n] = RankError("zero matrix has no one-dimensional kernel")
-        elif s0[n] > tol * smax[n]:
-            errs[n] = RankError(
-                f"no kernel direction: smallest sigma {s0[n]:.3e} "
-                f"exceeds {tol:.1e} * {smax[n]:.3e}")
-        elif s1[n] <= tol * smax[n]:
-            errs[n] = RankError("kernel dimension >= 2 at this tolerance")
-
-    vec = np.conj(vh[:, 3])
-    top = vec[np.arange(k), np.argmax(np.abs(vec), axis=1)]
-    vec = vec * (np.conj(top) / np.hypot(top.real, top.imag))[:, None]   # abs() of a scalar
-    re = vec.real   # np.linalg.norm of a complex vector: two real dots
-    norm = np.sqrt(np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
-                   + np.matmul(vec.imag[:, None, :], vec.imag[:, :, None])[:, 0, 0])
-    vec = vec / norm[:, None]
-    vec[[e is not None for e in errs]] = np.nan
-    return vec, errs
-
-
-def nullvector(m) -> np.ndarray:
-    """One-dimensional kernel direction of a 4x4 complex matrix: nullvectors of one."""
-    vecs, errs = nullvectors(as_cmat4(m)[None])
-    if errs[0] is not None:
-        raise errs[0]
-    return vecs[0]
-
-
-def _two_sum(a, b):
-    """a + b and its rounding error, both exact (Knuth's TwoSum)."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _split(a):
-    """a = hi + lo with hi and lo of 26 bits each, exactly (Veltkamp's split)."""
-    c = 134217729.0 * a   # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_SIGN = np.array([-1.0, 1.0])[:, None, None]
-
-
-def _horner(z: np.ndarray, mon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(z) and p'(z) for monic quartics mon (ascending, one per row) at z[n, :].
-
-    p(z) by the compensated Horner scheme (Graillat, Langlois & Louvet,
-    2005): the exact rounding errors of each step, from Dekker's product
-    and _two_sum, run through a second Horner recurrence, so p(z) is as
-    accurate as if computed in twice the working precision.  Near a close
-    pair of large roots plain Horner's rounding swamps p.  p'(z) is plain
-    Horner.  A complex array w is a (re, im) pair on a leading axis, and
-    all arithmetic is real and elementwise: with z = x + iy and t = w b,
-    b = ((x, y), (y, x)), the product w z is t[:, 0] + (-1, 1) t[:, 1].
-    """
-    b = np.array([[z.real, z.imag], [z.imag, z.real]])
-    bh, bl = _split(b)
-    m = np.stack([mon.real, mon.imag])
-    w = np.zeros((2,) + z.shape)   # p by Horner from its leading 1,
-    w[0] = 1.0
-    err, dw = np.zeros_like(w), np.zeros_like(w)   # its rounding error and p'
-    for i in (3, 2, 1, 0):
-        t = dw * b
-        dw = (t[:, 0] + _SIGN * t[:, 1]) + w
-        t = err * b
-        err = t[:, 0] + _SIGN * t[:, 1]
-        ah, al = _split(w)
-        t = w * b
-        e = al * bl - (((t - ah * bh) - al * bh) - ah * bl)   # t + e = w b exactly
-        s, e1 = _two_sum(t[:, 0], _SIGN * t[:, 1])
-        w, e2 = _two_sum(s, m[:, :, i:i + 1])
-        err = err + (((e[:, 0] + _SIGN * e[:, 1]) + e1) + e2)
-    return (w[0] + err[0]) + 1j * (w[1] + err[1]), dw[0] + 1j * dw[1]
-
-
-def quartic_root_sets(coeffs) -> tuple[np.ndarray, list]:
-    """All four roots of each genuine quartic: companion eigenvalues plus Newton polish.
-
-    coeffs is a (K, 5) array, one quartic per row, coefficients ascending
-    (leading coefficient last).  The roots start as the eigenvalues of the
-    monic companion matrices, from one stacked np.linalg.eigvals call that
-    runs LAPACK on each matrix alone, and take 3 Newton steps on the
-    compensated residual of _horner.  Returns (roots, errs): the roots of
-    row n sorted by (Re, Im) in roots[n], and in errs[n] None or the error
-    quartic_roots(coeffs[n]) raises: Degenerate if the leading coefficient
-    vanishes relative to the others, NoConverge if residuals stay above
-    QUARTIC_TOL * local scale.  Rows with an error hold NaN.
-    """
-    c = np.array(coeffs, dtype=complex)
-    if c.ndim != 2 or c.shape[1] != 5:
-        raise ValueError(f"expected a (K, 5) coefficient array, got shape {np.shape(coeffs)}")
-    if not np.all(np.isfinite(c.view(float))):
-        raise ValueError("non-finite quartic coefficients")
-    n = len(c)
-    errs: list = [None] * n
-    cmax = np.max(np.abs(c), axis=1)
-    lead = np.hypot(c[:, 4].real, c[:, 4].imag)   # abs() of a numpy scalar
-    flat = (cmax == 0.0) | (lead < 1e-14 * cmax)
-    for i in np.flatnonzero(flat):
-        errs[i] = Degenerate("leading coefficient vanishes; not a quartic")
-    ix = np.flatnonzero(~flat)
-    mon = c[ix] / c[ix, 4:5]
-    comp = np.zeros((len(ix), 4, 4), dtype=complex)
-    comp[:, 0] = -mon[:, 3::-1]   # np.roots' companion form
-    comp[:, (1, 2, 3), (0, 1, 2)] = 1.0
-    z = np.linalg.eigvals(comp)
-
-    for _ in range(3):   # Newton
-        val, dv = _horner(z, mon)
-        s = dv != 0
-        z[s] = z[s] - val[s] / dv[s]
-
-    scale = cmax[ix, None] * (1.0 + np.abs(z)) ** 4
-    resid = np.abs(_horner(z, mon)[0]) * lead[ix, None]
-    for k in np.flatnonzero(np.any(resid > QUARTIC_TOL * scale, axis=1)):
-        errs[ix[k]] = NoConverge(f"quartic residual {np.max(resid[k] / scale[k]):.2e} "
-                                 f"above {QUARTIC_TOL:.1e}")
-
-    roots = np.full((n, 4), np.nan, dtype=complex)
-    roots[ix] = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
-    roots[[e is not None for e in errs]] = np.nan
-    return roots, errs
-
-
 _EXP_THETA = 0.75   # inf-norm each matrix is scaled under before its Taylor
                     # polynomial of degree 16, whose remainder there is below
                     # 5e-17 of exp's norm
@@ -319,7 +165,8 @@ def _expms(x) -> np.ndarray:
     matrix, and every other operation is elementwise; the matrices are
     sorted by s_k so that each squaring is one call on a slice.  So a
     matrix gets the same bits in any stack.  Entries are not checked: a
-    non-finite entry gives a non-finite exponential.
+    non-finite entry gives a non-finite exponential, and so does a squaring
+    that overflows, without a warning; callers check finiteness.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
@@ -351,9 +198,10 @@ def _expms(x) -> np.ndarray:
         block(j, b)
         np.matmul(x4, e, out=t)
         np.add(t, b, out=e)
-    for i in np.searchsorted(s, np.arange(1, s[-1] + 1 if k else 1)):
-        np.matmul(e[i:], e[i:], out=t[i:])
-        e[i:] = t[i:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.searchsorted(s, np.arange(1, s[-1] + 1 if k else 1)):
+            np.matmul(e[i:], e[i:], out=t[i:])
+            e[i:] = t[i:]
     x1[order] = e
     return x1
 
@@ -388,9 +236,49 @@ def expm4s(a) -> np.ndarray:
     return out
 
 
+def nullvector(m) -> np.ndarray:
+    """One-dimensional kernel direction of a 4x4 complex matrix.
+
+    The right singular vector of the smallest singular value, at unit norm
+    with its largest component rotated onto the positive real axis.
+    RankError unless exactly one singular value falls below
+    NULLVECTOR_TOL * sigma_max.  Only perfbench's tracer and the tests call
+    it; the spectrum at infinity takes its frames from eigenvectors.
+    """
+    _, sigma, vh = np.linalg.svd(as_cmat4(m))   # sigma descending
+    tol = NULLVECTOR_TOL * sigma[0]
+    if sigma[0] == 0.0:
+        raise RankError("zero matrix has no one-dimensional kernel")
+    if sigma[3] > tol:
+        raise RankError(f"no kernel direction: smallest sigma {sigma[3]:.3e} "
+                        f"exceeds {NULLVECTOR_TOL:.1e} * {sigma[0]:.3e}")
+    if sigma[2] <= tol:
+        raise RankError("kernel dimension >= 2 at this tolerance")
+    v = np.conj(vh[3])
+    top = v[np.argmax(np.abs(v))]
+    v = v * (np.conj(top) / abs(top))
+    return v / np.linalg.norm(v)
+
+
 def quartic_roots(coeffs) -> np.ndarray:
-    """All four roots of one quartic, 5 ascending coefficients: quartic_root_sets of one."""
-    roots, errs = quartic_root_sets(np.asarray(coeffs)[None])
-    if errs[0] is not None:
-        raise errs[0]
-    return roots[0]
+    """All four roots of one quartic, 5 coefficients ascending, sorted by (Re, Im).
+
+    The eigenvalues of its companion matrix, by np.roots.  Degenerate if the
+    leading coefficient vanishes relative to the others, NoConverge if a
+    residual exceeds QUARTIC_TOL * local scale.  Only perfbench's tracer and
+    the tests call it; the exponents at infinity are eigenvalues of the
+    system matrix.
+    """
+    c = np.array(coeffs, dtype=complex)
+    if c.shape != (5,):
+        raise ValueError(f"expected 5 quartic coefficients, got shape {np.shape(coeffs)}")
+    if not np.all(np.isfinite(c.view(float))):
+        raise ValueError("non-finite quartic coefficients")
+    cmax = np.max(np.abs(c))
+    if cmax == 0.0 or abs(c[4]) < 1e-14 * cmax:
+        raise Degenerate("leading coefficient vanishes; not a quartic")
+    z = np.roots(c[::-1])
+    resid = np.abs(np.polyval(c[::-1], z)) / (cmax * (1.0 + np.abs(z)) ** 4)
+    if np.max(resid) > QUARTIC_TOL:
+        raise NoConverge(f"quartic residual {np.max(resid):.2e} above {QUARTIC_TOL:.1e}")
+    return z[np.lexsort((z.imag, z.real))]

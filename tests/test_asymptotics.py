@@ -220,11 +220,29 @@ def test_spectra_raise_first_failing_lambda(cw):
         _raised(spectrum, model, 0.0, 2.5j)
     assert _raised(spectra, model, 0.0, [1.0, 2.5j, 2.0j])[0] is SplittingViolated
     assert _raised(spectra, model, 0.0, [1.0, 2.0j, 2.5j])[0] is DegenerateMu
-    # at p = 2, c = 0.3 the frame checks refuse lambda = 22 and above, where
-    # the Delta coefficients, interpolated from determinants of size
-    # lambda^4, leave the exponents too inexact; they pass 12 and 18
+    # close to |c| = 1 the eigenvector frame at lambda = 3 is too ill-conditioned
+    # for the dual frame's orthonormality check; lambda = 0.5 passes
+    refused = _raised(spectra, model, 0.9999, [0.5, 3.0])
+    assert refused[0] is NormalizationFail and refused == _raised(spectrum, model, 0.9999, 3.0)
+    # p = 2, c = 0.3, lambda = 22 was refused while the exponents were the
+    # roots of Delta coefficients interpolated from determinants of size
+    # lambda^4; as eigenvalues of J(c)^-1 (B_inf - lambda M) they solve
     model2, _ = build_coupled_wave(2.0)
-    refused = _raised(spectra, model2, 0.3, [1.0, 22.0])
-    assert refused[0] is NormalizationFail and refused == _raised(spectrum, model2, 0.3, 22.0)
-    assert [_bits(s) for s in spectra(model2, 0.3, [12.0, 18.0])] == \
-        [_bits(spectrum(model2, 0.3, lam)) for lam in (12.0, 18.0)]
+    assert [_bits(s) for s in spectra(model2, 0.3, [1.0, 22.0])] == \
+        [_bits(spectrum(model2, 0.3, lam)) for lam in (1.0, 22.0)]
+
+
+@pytest.mark.parametrize("p, c", [(1.0, 0.0), (2.0, 0.3)])
+def test_spectra_solve_large_real_lambda(p, c):
+    # one call solves 400 real lambda across [1, 400], non-integers among
+    # them; its exponents keep the trace identity, its frames stay real and
+    # a few lambda keep the bits of their own call
+    model, _ = build_coupled_wave(p)
+    lams = np.linspace(1.3, 399.7, 400)
+    specs = spectra(model, c, lams)
+    assert [s.lam for s in specs] == [complex(lam) for lam in lams]
+    for s in specs:
+        assert abs(np.sum(s.mu) - s.tau * s.lam) <= 1e-12 * abs(s.lam)
+        assert not np.any(s.zeta.imag) and not np.any(s.eta.imag)
+    for n in (0, 21, 156, 399):
+        assert _bits(specs[n]) == _bits(spectrum(model, c, lams[n]))

@@ -330,10 +330,10 @@ def test_tangent_pair_golden_bits():
     minus, plus = integrate_modes(model, wave, 0.3, _tangent_pair(spec),
                                   tol=nm.tol, L=nm.L)
     want = (
-        (["-0x1.b14da2ba1769dp-10", "0x1.b70f3ca9317f2p-11",
-          "-0x1.d2803073c496dp-9", "-0x1.b14da2ba176a0p-11"], (471, 0)),
-        (["0x1.97312f1bb113ap-9", "0x1.9c99fc320e575p-10",
-          "-0x1.b6639bf52f3c8p-8", "0x1.97312f1bb113fp-10"], (471, 0)),
+        (["-0x1.b14da2ba17589p-10", "0x1.b70f3ca9316dep-11",
+          "-0x1.d2803073c483fp-9", "-0x1.b14da2ba1758cp-11"], (471, 0)),
+        (["0x1.97312f1bb100fp-9", "0x1.9c99fc320e44ep-10",
+          "-0x1.b6639bf52f283p-8", "0x1.97312f1bb1016p-10"], (471, 0)),
     )
     for sol, (re, steps) in zip((minus, plus), want):
         assert [float(v.real).hex() for v in sol.value_at_end] == re
