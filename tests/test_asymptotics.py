@@ -224,9 +224,9 @@ def test_spectra_raise_first_failing_lambda(cw):
     # for the dual frame's orthonormality check; lambda = 0.5 passes
     refused = _raised(spectra, model, 0.9999, [0.5, 3.0])
     assert refused[0] is NormalizationFail and refused == _raised(spectrum, model, 0.9999, 3.0)
-    # p = 2, c = 0.3, lambda = 22 was refused while the exponents were the
-    # roots of Delta coefficients interpolated from determinants of size
-    # lambda^4; as eigenvalues of J(c)^-1 (B_inf - lambda M) they solve
+    # p = 2, c = 0.3, lambda = 22 solves: the exponents are eigenvalues of
+    # J(c)^-1 (B_inf - lambda M), not roots of Delta coefficients
+    # interpolated from determinants of size lambda^4
     model2, _ = build_coupled_wave(2.0)
     assert [_bits(s) for s in spectra(model2, 0.3, [1.0, 22.0])] == \
         [_bits(spectrum(model2, 0.3, lam)) for lam in (1.0, 22.0)]

@@ -185,9 +185,9 @@ def test_degenerate_edges_refuse(args, code, named):
 
 
 def test_narrow_profiles_meet_the_closed_form():
-    # c = 0.995 and 0.99 were refused while the spectrum at infinity came from
-    # interpolated Delta coefficients; the scan's roots, its D samples and the
-    # winding count now agree with the closed form there
+    # close to |c| = 1 the profile narrows (alpha = 10 at c = 0.995), and up
+    # to the refusals above the scan's roots, its D samples and the winding
+    # count still agree with the closed form
     o = oracle_coupled_wave(1.0, 0.995)
     r = _run(["scan", "--p", "1", "--c", "0.995", "--format", "json"])
     assert r.exit_code == 0, r.output

@@ -99,8 +99,7 @@ def test_large_lambda_against_oracle():
     # one call: D rises towards its limit 1 along lambda = 10, 20, 22.3, 40,
     # 80, 120, 135, 157.7, 200; all but 10 and 80, and 5 + 30i, are regression
     # points of the spectra solve (a close pair of large exponents at 120 and
-    # above, and non-integer lambda, which interpolated Delta coefficients
-    # left too inexact above about 20)
+    # above, and non-integer lambda above 20)
     model, wave = build_coupled_wave(1.0)
     o = oracle_coupled_wave(1.0, 0.0)
     lams = [10.0, 20.0, 22.3, 40.0, 80.0, 120.0, 135.0, 157.7, 200.0, 5.0 + 30.0j]
