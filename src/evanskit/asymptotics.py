@@ -100,7 +100,11 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     dmu = mu[:, upper[0]] - mu[:, upper[1]]
     gaps = np.hypot(dmu.real, dmu.imag).min(axis=1)
     close = gaps < 1e-6
-    split = ~close & ~((mu[:, 1].real < 0.0) & (0.0 < mu[:, 2].real))
+    # a real part within 1e-10 |A|_F of 0 has no sign: the eigensolver's
+    # rounding puts up to about 1e-13 |A|_F there when lambda sits on the
+    # continuous spectrum, where the middle two exponents are imaginary
+    edge = 1e-10 * np.sqrt(np.sum(a.real ** 2 + a.imag ** 2, axis=(1, 2)))
+    split = ~close & ~((mu[:, 1].real < -edge) & (edge < mu[:, 2].real))
     flat = ~close & ~split & (np.hypot(kconst.real, kconst.imag) < 1e-12)
     ok = ~(close | split | flat)
     eta = np.full_like(a, np.nan)
@@ -114,7 +118,8 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
         if close[n]:
             raise DegenerateMu(f"exponent gap {gaps[n]:.2e} below 1e-6 at lambda={lam}")
         if split[n]:
-            raise SplittingViolated(f"no two-two splitting at lambda={lam}: mu={mu[n]}")
+            raise SplittingViolated(f"no two-two splitting at lambda={lam}: "
+                                    f"mu=[{', '.join(f'{m:.6g}' for m in mu[n])}]")
         if flat[n]:
             raise Degenerate("zeta frame wedges to zero; frame degenerate")
         if skewed[n].any():

@@ -119,6 +119,17 @@ def test_splitting_failures(cw):
         spectrum(model, 0.0, 2.0j)  # branch point: double exponent at 0
 
 
+@pytest.mark.parametrize("p, c", [(1.0, 0.0), (2.0, 0.3), (0.5, -0.6)])
+def test_continuous_spectrum_refused_at_large_lambda(p, c):
+    # on the imaginary axis past the branch point the middle two exponents are
+    # imaginary; the eigensolver leaves rounding of either sign in their real
+    # parts, which must not pass for a two-two splitting
+    model, _ = build_coupled_wave(p)
+    for y in np.linspace(2.05, 400.0, 60):
+        with pytest.raises(SplittingViolated):
+            spectrum(model, c, 1j * y)
+
+
 def test_continuous_spectrum_distance(cw):
     model, _ = cw
     assert continuous_spectrum_distance(model, 0.0, 2.5j) < 1e-8

@@ -394,10 +394,16 @@ def test_cli_runs_as_module():
     assert bad.returncode == 1 and bad.stdout == ""
 
 
-def test_refusal_stderr_is_one_typed_line():
-    # at c = 0.9995 the stepper's exponentials overflow in their squarings;
-    # the refusal prints its typed error and no numpy warning
-    r = _run_module(["contour", "--p", "1", "--c", "0.9995", "--rect", "0.5,3,-0.8,0.8"])
+@pytest.mark.parametrize("rect, named", [
+    ("0.5,3,-0.8,0.8", "StepFail"), ("-0.5,0.5,157,158", "SplittingViolated")],
+    ids=["c-0.9995-overflow", "c-0-on-spectrum"])
+def test_refusal_stderr_is_one_typed_line(rect, named):
+    # at c = 0.9995 the stepper's exponentials overflow in their squarings,
+    # and a contour that crosses the continuous spectrum at 157i is refused
+    # by the splitting check; each prints its typed error on one line and no
+    # numpy warning
+    c = "0.9995" if named == "StepFail" else "0"
+    r = _run_module(["contour", "--p", "1", "--c", c, f"--rect={rect}"])
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr.splitlines() == [r.stderr.rstrip("\n")]
-    assert r.stderr.startswith("numerical failure: StepFail: ")
+    assert r.stderr.startswith(f"numerical failure: {named}: ")
