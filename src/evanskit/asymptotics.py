@@ -4,10 +4,10 @@ The constant-coefficient system behind the mode equations is
 J(c) v' = (B_inf - lambda M) v with B_inf the Hessian of S at the origin.
 Its exponents mu, the eigenvalues of J(c)^-1 (B_inf - lambda M), solve the
 quartic Delta(mu, lambda) = det(B_inf - lambda M - mu J(c)) = 0 and are
-required to split two-two about the imaginary axis.  Eigenvectors zeta_j and dual eigenvectors eta_j are
-normalized against the symplectic pairing, Omega(eta_i, zeta_j) =
-delta_ij, which pins every later Evans-function value to a single
-convention.
+required to split two-two about the imaginary axis.  Eigenvectors zeta_j
+and dual eigenvectors eta_j are normalized against the symplectic pairing,
+Omega(eta_i, zeta_j) = delta_ij, which pins every later Evans-function
+value to a single convention.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     # a real part within 1e-10 |A|_F of 0 has no sign: the eigensolver's
     # rounding puts up to about 1e-13 |A|_F there when lambda sits on the
     # continuous spectrum, where the middle two exponents are imaginary
-    edge = 1e-10 * np.sqrt(np.sum(a.real ** 2 + a.imag ** 2, axis=(1, 2)))
+    edge = 1e-10 * np.linalg.norm(a, axis=(1, 2))
     split = ~close & ~((mu[:, 1].real < -edge) & (edge < mu[:, 2].real))
     flat = ~close & ~split & (np.hypot(kconst.real, kconst.imag) < 1e-12)
     ok = ~(close | split | flat)
