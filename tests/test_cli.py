@@ -185,9 +185,9 @@ def test_degenerate_edges_refuse(args, code, named):
 
 
 def test_narrow_profiles_meet_the_closed_form():
-    # close to |c| = 1 the profile narrows (alpha = 10 at c = 0.995), and up
-    # to the refusals above the scan's roots, its D samples and the winding
-    # count still agree with the closed form
+    # close to |c| = 1 the profile narrows (alpha is about 10 at c = 0.995);
+    # short of the refusals above, the scan's roots, its D samples and the
+    # winding count still agree with the closed form
     o = oracle_coupled_wave(1.0, 0.995)
     r = _run(["scan", "--p", "1", "--c", "0.995", "--format", "json"])
     assert r.exit_code == 0, r.output
@@ -394,15 +394,14 @@ def test_cli_runs_as_module():
     assert bad.returncode == 1 and bad.stdout == ""
 
 
-@pytest.mark.parametrize("rect, named", [
-    ("0.5,3,-0.8,0.8", "StepFail"), ("-0.5,0.5,157,158", "SplittingViolated")],
+@pytest.mark.parametrize("c, rect, named", [
+    ("0.9995", "0.5,3,-0.8,0.8", "StepFail"), ("0", "-0.5,0.5,157,158", "SplittingViolated")],
     ids=["c-0.9995-overflow", "c-0-on-spectrum"])
-def test_refusal_stderr_is_one_typed_line(rect, named):
+def test_refusal_stderr_is_one_typed_line(c, rect, named):
     # at c = 0.9995 the stepper's exponentials overflow in their squarings,
     # and a contour that crosses the continuous spectrum at 157i is refused
     # by the splitting check; each prints its typed error on one line and no
     # numpy warning
-    c = "0.9995" if named == "StepFail" else "0"
     r = _run_module(["contour", "--p", "1", "--c", c, f"--rect={rect}"])
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr.splitlines() == [r.stderr.rstrip("\n")]
