@@ -18,11 +18,8 @@ import numpy as np
 
 from .errors import (Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
-from .linalg import det4s, skew_cmat4, symplectic_forms
+from .linalg import det4, det4s, skew_cmat4, symplectic_forms
 from .model import MultisymplecticModel, jc
-
-_NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
-_VANDER = np.vander(_NODES, 5, increasing=True)
 
 
 @dataclass
@@ -36,21 +33,6 @@ class InfinitySpectrum:
     eta: np.ndarray       # dual frame: Omega(eta[i], zeta[j]) = delta_ij
     Kconst: complex       # zeta_1^zeta_2^zeta_3^zeta_4 against vol
     tau: float            # -trace(J(c)^-1 M)
-
-
-def _delta_coeffs(model: MultisymplecticModel, c: float, lams) -> np.ndarray:
-    """Delta(mu, lambda) as a quartic in mu at every lambda: (len(lams), 5), ascending.
-
-    Five determinants per lambda, all from one det4s call, pin the
-    coefficients; the 5x5 Vandermonde systems are one stacked solve.
-    """
-    lam = np.array(lams, dtype=complex).reshape(-1, 1, 1, 1)
-    mats = model.binf() - lam * model.M - _NODES[:, None, None] * jc(model, c)
-    if not np.all(np.isfinite(mats.view(float))):
-        raise ValueError("non-finite entries in 4x4 matrix")
-    vals = det4s(mats.reshape(-1, 4, 4)).reshape(-1, len(_NODES), 1)
-    vander = np.broadcast_to(_VANDER, (len(vals),) + _VANDER.shape)
-    return np.linalg.solve(vander, vals)[..., 0]
 
 
 def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectrum]:
@@ -137,44 +119,25 @@ def spectrum(model: MultisymplecticModel, c: float, lam: complex) -> InfinitySpe
     return spectra(model, c, [lam])[0]
 
 
-def continuous_spectrum_distances(model: MultisymplecticModel, c: float,
-                                  lams) -> np.ndarray:
-    """min over real kappa of |det(B_inf - lambda M - i kappa J(c))| at every lambda.
-
-    Zero exactly when lambda sits on the continuous spectrum.  With
-    P(kappa) = Delta(i kappa, lambda), |P|^2 is a real polynomial of degree
-    8 with leading coefficient |det J(c)|^2, so its minimum over the real
-    line sits at a real root of its derivative.  The minimum is taken over
-    the real parts of all 7 roots, which keeps a real critical point that
-    roundoff moved off the axis.  The coefficients of every P come from one
-    _delta_coeffs call, the roots of every derivative from one stacked
-    np.linalg.eigvals call on its 7x7 companion matrix, and |P| at them
-    from one Horner pass over the batch, all in real arithmetic.
-    """
-    b = _delta_coeffs(model, c, lams) * 1j ** np.arange(5)   # P, ascending
-    br, bi = b.real, b.imag
-    sq = np.zeros((len(b), 9))   # |P|^2, ascending
-    for k in range(5):
-        sq[:, k:k + 5] += br[:, k:k + 1] * br + bi[:, k:k + 1] * bi
-    der = sq[:, 1:] * np.arange(1.0, 9.0)   # its derivative, ascending
-    flat = np.flatnonzero(~(der[:, 7] > 0.0))
-    if flat.size:
-        raise Degenerate(f"|det J(c)|^2 vanishes at lambda={lams[flat[0]]}; "
-                         "no continuous spectrum to measure against")
-    comp = np.zeros((len(b), 7, 7))
-    comp[:, 0] = -der[:, 6::-1] / der[:, 7:8]   # np.roots' companion form
-    comp[:, np.arange(1, 7), np.arange(6)] = 1.0
-    kappa = np.linalg.eigvals(comp).real
-    re, im = np.zeros_like(kappa), np.zeros_like(kappa)
-    for k in (4, 3, 2, 1, 0):
-        re, im = re * kappa + br[:, k:k + 1], im * kappa + bi[:, k:k + 1]
-    return np.min(np.hypot(re, im), axis=1)
-
-
 def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
                                  lam: complex) -> float:
     """min over real kappa of |det(B_inf - lambda M - i kappa J(c))| at one lambda.
 
-    The batch of one of continuous_spectrum_distances, with the same bits.
+    Zero exactly when lambda sits on the continuous spectrum.  With mu_k the
+    eigenvalues of J(c)^-1 (B_inf - lambda M) and nu_k = -i mu_k, the
+    determinant at mu = i kappa has modulus |det J(c)| prod |kappa - nu_k|;
+    that product is evaluated, since the squared polynomial loses a zero to
+    cancellation.  Its square is real of degree 8, so the minimum sits at a
+    real root of its derivative.  kappa runs over the real parts of all 7
+    roots, which keeps a real critical point that roundoff moved off the
+    axis, and of the nu_k, which hold the minimum where the roots near a
+    nearly real nu_k cluster and lose accuracy (3e-6 at p = 1, 157.7i).
     """
-    return float(continuous_spectrum_distances(model, c, [lam])[0])
+    j = jc(model, c)
+    a = np.linalg.solve(j, model.binf() - complex(lam) * model.M)
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("non-finite entries in 4x4 matrix")
+    nu = -1j * np.linalg.eigvals(a)
+    crit = np.roots(np.polyder(np.poly(np.concatenate([nu, np.conj(nu)])).real))
+    kappa = np.concatenate([crit.real, nu.real])
+    return float(abs(det4(j)) * np.min(np.prod(np.abs(kappa[:, None] - nu), axis=1)))

@@ -25,7 +25,7 @@ class RankError(EvanskitError):
 
 
 class NoConverge(EvanskitError):
-    """Iterative root/eigenvalue refinement stalled above tolerance."""
+    """Root polish, contour refinement, the quadrature or the quartic residual missed its bound."""
 
 
 # --- model layer ---
@@ -49,13 +49,13 @@ class DegenerateMu(EvanskitError):
 
 
 class NormalizationFail(EvanskitError):
-    """Dual basis pairing is too small to normalize against."""
+    """Omega(eta_i, zeta_k) misses delta_ik by more than 1e-9."""
 
 
 # --- ODE integration ---
 
 class StepFail(EvanskitError):
-    """Adaptive integrator drove the step size below its floor."""
+    """Non-finite matrix field or exponent on the fixed Magnus mesh."""
 
 
 class Overflow(EvanskitError):
@@ -69,7 +69,7 @@ class StepTooLarge(EvanskitError):
 
 
 class ContourOnSpectrum(EvanskitError):
-    """Winding contour passes too close to the continuous spectrum."""
+    """spectra refused a point of a winding contour: it lies on the continuous spectrum."""
 
 
 class NonClosure(EvanskitError):

@@ -8,13 +8,13 @@ trajectories, so every pairing is evaluated at O(1) scale.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import InfinitySpectrum, continuous_spectrum_distances, spectra, spectrum
-from .errors import BadParameter, ContourOnSpectrum, NoConverge, NonClosure, StepTooLarge
+from .asymptotics import InfinitySpectrum, spectra, spectrum
+from .errors import (BadParameter, ContourOnSpectrum, DegenerateMu, NoConverge, NonClosure,
+                     SplittingViolated, StepTooLarge)
 from .integrator import integrate_modes
 from .linalg import _cmul, interior2, skew_cmat4, symplectic_forms, wedge2, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
@@ -299,16 +299,13 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
     brackets in lockstep, one batched evaluation per round; a root is the
     midpoint of its final bracket, so it lies within ROOT_XTOL of the sign
     change of D.  A grid sample where D is exactly 0 is a root as it stands.
+    A sample on the continuous spectrum raises what spectra raises there.
     """
     nm = numerics or _DEFAULT
     n = int(n)
     if lam_max <= 0 or n < 2:
         raise BadParameter("scan needs lam_max > 0 and at least two samples")
     lams = np.linspace(lam_max / n, lam_max, n)
-    on_spectrum = np.flatnonzero(continuous_spectrum_distances(model, c, lams) < 1e-6)
-    if on_spectrum.size:
-        warnings.warn(f"scan sample lambda={lams[on_spectrum[0]]:.6g} sits on the "
-                      "continuous spectrum", stacklevel=2)
     samples = evans_dets(model, wave, c, lams, numerics=nm)
     vals = np.array([s.D for s in samples])
     re = vals.real
@@ -349,7 +346,9 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
     pi/2, so the winding of the image curve about 0 is unambiguous.  Contours
     default to a looser integration tolerance than pointwise evaluation
     (CONTOUR_TOL); pass numerics to override.  The boundary points are one
-    batched evaluation, and so is each level of refinement.
+    batched evaluation, and so is each level of refinement.  A boundary or
+    refinement point where spectra finds no two-two splitting, or coalescing
+    exponents, lies on the continuous spectrum: ContourOnSpectrum.
     """
     nm = numerics or Numerics(tol=CONTOUR_TOL)
     re0, re1, im0, im1 = (float(x) for x in rect)
@@ -359,16 +358,16 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
         raise BadParameter("contour must not enclose or touch the origin, "
                            "where D vanishes identically")
     pts = _rect_path((re0, re1, im0, im1), m_per_edge)
-    on_spectrum = np.flatnonzero(continuous_spectrum_distances(model, c, pts[:-1]) < 1e-6)
-    if on_spectrum.size:
-        raise ContourOnSpectrum(f"contour point {pts[on_spectrum[0]]:.6g} sits on the "
-                                "continuous spectrum")
     D: dict[complex, complex] = {}
 
     def evaluate(lams):
         new = [lam for lam in dict.fromkeys(lams) if lam not in D]
         if new:
-            D.update(zip(new, (s.D for s in evans_dets(model, wave, c, new, numerics=nm))))
+            try:
+                samples = evans_dets(model, wave, c, new, numerics=nm)
+            except (SplittingViolated, DegenerateMu) as e:
+                raise ContourOnSpectrum(f"contour meets the continuous spectrum: {e}") from e
+            D.update(zip(new, (s.D for s in samples)))
 
     evaluate(pts)
     scale = max(abs(D[lam]) for lam in pts)

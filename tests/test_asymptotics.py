@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from evanskit import asymptotics
-from evanskit.asymptotics import (_delta_coeffs, continuous_spectrum_distance,
-                                  continuous_spectrum_distances, spectra, spectrum)
-from evanskit.errors import Degenerate, DegenerateMu, NormalizationFail, SplittingViolated
+from evanskit.asymptotics import continuous_spectrum_distance, spectra, spectrum
+from evanskit.errors import DegenerateMu, NormalizationFail, SplittingViolated
+from evanskit.linalg import det4, det4s
 from evanskit.model import build_coupled_wave, jc, oracle_coupled_wave
 
 
@@ -14,8 +13,8 @@ def cw():
 
 
 def _delta(model, c, lam, mu):
-    """Delta(mu, lambda) from its ascending coefficients at one lambda."""
-    return np.polyval(_delta_coeffs(model, c, [lam])[0][::-1], mu)
+    """Delta(mu, lambda) = det(B_inf - lambda M - mu J(c))."""
+    return det4(model.binf() - lam * model.M - mu * jc(model, c))
 
 
 def test_delta_at_origin(cw):
@@ -134,71 +133,28 @@ def test_continuous_spectrum_distance(cw):
     model, _ = cw
     assert continuous_spectrum_distance(model, 0.0, 2.5j) < 1e-8
     assert continuous_spectrum_distance(model, 0.0, 2.0j) < 1e-10
+    # on the continuous spectrum far out, where Delta's coefficients span lambda^4
+    assert continuous_spectrum_distance(model, 0.0, 50.7j) < 1e-8
+    assert continuous_spectrum_distance(model, 0.0, 157.7j) < 1e-8
     assert continuous_spectrum_distance(model, 0.0, 0.0) == pytest.approx(28.0, rel=1e-9)
     assert continuous_spectrum_distance(model, 0.0, 1.0) == pytest.approx(40.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("p, c", [(1.0, 0.0), (2.0, 0.3), (0.5, -0.6)])
 def test_continuous_spectrum_distance_is_the_minimum(p, c):
-    # no sample of |Delta(i kappa)| on a dense grid lies below the minimum,
-    # up to the roundoff of evaluating Delta
+    # no det4s sample of |Delta(i kappa)| on a dense grid lies below the
+    # minimum, up to the roundoff of the sample: eps-sized against Hadamard's
+    # bound, the product of the matrix's row norms
     model, _ = build_coupled_wave(p)
     kappas = np.linspace(-40.0, 40.0, 80001)
+    J = jc(model, c)
     for lam in (0.0, 1.0, 0.7 + 0.2j, 3.0 - 0.8j, 2.5j, 1e-3 + 2j, -0.5 + 2.2j):
         dist = continuous_spectrum_distance(model, c, lam)
-        coeffs = _delta_coeffs(model, c, [lam])[0]
-        grid = np.abs(np.polyval(coeffs[::-1], 1j * kappas))
-        assert dist <= np.min(grid) * (1.0 + 1e-12) + 1e-12 * np.max(np.abs(coeffs))
-
-
-@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
-def test_distances_match_per_lambda_np_roots(p):
-    # the per-lambda reference: np.roots on the derivative of |P|^2 and
-    # np.polyval of P; the stacked solve gives the same < 1e-6 decision and
-    # agrees to 1e-12 relative wherever the distance is above 1e-6
-    model, _ = build_coupled_wave(p)
-    rng = np.random.default_rng(int(4 * p))
-    lams = list(rng.uniform(-4, 4, 40) + 1j * rng.uniform(-4, 4, 40)) + \
-        list(1j * rng.uniform(-6, 6, 20)) + [0.0, 2.0j, 2.5j, 1e-3 + 2j]
-    for c in (0.0, 0.3, -0.35):
-        want = []
-        for co in _delta_coeffs(model, c, lams):
-            b = co * 1j ** np.arange(5)
-            crit = np.roots(np.polyder(np.convolve(b, np.conj(b)).real[::-1])).real
-            want.append(np.min(np.abs(np.polyval(b[::-1], crit))))
-        want, got = np.array(want), continuous_spectrum_distances(model, c, lams)
-        assert np.array_equal(got < 1e-6, want < 1e-6)
-        far = want > 1e-6
-        assert np.all(np.abs(got[far] - want[far]) <= 1e-12 * want[far])
-
-
-def test_distance_refuses_a_vanishing_leading_coefficient(cw, monkeypatch):
-    # |P|^2 of a Delta without its mu^4 term has no degree-8 leading
-    # coefficient to make its derivative monic by
-    model, _ = cw
-    coeffs = np.array([[28.0, 0.0, -11.0, 0.0, 0.0], [28.0, 0.0, -11.0, 0.0, 1.0]])
-    monkeypatch.setattr(asymptotics, "_delta_coeffs", lambda *args: coeffs)
-    with pytest.raises(Degenerate):
-        continuous_spectrum_distances(model, 0.0, [0.0, 1.0])
-
-
-@pytest.mark.parametrize("p, c, seed", [(1.0, 0.0, 1), (2.0, 0.3, 2), (0.5, -0.6, 3)])
-def test_batched_distances_equal_singletons(p, c, seed):
-    # one _delta_coeffs call for a batch gives every lambda the bits of its own
-    # call: the Delta coefficients and the continuous-spectrum distances
-    model, _ = build_coupled_wave(p)
-    rng = np.random.default_rng(seed)
-    re, im = np.linspace(0.5, 3.0, 12), np.linspace(-0.8, 0.8, 12)
-    edge = (list(re - 0.8j) + list(3.0 + 1j * im) + list(re[::-1] + 0.8j)
-            + list(0.5 + 1j * im[::-1]))
-    lams = (edge + list(rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20))
-            + list(rng.uniform(0, 4, 10)) + [0.0, 0.05, -0.1, 2.5j, 2.0j, 1e-3 + 2j])
-    dists = continuous_spectrum_distances(model, c, lams)
-    coeffs = _delta_coeffs(model, c, lams)
-    assert dists.shape == (len(lams),) and coeffs.shape == (len(lams), 5)
-    for lam, d, co in zip(lams, dists, coeffs):
-        assert float(d).hex() == continuous_spectrum_distance(model, c, lam).hex()
-        assert co.tobytes() == _delta_coeffs(model, c, [lam])[0].tobytes()
+        mats = model.binf() - lam * model.M - 1j * kappas[:, None, None] * J
+        grid = np.abs(det4s(mats))
+        k = np.argmin(grid)
+        hadamard = np.prod(np.linalg.norm(mats[k], axis=1))
+        assert dist <= grid[k] * (1.0 + 1e-12) + 1e-12 * hadamard
 
 
 def _bits(s):

@@ -395,13 +395,13 @@ def test_cli_runs_as_module():
 
 
 @pytest.mark.parametrize("c, rect, named", [
-    ("0.9995", "0.5,3,-0.8,0.8", "StepFail"), ("0", "-0.5,0.5,157,158", "SplittingViolated")],
+    ("0.9995", "0.5,3,-0.8,0.8", "StepFail"), ("0", "-0.5,0.5,157,158", "ContourOnSpectrum")],
     ids=["c-0.9995-overflow", "c-0-on-spectrum"])
 def test_refusal_stderr_is_one_typed_line(c, rect, named):
     # at c = 0.9995 the stepper's exponentials overflow in their squarings,
     # and a contour that crosses the continuous spectrum at 157i is refused
-    # by the splitting check; each prints its typed error on one line and no
-    # numpy warning
+    # where spectra finds no splitting; each prints its typed error on one
+    # line and no numpy warning
     r = _run_module(["contour", "--p", "1", "--c", c, f"--rect={rect}"])
     assert r.returncode == 3 and r.stdout == ""
     assert r.stderr.splitlines() == [r.stderr.rstrip("\n")]

@@ -402,8 +402,9 @@ def test_winding_rejects_bad_contours():
         winding_count(model, wave, 0.0, (-1.0, 1.0, -0.5, 0.5))
     with pytest.raises(BadParameter):
         winding_count(model, wave, 0.0, (1.0, 0.5, -0.5, 0.5))
-    with pytest.raises(ContourOnSpectrum):
-        winding_count(model, wave, 0.0, (-0.5, 0.5, 2.0, 3.0))
+    for rect in ((-0.5, 0.5, 2.0, 3.0), (-0.5, 0.5, 157.0, 158.0), (-0.5, 0.5, 50.5, 51.0)):
+        with pytest.raises(ContourOnSpectrum):
+            winding_count(model, wave, 0.0, rect)
 
 
 def test_winding_zero_free_rectangle():
