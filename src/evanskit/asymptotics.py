@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Degenerate, DegenerateMu, NormalizationFail,
+from .errors import (BadParameter, Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
 from .linalg import det4, det4s, skew_cmat4, symplectic_forms
 from .model import MultisymplecticModel, jc
@@ -51,9 +51,11 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     list order, raises alone.
     """
     lams = [complex(lam) for lam in lams]
+    lam = np.array(lams, dtype=complex).reshape(-1, 1, 1)
+    if not np.all(np.isfinite(lam)):
+        raise BadParameter(f"lambda must be finite, got {lams[np.argmin(np.isfinite(lam))]}")
     j = jc(model, c)
     jb, jm = np.linalg.solve(j, model.binf()), np.linalg.solve(j, model.M)
-    lam = np.array(lams, dtype=complex).reshape(-1, 1, 1)
     a = np.empty((len(lams), 4, 4), dtype=complex)
     a.real, a.imag = jb - lam.real * jm, -lam.imag * jm
     if not np.all(np.isfinite(a.view(float))):
@@ -133,6 +135,8 @@ def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
     axis, and of the nu_k, which hold the minimum where the roots near a
     nearly real nu_k cluster and lose accuracy (3e-6 at p = 1, 157.7i).
     """
+    if not np.isfinite(complex(lam)):
+        raise BadParameter(f"lambda must be finite, got {complex(lam)}")
     j = jc(model, c)
     a = np.linalg.solve(j, model.binf() - complex(lam) * model.M)
     if not np.all(np.isfinite(a.view(float))):

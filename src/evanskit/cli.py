@@ -371,9 +371,12 @@ _SUITE_FNS = {
     "theorem22": _suite_theorem22,
     "structure": _suite_structure,
 }
+_WAVE_SUITES = {"appendix-a", "exact-evans", "structure"}   # the suites that integrate the wave
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    if cfg.suite in _WAVE_SUITES and _wave_refused(cfg, *cfg.coupled_wave(), residuals=False):
+        return 2
     checks = _SUITE_FNS[cfg.suite](cfg)
     passed = all(c["passed"] for c in checks)
     _emit(_json({"suite": cfg.suite, "passed": passed, "checks": checks}),

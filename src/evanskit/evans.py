@@ -106,8 +106,9 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     """Determinant-form Evans function at many spectral points, one integration.
 
     For each lambda, integrates u3, u4 from -L and w3, w4 from +L to the
-    matching point xi_star and returns the determinant of the symplectic
-    cross-pairings.  Pairings with mismatched mode indices are rebalanced by
+    matching point xi_star, which must be a mesh node (0, +-0.5, ..., +-2
+    or +-L), and returns the determinant of the symplectic cross-pairings.
+    Pairings with mismatched mode indices are rebalanced by
     exp((mu_i - mu_j) xi_star); the product d3*d4 is insensitive to this,
     so D itself does not depend on the rebalancing convention.
 
@@ -126,7 +127,10 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
 def evans_det(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: complex,
               numerics: Numerics | None = None, spec: InfinitySpectrum | None = None,
               xi_star: float = 0.0) -> EvansSample:
-    """Determinant-form Evans function at one spectral point: evans_dets of one."""
+    """Determinant-form Evans function at one spectral point: evans_dets of one.
+
+    xi_star must be a mesh node: 0, +-0.5, ..., +-2 or +-L.
+    """
     return evans_dets(model, wave, c, [lam], numerics=numerics,
                       specs=None if spec is None else [spec], xi_star=xi_star)[0]
 
@@ -303,8 +307,8 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
     """
     nm = numerics or _DEFAULT
     n = int(n)
-    if lam_max <= 0 or n < 2:
-        raise BadParameter("scan needs lam_max > 0 and at least two samples")
+    if not 0.0 < lam_max < np.inf or n < 2:
+        raise BadParameter("scan needs a finite lam_max > 0 and at least two samples")
     lams = np.linspace(lam_max / n, lam_max, n)
     samples = evans_dets(model, wave, c, lams, numerics=nm)
     vals = np.array([s.D for s in samples])

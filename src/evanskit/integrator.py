@@ -32,11 +32,11 @@ nodes -L, -2, -1.5, -1, -0.5 and 0, and [0, L] is the mirror image; tol
 is the one accuracy knob.  The error of a step grows like |lambda|^5, so
 a run with |lambda| above LAMBDA_REF splits every step in
 refinement(lambda) equal parts.  Runs seeded at -L step up the mesh and
-runs seeded at +L down it.  A step that holds a run's end point or a grid
-point inside it is split there for that run, with exponents of its own,
-so a run's values depend only on the mesh, its lambda, its seed side, its
-end point and its grid, never on the batch it rides in; a single run is
-a batch of one.
+runs seeded at +L down it, and stop and sample only at mesh nodes: an end
+or grid point that is no node is refused, and +-L, 0, +-0.5, ..., +-2 are
+nodes at every refinement.  So every step is a mesh step, and a run's
+values depend only on the mesh, its lambda, its seed side and its end
+point, never on the batch it rides in; a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -218,7 +218,8 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     zeta_j; the mode decays as xi -> -infinity for j in {3, 4} (seed at
     -L) and as xi -> +infinity for j in {1, 2} (seed at +L).  kind "w"
     solves with -lambda, seeds eta_j, with the opposite seeding sides.
-    This is the batch-of-one case of integrate_modes.
+    until and the points of out_grid must be mesh nodes; +-L, 0, +-0.5,
+    ..., +-2 always are.  This is the batch-of-one case of integrate_modes.
     """
     if spec is None:
         spec = spectrum(model, c, lam)
@@ -233,7 +234,9 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
     Each run is (lam, spec, j, kind, until, grid): the spectral point, its
     spectrum at infinity, the mode as in integrate_mode, the end point in
     [-L, L], and a grid or None.  A grid runs from the seed toward the end
-    point and must lie between them.  Runs of different lambda values,
+    point and must lie between them.  End and grid points must be mesh
+    nodes; +-L, 0, +-0.5, ..., +-2 always are, and any other point raises
+    ValueError before a step is taken.  Runs of different lambda values,
     modes, end points and grids mix freely; all share tol and the
     half-width L.  A run with |lambda| above LAMBDA_REF steps on the mesh
     with every step split refinement(lambda) times.  Returns one
@@ -286,9 +289,8 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     seed = np.empty((nrun, 4), complex)
     dirs = np.empty(nrun, int)
     group = np.empty(nrun, int)
-    full = np.empty(nrun, int)        # full mesh steps taken
+    full = np.empty(nrun, int)        # mesh steps taken
     groups = {}                       # (d, lambda in the equation) -> group index
-    split = {}                        # step -> [(run, [(stop, grid index or None)])]
     at_node = {}                      # node -> [(run, grid index)]
     out_vals = []
     for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
@@ -299,38 +301,26 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
         dirs[m] = d
         key = (d, complex(lam_ode.real + 0.0, lam_ode.imag + 0.0))
         group[m] = groups.setdefault(key, len(groups))
-        stops = [] if grid is None else [float(g) * d for g in grid]
-        t_end = float(end) * d
-        if not (stops == sorted(stops) and x[0] <= t_end <= x[-1]
-                and all(x[0] <= t <= t_end for t in stops)):
-            raise ValueError("end point outside [-L, L], or a grid not monotone "
-                             "from the seed to the end point")
-        at = np.searchsorted(x, [*stops, t_end], side="right") - 1
+        pts = [*([] if grid is None else [float(g) * d for g in grid]), float(end) * d]
+        at = np.minimum(np.searchsorted(x, pts), nsteps)
+        off = x[at] != pts
+        if off.any():
+            raise ValueError(f"xi={d * pts[np.argmax(off)]!r} is not a mesh node in [-L, L]; "
+                             "+-L, 0, +-0.5, ..., +-2 always are")
+        if pts != sorted(pts):
+            raise ValueError("grid not monotone from the seed to the end point")
         full[m] = at[-1]
-        inside = {}
-        for i, (t, k) in enumerate(zip(stops, at[:-1])):
-            if t == x[k]:
-                at_node.setdefault(int(k), []).append((m, i))
-            else:
-                inside.setdefault(int(k), []).append((t, i))
-        if t_end > x[full[m]]:
-            inside.setdefault(int(full[m]), []).append((t_end, None))
-        for k, pts in inside.items():
-            if k < full[m]:
-                pts.append((x[k + 1], None))
-            split.setdefault(k, []).append((m, pts))
-        out_vals.append(None if grid is None else np.empty((len(stops), 4), complex))
+        for i, k in enumerate(at[:-1]):
+            at_node.setdefault(int(k), []).append((m, i))
+        out_vals.append(None if grid is None else np.empty((len(pts) - 1, 4), complex))
 
     # 1, lambda, lambda^2, lambda^3 of each group, as Python complex products
     powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
     dir_g = np.array([d for d, _ in groups])
-    last = np.zeros(len(groups), int)   # full steps of each group's longest run
+    last = np.zeros(len(groups), int)   # steps of each group's longest run
     np.maximum.at(last, group, full)
-    length = max(full.max(), max(split, default=-1) + 1)
 
     v = seed.copy()
-    nsub = np.zeros(nrun, int)
-    hsub = np.full(nrun, np.inf)
     for m, i in at_node.get(0, []):
         out_vals[m][i] = v[m]
 
@@ -338,26 +328,10 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
         # A's lambda-free part at the Gauss nodes of steps k0..k1 up the mesh
         return field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel()).reshape(-1, 3, 4, 4)
 
-    def substeps(m, t0, pts):
-        # run m across a split step from t0, stop by stop, recording its grid values
-        d = dirs[m]
-        for t, i in pts:
-            hs = t - t0
-            xi = d * (t0 + _GAUSS * hs)
-            w = _magnus(np.array([d * hs]), field(xi)[None], bmat)
-            e = _exponentials([(w, [0])], powers[group[m], None])[0, 0]
-            if not np.all(np.isfinite(e.view(float))):
-                raise StepFail(f"non-finite exponent at xi={d * t0:.4f}")
-            v[m] = (e @ v[m]) * np.exp(kappa[m] * hs)
-            nsub[m] += 1
-            hsub[m] = min(hsub[m], abs(hs))
-            if i is not None:
-                out_vals[m][i] = v[m]
-            t0 = t
-
     batch = max(1, _EXP_BATCH // len(groups))
-    # the steps at which the set of runs on full steps changes
-    change = {0, *full.tolist(), *split, *(k + 1 for k in split)}
+    # the steps at which the set of runs still stepping changes
+    change = {0, *full.tolist()}
+    length = full.max()
     for t0 in range(0, length, _TABLE_BATCH):
         t1 = min(t0 + _TABLE_BATCH, length)
         # the W tables of steps t0..t1 up the mesh and down it: step k down
@@ -367,31 +341,26 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
                   for d in (1, -1) if np.any(last[dir_g == d] > t0)]
         for k0 in range(t0, t1, batch):
             k1 = min(k0 + batch, t1)
-            # exponentials for the groups with a full step left, in this order
+            # exponentials for the groups with a step left, in this order
             act = np.flatnonzero(last > k0)
-            if act.size:
-                e = _exponentials([(w[k0 - t0:k1 - t0], np.flatnonzero(dir_g[act] == d))
-                                   for w, d in tables], powers[act])
-                bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
-                bad &= np.arange(k0, k1)[:, None] < last[act]
-                if bad.any():
-                    s, g = np.argwhere(bad)[0]
-                    raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
-                row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
-                shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
+            e = _exponentials([(w[k0 - t0:k1 - t0], np.flatnonzero(dir_g[act] == d))
+                               for w, d in tables], powers[act])
+            bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
+            bad &= np.arange(k0, k1)[:, None] < last[act]
+            if bad.any():
+                s, g = np.argwhere(bad)[0]
+                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
+            row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
+            shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
             for k in range(k0, k1):
                 if k in change:
-                    skip = [m for m, _ in split.get(k, [])]
                     live = np.flatnonzero(k < full)
-                    live = np.setdiff1d(live, skip) if skip else live
                     every = live.size == nrun
                 if every:
                     v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
-                elif live.size:
+                else:
                     v[live] = (np.matmul(e[k - k0, row[live]], v[live, :, None])[..., 0]
                                * shift[k - k0, live, None])
-                for m, pts in split.get(k, []):
-                    substeps(m, x[k], pts)
                 for m, i in at_node.get(k + 1, []):
                     out_vals[m][i] = v[m]
             if not np.abs(v).max() <= _OVERFLOW:   # true for a NaN too
@@ -401,6 +370,5 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
     return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],
                              grid=runs[m][5], values=out_vals[m],
-                             nsteps=int(full[m] + nsub[m]), nrejected=0,
-                             h_min=float(min(hmin[full[m]], hsub[m])))
+                             nsteps=int(full[m]), nrejected=0, h_min=float(hmin[full[m]]))
             for m in range(nrun)]

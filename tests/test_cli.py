@@ -206,11 +206,14 @@ def test_narrow_profiles_meet_the_closed_form():
     ["report", "--p", "1", "--c", "0.3"],
     ["scan", "--p", "1", "--c", "0", "--lambda-max", "3", "--grid-n", "13"],
     ["contour", "--p", "1", "--c", "0", "--rect", "0.5,3,-0.8,0.8"],
-], ids=["report", "scan", "contour"])
+    ["verify", "--suite", "structure", "--c", "0.3"],
+    ["verify", "--suite", "appendix-a", "--c", "0.3"],
+    ["verify", "--suite", "exact-evans"],
+], ids=["report", "scan", "contour", "structure", "appendix-a", "exact-evans"])
 def test_short_truncation_refused(args):
     # at L = 2 the wave has not decayed (|zhat| = 0.27 at the ends): every
-    # task refuses with the report's hypothesis check rather than print the
-    # roots or winding of a truncated wave
+    # task that integrates the wave refuses with the report's hypothesis
+    # check rather than print the roots, winding or checks of a truncated wave
     r = _run(args + ["--L", "2"])
     assert r.exit_code == 2
     hrep = json.loads(r.stdout)["hypothesis_report"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evanskit.asymptotics import spectrum
+from evanskit.asymptotics import continuous_spectrum_distance, spectra, spectrum
 from evanskit.errors import BadParameter, ContourOnSpectrum, NoConverge, StepTooLarge
 from evanskit.evans import (
     _POLISH_ROUNDS,
@@ -77,6 +77,23 @@ def test_numerics_refuses_bad_values(bad):
     # L < 0 a huge D, and h = NaN an untyped ValueError deep in the spectrum
     with pytest.raises(BadParameter, match=next(iter(bad))):
         Numerics(**bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, w: spectrum(m, 0.0, math.inf),
+    lambda m, w: spectrum(m, 0.0, 1j * math.inf),
+    lambda m, w: spectra(m, 0.0, [1.0, complex(math.nan, 0.0)]),
+    lambda m, w: continuous_spectrum_distance(m, 0.0, 1j * math.inf),
+    lambda m, w: real_axis_scan(m, w, 0.0, math.inf),
+    lambda m, w: real_axis_scan(m, w, 0.0, math.nan),
+], ids=["spectrum-inf", "spectrum-inf-i", "spectra-nan", "distance-inf-i",
+        "scan-inf", "scan-nan"])
+def test_non_finite_lambda_refused(call):
+    # these used to warn (inf times M's zero entries) before an untyped
+    # ValueError, and lam_max = NaN slipped past the scan's lam_max <= 0 test
+    model, wave = build_coupled_wave(1.0)
+    with pytest.raises(BadParameter, match="finite"):
+        call(model, wave)
 
 
 def test_numerics_accepts_good_values():
@@ -227,7 +244,7 @@ def test_cross_pairing_rebalanced_to_matching_point():
     zeta[3] += zeta[2]
     mixed = dataclasses.replace(sp, eta=eta, zeta=zeta)
     d3 = [evans_det(frozen, fwave, 0.0, 0.8, numerics=Numerics(L=6), spec=mixed,
-                    xi_star=x).d3 for x in (0.0, 0.5, -1.3)]
+                    xi_star=x).d3 for x in (0.0, 0.5, -1.5)]
     assert abs(d3[0]) > 30.0
     assert max(abs(d - d3[0]) for d in d3) <= 1e-10 * abs(d3[0])
 

@@ -31,11 +31,11 @@ def test_seed_matches_boundary_value():
     # u-runs with j in {3,4} start at -L from zeta_j; w-runs with j in {3,4}
     # start at +L from eta_j.  The rescaled value at the seed point is the seed.
     u3 = integrate_mode(model, wave, c, 0.0, 3, "u", spec=s,
-                        out_grid=np.linspace(-L, 0.0, 5))
+                        out_grid=np.array([-L, -2.0, -1.0, -0.5, 0.0]))
     assert np.max(np.abs(u3.values[0] - s.zeta[2])) <= 1e-12
     assert u3.xi_seed == -L
     w4 = integrate_mode(model, wave, c, 0.0, 4, "w", spec=s,
-                        out_grid=np.linspace(L, 0.0, 5))
+                        out_grid=np.array([L, 2.0, 1.0, 0.5, 0.0]))
     assert np.max(np.abs(w4.values[0] - s.eta[3])) <= 1e-12
     assert w4.xi_seed == L
     # j in {1,2} seed on the opposite side
@@ -101,13 +101,13 @@ def test_same_index_pairing_constant_along_xi():
     c, lam = 0.3, 0.9
     s = spectrum(model, c, lam)
     L = wave.default_L(c)
-    pts = np.linspace(-4.0, 4.0, 9)
-    gm = np.unique(np.concatenate([np.linspace(-L, -4.0, 31), pts]))
-    gp = np.unique(np.concatenate([pts, np.linspace(4.0, L, 31)]))[::-1]
+    pts = np.linspace(-2.0, 2.0, 9)
+    gm = np.concatenate([[-L], pts])
+    gp = np.concatenate([pts, [L]])[::-1]
     J = jc(model, c)
     for j in (3, 4):
-        u = integrate_mode(model, wave, c, lam, j, "u", spec=s, out_grid=gm, until=4.0)
-        w = integrate_mode(model, wave, c, lam, j, "w", spec=s, out_grid=gp, until=-4.0)
+        u = integrate_mode(model, wave, c, lam, j, "u", spec=s, out_grid=gm, until=2.0)
+        w = integrate_mode(model, wave, c, lam, j, "w", spec=s, out_grid=gp, until=-2.0)
         vals = []
         for xi in pts:
             iu = int(np.argmin(np.abs(u.grid - xi)))
@@ -127,8 +127,8 @@ def test_tangent_pair_crossing_is_grid_independent():
         s = spectrum(model, c, 0.0)
         L = wave.default_L(c)
         pts = np.linspace(-2.0, 2.0, 9)
-        gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), pts]))
-        gp = np.unique(np.concatenate([pts, np.linspace(2.0, L, 21)]))[::-1]
+        gm = np.concatenate([[-L], pts])
+        gp = np.concatenate([pts, [L]])[::-1]
         mi = integrate_mode(model, wave, c, 0.0, 4, "u", spec=s, out_grid=gm, until=2.0)
         pl = integrate_mode(model, wave, c, 0.0, 4, "w", spec=s, out_grid=gp, until=-2.0)
         J = jc(model, c)
@@ -162,13 +162,13 @@ def test_tolerance_consistency():
 def test_dense_output_consistent_at_zero():
     model, wave = _coupled()
     L = wave.default_L(0.0)
-    g = np.linspace(-L, 0.0, 7)
+    g = np.array([-L, -2.0, -1.5, -1.0, -0.5, 0.0])
     r = integrate_mode(model, wave, 0.0, 0.0, 3, "u", out_grid=g)
     assert np.max(np.abs(r.values[-1] - r.value_at_end)) <= 1e-14
-    # a run carried past xi = 0 samples its interpolant on the far side too,
+    # a run carried past xi = 0 samples on the far side too,
     # in agreement with a run that stops at the sample point
     s = spectrum(model, 0.0, 0.5)
-    g = np.array([-3.0, -1.0, 1.0, 2.0])
+    g = np.array([-1.5, -1.0, 1.0, 2.0])
     r = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, out_grid=g, until=2.0)
     stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, until=1.0)
     assert np.max(np.abs(r.values[2] - stop.value_at_end)) <= 1e-8
@@ -238,17 +238,33 @@ def test_frozen_model_is_exact():
             assert r.nrejected == 0 and abs(r.nsteps - k * mesh_steps(1e-9)) <= 5 * k
 
 
-def test_end_inside_first_step():
-    # a run that ends, or samples, inside its first mesh step takes only
-    # its own split steps; on the frozen model they keep the seed
-    frozen, fwave = _frozen()
-    s = spectrum(frozen, 0.0, 0.7)
-    L = fwave.default_L(0.0)
-    r = integrate_mode(frozen, fwave, 0.0, 0.7, 4, "u", spec=s, until=-L + 0.01,
-                       out_grid=np.array([-L, -L + 0.005]))
-    assert r.nsteps == 2 and abs(r.h_min - 0.005) <= 1e-12
-    assert np.max(np.abs(r.values - s.zeta[3])) <= 1e-14
-    assert np.max(np.abs(r.value_at_end - s.zeta[3])) <= 1e-14
+@pytest.mark.parametrize("L", [None, 6.0, 15.0])
+@pytest.mark.parametrize("c", [0.0, 0.3, -0.35])
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
+def test_runs_stop_only_on_mesh_nodes(tol, c, L):
+    # +-L, 0, +-0.5, ..., +-2 are nodes of every mesh, refined ones too
+    # (lambda = 30 splits each step in 3); a point one ulp off a node is
+    # refused before a step is taken, after only the mesh's hessS calls
+    model, wave = _coupled()
+    calls = []
+    counted = MultisymplecticModel(model.M, model.K, model.gradS,
+                                   lambda z: calls.append(1) or model.hessS(z))
+    lam = 30.0
+    s = spectrum(model, c, lam)
+    Lbox = wave.default_L(c) if L is None else L
+    g = np.concatenate([[-Lbox], np.linspace(-2.0, 2.0, 9), [Lbox]])
+    r = integrate_mode(model, wave, c, lam, 4, "u", tol=tol, L=L, spec=s, out_grid=g,
+                       until=Lbox)
+    assert refinement(lam) == 3 and np.all(np.isfinite(r.values))
+    integrate_mode(counted, wave, c, lam, 4, "u", tol=tol, L=L, spec=s, until=-Lbox)
+    mesh_only = len(calls)
+    off = np.nextafter(-1.0, 0.0)
+    for until, grid in ((off, None), (0.0, np.array([-Lbox, off, 0.0]))):
+        calls.clear()
+        with pytest.raises(ValueError, match="not a mesh node"):
+            integrate_mode(counted, wave, c, lam, 4, "u", tol=tol, L=L, spec=s,
+                           out_grid=grid, until=until)
+        assert len(calls) == mesh_only
 
 
 def test_sixth_order_against_oracle():
@@ -276,7 +292,7 @@ def test_constant_hessian_batch_equals_singletons():
     modes = ((1, "u"), (3, "u"), (2, "w"), (4, "w"))
     runs = [(lam, spectrum(frozen, c, lam), j, kind, 0.0, None)
             for lam in (0.7, 1.3 + 0.4j) for j, kind in modes]
-    runs.append((0.7, runs[0][1], 3, "u", 1.0, np.linspace(-20.0, 1.0, 6)))
+    runs.append((0.7, runs[0][1], 3, "u", 1.0, np.array([-2.0, -1.5, -1.0, 0.0, 0.5, 1.0])))
     batch = integrate_modes(frozen, fwave, c, runs, tol=1e-9)
     for (lam, spec, j, kind, until, grid), b in zip(runs, batch):
         a = integrate_mode(frozen, fwave, c, lam, j, kind, tol=1e-9, spec=spec,

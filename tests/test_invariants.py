@@ -218,8 +218,8 @@ def _tangent_pair(model, wave, c):
     sp = spectrum(model, c, 0.0)
     L = wave.default_L(c)
     pts = np.linspace(-2.0, 2.0, 9)
-    gm = np.unique(np.concatenate([np.linspace(-L, -2.0, 21), pts]))
-    gp = np.unique(np.concatenate([pts, np.linspace(2.0, L, 21)]))[::-1]
+    gm = np.concatenate([[-L], pts])
+    gp = np.concatenate([pts, [L]])[::-1]
     minus = integrate_mode(model, wave, c, 0.0, 4, "u", spec=sp, out_grid=gm, until=2.0)
     plus = integrate_mode(model, wave, c, 0.0, 4, "w", spec=sp, out_grid=gp, until=-2.0)
     return minus, plus
