@@ -289,7 +289,7 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     seed = np.empty((nrun, 4), complex)
     dirs = np.empty(nrun, int)
     group = np.empty(nrun, int)
-    full = np.empty(nrun, int)        # mesh steps taken
+    stop = np.empty(nrun, int)        # node a run stops at: the mesh steps it takes
     groups = {}                       # (d, lambda in the equation) -> group index
     at_node = {}                      # node -> [(run, grid index)]
     out_vals = []
@@ -309,7 +309,7 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
                              "+-L, 0, +-0.5, ..., +-2 always are")
         if pts != sorted(pts):
             raise ValueError("grid not monotone from the seed to the end point")
-        full[m] = at[-1]
+        stop[m] = at[-1]
         for i, k in enumerate(at[:-1]):
             at_node.setdefault(int(k), []).append((m, i))
         out_vals.append(None if grid is None else np.empty((len(pts) - 1, 4), complex))
@@ -318,7 +318,7 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
     dir_g = np.array([d for d, _ in groups])
     last = np.zeros(len(groups), int)   # steps of each group's longest run
-    np.maximum.at(last, group, full)
+    np.maximum.at(last, group, stop)
 
     v = seed.copy()
     for m, i in at_node.get(0, []):
@@ -330,8 +330,8 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
 
     batch = max(1, _EXP_BATCH // len(groups))
     # the steps at which the set of runs still stepping changes
-    change = {0, *full.tolist()}
-    length = full.max()
+    change = {0, *stop.tolist()}
+    length = stop.max()
     for t0 in range(0, length, _TABLE_BATCH):
         t1 = min(t0 + _TABLE_BATCH, length)
         # the W tables of steps t0..t1 up the mesh and down it: step k down
@@ -354,7 +354,7 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
             shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
             for k in range(k0, k1):
                 if k in change:
-                    live = np.flatnonzero(k < full)
+                    live = np.flatnonzero(k < stop)
                     every = live.size == nrun
                 if every:
                     v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
@@ -370,5 +370,5 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
     return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],
                              grid=runs[m][5], values=out_vals[m],
-                             nsteps=int(full[m]), nrejected=0, h_min=float(hmin[full[m]]))
+                             nsteps=int(stop[m]), nrejected=0, h_min=float(hmin[stop[m]]))
             for m in range(nrun)]
