@@ -160,10 +160,20 @@ _GOLDEN = {
          "d4": ("0x1.197d6f3088000p-25", "-0x1.810b4b39d6000p-25")},
         {"u3": (137, 0, "0x1.412da5dc92609p-6"), "u4": (137, 0, "0x1.412da5dc92609p-6"),
          "w3": (137, 0, "0x1.412da5dc92609p-6"), "w4": (137, 0, "0x1.412da5dc92609p-6")}),
+    # the mirror of the complex point: the bitwise conjugate, the same steps
+    (2.0, 0.0, 1e-8, 1.0 - 0.4j): (
+        {"D": ("-0x1.e5b8111c51547p-17", "0x1.65ed2d39e4f15p-16"),
+         "d1": ("-0x1.bc32f108beabfp-9", "0x1.ee7d221bf26dap-10"),
+         "d2": ("0x1.8508e111d814fp-8", "-0x1.880a08447c7f8p-9"),
+         "d3": ("0x1.e6e608d960000p-30", "-0x1.a737b6ef30000p-27"),
+         "d4": ("0x1.197d6f3088000p-25", "0x1.810b4b39d6000p-25")},
+        {"u3": (137, 0, "0x1.412da5dc92609p-6"), "u4": (137, 0, "0x1.412da5dc92609p-6"),
+         "w3": (137, 0, "0x1.412da5dc92609p-6"), "w4": (137, 0, "0x1.412da5dc92609p-6")}),
 }
 
 
-@pytest.mark.parametrize("point", list(_GOLDEN), ids=["zero-pattern", "stencil", "complex"])
+@pytest.mark.parametrize("point", list(_GOLDEN),
+                         ids=["zero-pattern", "stencil", "complex", "complex-mirror"])
 def test_golden_bits(point):
     # the zero-pattern point sits on a rounding floor (test_zero_pattern_at_origin),
     # so any change of bits there is caught here first, deterministically
@@ -250,10 +260,12 @@ def test_cross_pairing_rebalanced_to_matching_point():
 
 
 def test_conjugate_symmetry():
+    # a real model gives D(conj lambda) = conj D(lambda), to the bit
     model, wave = build_coupled_wave(1.0)
-    a = evans_det(model, wave, 0.0, 1.0 + 0.4j).D
-    b = evans_det(model, wave, 0.0, 1.0 - 0.4j).D
-    assert abs(np.conj(a) - b) <= 1e-9 * abs(a)
+    a = evans_det(model, wave, 0.0, 1.0 + 0.4j)
+    b = evans_det(model, wave, 0.0, 1.0 - 0.4j)
+    for name in ("D", "d1", "d2", "d3", "d4"):
+        assert getattr(b, name) == np.conj(getattr(a, name)), name
 
 
 def test_matching_point_shift_invariance():
