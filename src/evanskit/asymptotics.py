@@ -35,6 +35,27 @@ class InfinitySpectrum:
     tau: float            # -trace(J(c)^-1 M)
 
 
+def _system(model: MultisymplecticModel, c: float, lam: np.ndarray):
+    """J(c), J(c)^-1 B_inf and J(c)^-1 M, once every lambda is found admissible.
+
+    Raises BadParameter, naming the first such lambda, when a lambda is not
+    finite, or else when one is so large that eps |lambda| |J^-1 M|_F
+    exceeds |J^-1 B_inf|_F: there J^-1 (B_inf - lambda M) keeps no bit of
+    B_inf, and far beyond it its norm overflows.
+    """
+    if not np.all(np.isfinite(lam)):
+        bad = complex(lam[np.argmin(np.isfinite(lam))])
+        raise BadParameter(f"lambda must be finite, got {bad}")
+    j = jc(model, c)
+    jb, jm = np.linalg.solve(j, model.binf()), np.linalg.solve(j, model.M)
+    eps, size, floor = np.finfo(float).eps, np.linalg.norm(jm), np.linalg.norm(jb)
+    huge = eps * size * np.abs(lam) > floor
+    if huge.any():
+        raise BadParameter(f"|lambda| above {floor / (eps * size):.3g}, where lambda M swamps "
+                           f"B_inf in double precision: lambda={complex(lam[np.argmax(huge)])}")
+    return j, jb, jm
+
+
 def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectrum]:
     """Solve the system at infinity and build the dual frames at every lambda.
 
@@ -47,15 +68,13 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     Omega(eta_i, zeta_k) = delta_ik up to the inverse's rounding, which is
     checked.  numpy runs LAPACK on each matrix of a stack alone and the rest
     is elementwise, so every field equals what spectrum gives at that lambda
-    alone.  On failure the batch raises what the first failing lambda, in
-    list order, raises alone.
+    alone.  A lambda that is not finite or too large is refused before any
+    solve, with BadParameter; on any other failure the batch raises what
+    the first failing lambda, in list order, raises alone.
     """
     lams = [complex(lam) for lam in lams]
     lam = np.array(lams, dtype=complex).reshape(-1, 1, 1)
-    if not np.all(np.isfinite(lam)):
-        raise BadParameter(f"lambda must be finite, got {lams[np.argmin(np.isfinite(lam))]}")
-    j = jc(model, c)
-    jb, jm = np.linalg.solve(j, model.binf()), np.linalg.solve(j, model.M)
+    j, jb, jm = _system(model, c, lam[:, 0, 0])
     a = np.empty((len(lams), 4, 4), dtype=complex)
     a.real, a.imag = jb - lam.real * jm, -lam.imag * jm
     if not np.all(np.isfinite(a.view(float))):
@@ -135,9 +154,7 @@ def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
     axis, and of the nu_k, which hold the minimum where the roots near a
     nearly real nu_k cluster and lose accuracy (3e-6 at p = 1, 157.7i).
     """
-    if not np.isfinite(complex(lam)):
-        raise BadParameter(f"lambda must be finite, got {complex(lam)}")
-    j = jc(model, c)
+    j, _, _ = _system(model, c, np.array([complex(lam)]))
     a = np.linalg.solve(j, model.binf() - complex(lam) * model.M)
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("non-finite entries in 4x4 matrix")

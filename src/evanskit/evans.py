@@ -8,7 +8,7 @@ trajectories, so every pairing is evaluated at O(1) scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,6 +100,20 @@ def _det_samples(model, c, lams, specs, sols, xi_star: float = 0.0) -> list[Evan
             for n, lam in enumerate(lams)]
 
 
+def _mirror(spec: InfinitySpectrum) -> InfinitySpectrum:
+    # the spectrum at infinity of conj lambda, from the one of lambda
+    return replace(spec, lam=spec.lam.conjugate(), mu=np.conj(spec.mu), zeta=np.conj(spec.zeta),
+                   eta=np.conj(spec.eta), Kconst=spec.Kconst.conjugate())
+
+
+def _seen_from(s: EvansSample, lam: complex) -> EvansSample:
+    # the sample of lam from the sample s of lam, or of conj lam when Im lam < 0
+    vals = [s.D, s.d1, s.d2, s.d3, s.d4]
+    if lam.imag < 0:
+        vals = [z.conjugate() for z in vals]
+    return EvansSample(lam, *vals, stats=dict(s.stats))
+
+
 def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
                numerics: Numerics | None = None, specs=None,
                xi_star: float = 0.0) -> list[EvansSample]:
@@ -112,16 +126,30 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     exp((mu_i - mu_j) xi_star); the product d3*d4 is insensitive to this,
     so D itself does not depend on the rebalancing convention.
 
-    All 4 * len(lams) runs go through one batched stepper call, and each
-    keeps its own steps: every sample equals its evans_det call exactly.
-    specs optionally supplies the spectrum at infinity per lambda.
+    The model is real, so D(conj lambda) = conj D(lambda), and so are d1..d4:
+    a lambda with Im lambda < 0 is evaluated at its mirror image conj lambda,
+    and its sample is the mirror's conjugated, with its own lam and the
+    mirror's step stats.  Each distinct point left is solved once.
+    All 4 runs of every such point go through one batched stepper call, and
+    each keeps its own steps: every sample equals its evans_det call exactly.
+    specs optionally supplies the spectrum at infinity per lambda; of a
+    point that appears more than once, the first spec is used.
     """
     nm = numerics or _DEFAULT
+    lams = [complex(lam) for lam in lams]
+    ups = [lam.conjugate() if lam.imag < 0 else lam for lam in lams]
+    pts = list(dict.fromkeys(ups))   # distinct, in order of first appearance
     if specs is None:
-        specs = spectra(model, c, lams)
-    sols = integrate_modes(model, wave, c, _det_runs(lams, specs, xi_star),
+        specs = spectra(model, c, pts)
+    else:
+        given = {}
+        for lam, up, spec in zip(lams, ups, specs):
+            given.setdefault(up, _mirror(spec) if lam.imag < 0 else spec)
+        specs = [given[up] for up in pts]
+    sols = integrate_modes(model, wave, c, _det_runs(pts, specs, xi_star),
                            tol=nm.tol, L=nm.L)
-    return _det_samples(model, c, lams, specs, sols, xi_star)
+    done = dict(zip(pts, _det_samples(model, c, pts, specs, sols, xi_star)))
+    return [_seen_from(done[up], lam) for lam, up in zip(lams, ups)]
 
 
 def evans_det(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: complex,
@@ -329,16 +357,19 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
 
 def _rect_path(rect, m_per_edge):
+    # the boundary counterclockwise from (re0, im0), m_per_edge points an edge
+    # and the first point again at the end.  Both horizontal edges take one
+    # linspace of real parts; when im0 == -im1 the vertical edges' imaginary
+    # parts are made exactly antisymmetric, so the boundary points, and the
+    # midpoints of refinement, come in exact conjugate pairs
     re0, re1, im0, im1 = rect
-    corners = [complex(re0, im0), complex(re1, im0),
-               complex(re1, im1), complex(re0, im1)]
-    pts = []
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        for t in np.linspace(0.0, 1.0, m_per_edge, endpoint=False):
-            pts.append(a + t * (b - a))
-    pts.append(corners[0])
-    return pts
+    xs = np.linspace(re0, re1, m_per_edge + 1)
+    ys = np.linspace(im0, im1, m_per_edge + 1)
+    if im0 == -im1:
+        ys = 0.5 * (ys - ys[::-1])
+    return ([complex(x, im0) for x in xs[:-1]] + [complex(re1, y) for y in ys[:-1]]
+            + [complex(x, im1) for x in xs[:0:-1]] + [complex(re0, y) for y in ys[:0:-1]]
+            + [complex(re0, im0)])
 
 
 def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -350,7 +381,10 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
     pi/2, so the winding of the image curve about 0 is unambiguous.  Contours
     default to a looser integration tolerance than pointwise evaluation
     (CONTOUR_TOL); pass numerics to override.  The boundary points are one
-    batched evaluation, and so is each level of refinement.  A boundary or
+    batched evaluation, and so is each level of refinement.  evans_dets
+    evaluates a point with Im lambda < 0 at its mirror image conj lambda;
+    a rectangle with im0 == -im1 has its boundary and refinement points in
+    exact conjugate pairs, so about half of them are integrated.  A boundary or
     refinement point where spectra finds no two-two splitting, or coalescing
     exponents, lies on the continuous spectrum: ContourOnSpectrum.
     """

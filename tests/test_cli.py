@@ -397,6 +397,18 @@ def test_cli_runs_as_module():
     assert bad.returncode == 1 and bad.stdout == ""
 
 
+@pytest.mark.parametrize("lam_max, says", [
+    ("1e200", "swamps B_inf"), ("1e12", "mesh steps per half-domain")])
+def test_huge_scan_refused_as_bad_parameter(lam_max, says):
+    # a lambda too large for the spectra (1e200) or for the stepper's mesh
+    # (1e12) is a bad parameter, exit 1, with the error line alone on stderr;
+    # 1e200 used to print numpy's overflow warning and exit 3
+    r = _run_module(["scan", "--p", "1", "--c", "0", "--lambda-max", lam_max, "--grid-n", "3"])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [r.stderr.rstrip("\n")]
+    assert r.stderr.startswith("error: ") and says in r.stderr
+
+
 @pytest.mark.parametrize("c, rect, named", [
     ("0.9995", "0.5,3,-0.8,0.8", "StepFail"), ("0", "-0.5,0.5,157,158", "ContourOnSpectrum")],
     ids=["c-0.9995-overflow", "c-0-on-spectrum"])

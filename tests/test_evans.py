@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evanskit.asymptotics import continuous_spectrum_distance, spectra, spectrum
+from evanskit import evans
 from evanskit.errors import BadParameter, ContourOnSpectrum, NoConverge, StepTooLarge
 from evanskit.evans import (
     _POLISH_ROUNDS,
     ROOT_XTOL,
     Numerics,
+    _det_runs,
+    _det_samples,
     _polish,
+    _rect_path,
     derivatives_at_zero,
     eta_identity_residual,
     evans_det,
@@ -27,6 +31,7 @@ from evanskit.evans import (
     real_axis_scan,
     winding_count,
 )
+from evanskit.integrator import integrate_modes
 from evanskit.model import (
     CANONICAL_K,
     CANONICAL_M,
@@ -65,6 +70,85 @@ def test_batch_equals_singleton_calls():
             assert _same_sample(a, b), lam
             assert set(b.stats) == {"u3", "u4", "w3", "w4"}
             assert all(st.accepted > 0 and st.h_min > 0 for st in b.stats.values())
+
+
+@pytest.mark.parametrize("p, c, nm, lams", [
+    (0.5, -0.35, Numerics(tol=1e-8), [1.0 - 0.4j, 0.3 - 2.1j, 2.5 - 0.05j, -0.7 - 1.3j]),
+    (1.1, 0.3, Numerics(tol=1e-10), [0.05 - 0.05j, 1.5 - 0.5j, 3.0 - 0.8j, 0.8 - 1e-3j]),
+    (2.4, 0.0, Numerics(tol=1e-9, L=15.0), [2.0 - 0.8j, 0.6 - 0.25j, 5.0 - 30.0j]),
+], ids=["p0.5", "p1.1", "p2.4"])
+def test_folded_samples_equal_unfolded(p, c, nm, lams):
+    # evans_dets evaluates Im lambda < 0 at conj lambda and conjugates; that
+    # rests on the spectra, the stepper and expm4s being conjugate-equivariant
+    # to the bit, which this checks against the solve at lambda itself
+    model, wave = build_coupled_wave(p)
+    specs = spectra(model, c, lams)
+    sols = integrate_modes(model, wave, c, _det_runs(lams, specs), tol=nm.tol, L=nm.L)
+    want = _det_samples(model, c, lams, specs, sols)
+    for a, b in zip(want, evans_dets(model, wave, c, lams, numerics=nm)):
+        assert _same_sample(a, b), a.lam
+
+
+def _counting(monkeypatch):
+    # records the lambda of every run handed to the stepper, per call
+    calls, real = [], evans.integrate_modes
+
+    def counted(model, wave, c, runs, **kw):
+        calls.append([run[0] for run in runs])
+        return real(model, wave, c, runs, **kw)
+
+    monkeypatch.setattr(evans, "integrate_modes", counted)
+    return calls
+
+
+def test_fold_bookkeeping(monkeypatch):
+    calls = _counting(monkeypatch)
+    model, wave = build_coupled_wave(2.0)
+    nm = Numerics(tol=1e-8)
+    lam = 1.0 - 0.4j
+    lams = [lam, lam.conjugate(), 2.0, lam]
+    got = evans_dets(model, wave, 0.0, lams, numerics=nm)
+    assert len(calls) == 1 and len(calls[0]) == 8
+    assert list(dict.fromkeys(calls[0])) == [lam.conjugate(), 2.0]
+    assert [s.lam for s in got] == lams
+    assert _same_sample(got[0], got[3]) and got[0] is not got[3]
+    assert got[0].stats is not got[1].stats and got[0].stats == got[1].stats
+    for name in ("D", "d1", "d2", "d3", "d4"):
+        assert getattr(got[0], name) == np.conj(getattr(got[1], name)), name
+    # a spectrum supplied at Im lambda < 0 goes in as its mirror image
+    calls.clear()
+    given = evans_det(model, wave, 0.0, lam, numerics=nm, spec=spectrum(model, 0.0, lam))
+    assert calls == [[lam.conjugate()] * 4]
+    assert _same_sample(given, got[0])
+
+
+def test_symmetric_rectangle_folds(monkeypatch):
+    # the benchmark rectangle: 48 boundary points, each below the axis with
+    # its exact conjugate above it, so the stepper sees 25 distinct lambda,
+    # none below the axis, and refinement midpoints fold alike
+    path = _rect_path((0.5, 3.0, -0.8, 0.8), 12)
+    assert len(path) == 49 and path[0] == path[-1] == 0.5 - 0.8j
+    assert all(z.conjugate() in path for z in path)
+    calls = _counting(monkeypatch)
+    model, wave = build_coupled_wave(1.0)
+    assert winding_count(model, wave, 0.0, (0.5, 3.0, -0.8, 0.8)) == 2
+    assert len(set(calls[0])) == 25
+    assert all(lam.imag >= 0 for call in calls for lam in call)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, w: spectrum(m, 0.0, 1e200),
+    lambda m, w: spectrum(m, 0.3, 1e17j),
+    lambda m, w: spectra(m, 0.0, [1.0, 1e300 - 1e300j]),
+    lambda m, w: continuous_spectrum_distance(m, 0.0, 1e308),
+    lambda m, w: real_axis_scan(m, w, 0.0, 1e200, n=3),
+], ids=["spectrum-1e200", "spectrum-1e17i", "spectra-1e300", "distance-1e308", "scan-1e200"])
+def test_huge_lambda_refused(call):
+    # these used to overflow in |A|_F and read as a lambda on the continuous
+    # spectrum (SplittingViolated), or fail in LAPACK
+    model, wave = build_coupled_wave(1.0)
+    with pytest.raises(BadParameter, match="swamps B_inf"):
+        call(model, wave)
 
 
 @pytest.mark.parametrize("bad", [
