@@ -399,7 +399,7 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
     D: dict[complex, complex] = {}
 
     def evaluate(lams):
-        new = [lam for lam in dict.fromkeys(lams) if lam not in D]
+        new = [lam for lam in lams if lam not in D]   # evans_dets solves repeats once
         if new:
             try:
                 samples = evans_dets(model, wave, c, new, numerics=nm)
