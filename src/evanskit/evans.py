@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .asymptotics import InfinitySpectrum, spectra, spectrum
-from .errors import (BadParameter, ContourOnSpectrum, DegenerateMu, NoConverge, NonClosure,
-                     SplittingViolated, StepTooLarge)
+from .errors import (BadParameter, ContourOnSpectrum, DegenerateMu, EvanskitError, NoConverge,
+                     NonClosure, SplittingViolated, StepTooLarge)
 from .integrator import integrate_modes
 from .linalg import _cmul, interior2, skew_cmat4, symplectic_forms, wedge2, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
@@ -133,14 +133,19 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     All 4 runs of every such point go through one batched stepper call, and
     each keeps its own steps: every sample equals its evans_det call exactly.
     specs optionally supplies the spectrum at infinity per lambda; of a
-    point that appears more than once, the first spec is used.
+    point that appears more than once, the first spec is used.  Where
+    spectra refuses, the error is the one it raises at the caller's lambdas.
     """
     nm = numerics or _DEFAULT
     lams = [complex(lam) for lam in lams]
     ups = [lam.conjugate() if lam.imag < 0 else lam for lam in lams]
     pts = list(dict.fromkeys(ups))   # distinct, in order of first appearance
     if specs is None:
-        specs = spectra(model, c, pts)
+        try:
+            specs = spectra(model, c, pts)
+        except EvanskitError:
+            spectra(model, c, lams)   # name the caller's lambda, not its mirror image
+            raise
     else:
         given = {}
         for lam, up, spec in zip(lams, ups, specs):

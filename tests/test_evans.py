@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from evanskit.asymptotics import continuous_spectrum_distance, spectra, spectrum
 from evanskit import evans
-from evanskit.errors import BadParameter, ContourOnSpectrum, NoConverge, StepTooLarge
+from evanskit.errors import (BadParameter, ContourOnSpectrum, NoConverge, SplittingViolated,
+                             StepTooLarge)
 from evanskit.evans import (
     _POLISH_ROUNDS,
     ROOT_XTOL,
@@ -120,6 +121,14 @@ def test_fold_bookkeeping(monkeypatch):
     given = evans_det(model, wave, 0.0, lam, numerics=nm, spec=spectrum(model, 0.0, lam))
     assert calls == [[lam.conjugate()] * 4]
     assert _same_sample(given, got[0])
+
+
+def test_fold_refusal_names_callers_lambda():
+    # -3i sits on the continuous spectrum; its mirror 3i is what is solved,
+    # but the refusal names the point the caller passed
+    model, wave = build_coupled_wave(1.0)
+    with pytest.raises(SplittingViolated, match=r"at lambda=-3j: mu=\[-4"):
+        evans_dets(model, wave, 0.0, [1.0 - 0.4j, complex(0.0, -3.0)])
 
 
 def test_symmetric_rectangle_folds(monkeypatch):
