@@ -15,7 +15,7 @@ import numpy as np
 from .asymptotics import InfinitySpectrum, spectra, spectrum
 from .errors import (BadParameter, ContourOnSpectrum, DegenerateMu, EvanskitError, NoConverge,
                      NonClosure, SplittingViolated, StepTooLarge)
-from .integrator import integrate_modes
+from .integrator import Stepper, integrate_modes
 from .linalg import _cmul, interior2, skew_cmat4, symplectic_forms, wedge2, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
 
@@ -130,13 +130,21 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     a lambda with Im lambda < 0 is evaluated at its mirror image conj lambda,
     and its sample is the mirror's conjugated, with its own lam and the
     mirror's step stats.  Each distinct point left is solved once.
-    All 4 runs of every such point go through one batched stepper call, and
-    each keeps its own steps: every sample equals its evans_det call exactly.
+    All 4 runs of every such point go through one sweep of a Stepper built
+    for this call, and each keeps its own steps: every sample equals its
+    evans_det call exactly.  real_axis_scan and winding_count evaluate the
+    same way on one Stepper per task, whose mesh and tables are built once.
     specs optionally supplies the spectrum at infinity per lambda; of a
     point that appears more than once, the first spec is used.  Where
     spectra refuses, the error is the one it raises at the caller's lambdas.
     """
     nm = numerics or _DEFAULT
+    return _dets(Stepper(model, wave, c, tol=nm.tol, L=nm.L), lams, specs, xi_star)
+
+
+def _dets(stepper: Stepper, lams, specs=None, xi_star: float = 0.0) -> list[EvansSample]:
+    # evans_dets on the stepper's (model, wave, c, tol, L)
+    model, c = stepper.model, stepper.c
     lams = [complex(lam) for lam in lams]
     ups = [lam.conjugate() if lam.imag < 0 else lam for lam in lams]
     pts = list(dict.fromkeys(ups))   # distinct, in order of first appearance
@@ -151,8 +159,7 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
         for lam, up, spec in zip(lams, ups, specs):
             given.setdefault(up, _mirror(spec) if lam.imag < 0 else spec)
         specs = [given[up] for up in pts]
-    sols = integrate_modes(model, wave, c, _det_runs(pts, specs, xi_star),
-                           tol=nm.tol, L=nm.L)
+    sols = stepper.run(_det_runs(pts, specs, xi_star))
     done = dict(zip(pts, _det_samples(model, c, pts, specs, sols, xi_star)))
     return [_seen_from(done[up], lam) for lam, up in zip(lams, ups)]
 
@@ -333,22 +340,24 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     The grid samples are one batched evaluation.  Each sign-change interval
     of the grid is then shrunk to width 2 ROOT_XTOL or less by _polish, all
-    brackets in lockstep, one batched evaluation per round; a root is the
-    midpoint of its final bracket, so it lies within ROOT_XTOL of the sign
-    change of D.  A grid sample where D is exactly 0 is a root as it stands.
-    A sample on the continuous spectrum raises what spectra raises there.
+    brackets in lockstep, one batched evaluation per round.  The grid and
+    every round sweep one Stepper, so the task builds its mesh and W tables
+    once.  A root is the midpoint of its final bracket, so it lies within
+    ROOT_XTOL of the sign change of D.  A grid sample where D is exactly 0
+    is a root as it stands.  A sample on the continuous spectrum raises
+    what spectra raises there.
     """
     nm = numerics or _DEFAULT
     n = int(n)
     if not 0.0 < lam_max < np.inf or n < 2:
         raise BadParameter("scan needs a finite lam_max > 0 and at least two samples")
     lams = np.linspace(lam_max / n, lam_max, n)
-    samples = evans_dets(model, wave, c, lams, numerics=nm)
-    vals = np.array([s.D for s in samples])
+    stepper = Stepper(model, wave, c, tol=nm.tol, L=nm.L)
+    vals = np.array([s.D for s in _dets(stepper, lams)])
     re = vals.real
 
     def f(points):
-        return [s.D.real for s in evans_dets(model, wave, c, points, numerics=nm)]
+        return [s.D.real for s in _dets(stepper, points)]
 
     brackets = [(float(lams[k]), float(lams[k + 1])) for k in range(n - 1)
                 if re[k] * re[k + 1] < 0]
@@ -386,12 +395,14 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
     pi/2, so the winding of the image curve about 0 is unambiguous.  Contours
     default to a looser integration tolerance than pointwise evaluation
     (CONTOUR_TOL); pass numerics to override.  The boundary points are one
-    batched evaluation, and so is each level of refinement.  evans_dets
-    evaluates a point with Im lambda < 0 at its mirror image conj lambda;
-    a rectangle with im0 == -im1 has its boundary and refinement points in
-    exact conjugate pairs, so about half of them are integrated.  A boundary or
-    refinement point where spectra finds no two-two splitting, or coalescing
-    exponents, lies on the continuous spectrum: ContourOnSpectrum.
+    batched evaluation, and so is each level of refinement; all of them
+    sweep one Stepper, so the task builds its mesh and W tables once.
+    evans_dets evaluates a point with Im lambda < 0 at its mirror image
+    conj lambda; a rectangle with im0 == -im1 has its boundary and
+    refinement points in exact conjugate pairs, so about half of them are
+    integrated.  A boundary or refinement point where spectra finds no
+    two-two splitting, or coalescing exponents, lies on the continuous
+    spectrum: ContourOnSpectrum.
     """
     nm = numerics or Numerics(tol=CONTOUR_TOL)
     re0, re1, im0, im1 = (float(x) for x in rect)
@@ -401,13 +412,14 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
         raise BadParameter("contour must not enclose or touch the origin, "
                            "where D vanishes identically")
     pts = _rect_path((re0, re1, im0, im1), m_per_edge)
+    stepper = Stepper(model, wave, c, tol=nm.tol, L=nm.L)
     D: dict[complex, complex] = {}
 
     def evaluate(lams):
-        new = [lam for lam in lams if lam not in D]   # evans_dets solves repeats once
+        new = [lam for lam in lams if lam not in D]   # _dets solves repeats once
         if new:
             try:
-                samples = evans_dets(model, wave, c, new, numerics=nm)
+                samples = _dets(stepper, new)
             except (SplittingViolated, DegenerateMu) as e:
                 raise ContourOnSpectrum(f"contour meets the continuous spectrum: {e}") from e
             D.update(zip(new, (s.D for s in samples)))

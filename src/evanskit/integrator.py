@@ -20,9 +20,11 @@ the node combinations of A and C1, C2 their commutators; sigma mu I
 commutes with everything, so it leaves Omega as the scalar factor
 exp(-sigma mu h).  Because A is affine in lambda, Omega is a cubic
 W0 + lam W1 + lam^2 W2 + lam^3 W3 whose real coefficients depend only on
-the step, so a call tabulates them once for all its runs, and each
-(lambda, direction) costs one weighted sum and one 4x4 exponential
-(linalg.expm4s) per step.
+the step.  A Stepper holds them, with the mesh, for one (model, wave, c,
+tol, L) and builds them once per task for all the runs it sweeps: a scan's
+grid and polish rounds, or a contour's boundary and refinement levels.
+Each (lambda, direction) then costs one weighted sum and one 4x4
+exponential (linalg.expm4s) per step.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,7 +63,8 @@ _POWER = 0.25      # the monitor is the field's distance from B_inf to this powe
 _FLOOR = 0.005     # monitor floor, as a fraction of the monitor's maximum
 _FINE = 128        # monitor samples per mesh piece
 _EXP_BATCH = 256   # matrices per exponential call: steps times (lambda, direction) groups
-_TABLE_BATCH = 32  # steps per W-table build
+_TABLE_BATCH = 64  # steps per _magnus call: bounds its temporaries (128 raises their peak)
+_HELD_BYTES = 2 ** 20   # W tables a Stepper keeps between sweeps; a level past it is dropped
 _OVERFLOW = 1e12
 _GAUSS = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])   # nodes on [0, 1]
 
@@ -229,7 +233,7 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
 def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
                     runs, tol: float = 1e-10, L: Optional[float] = None) -> list:
-    """Every run of a flat run list in one stepper call.
+    """Every run of a flat run list in one sweep of a fresh Stepper.
 
     Each run is (lam, spec, j, kind, until, grid): the spectral point, its
     spectrum at infinity, the mode as in integrate_mode, the end point in
@@ -241,44 +245,105 @@ def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
     half-width L.  A run with |lambda| above LAMBDA_REF steps on the mesh
     with every step split refinement(lambda) times.  Returns one
     RescaledSolution per run, in order; each equals what integrate_mode
-    returns for that run alone.
+    returns for that run alone.  A task that sweeps several run lists at
+    one (model, wave, c, tol, L) builds one Stepper and calls its run
+    method for each instead, so that it builds the mesh and tables once.
     """
-    Lbox = float(L) if L is not None else wave.default_L(c)
-    n = mesh_steps(tol)
-    if not runs:
-        return []
-    jinv = np.linalg.inv(jc(model, c))
-    jb = jinv @ model.binf()
-
-    def field(xi):
-        # J^-1 hessS(zhat(xi)) on an array of xi, (xi.size, 4, 4)
-        return np.broadcast_to(jinv @ model.hessS(wave.zhat(xi, c)), (xi.size, 4, 4))
-
-    left = _mesh(lambda xi: np.linalg.norm(field(xi) - jb, axis=(1, 2)) ** _POWER, Lbox, n)
-    levels = {}
-    for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
-        _check_mode(j, kind)
-        levels.setdefault(refinement(lam), []).append(m)
-    out = [None] * len(runs)
-    for r, idx in sorted(levels.items()):
-        if n * r > MAX_STEPS:
-            raise BadParameter(f"|lambda| = {abs(runs[idx[0]][0]):g} at tol={tol:g} needs "
-                               f"{n * r} mesh steps per half-domain, more than {MAX_STEPS}")
-        half = np.append((left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)).ravel(),
-                         left[-1])
-        sols = _sweep(np.concatenate([half, -half[-2::-1]]), field, -(jinv @ model.M),
-                      [runs[m] for m in idx])
-        for m, sol in zip(idx, sols):
-            out[m] = sol
-    return out
+    return Stepper(model, wave, c, tol=tol, L=L).run(runs)
 
 
-def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
-    """The runs of integrate_modes, all stepped on the symmetric mesh x in one loop.
+class Stepper:
+    """The mesh and W tables of one (model, wave, c, tol, L), for any number of sweeps.
 
-    field maps an array of xi to J^-1 hessS(zhat(xi)) there, and bmat is
-    -J^-1 M, the coefficient of lambda in A.  Returns their
-    RescaledSolutions.
+    None of it depends on lambda.  The mesh is built by the first sweep
+    with runs, and the W tables of each refinement level and direction of
+    travel only as far up the mesh as a sweep's runs step; a later sweep
+    that steps further extends them.  Levels are swept in ascending order,
+    and a level whose tables take the held total past _HELD_BYTES is
+    dropped after its sweep and rebuilt when next needed, so the many
+    levels of large |lambda| do not pile up.  A table row is the same
+    array whichever sweep built it, so a run gives the same bits on a
+    stepper that has swept before as on a fresh one.
+    """
+
+    def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
+                 tol: float = 1e-10, L: Optional[float] = None):
+        self.model, self.wave, self.c, self.tol = model, wave, c, tol
+        self.L = float(L) if L is not None else wave.default_L(c)
+        self.n = mesh_steps(tol)
+        self.jinv = np.linalg.inv(jc(model, c))
+        self.bmat = -(self.jinv @ model.M)   # the coefficient of lambda in A
+        self._levels = {}   # refinement -> (mesh nodes, {direction: W tables built so far})
+
+    def _field(self, xi: np.ndarray) -> np.ndarray:
+        """J^-1 hessS(zhat(xi)) on an array of xi, (xi.size, 4, 4)."""
+        z = self.wave.zhat(xi, self.c)
+        return np.broadcast_to(self.jinv @ self.model.hessS(z), (xi.size, 4, 4))
+
+    @cached_property
+    def _left(self) -> np.ndarray:
+        # the nodes of the mesh on [-L, 0]
+        jb = self.jinv @ self.model.binf()
+        return _mesh(lambda xi: np.linalg.norm(self._field(xi) - jb, axis=(1, 2)) ** _POWER,
+                     self.L, self.n)
+
+    def run(self, runs) -> list:
+        """The RescaledSolution of every run of a run list, as integrate_modes describes."""
+        levels = {}
+        for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
+            _check_mode(j, kind)
+            levels.setdefault(refinement(lam), []).append(m)
+        out = [None] * len(runs)
+        for r, idx in sorted(levels.items()):
+            if self.n * r > MAX_STEPS:
+                raise BadParameter(f"|lambda| = {abs(runs[idx[0]][0]):g} at tol={self.tol:g} "
+                                   f"needs {self.n * r} mesh steps per half-domain, "
+                                   f"more than {MAX_STEPS}")
+            sols = _sweep(self._level(r)[0], lambda d, k: self._tables(r, d, k),
+                          [runs[m] for m in idx])
+            for m, sol in zip(idx, sols):
+                out[m] = sol
+            if sum(w.nbytes for _, tables in self._levels.values()
+                   for w in tables.values()) > _HELD_BYTES:
+                del self._levels[r]
+        return out
+
+    def _level(self, r: int):
+        # the symmetric mesh of [-L, L] with every step split in r, and its tables
+        if r not in self._levels:
+            left = self._left
+            sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
+            half = np.append(sub.ravel(), left[-1])
+            x = np.concatenate([half, -half[-2::-1]])
+            self._levels[r] = x, {d: np.empty((0, 4, 4, 4)) for d in (1, -1)}
+        return self._levels[r]
+
+    def _tables(self, r: int, d: int, upto: int) -> np.ndarray:
+        # the W tables of refinement r for at least the first upto steps in
+        # direction d, extended _TABLE_BATCH steps a _magnus call to bound its
+        # temporaries.  Step k down the mesh is step nsteps-1-k up it, with its
+        # Gauss nodes reversed and h negated; the mesh is symmetric, so h is the same
+        x, tables = self._level(r)
+        built = len(tables[d])
+        if upto > built:
+            h = np.diff(x)
+            nsteps = len(h)
+            w = np.concatenate([tables[d], np.empty((upto - built, 4, 4, 4))])
+            for t0 in range(built, upto, _TABLE_BATCH):
+                t1 = min(t0 + _TABLE_BATCH, upto)
+                k0, k1 = (t0, t1) if d > 0 else (nsteps - t1, nsteps - t0)
+                a = self._field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel())
+                a = a.reshape(-1, 3, 4, 4)
+                w[t0:t1] = _magnus(d * h[t0:t1], a if d > 0 else a[::-1, ::-1], self.bmat)
+            tables[d] = w
+        return tables[d]
+
+
+def _sweep(x: np.ndarray, table_of, runs) -> list:
+    """The runs of Stepper.run on one refinement level, all stepped on its mesh x in one loop.
+
+    table_of(d, k) returns the W tables, (at least k, 4, 4, 4), of the
+    first k steps in direction d.  Returns the runs' RescaledSolutions.
     """
     h = np.diff(x)
     nsteps = len(h)
@@ -319,53 +384,45 @@ def _sweep(x: np.ndarray, field, bmat: np.ndarray, runs) -> list:
     dir_g = np.array([d for d, _ in groups])
     last = np.zeros(len(groups), int)   # steps of each group's longest run
     np.maximum.at(last, group, stop)
+    tables = {d: table_of(d, last[dir_g == d].max()) for d in (1, -1) if np.any(dir_g == d)}
 
     v = seed.copy()
     for m, i in at_node.get(0, []):
         out_vals[m][i] = v[m]
 
-    def nodes(k0, k1):
-        # A's lambda-free part at the Gauss nodes of steps k0..k1 up the mesh
-        return field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel()).reshape(-1, 3, 4, 4)
-
-    batch = max(1, _EXP_BATCH // len(groups))
     # the steps at which the set of runs still stepping changes
     change = {0, *stop.tolist()}
     length = stop.max()
-    for t0 in range(0, length, _TABLE_BATCH):
-        t1 = min(t0 + _TABLE_BATCH, length)
-        # the W tables of steps t0..t1 up the mesh and down it: step k down
-        # the mesh is step nsteps-1-k up it, with its nodes reversed and h negated
-        tables = [(_magnus(d * h[t0:t1], nodes(t0, t1) if d > 0
-                           else nodes(nsteps - t1, nsteps - t0)[::-1, ::-1], bmat), d)
-                  for d in (1, -1) if np.any(last[dir_g == d] > t0)]
-        for k0 in range(t0, t1, batch):
-            k1 = min(k0 + batch, t1)
-            # exponentials for the groups with a step left, in this order
-            act = np.flatnonzero(last > k0)
-            e = _exponentials([(w[k0 - t0:k1 - t0], np.flatnonzero(dir_g[act] == d))
-                               for w, d in tables], powers[act])
-            bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
-            bad &= np.arange(k0, k1)[:, None] < last[act]
-            if bad.any():
-                s, g = np.argwhere(bad)[0]
-                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
-            row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
-            shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
-            for k in range(k0, k1):
-                if k in change:
-                    live = np.flatnonzero(k < stop)
-                    every = live.size == nrun
-                if every:
-                    v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
-                else:
-                    v[live] = (np.matmul(e[k - k0, row[live]], v[live, :, None])[..., 0]
-                               * shift[k - k0, live, None])
-                for m, i in at_node.get(k + 1, []):
-                    out_vals[m][i] = v[m]
-            if not np.abs(v).max() <= _OVERFLOW:   # true for a NaN too
-                m = int(np.argmax(~(np.abs(v).max(axis=1) <= _OVERFLOW)))
-                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
+    k0 = 0
+    while k0 < length:
+        # exponentials for the groups with a step left, in this order, up
+        # to the first step at which one of them has none left
+        act = np.flatnonzero(last > k0)
+        k1 = min(k0 + max(1, _EXP_BATCH // act.size), last[act].min())
+        parts = [(w[k0:k1], g) for d, w in tables.items()
+                 if (g := np.flatnonzero(dir_g[act] == d)).size]
+        e = _exponentials(parts, powers[act])
+        bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
+        if bad.any():
+            s, g = np.argwhere(bad)[0]
+            raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
+        row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
+        shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
+        for k in range(k0, k1):
+            if k in change:
+                live = np.flatnonzero(k < stop)
+                every = live.size == nrun
+            if every:
+                v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
+            else:
+                v[live] = (np.matmul(e[k - k0, row[live]], v[live, :, None])[..., 0]
+                           * shift[k - k0, live, None])
+            for m, i in at_node.get(k + 1, []):
+                out_vals[m][i] = v[m]
+        if not np.abs(v).max() <= _OVERFLOW:   # true for a NaN too
+            m = int(np.argmax(~(np.abs(v).max(axis=1) <= _OVERFLOW)))
+            raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
+        k0 = k1
 
     hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
     return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],

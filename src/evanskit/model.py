@@ -42,9 +42,10 @@ class MultisymplecticModel:
     broadcasts over a trailing batch axis: z of shape (4, N) maps to an
     (N, 4, 4) stack whose n-th matrix equals hessS(z[:, n]) exactly.  The
     mode integrator relies on this: it calls hessS on the profile at the
-    three Gauss nodes of every step of a 32-step chunk of its mesh, once
-    for all the runs of a call.  A hessS that returns one constant 4x4
-    matrix for any input also satisfies the contract, by broadcasting.
+    three Gauss nodes of every step of a 64-step chunk of its mesh, once
+    per task for all the runs its Stepper sweeps.  A hessS that returns
+    one constant 4x4 matrix for any input also satisfies the contract, by
+    broadcasting.
     """
 
     M: np.ndarray

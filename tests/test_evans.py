@@ -32,7 +32,7 @@ from evanskit.evans import (
     real_axis_scan,
     winding_count,
 )
-from evanskit.integrator import integrate_modes
+from evanskit.integrator import Stepper, integrate_modes
 from evanskit.model import (
     CANONICAL_K,
     CANONICAL_M,
@@ -91,14 +91,14 @@ def test_folded_samples_equal_unfolded(p, c, nm, lams):
 
 
 def _counting(monkeypatch):
-    # records the lambda of every run handed to the stepper, per call
-    calls, real = [], evans.integrate_modes
+    # records the lambda of every run handed to the stepper, per sweep
+    calls, real = [], Stepper.run
 
-    def counted(model, wave, c, runs, **kw):
+    def counted(self, runs):
         calls.append([run[0] for run in runs])
-        return real(model, wave, c, runs, **kw)
+        return real(self, runs)
 
-    monkeypatch.setattr(evans, "integrate_modes", counted)
+    monkeypatch.setattr(Stepper, "run", counted)
     return calls
 
 

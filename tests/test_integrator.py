@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from evanskit.asymptotics import spectrum
+from evanskit.asymptotics import spectra, spectrum
 from evanskit.errors import BadParameter, Overflow, StepFail
-from evanskit.evans import Numerics, _det_runs, evans_det
-from evanskit.integrator import integrate_mode, integrate_modes, mesh_steps, refinement
+from evanskit.evans import (CONTOUR_TOL, Numerics, _det_runs, _rect_path, evans_det, evans_dets,
+                            real_axis_scan, winding_count)
+from evanskit.integrator import (Stepper, integrate_mode, integrate_modes, mesh_steps,
+                                 refinement)
 from evanskit.invariants import _tangent_pair
 from evanskit.model import (
     CANONICAL_K,
@@ -236,6 +238,77 @@ def test_frozen_model_is_exact():
             assert np.max(np.abs(r.value_at_end - seed)) <= 1e-11 * np.max(np.abs(seed))
             k = refinement(lam)   # sub-steps per mesh step, 2 at lambda = 20
             assert r.nrejected == 0 and abs(r.nsteps - k * mesh_steps(1e-9)) <= 5 * k
+
+
+def _stacked_counting(model):
+    # the model with a hessS that records each call on a stack of profile
+    # points, which are the stepper's mesh and table builds; spectra's one
+    # call on the rest state per batch (B_inf) is not recorded
+    calls = []
+
+    def hess(z):
+        if np.ndim(z) > 1:
+            calls.append(1)
+        return model.hessS(z)
+
+    return MultisymplecticModel(model.M, model.K, model.gradS, hess), calls
+
+
+def test_one_table_build_per_task(monkeypatch):
+    # a scan sweeps one stepper with its grid and every polish round, and a
+    # contour with its boundary and every refinement level: each task makes
+    # the field evaluations of its first batch alone
+    model, wave = _coupled()
+    counted, calls = _stacked_counting(model)
+    sweeps, real = [], Stepper.run
+    monkeypatch.setattr(Stepper, "run", lambda self, runs: sweeps.append(1) or real(self, runs))
+    nm = Numerics(tol=1e-9)
+    scan = real_axis_scan(counted, wave, 0.0, 3.0, n=13, numerics=nm)
+    task = len(calls)
+    assert len(scan.roots) == 2 and len(sweeps) > 2
+    calls.clear()
+    evans_dets(counted, wave, 0.0, scan.lams, numerics=nm)
+    assert len(calls) == task > 0
+    # the benchmark rectangle with 2 points an edge refines twice
+    rect = (0.5, 3.0, -0.8, 0.8)
+    calls.clear()
+    sweeps.clear()
+    assert winding_count(counted, wave, 0.0, rect, m_per_edge=2) == 2
+    task = len(calls)
+    assert len(sweeps) == 3
+    calls.clear()
+    evans_dets(counted, wave, 0.0, _rect_path(rect, 2), numerics=Numerics(tol=CONTOUR_TOL))
+    assert len(calls) == task > 0
+
+
+def test_reused_stepper_equals_fresh_calls():
+    # one stepper sweeps determinant runs to 0, then the tangent pair to +-2,
+    # which extends both directions' tables, then determinant runs at new
+    # lambda, one of them (14) on refinement level 2, then runs at lambda =
+    # 60, whose level 5 takes the held tables past _HELD_BYTES and is
+    # dropped: every run equals, bit for bit, what a fresh integrate_modes
+    # call gives, and only the dropped level is built again
+    model, wave = _coupled()
+    counted, calls = _stacked_counting(model)
+    c, tol = 0.3, 1e-9
+    lams = [0.0, 0.7, 1.1 + 0.3j, 14.0, 3.0, 60.0]
+    specs = spectra(model, c, lams)
+    lots = (_det_runs(lams[:2], specs[:2]), _tangent_pair(specs[0]),
+            _det_runs(lams[2:5], specs[2:5]), _det_runs(lams[5:], specs[5:]))
+    assert refinement(14.0) == 2 and refinement(60.0) == 5
+    stepper = Stepper(counted, wave, c, tol=tol)
+    for runs in lots + lots[3:]:
+        calls.clear()
+        got = stepper.run(runs)
+        assert len(calls) > 0   # the mesh, an extension, a new level, a dropped one
+        for a, b in zip(integrate_modes(model, wave, c, runs, tol=tol), got, strict=True):
+            assert np.array_equal(a.value_at_end, b.value_at_end)
+            assert a.stats == b.stats and a.xi_seed == b.xi_seed
+            if a.values is not None:
+                assert np.array_equal(a.values, b.values)
+    calls.clear()
+    stepper.run(lots[0] + lots[1] + lots[2])   # every table it needs is held
+    assert calls == []
 
 
 @pytest.mark.parametrize("L", [None, 6.0, 15.0])
