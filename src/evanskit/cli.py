@@ -74,13 +74,14 @@ class RunConfig:
     model: str = _MODEL
     params: dict = field(default_factory=dict)
     c: float = 0.0
-    numerics: dict = field(default_factory=dict)
+    numerics: dict | Numerics = field(default_factory=dict)   # keys given; then a Numerics
     lambda_max: float = 3.0
     rect: tuple | None = None
     suite: str | None = None
     seeds: int = 20
     out: str | None = None
     format: str | None = None   # csv for scan, json otherwise
+    grid_n: int = field(init=False)   # numerics.grid_n: the scan's sample count
 
     def __post_init__(self):
         if self.task not in _TASKS:
@@ -95,22 +96,19 @@ class RunConfig:
             if k not in _PARAM_KEYS:
                 raise BadParameter(f"params: unknown key '{k}'")
             _number(f"params.{k}", v)   # kept as given: reports echo params
-        d = Numerics()
-        base = {"L_override": d.L,
-                "tol": CONTOUR_TOL if self.task == "contour" else d.tol,
-                "h": d.h, "grid_n": SCAN_N}
         for k in self.numerics:
             if k not in _NUM_KEYS:
                 raise BadParameter(f"numerics: unknown key '{k}'")
-        base.update(self.numerics)
-        self.numerics = base
-        for k in ("tol", "h", "L_override"):
-            if self.numerics[k] is None and k == "L_override":
-                continue   # no override: the wave family's own L
-            self.numerics[k] = _number(f"numerics.{k}", self.numerics[k])
-            if not self.numerics[k] > 0:
+        given = {"tol": CONTOUR_TOL if self.task == "contour" else Numerics.tol, **self.numerics}
+        kw = {}
+        for k, name in (("tol", "tol"), ("h", "h"), ("L_override", "L")):
+            if k not in given or (k == "L_override" and given[k] is None):
+                continue   # Numerics' default; no L override is the wave family's own L
+            kw[name] = _number(f"numerics.{k}", given[k])
+            if not kw[name] > 0:
                 raise BadParameter(f"numerics.{k}: must be positive")
-        self.numerics["grid_n"] = _count("grid_n", self.numerics["grid_n"])
+        self.grid_n = _count("grid_n", given.get("grid_n", SCAN_N))
+        self.numerics = Numerics(**kw)
         self.c = _number("c", self.c)
         if not -1.0 < self.c < 1.0:
             raise BadParameter(f"c: speed {self.c} outside the admissible window (-1, 1)")
@@ -136,10 +134,6 @@ class RunConfig:
             raise BadParameter("rect: required for contour")
         if self.task == "verify" and self.suite is None:
             raise BadParameter("suite: required for verify")
-
-    def numerics_obj(self) -> Numerics:
-        n = self.numerics
-        return Numerics(tol=n["tol"], L=n["L_override"], h=n["h"])
 
     def coupled_wave(self):
         """(model, wave) of the coupled wave system at params p (default 1)."""
@@ -197,7 +191,7 @@ def _wave_refused(cfg: RunConfig, model, wave, residuals: bool) -> bool:
     # every task needs the wave decayed at xi = +-L; the profile residuals
     # are a report's own hypothesis, and as |c| -> 1 a scan or contour ends
     # in the typed error it raises there.  On failure, emit the check.
-    hc = verify_wave(model, wave, cfg.c, L=cfg.numerics["L_override"])
+    hc = verify_wave(model, wave, cfg.c, L=cfg.numerics.L)
     if hc.tail_norm > TAIL_TOL or (residuals and hc.max_residual() > 1e-6):
         _emit(_json({"hypothesis_report": dict(asdict(hc), passed=False)}), cfg.out)
         return True
@@ -208,8 +202,7 @@ def _cmd_report(cfg: RunConfig) -> int:
     model, wave = cfg.coupled_wave()
     if _wave_refused(cfg, model, wave, residuals=True):
         return 2
-    nm = cfg.numerics_obj()
-    rep = stability_report(model, wave, cfg.c, numerics=nm, params=cfg.params)
+    rep = stability_report(model, wave, cfg.c, numerics=cfg.numerics, params=cfg.params)
     _emit(rep.to_json() + "\n", cfg.out)
     return 0
 
@@ -219,7 +212,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
     if _wave_refused(cfg, model, wave, residuals=False):
         return 2
     res = real_axis_scan(model, wave, cfg.c, cfg.lambda_max,
-                         n=cfg.numerics["grid_n"], numerics=cfg.numerics_obj())
+                         n=cfg.grid_n, numerics=cfg.numerics)
     sidecar = {"brackets": [[float(a), float(b)] for a, b in res.brackets],
                "roots": [float(r) for r in res.roots],
                "d_inf": int(res.d_inf)}
@@ -247,7 +240,7 @@ def _cmd_contour(cfg: RunConfig) -> int:
     model, wave = cfg.coupled_wave()
     if _wave_refused(cfg, model, wave, residuals=False):
         return 2
-    w = winding_count(model, wave, cfg.c, cfg.rect, numerics=cfg.numerics_obj())
+    w = winding_count(model, wave, cfg.c, cfg.rect, numerics=cfg.numerics)
     _emit(_json({"model": cfg.model, "c": cfg.c, "rect": list(cfg.rect),
                  "winding": int(w)}), cfg.out)
     return 0
@@ -266,11 +259,11 @@ def _suite_clifford(cfg: RunConfig):
             anti = gens[i] @ gens[j] + gens[j] @ gens[i]
             ok = ok and np.array_equal(anti, -2 * d.metric[i, j] * np.eye(4, dtype=int))
     out = [_check("clifford-anticommutators", ok, "exact integer identities")]
+    model, wave = cfg.coupled_wave()
     out.append(_check(
         "induced-skew-pair",
-        np.array_equal(d.M, d.R4 @ d.J1) and np.array_equal(d.K, d.R4 @ d.J2),
+        np.array_equal(model.M, d.R4 @ d.J1) and np.array_equal(model.K, d.R4 @ d.J2),
         "M = R4 J1 and K = R4 J2"))
-    model, wave = cfg.coupled_wave()
     R = model.R
     ok = (np.array_equal(R @ R, np.eye(4))
           and np.array_equal(R @ model.M, -model.M @ R)
@@ -299,9 +292,8 @@ def _suite_appendix_a(cfg: RunConfig):
     rel = abs(W - spf.Kconst) / abs(spf.Kconst)
     out.append(_check("frozen-wedge-is-orientation-constant", rel <= 1e-8,
                       f"relative error {_r(rel)}"))
-    nm = cfg.numerics_obj()
-    W = evans_wedge(model, wave, cfg.c, 1.0, numerics=nm)
-    D = evans_det(model, wave, cfg.c, 1.0, numerics=nm).D
+    W = evans_wedge(model, wave, cfg.c, 1.0, numerics=cfg.numerics)
+    D = evans_det(model, wave, cfg.c, 1.0, numerics=cfg.numerics).D
     sp2 = spectrum(model, cfg.c, 1.0)
     rel = abs(W - D * sp2.Kconst) / abs(W)
     out.append(_check("wedge-det-proportionality", rel <= 1e-6,
@@ -317,7 +309,7 @@ def _suite_exact_evans(cfg: RunConfig):
     keep = np.abs(denoms) >= 1e-12   # off the roots of the closed form
     lams, denoms = lams[keep], denoms[keep]
     D = np.array([s.D.real for s in evans_dets(model, wave, cfg.c, lams,
-                                                numerics=cfg.numerics_obj())])
+                                                numerics=cfg.numerics)])
     r = D / denoms
     drift = float((r.max() - r.min()) / abs(r.mean()))
     err = float(np.max(np.abs(D / o.evans_det(lams) - 1.0)))
@@ -351,7 +343,7 @@ def _suite_theorem22(cfg: RunConfig):
 
 def _suite_structure(cfg: RunConfig):
     model, wave = cfg.coupled_wave()
-    r = structural_checks(model, wave, cfg.c, numerics=cfg.numerics_obj())
+    r = structural_checks(model, wave, cfg.c, numerics=cfg.numerics)
     return [
         _check("tangent-pairing-plus", r.max_tangent_plus <= 1e-7,
                f"max {_r(r.max_tangent_plus)}"),

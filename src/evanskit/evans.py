@@ -15,7 +15,7 @@ import numpy as np
 from .asymptotics import InfinitySpectrum, spectra, spectrum
 from .errors import (BadParameter, ContourOnSpectrum, DegenerateMu, EvanskitError, NoConverge,
                      NonClosure, SplittingViolated, StepTooLarge)
-from .integrator import Stepper, integrate_modes
+from .integrator import Stepper
 from .linalg import _cmul, interior2, skew_cmat4, symplectic_forms, wedge2, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
 
@@ -58,6 +58,13 @@ ROOT_XTOL = 1e-10    # absolute tolerance of real-axis root polish
 _POLISH_ROUNDS = 100  # cap on lockstep polish rounds; each at least halves a bracket
 
 
+def _stepper(model: MultisymplecticModel, wave: WaveFamily, c: float,
+             numerics: Numerics | None) -> Stepper:
+    # one task's Stepper at the tol and L of numerics, of _DEFAULT when None
+    nm = numerics or _DEFAULT
+    return Stepper(model, wave, c, tol=nm.tol, L=nm.L)
+
+
 @dataclass
 class EvansSample:
     """One Evans-function evaluation with its 2x2 pairing entries.
@@ -79,8 +86,8 @@ _DET_MODES = ((3, "u"), (4, "u"), (3, "w"), (4, "w"))
 
 
 def _det_runs(lams, specs, xi_star: float = 0.0) -> list:
-    # u3, u4 from -L and w3, w4 from +L to xi_star, per lambda, as
-    # integrate_modes runs
+    # u3, u4 from -L and w3, w4 from +L to xi_star, per lambda, as runs
+    # of Stepper.run
     return [(lam, spec, j, kind, xi_star, None)
             for lam, spec in zip(lams, specs) for j, kind in _DET_MODES]
 
@@ -138,8 +145,7 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     point that appears more than once, the first spec is used.  Where
     spectra refuses, the error is the one it raises at the caller's lambdas.
     """
-    nm = numerics or _DEFAULT
-    return _dets(Stepper(model, wave, c, tol=nm.tol, L=nm.L), lams, specs, xi_star)
+    return _dets(_stepper(model, wave, c, numerics), lams, specs, xi_star)
 
 
 def _dets(stepper: Stepper, lams, specs=None, xi_star: float = 0.0) -> list[EvansSample]:
@@ -183,11 +189,10 @@ def evans_wedge(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: co
     The exponential prefactor that makes the wedge xi-independent equals 1 at
     the matching point xi = 0.
     """
-    nm = numerics or _DEFAULT
     if spec is None:
         spec = spectrum(model, c, lam)
     runs = [(lam, spec, j, "u", 0.0, None) for j in (1, 2, 3, 4)]
-    sols = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
+    sols = _stepper(model, wave, c, numerics).run(runs)
     return complex(wedge4(*(s.value_at_end for s in sols)))
 
 
@@ -252,7 +257,7 @@ def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
     that h reaches outside the quadratic neighborhood of 0.
     """
     nm = numerics or _DEFAULT
-    return _derivatives(nm.h, evans_dets(model, wave, c, _stencil(nm.h), numerics=nm))
+    return _derivatives(nm.h, _dets(_stepper(model, wave, c, nm), _stencil(nm.h)))
 
 
 @dataclass
@@ -347,12 +352,11 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
     is a root as it stands.  A sample on the continuous spectrum raises
     what spectra raises there.
     """
-    nm = numerics or _DEFAULT
     n = int(n)
     if not 0.0 < lam_max < np.inf or n < 2:
         raise BadParameter("scan needs a finite lam_max > 0 and at least two samples")
     lams = np.linspace(lam_max / n, lam_max, n)
-    stepper = Stepper(model, wave, c, tol=nm.tol, L=nm.L)
+    stepper = _stepper(model, wave, c, numerics)
     vals = np.array([s.D for s in _dets(stepper, lams)])
     re = vals.real
 
@@ -404,7 +408,6 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
     two-two splitting, or coalescing exponents, lies on the continuous
     spectrum: ContourOnSpectrum.
     """
-    nm = numerics or Numerics(tol=CONTOUR_TOL)
     re0, re1, im0, im1 = (float(x) for x in rect)
     if not (re0 < re1 and im0 < im1):
         raise BadParameter("rectangle must satisfy re0 < re1 and im0 < im1")
@@ -412,7 +415,7 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
         raise BadParameter("contour must not enclose or touch the origin, "
                            "where D vanishes identically")
     pts = _rect_path((re0, re1, im0, im1), m_per_edge)
-    stepper = Stepper(model, wave, c, tol=nm.tol, L=nm.L)
+    stepper = _stepper(model, wave, c, numerics or Numerics(tol=CONTOUR_TOL))
     D: dict[complex, complex] = {}
 
     def evaluate(lams):

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import BadParameter, Inconsistent, KernelDim, NonSkew, NonSymmetric
 
 _KERNEL_TOL = 1e-10
+_STENCIL_H = 0.25      # node spacing of the derivative stencil at lam = 0
+_IDENTITY_TOL = 1e-8   # theorem22_check's tolerance, relative to the predicted D''(0)
+_ROOT_TOL = 1e-10      # cor23_root's bisection width, relative above 1
 
 
 def char_fn(L: np.ndarray, M: np.ndarray, lam) -> float:
@@ -111,12 +114,12 @@ class REProblem:
         return char_fn(self.L, self.M, lam)
 
 
-def _stencil_derivs(prob: REProblem, h: float = 0.25):
+def _stencil_derivs(prob: REProblem):
     # D is a polynomial of degree = size, so a symmetric stencil with
     # size+1 nodes differentiates it exactly up to conditioning
     m = prob.size
     k = m // 2
-    xs = h * np.arange(-k, k + 1)
+    xs = _STENCIL_H * np.arange(-k, k + 1)
     ys = np.array([prob.d(x) for x in xs])
     coeffs = np.polyfit(xs, ys, m)
     d1 = float(coeffs[-2])
@@ -136,11 +139,11 @@ class Theorem22Report:
     rel_err: float
 
 
-def theorem22_check(prob: REProblem, tol: float = 1e-8) -> Theorem22Report:
+def theorem22_check(prob: REProblem) -> Theorem22Report:
     """Verify D(0) = 0, D'(0) = 0 (trace form and stencil), and the D'' factorization.
 
-    Raises Inconsistent when any of the three identities fails at tol relative
-    to the predicted second derivative.
+    Raises Inconsistent when any of the three identities fails at
+    _IDENTITY_TOL relative to the predicted second derivative.
     """
     s = np.linalg.norm(prob.zeta1)
     z1 = prob.zeta1 / s
@@ -154,11 +157,11 @@ def theorem22_check(prob: REProblem, tol: float = 1e-8) -> Theorem22Report:
     rep = Theorem22Report(d0=d0, d1_trace=d1_trace, d1_stencil=d1_stencil,
                           d2_stencil=d2_stencil, d2_predicted=predicted,
                           rel_err=abs(d2_stencil - predicted) / scale)
-    if abs(d0) > tol * scale:
+    if abs(d0) > _IDENTITY_TOL * scale:
         raise Inconsistent(f"D(0) = {d0:.3e} is not zero at scale {scale:.3e}")
-    if abs(d1_trace) > tol * scale or abs(d1_stencil) > tol * scale:
+    if abs(d1_trace) > _IDENTITY_TOL * scale or abs(d1_stencil) > _IDENTITY_TOL * scale:
         raise Inconsistent(f"D'(0) = {d1_trace:.3e} / {d1_stencil:.3e} is not zero")
-    if rep.rel_err > tol:
+    if rep.rel_err > _IDENTITY_TOL:
         raise Inconsistent(
             f"D''(0) = {d2_stencil:.8e} vs predicted {predicted:.8e}")
     return rep
@@ -194,7 +197,7 @@ def synth_re(n: int, seed: int) -> REProblem:
                      generator=Q @ S0 @ Q.T)
 
 
-def cor23_root(prob: REProblem, tol: float = 1e-10) -> Optional[float]:
+def cor23_root(prob: REProblem) -> Optional[float]:
     """Real positive root of D promised by a negative second derivative.
 
     Returns None when mu(L) <zeta2, M zeta1> >= 0 (no conclusion).  Otherwise
@@ -216,7 +219,7 @@ def cor23_root(prob: REProblem, tol: float = 1e-10) -> Optional[float]:
     else:
         raise Inconsistent("no sign change found right of the origin")
     lo, hi = a, b
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _ROOT_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if prob.d(mid) < 0:
             lo = mid

@@ -22,9 +22,11 @@ exp(-sigma mu h).  Because A is affine in lambda, Omega is a cubic
 W0 + lam W1 + lam^2 W2 + lam^3 W3 whose real coefficients depend only on
 the step.  A Stepper holds them, with the mesh, for one (model, wave, c,
 tol, L) and builds them once per task for all the runs it sweeps: a scan's
-grid and polish rounds, or a contour's boundary and refinement levels.
-Each (lambda, direction) then costs one weighted sum and one 4x4
-exponential (linalg.expm4s) per step.
+grid and polish rounds, a contour's boundary and refinement levels, or a
+report's tangent pair and derivative stencil.  Stepper.run is the one way
+in; integrate_mode is a fresh Stepper's sweep of one run.  Each (lambda,
+direction) then costs one weighted sum and one 4x4 exponential
+(linalg.expm4s) per step.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
@@ -223,33 +225,11 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     -L) and as xi -> +infinity for j in {1, 2} (seed at +L).  kind "w"
     solves with -lambda, seeds eta_j, with the opposite seeding sides.
     until and the points of out_grid must be mesh nodes; +-L, 0, +-0.5,
-    ..., +-2 always are.  This is the batch-of-one case of integrate_modes.
+    ..., +-2 always are.  This is a fresh Stepper's sweep of this one run.
     """
     if spec is None:
         spec = spectrum(model, c, lam)
-    return integrate_modes(model, wave, c, [(lam, spec, j, kind, until, out_grid)],
-                           tol=tol, L=L)[0]
-
-
-def integrate_modes(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                    runs, tol: float = 1e-10, L: Optional[float] = None) -> list:
-    """Every run of a flat run list in one sweep of a fresh Stepper.
-
-    Each run is (lam, spec, j, kind, until, grid): the spectral point, its
-    spectrum at infinity, the mode as in integrate_mode, the end point in
-    [-L, L], and a grid or None.  A grid runs from the seed toward the end
-    point and must lie between them.  End and grid points must be mesh
-    nodes; +-L, 0, +-0.5, ..., +-2 always are, and any other point raises
-    ValueError before a step is taken.  Runs of different lambda values,
-    modes, end points and grids mix freely; all share tol and the
-    half-width L.  A run with |lambda| above LAMBDA_REF steps on the mesh
-    with every step split refinement(lambda) times.  Returns one
-    RescaledSolution per run, in order; each equals what integrate_mode
-    returns for that run alone.  A task that sweeps several run lists at
-    one (model, wave, c, tol, L) builds one Stepper and calls its run
-    method for each instead, so that it builds the mesh and tables once.
-    """
-    return Stepper(model, wave, c, tol=tol, L=L).run(runs)
+    return Stepper(model, wave, c, tol=tol, L=L).run([(lam, spec, j, kind, until, out_grid)])[0]
 
 
 class Stepper:
@@ -267,7 +247,7 @@ class Stepper:
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
-                 tol: float = 1e-10, L: Optional[float] = None):
+                 tol: float, L: Optional[float] = None):
         self.model, self.wave, self.c, self.tol = model, wave, c, tol
         self.L = float(L) if L is not None else wave.default_L(c)
         self.n = mesh_steps(tol)
@@ -288,7 +268,19 @@ class Stepper:
                      self.L, self.n)
 
     def run(self, runs) -> list:
-        """The RescaledSolution of every run of a run list, as integrate_modes describes."""
+        """Every run of a flat run list in one sweep, one RescaledSolution per run, in order.
+
+        Each run is (lam, spec, j, kind, until, grid): the spectral point,
+        its spectrum at infinity, the mode as in integrate_mode, the end
+        point in [-L, L], and a grid or None.  A grid runs from the seed
+        toward the end point and must lie between them.  End and grid
+        points must be mesh nodes; +-L, 0, +-0.5, ..., +-2 always are, and
+        any other point raises ValueError before a step is taken.  Runs of
+        different lambda values, modes, end points and grids mix freely.  A
+        run with |lambda| above LAMBDA_REF steps on the mesh with every
+        step split refinement(lambda) times.  Each solution equals what
+        integrate_mode returns for that run alone.
+        """
         levels = {}
         for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
             _check_mode(j, kind)
@@ -299,8 +291,7 @@ class Stepper:
                 raise BadParameter(f"|lambda| = {abs(runs[idx[0]][0]):g} at tol={self.tol:g} "
                                    f"needs {self.n * r} mesh steps per half-domain, "
                                    f"more than {MAX_STEPS}")
-            sols = _sweep(self._level(r)[0], lambda d, k: self._tables(r, d, k),
-                          [runs[m] for m in idx])
+            sols = self._sweep(r, [runs[m] for m in idx])
             for m, sol in zip(idx, sols):
                 out[m] = sol
             if sum(w.nbytes for _, tables in self._levels.values()
@@ -338,94 +329,91 @@ class Stepper:
             tables[d] = w
         return tables[d]
 
+    def _sweep(self, r: int, runs) -> list:
+        """The RescaledSolutions of runs on refinement level r, stepped on its mesh in one loop."""
+        x = self._level(r)[0]
+        h = np.diff(x)
+        nsteps = len(h)
+        nrun = len(runs)
+        # per run, in the coordinate t = d xi along its direction of travel
+        # d = +1 (seeded at -L) or -1 (seeded at +L), in which its nodes are x
+        kappa = np.empty(nrun, complex)   # exp(kappa h) is the rescaling factor of a step h in t
+        seed = np.empty((nrun, 4), complex)
+        dirs = np.empty(nrun, int)
+        group = np.empty(nrun, int)
+        stop = np.empty(nrun, int)        # node a run stops at: the mesh steps it takes
+        groups = {}                       # (d, lambda in the equation) -> group index
+        at_node = {}                      # node -> [(run, grid index)]
+        out_vals = []
+        for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
+            sigma, lam_ode = (1, complex(lam)) if kind == "u" else (-1, -complex(lam))
+            d = -1 if (j in (3, 4)) == (kind == "w") else 1
+            seed[m] = spec.zeta[j - 1] if kind == "u" else spec.eta[j - 1]
+            kappa[m] = -sigma * d * spec.mu[j - 1]
+            dirs[m] = d
+            key = (d, complex(lam_ode.real + 0.0, lam_ode.imag + 0.0))
+            group[m] = groups.setdefault(key, len(groups))
+            pts = [*([] if grid is None else [float(g) * d for g in grid]), float(end) * d]
+            at = np.minimum(np.searchsorted(x, pts), nsteps)
+            off = x[at] != pts
+            if off.any():
+                raise ValueError(f"xi={d * pts[np.argmax(off)]!r} is not a mesh node in [-L, L]; "
+                                 "+-L, 0, +-0.5, ..., +-2 always are")
+            if pts != sorted(pts):
+                raise ValueError("grid not monotone from the seed to the end point")
+            stop[m] = at[-1]
+            for i, k in enumerate(at[:-1]):
+                at_node.setdefault(int(k), []).append((m, i))
+            out_vals.append(None if grid is None else np.empty((len(pts) - 1, 4), complex))
 
-def _sweep(x: np.ndarray, table_of, runs) -> list:
-    """The runs of Stepper.run on one refinement level, all stepped on its mesh x in one loop.
+        # 1, lambda, lambda^2, lambda^3 of each group, as Python complex products
+        powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
+        dir_g = np.array([d for d, _ in groups])
+        last = np.zeros(len(groups), int)   # steps of each group's longest run
+        np.maximum.at(last, group, stop)
+        tables = {d: self._tables(r, d, last[dir_g == d].max())
+                  for d in (1, -1) if np.any(dir_g == d)}
 
-    table_of(d, k) returns the W tables, (at least k, 4, 4, 4), of the
-    first k steps in direction d.  Returns the runs' RescaledSolutions.
-    """
-    h = np.diff(x)
-    nsteps = len(h)
-    nrun = len(runs)
-    # per run, in the coordinate t = d xi along its direction of travel
-    # d = +1 (seeded at -L) or -1 (seeded at +L), in which its nodes are x
-    kappa = np.empty(nrun, complex)   # exp(kappa h) is the rescaling factor of a step h in t
-    seed = np.empty((nrun, 4), complex)
-    dirs = np.empty(nrun, int)
-    group = np.empty(nrun, int)
-    stop = np.empty(nrun, int)        # node a run stops at: the mesh steps it takes
-    groups = {}                       # (d, lambda in the equation) -> group index
-    at_node = {}                      # node -> [(run, grid index)]
-    out_vals = []
-    for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
-        sigma, lam_ode = (1, complex(lam)) if kind == "u" else (-1, -complex(lam))
-        d = -1 if (j in (3, 4)) == (kind == "w") else 1
-        seed[m] = spec.zeta[j - 1] if kind == "u" else spec.eta[j - 1]
-        kappa[m] = -sigma * d * spec.mu[j - 1]
-        dirs[m] = d
-        key = (d, complex(lam_ode.real + 0.0, lam_ode.imag + 0.0))
-        group[m] = groups.setdefault(key, len(groups))
-        pts = [*([] if grid is None else [float(g) * d for g in grid]), float(end) * d]
-        at = np.minimum(np.searchsorted(x, pts), nsteps)
-        off = x[at] != pts
-        if off.any():
-            raise ValueError(f"xi={d * pts[np.argmax(off)]!r} is not a mesh node in [-L, L]; "
-                             "+-L, 0, +-0.5, ..., +-2 always are")
-        if pts != sorted(pts):
-            raise ValueError("grid not monotone from the seed to the end point")
-        stop[m] = at[-1]
-        for i, k in enumerate(at[:-1]):
-            at_node.setdefault(int(k), []).append((m, i))
-        out_vals.append(None if grid is None else np.empty((len(pts) - 1, 4), complex))
+        v = seed.copy()
+        for m, i in at_node.get(0, []):
+            out_vals[m][i] = v[m]
 
-    # 1, lambda, lambda^2, lambda^3 of each group, as Python complex products
-    powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
-    dir_g = np.array([d for d, _ in groups])
-    last = np.zeros(len(groups), int)   # steps of each group's longest run
-    np.maximum.at(last, group, stop)
-    tables = {d: table_of(d, last[dir_g == d].max()) for d in (1, -1) if np.any(dir_g == d)}
+        # the steps at which the set of runs still stepping changes
+        change = {0, *stop.tolist()}
+        length = stop.max()
+        k0 = 0
+        while k0 < length:
+            # exponentials for the groups with a step left, in this order, up
+            # to the first step at which one of them has none left
+            act = np.flatnonzero(last > k0)
+            k1 = min(k0 + max(1, _EXP_BATCH // act.size), last[act].min())
+            parts = [(w[k0:k1], g) for d, w in tables.items()
+                     if (g := np.flatnonzero(dir_g[act] == d)).size]
+            e = _exponentials(parts, powers[act])
+            bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
+            if bad.any():
+                s, g = np.argwhere(bad)[0]
+                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
+            row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
+            shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
+            for k in range(k0, k1):
+                if k in change:
+                    live = np.flatnonzero(k < stop)
+                    every = live.size == nrun
+                if every:
+                    v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
+                else:
+                    v[live] = (np.matmul(e[k - k0, row[live]], v[live, :, None])[..., 0]
+                               * shift[k - k0, live, None])
+                for m, i in at_node.get(k + 1, []):
+                    out_vals[m][i] = v[m]
+            if not np.abs(v).max() <= _OVERFLOW:   # true for a NaN too
+                m = int(np.argmax(~(np.abs(v).max(axis=1) <= _OVERFLOW)))
+                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
+            k0 = k1
 
-    v = seed.copy()
-    for m, i in at_node.get(0, []):
-        out_vals[m][i] = v[m]
-
-    # the steps at which the set of runs still stepping changes
-    change = {0, *stop.tolist()}
-    length = stop.max()
-    k0 = 0
-    while k0 < length:
-        # exponentials for the groups with a step left, in this order, up
-        # to the first step at which one of them has none left
-        act = np.flatnonzero(last > k0)
-        k1 = min(k0 + max(1, _EXP_BATCH // act.size), last[act].min())
-        parts = [(w[k0:k1], g) for d, w in tables.items()
-                 if (g := np.flatnonzero(dir_g[act] == d)).size]
-        e = _exponentials(parts, powers[act])
-        bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
-        if bad.any():
-            s, g = np.argwhere(bad)[0]
-            raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
-        row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
-        shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
-        for k in range(k0, k1):
-            if k in change:
-                live = np.flatnonzero(k < stop)
-                every = live.size == nrun
-            if every:
-                v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
-            else:
-                v[live] = (np.matmul(e[k - k0, row[live]], v[live, :, None])[..., 0]
-                           * shift[k - k0, live, None])
-            for m, i in at_node.get(k + 1, []):
-                out_vals[m][i] = v[m]
-        if not np.abs(v).max() <= _OVERFLOW:   # true for a NaN too
-            m = int(np.argmax(~(np.abs(v).max(axis=1) <= _OVERFLOW)))
-            raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
-        k0 = k1
-
-    hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
-    return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],
-                             grid=runs[m][5], values=out_vals[m],
-                             nsteps=int(stop[m]), nrejected=0, h_min=float(hmin[stop[m]]))
-            for m in range(nrun)]
+        hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
+        return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],
+                                 grid=runs[m][5], values=out_vals[m],
+                                 nsteps=int(stop[m]), nrejected=0, h_min=float(hmin[stop[m]]))
+                for m in range(nrun)]

@@ -18,8 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from .asymptotics import InfinitySpectrum, spectra, spectrum
 from .errors import (Degenerate, Inconsistent, NoConverge, NonTransverse,
                      NoPlateau, OrientationFail)
-from .evans import Numerics, _derivatives, _det_runs, _det_samples, _stencil
-from .integrator import integrate_modes
+from .evans import _DEFAULT, Numerics, _derivatives, _det_runs, _det_samples, _stencil, _stepper
 from .linalg import skew_cmat4, symplectic_forms, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc, on_grid
 
@@ -162,9 +161,14 @@ _PAIR_PTS.setflags(write=False)   # every tangent-pair run shares it as its grid
 
 def _tangent_pair(spec) -> list:
     # the lambda = 0 manifold tangents a_minus (zeta_4 from -L) and a_plus
-    # (eta_4 from +L) as integrate_modes runs, carried past each other to
+    # (eta_4 from +L) as runs of Stepper.run, carried past each other to
     # +-2 and sampled at _PAIR_PTS in the direction each runs
     return [(0.0, spec, 4, "u", 2.0, _PAIR_PTS), (0.0, spec, 4, "w", -2.0, _PAIR_PTS[::-1])]
+
+
+def _pair(model, wave, c, numerics: Numerics | None, spec) -> list:
+    # the solutions (minus, plus) of _tangent_pair(spec), swept alone at numerics
+    return _stepper(model, wave, c, numerics).run(_tangent_pair(spec))
 
 
 def _at_pair_pts(sol) -> np.ndarray:
@@ -199,11 +203,8 @@ def pi_profile(model: MultisymplecticModel, wave: WaveFamily, c: float,
     wedge unchanged and negates the orientation constant, so the flipped
     orientation ratio is the absolute value of the unflipped one.
     """
-    nm = numerics or Numerics()
     sp = spec if spec is not None else spectrum(model, c, 0.0)
-    minus, plus = integrate_modes(model, wave, c, _tangent_pair(sp),
-                                  tol=nm.tol, L=nm.L)
-    return _pi_data(model, wave, c, sp, minus, plus)
+    return _pi_data(model, wave, c, sp, *_pair(model, wave, c, numerics, sp))
 
 
 def _pi_data(model, wave, c, sp: InfinitySpectrum, minus, plus) -> PiData:
@@ -256,11 +257,8 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
     """
     L = wave.default_L(c)
     if pair is None:
-        nm = numerics or Numerics()
-        runs = _tangent_pair(spectrum(model, c, 0.0))
-        minus, plus = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
-    else:
-        minus, plus = pair
+        pair = _pair(model, wave, c, numerics, spectrum(model, c, 0.0))
+    minus, plus = pair
     zx, zc = (np.array([f(x, c) for x in _PAIR_PTS]) for f in (wave.zhat_xi, wave.zhat_c))
     vs = (_at_pair_pts(plus), _at_pair_pts(minus), zc)
     om = symplectic_forms(skew_cmat4(jc(model, c)), zx, np.stack(vs))
@@ -312,13 +310,13 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     d_inf is the sign of D as lambda -> +infinity, which is +1: with the
     frames normalized to Omega(eta_i, zeta_j) = delta_ij, D tends to 1
-    there.  Pi's tangent pair and the derivative stencil ride one stepper
-    call, and give exactly what pi_profile and derivatives_at_zero give on
-    their own.  One spectra call solves the stencil; its lambda = 0 entry
-    is shared by chi_factors, the tangent pair and the stencil's centre;
-    numerics reaches every run.
+    there.  Pi's tangent pair and the derivative stencil ride one sweep of
+    one Stepper, and give exactly what pi_profile and derivatives_at_zero
+    give on their own.  One spectra call solves the stencil; its lambda =
+    0 entry is shared by chi_factors, the tangent pair and the stencil's
+    centre; numerics reaches every run.
     """
-    nm = numerics or Numerics()
+    nm = numerics or _DEFAULT
     I = momentum(model, wave, c)
     didc = dIdc(model, wave, c)
     lams = _stencil(nm.h)   # the stencil starts at lambda = 0
@@ -326,7 +324,7 @@ def stability_report(model: MultisymplecticModel, wave: WaveFamily, c: float,
     sp = specs[0]
     cm, cp, chi = chi_factors(model, wave, c, spec=sp)
     runs = _tangent_pair(sp) + _det_runs(lams, specs)
-    sols = integrate_modes(model, wave, c, runs, tol=nm.tol, L=nm.L)
+    sols = _stepper(model, wave, c, nm).run(runs)
     pi = _pi_data(model, wave, c, sp, *sols[:2]).pi
     der = _derivatives(nm.h, _det_samples(model, c, lams, specs, sols[2:]))
     denom = 2.0 * chi * pi * didc

@@ -169,8 +169,6 @@ class DiracStructure:
     J2: np.ndarray
     R4: np.ndarray      # induced metric diag(1,1,-1,-1)
     metric: np.ndarray  # base metric diag(1,-1)
-    M: np.ndarray
-    K: np.ndarray
 
 
 def build_dirac() -> DiracStructure:
@@ -183,8 +181,7 @@ def build_dirac() -> DiracStructure:
                    [1, 0, 0, 0],
                    [0, -1, 0, 0]], dtype=int)
     r4 = np.diag([1, 1, -1, -1])
-    return DiracStructure(J1=j1, J2=j2, R4=r4, metric=np.diag([1, -1]),
-                          M=r4 @ j1, K=r4 @ j2)
+    return DiracStructure(J1=j1, J2=j2, R4=r4, metric=np.diag([1, -1]))
 
 
 # ---------------------------------------------------------------------------

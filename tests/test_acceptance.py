@@ -182,7 +182,7 @@ def test_criterion_10_pencil_derivative_identities():
     for seed in range(20):
         for n in (1, 2, 3):
             prob = synth_re(n, seed)
-            rep = theorem22_check(prob, tol=1e-8)
+            rep = theorem22_check(prob)
             assert rep.rel_err <= 1e-8, (seed, n)
             s = np.linalg.norm(prob.zeta1)
             product = mu_product(prob.L) * float(

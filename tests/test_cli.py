@@ -1,5 +1,6 @@
 """Command-line front-end: exit codes, file formats, determinism, suites."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -290,6 +291,18 @@ def test_verify_exact_suites():
     d = json.loads(r.output)
     assert d["passed"] is True
     assert len(d["checks"]) == 9
+
+
+def test_clifford_checks_the_models_own_skew_pair(monkeypatch):
+    # induced-skew-pair compares the coupled-wave model's M and K with
+    # R4 J1 and R4 J2: a model with another skew K fails it, and only it
+    model, wave = build_coupled_wave(1.0)
+    other = dataclasses.replace(model, K=-model.K)
+    monkeypatch.setattr(cli.RunConfig, "coupled_wave", lambda self: (other, wave))
+    r = _run(["verify", "--suite", "clifford"])
+    assert r.exit_code == 2
+    failed = [c["name"] for c in json.loads(r.output)["checks"] if not c["passed"]]
+    assert failed == ["induced-skew-pair"]
 
 
 def test_verify_structure_and_appendix():

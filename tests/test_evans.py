@@ -32,7 +32,7 @@ from evanskit.evans import (
     real_axis_scan,
     winding_count,
 )
-from evanskit.integrator import Stepper, integrate_modes
+from evanskit.integrator import Stepper
 from evanskit.model import (
     CANONICAL_K,
     CANONICAL_M,
@@ -84,7 +84,7 @@ def test_folded_samples_equal_unfolded(p, c, nm, lams):
     # to the bit, which this checks against the solve at lambda itself
     model, wave = build_coupled_wave(p)
     specs = spectra(model, c, lams)
-    sols = integrate_modes(model, wave, c, _det_runs(lams, specs), tol=nm.tol, L=nm.L)
+    sols = Stepper(model, wave, c, tol=nm.tol, L=nm.L).run(_det_runs(lams, specs))
     want = _det_samples(model, c, lams, specs, sols)
     for a, b in zip(want, evans_dets(model, wave, c, lams, numerics=nm)):
         assert _same_sample(a, b), a.lam

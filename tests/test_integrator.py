@@ -7,8 +7,7 @@ from evanskit.asymptotics import spectra, spectrum
 from evanskit.errors import BadParameter, Overflow, StepFail
 from evanskit.evans import (CONTOUR_TOL, Numerics, _det_runs, _rect_path, evans_det, evans_dets,
                             real_axis_scan, winding_count)
-from evanskit.integrator import (Stepper, integrate_mode, integrate_modes, mesh_steps,
-                                 refinement)
+from evanskit.integrator import Stepper, integrate_mode, mesh_steps, refinement
 from evanskit.invariants import _tangent_pair
 from evanskit.model import (
     CANONICAL_K,
@@ -219,7 +218,7 @@ def test_one_table_build_per_call():
         calls.clear()
         runs = [(lam, spectrum(model, c, lam), j, kind, 0.0, None)
                 for lam in lams for j, kind in ((3, "u"), (4, "u"), (3, "w"), (4, "w"))]
-        integrate_modes(counted, wave, c, runs, tol=1e-9)
+        Stepper(counted, wave, c, tol=1e-9).run(runs)
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] > 0
 
@@ -286,8 +285,8 @@ def test_reused_stepper_equals_fresh_calls():
     # which extends both directions' tables, then determinant runs at new
     # lambda, one of them (14) on refinement level 2, then runs at lambda =
     # 60, whose level 5 takes the held tables past _HELD_BYTES and is
-    # dropped: every run equals, bit for bit, what a fresh integrate_modes
-    # call gives, and only the dropped level is built again
+    # dropped: every run equals, bit for bit, what a fresh Stepper's sweep
+    # gives, and only the dropped level is built again
     model, wave = _coupled()
     counted, calls = _stacked_counting(model)
     c, tol = 0.3, 1e-9
@@ -301,7 +300,7 @@ def test_reused_stepper_equals_fresh_calls():
         calls.clear()
         got = stepper.run(runs)
         assert len(calls) > 0   # the mesh, an extension, a new level, a dropped one
-        for a, b in zip(integrate_modes(model, wave, c, runs, tol=tol), got, strict=True):
+        for a, b in zip(Stepper(model, wave, c, tol=tol).run(runs), got, strict=True):
             assert np.array_equal(a.value_at_end, b.value_at_end)
             assert a.stats == b.stats and a.xi_seed == b.xi_seed
             if a.values is not None:
@@ -366,7 +365,7 @@ def test_constant_hessian_batch_equals_singletons():
     runs = [(lam, spectrum(frozen, c, lam), j, kind, 0.0, None)
             for lam in (0.7, 1.3 + 0.4j) for j, kind in modes]
     runs.append((0.7, runs[0][1], 3, "u", 1.0, np.array([-2.0, -1.5, -1.0, 0.0, 0.5, 1.0])))
-    batch = integrate_modes(frozen, fwave, c, runs, tol=1e-9)
+    batch = Stepper(frozen, fwave, c, tol=1e-9).run(runs)
     for (lam, spec, j, kind, until, grid), b in zip(runs, batch):
         a = integrate_mode(frozen, fwave, c, lam, j, kind, tol=1e-9, spec=spec,
                            out_grid=grid, until=until)
@@ -384,7 +383,7 @@ def test_batched_runs_keep_their_own_steps():
     modes = ((3, "u"), (4, "w"), (1, "u"))
     runs = [(lam, spectrum(model, c, lam), j, kind, 0.0, None)
             for lam in lams for j, kind in modes]
-    batch = integrate_modes(model, wave, c, runs, tol=1e-9)
+    batch = Stepper(model, wave, c, tol=1e-9).run(runs)
     for (lam, _, j, kind, _, _), b in zip(runs, batch):
         a = integrate_mode(model, wave, c, lam, j, kind, tol=1e-9)
         assert np.array_equal(a.value_at_end, b.value_at_end)
@@ -399,7 +398,7 @@ def test_mixed_run_list_equals_runs_alone():
     lams = [0.0, 0.7, 3.0]
     specs = [spectrum(model, c, lam) for lam in lams]
     runs = _det_runs(lams, specs) + _tangent_pair(specs[0])
-    batch = integrate_modes(model, wave, c, runs, tol=nm.tol)
+    batch = Stepper(model, wave, c, tol=nm.tol).run(runs)
     assert [r.grid is not None for r in batch] == [False] * 12 + [True] * 2
     for (lam, spec, j, kind, until, grid), b in zip(runs, batch):
         a = integrate_mode(model, wave, c, lam, j, kind, tol=nm.tol, spec=spec,
@@ -416,8 +415,7 @@ def test_tangent_pair_golden_bits():
     model, wave = build_coupled_wave(1.0)
     nm = Numerics()
     spec = spectrum(model, 0.3, 0.0)
-    minus, plus = integrate_modes(model, wave, 0.3, _tangent_pair(spec),
-                                  tol=nm.tol, L=nm.L)
+    minus, plus = Stepper(model, wave, 0.3, tol=nm.tol, L=nm.L).run(_tangent_pair(spec))
     want = (
         (["-0x1.b14da2ba17589p-10", "0x1.b70f3ca9316dep-11",
           "-0x1.d2803073c483fp-9", "-0x1.b14da2ba1758cp-11"], (471, 0)),

@@ -13,7 +13,7 @@ from evanskit.asymptotics import spectrum
 from evanskit.errors import (Degenerate, Inconsistent, NoConverge, NonTransverse,
                              NoPlateau, OrientationFail)
 from evanskit.evans import Numerics, derivatives_at_zero, evans_det
-from evanskit.integrator import integrate_mode, integrate_modes
+from evanskit.integrator import Stepper, integrate_mode
 from evanskit.invariants import (
     chi_factors,
     dIdc,
@@ -194,7 +194,7 @@ def test_pi_refuses_equal_tangents():
     # pairs to Omega(v, v) = 0 there: the tangents do not cross transversely
     c = 0.3
     sp = spectrum(MODEL, c, 0.0)
-    minus, plus = integrate_modes(MODEL, WAVE, c, invariants._tangent_pair(sp))
+    minus, plus = Stepper(MODEL, WAVE, c, tol=Numerics.tol).run(invariants._tangent_pair(sp))
     e1 = np.eye(4)[0]
     same = [dataclasses.replace(run, values=np.outer(1.0 + run.grid ** 2, e1) + 0j)
             for run in (minus, plus)]
@@ -230,7 +230,7 @@ def test_library_tangent_pair_covers_overlap(c):
     # the one lambda = 0 tangent path behind pi_profile and structural_checks
     L = WAVE.default_L(c)
     runs = invariants._tangent_pair(spectrum(MODEL, c, 0.0))
-    minus, plus = integrate_modes(MODEL, WAVE, c, runs)
+    minus, plus = Stepper(MODEL, WAVE, c, tol=Numerics.tol).run(runs)
     pts = np.linspace(-2.0, 2.0, 9)
     assert np.array_equal(minus.grid, pts) and np.array_equal(plus.grid, pts[::-1])
     assert (minus.xi_seed, plus.xi_seed) == (-L, L)
@@ -297,7 +297,7 @@ def test_report_equals_its_parts_alone(nm):
 
 
 def test_report_integrates_pair_and_stencil_only(monkeypatch):
-    # one stepper call of 22 runs (the tangent pair and 4 per stencil
+    # one stepper sweep of 22 runs (the tangent pair and 4 per stencil
     # lambda) and one spectra call of the 5 stencil lambdas: no finite
     # lambda is probed for d_inf
     runs, lams = [], []
@@ -308,8 +308,7 @@ def test_report_integrates_pair_and_stencil_only(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(invariants, "integrate_modes",
-                        count(invariants.integrate_modes, runs, 3))
+    monkeypatch.setattr(Stepper, "run", count(Stepper.run, runs, 1))
     monkeypatch.setattr(invariants, "spectra", count(invariants.spectra, lams, 2))
     assert stability_report(MODEL, WAVE, 0.3).d_inf == 1
     assert runs == [22] and lams == [5]
