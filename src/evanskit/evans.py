@@ -289,11 +289,13 @@ def _polish(f, brackets, known):
     f maps a list of points to their real values.  known maps every point
     evaluated so far, the bracket ends included, to its value.  Each round
     evaluates, for every open bracket, its midpoint and an estimate est with
-    est -+ max(err, ROOT_XTOL / 2), points outside the bracket dropped.
-    est is the zero of the inverse interpolant through the 4, 3 or 2 known
-    points nearest the bracket, the first of these that falls inside it
-    (the last, through the bracket ends, always does), and err its last
-    Neville correction.  The bracket then becomes the first sign-change
+    est -+ d, d = max(err, ROOT_XTOL / 2), points outside the bracket
+    dropped.  est is the zero of the inverse interpolant through the 4, 3
+    or 2 known points nearest the bracket, the first of these that falls
+    inside it (the last, through the bracket ends, always does), and err
+    its last Neville correction.  When d is ROOT_XTOL / 2, est -+ d alone
+    close the bracket if the root lies between them, so est is not
+    evaluated in that round.  The bracket then becomes the first sign-change
     interval among the points it holds, so it stays an interval between
     evaluated points of opposite sign and at least halves.  A bracket ends
     at width <= 2 ROOT_XTOL, or as (x, x) on a point x where f is exactly 0.
@@ -318,8 +320,8 @@ def _polish(f, brackets, known):
             pts = [mid]
             if inside:
                 i = inside[-1]
-                d = max(abs(ests[i] - ests[i - 1]), 0.5 * ROOT_XTOL)
-                pts += [ests[i] - d, ests[i], ests[i] + d]
+                est, d = ests[i], max(abs(ests[i] - ests[i - 1]), 0.5 * ROOT_XTOL)
+                pts += [est - d, est + d] if d == 0.5 * ROOT_XTOL else [est - d, est, est + d]
             inner[k] = sorted({float(x) for x in pts if lo < x < hi})
         new = sorted({x for pts in inner.values() for x in pts} - known.keys())
         if new:   # empty only when no float lies inside any open bracket

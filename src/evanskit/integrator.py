@@ -20,13 +20,16 @@ the node combinations of A and C1, C2 their commutators; sigma mu I
 commutes with everything, so it leaves Omega as the scalar factor
 exp(-sigma mu h).  Because A is affine in lambda, Omega is a cubic
 W0 + lam W1 + lam^2 W2 + lam^3 W3 whose real coefficients depend only on
-the step.  A Stepper holds them, with the mesh, for one (model, wave, c,
-tol, L) and builds them once per task for all the runs it sweeps: a scan's
-grid and polish rounds, a contour's boundary and refinement levels, or a
-report's tangent pair and derivative stencil.  Stepper.run is the one way
-in; integrate_mode is a fresh Stepper's sweep of one run.  Each (lambda,
-direction) then costs one weighted sum and one 4x4 exponential
-(linalg.expm4s) per step.
+the step.  The method is time-symmetric, so a step down the mesh has the
+exponent -Omega of the same step up it, to the bit: one table of W_k per
+mesh serves both directions.  A Stepper holds it, with the mesh, for one
+(model, wave, c, tol, L) and builds each row once per task for all the
+runs it sweeps: a scan's grid and polish rounds, a contour's boundary and
+refinement levels, or a report's tangent pair and derivative stencil.
+Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
+of one run.  Each (lambda, direction) then costs one weighted sum and one
+4x4 exponential per step (linalg.expm4s, or linalg._expms directly when
+every lambda of the batch is real), and each run one 4x4 product.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
@@ -54,7 +57,7 @@ import numpy as np
 
 from .asymptotics import InfinitySpectrum, spectrum
 from .errors import BadParameter, Overflow, StepFail
-from .linalg import expm4s
+from .linalg import _expms, expm4s
 from .model import MultisymplecticModel, WaveFamily, jc
 
 N_REF = 294        # mesh steps on [-L, 0] at tol = 1e-10
@@ -164,12 +167,15 @@ def _magnus(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     h holds the signed steps (S,), a the lambda-free part of A at their
     three Gauss nodes in the direction of travel (S, 3, 4, 4), and b the
     coefficient of lambda in A, -J^-1 M.  Returns an (S, 4, 4, 4) array,
-    W_k in [:, k].
+    W_k in [:, k].  The step is time-symmetric, bit for bit: the same
+    steps taken backward, _magnus(-h, a[:, ::-1], b), give -W, because a1,
+    a3 and b1 change sign exactly, a2 keeps its bits, and a3 sums the end
+    nodes first.
     """
     hh = h[:, None, None]
     a1, b1 = hh * a[:, 1], hh * b                         # alpha1 = a1 + lam b1
     a2 = (np.sqrt(15.0) / 3.0) * hh * (a[:, 2] - a[:, 0])
-    a3 = (10.0 / 3.0) * hh * (a[:, 2] - 2.0 * a[:, 1] + a[:, 0])
+    a3 = (10.0 / 3.0) * hh * ((a[:, 2] + a[:, 0]) - 2.0 * a[:, 1])
     c10, c11 = _commutator(a1, a2), _commutator(b1, a2)   # C1 = c10 + lam c11
     e0 = 2.0 * a3 + c10                                   # 2 alpha3 + C1 = e0 + lam c11
     c20 = _commutator(a1, e0) / -60.0                     # C2 = c20 + lam c21 + lam^2 c22
@@ -191,17 +197,23 @@ def _exponentials(parts, powers: np.ndarray) -> np.ndarray:
     parts holds pairs (w, g): the W_k of S steps, (S, 4, 4, 4), and the
     indices of the lambdas that take them.  powers holds 1, lam, lam^2,
     lam^3 per lambda, (G, 4) complex; the real and imaginary parts of the
-    exponent are sums of W_k weighted by theirs, so a real lambda gives an
-    exponent with a zero imaginary part.  Returns an (S, G, 4, 4) complex
-    array.
+    exponent are sums of W_k weighted by theirs.  When every power is real
+    the exponent is built real and goes to _expms, as expm4s would send
+    it, without an imaginary half.  Returns an (S, G, 4, 4) complex array.
     """
-    omega = np.empty((len(parts[0][0]), len(powers), 4, 4), complex)
+    real = not powers.imag.any()
+    omega = np.empty((len(parts[0][0]), len(powers), 4, 4), float if real else complex)
+    halves = (((omega, powers.real),) if real
+              else ((omega.real, powers.real), (omega.imag, powers.imag)))
     for w, g in parts:
-        for part, c in ((omega.real, powers.real[g]), (omega.imag, powers.imag[g])):
+        for part, c in halves:
+            c = c[g]
             sub = w[:, None, 0] * c[:, 0, None, None]
             for k in (1, 2, 3):
                 sub += w[:, None, k] * c[:, k, None, None]
             part[:, g] = sub
+    if real:
+        return _expms(omega.reshape(-1, 4, 4)).reshape(omega.shape).astype(complex)
     return expm4s(omega.reshape(-1, 4, 4)).reshape(omega.shape)
 
 
@@ -232,18 +244,42 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     return Stepper(model, wave, c, tol=tol, L=L).run([(lam, spec, j, kind, until, out_grid)])[0]
 
 
+@dataclass
+class _Level:
+    """The mesh of one refinement level and its one ascending W table.
+
+    Row k of w holds the W_k of step k up the mesh, [x[k], x[k+1]].  Rows
+    [0, lo) and [hi, nsteps) are built: up-runs read rows from the bottom
+    and down-runs from the top, so each end is built as far as its runs
+    step, and a row is built once whichever direction needs it.
+    """
+
+    x: np.ndarray
+    w: np.ndarray
+    lo: int
+    hi: int
+
+    @property
+    def nbytes(self) -> int:
+        # the bytes of the rows built
+        return self.w[0].nbytes * (len(self.w) - max(0, self.hi - self.lo))
+
+
 class Stepper:
     """The mesh and W tables of one (model, wave, c, tol, L), for any number of sweeps.
 
     None of it depends on lambda.  The mesh is built by the first sweep
-    with runs, and the W tables of each refinement level and direction of
-    travel only as far up the mesh as a sweep's runs step; a later sweep
-    that steps further extends them.  Levels are swept in ascending order,
-    and a level whose tables take the held total past _HELD_BYTES is
-    dropped after its sweep and rebuilt when next needed, so the many
-    levels of large |lambda| do not pile up.  A table row is the same
-    array whichever sweep built it, so a run gives the same bits on a
-    stepper that has swept before as on a fresh one.
+    with runs.  Each refinement level holds one W table for steps up the
+    mesh; a step down it is the same step backward, whose exponent is -W
+    to the bit (see _magnus), so down-runs read the table from the top
+    with their powers of lambda negated.  The table is built only as far
+    from each end as a sweep's runs step; a later sweep that steps further
+    extends it.  Levels are swept in ascending order, and a level whose
+    table takes the held total past _HELD_BYTES is dropped after its sweep
+    and rebuilt when next needed, so the many levels of large |lambda| do
+    not pile up.  A table row is the same array whichever sweep built it,
+    so a run gives the same bits on a stepper that has swept before as on
+    a fresh one.
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -253,7 +289,7 @@ class Stepper:
         self.n = mesh_steps(tol)
         self.jinv = np.linalg.inv(jc(model, c))
         self.bmat = -(self.jinv @ model.M)   # the coefficient of lambda in A
-        self._levels = {}   # refinement -> (mesh nodes, {direction: W tables built so far})
+        self._levels = {}   # refinement -> _Level
 
     def _field(self, xi: np.ndarray) -> np.ndarray:
         """J^-1 hessS(zhat(xi)) on an array of xi, (xi.size, 4, 4)."""
@@ -294,44 +330,48 @@ class Stepper:
             sols = self._sweep(r, [runs[m] for m in idx])
             for m, sol in zip(idx, sols):
                 out[m] = sol
-            if sum(w.nbytes for _, tables in self._levels.values()
-                   for w in tables.values()) > _HELD_BYTES:
+            if sum(level.nbytes for level in self._levels.values()) > _HELD_BYTES:
                 del self._levels[r]
         return out
 
-    def _level(self, r: int):
-        # the symmetric mesh of [-L, L] with every step split in r, and its tables
+    def _level(self, r: int) -> _Level:
+        # the symmetric mesh of [-L, L] with every step split in r, and its table
         if r not in self._levels:
             left = self._left
             sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
             half = np.append(sub.ravel(), left[-1])
             x = np.concatenate([half, -half[-2::-1]])
-            self._levels[r] = x, {d: np.empty((0, 4, 4, 4)) for d in (1, -1)}
+            self._levels[r] = _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0, len(x) - 1)
         return self._levels[r]
 
-    def _tables(self, r: int, d: int, upto: int) -> np.ndarray:
-        # the W tables of refinement r for at least the first upto steps in
-        # direction d, extended _TABLE_BATCH steps a _magnus call to bound its
-        # temporaries.  Step k down the mesh is step nsteps-1-k up it, with its
-        # Gauss nodes reversed and h negated; the mesh is symmetric, so h is the same
-        x, tables = self._level(r)
-        built = len(tables[d])
-        if upto > built:
-            h = np.diff(x)
-            nsteps = len(h)
-            w = np.concatenate([tables[d], np.empty((upto - built, 4, 4, 4))])
-            for t0 in range(built, upto, _TABLE_BATCH):
-                t1 = min(t0 + _TABLE_BATCH, upto)
-                k0, k1 = (t0, t1) if d > 0 else (nsteps - t1, nsteps - t0)
-                a = self._field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel())
-                a = a.reshape(-1, 3, 4, 4)
-                w[t0:t1] = _magnus(d * h[t0:t1], a if d > 0 else a[::-1, ::-1], self.bmat)
-            tables[d] = w
-        return tables[d]
+    def _build(self, level: _Level, d: int, upto: int):
+        # the rows of level's table for at least the first upto steps in
+        # direction d: rows [0, upto) for d = +1, the last upto rows for
+        # d = -1.  Rows are built from that end inward, _TABLE_BATCH steps a
+        # _magnus call to bound its temporaries, and rows the other end has
+        # built are not built again
+        x, nsteps = level.x, len(level.w)
+        h = np.diff(x)
+        if d > 0:
+            top = min(upto, level.hi)
+            chunks = [(k0, min(k0 + _TABLE_BATCH, top))
+                      for k0 in range(level.lo, top, _TABLE_BATCH)]
+        else:
+            bottom = max(nsteps - upto, level.lo)
+            chunks = [(max(k1 - _TABLE_BATCH, bottom), k1)
+                      for k1 in range(level.hi, bottom, -_TABLE_BATCH)]
+        for k0, k1 in chunks:
+            a = self._field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel())
+            level.w[k0:k1] = _magnus(h[k0:k1], a.reshape(-1, 3, 4, 4), self.bmat)
+        if d > 0:
+            level.lo = max(level.lo, upto)
+        else:
+            level.hi = min(level.hi, nsteps - upto)
 
     def _sweep(self, r: int, runs) -> list:
         """The RescaledSolutions of runs on refinement level r, stepped on its mesh in one loop."""
-        x = self._level(r)[0]
+        level = self._level(r)
+        x, w = level.x, level.w
         h = np.diff(x)
         nsteps = len(h)
         nrun = len(runs)
@@ -366,54 +406,68 @@ class Stepper:
                 at_node.setdefault(int(k), []).append((m, i))
             out_vals.append(None if grid is None else np.empty((len(pts) - 1, 4), complex))
 
-        # 1, lambda, lambda^2, lambda^3 of each group, as Python complex products
-        powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
+        # 1, lambda, lambda^2, lambda^3 of each group, as Python complex
+        # products, negated for a down group, which reads the table backward
         dir_g = np.array([d for d, _ in groups])
+        powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
+        powers[dir_g < 0] = -powers[dir_g < 0]
         last = np.zeros(len(groups), int)   # steps of each group's longest run
         np.maximum.at(last, group, stop)
-        tables = {d: self._tables(r, d, last[dir_g == d].max())
-                  for d in (1, -1) if np.any(dir_g == d)}
+        for d in (1, -1):
+            if np.any(dir_g == d):
+                self._build(level, d, last[dir_g == d].max())
 
-        v = seed.copy()
+        # the runs in order of their stop node, latest first, so the runs
+        # still stepping are always the first ones
+        order = np.argsort(-stop, kind="stable")
+        place = np.empty(nrun, int)
+        place[order] = np.arange(nrun)
+        stops, group, kappa = stop[order], group[order], kappa[order]
+        ends = stops.tolist()
+        v = seed[order]
         for m, i in at_node.get(0, []):
-            out_vals[m][i] = v[m]
+            out_vals[m][i] = v[place[m]]
 
-        # the steps at which the set of runs still stepping changes
-        change = {0, *stop.tolist()}
-        length = stop.max()
         k0 = 0
-        while k0 < length:
+        while k0 < ends[0]:
             # exponentials for the groups with a step left, in this order, up
             # to the first step at which one of them has none left
             act = np.flatnonzero(last > k0)
             k1 = min(k0 + max(1, _EXP_BATCH // act.size), last[act].min())
-            parts = [(w[k0:k1], g) for d, w in tables.items()
-                     if (g := np.flatnonzero(dir_g[act] == d)).size]
+            parts = [(w[k0:k1] if d > 0 else w[nsteps - k1:nsteps - k0][::-1], g)
+                     for d in (1, -1) if (g := np.flatnonzero(dir_g[act] == d)).size]
             e = _exponentials(parts, powers[act])
             bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
             if bad.any():
                 s, g = np.argwhere(bad)[0]
                 raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
-            row = (np.cumsum(last > k0) - 1)[group]   # each run's group's place in act
-            shift = np.exp(np.multiply.outer(h[k0:k1], kappa))
+            # the runs still stepping are a prefix of v, stepped as one array
+            # that sheds its last runs at their stop node.  Each step gathers
+            # its exponentials by run: one copy of the whole chunk's per run
+            # doubled a contour task's page faults
+            live = n = int(np.count_nonzero(stops > k0))
+            row = (np.cumsum(last > k0) - 1)[group[:live]]   # each run's group's place in act
+            shift = np.exp(np.multiply.outer(h[k0:k1], kappa[:live]))
+            cur = v[:live]
             for k in range(k0, k1):
-                if k in change:
-                    live = np.flatnonzero(k < stop)
-                    every = live.size == nrun
-                if every:
-                    v = np.matmul(e[k - k0, row], v[..., None])[..., 0] * shift[k - k0, :, None]
-                else:
-                    v[live] = (np.matmul(e[k - k0, row[live]], v[live, :, None])[..., 0]
-                               * shift[k - k0, live, None])
+                while ends[n - 1] <= k:
+                    n -= 1
+                if n < len(cur):
+                    v[n:len(cur)] = cur[n:]
+                    cur, row = cur[:n], row[:n]
+                cur = np.matmul(e[k - k0, row], cur[:, :, None])[..., 0]
+                cur *= shift[k - k0, :n, None]
                 for m, i in at_node.get(k + 1, []):
-                    out_vals[m][i] = v[m]
-            if not np.abs(v).max() <= _OVERFLOW:   # true for a NaN too
-                m = int(np.argmax(~(np.abs(v).max(axis=1) <= _OVERFLOW)))
+                    out_vals[m][i] = cur[place[m]]
+            v[:len(cur)] = cur
+            over = ~(np.abs(v[:live]).max(axis=1) <= _OVERFLOW)   # true for a NaN too
+            if over.any():
+                m = order[:live][over].min()
                 raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
             k0 = k1
 
         hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
-        return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],
+        return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[place[m]],
                                  grid=runs[m][5], values=out_vals[m],
                                  nsteps=int(stop[m]), nrejected=0, h_min=float(hmin[stop[m]]))
                 for m in range(nrun)]

@@ -346,21 +346,21 @@ def test_verify_exact_evans_closed_form_agrees():
 # that means to move a printed digit re-records these and says so.
 _PINNED_STDOUT = [
     ("report --p 1 --c 0.3",
-     "909f756abbbd271f17bc5d62818556235c181dace077ea7989036a3ed1cc60f2"),
+     "c5a749491bf20137eb5aff99c350f532b7692e7a77211ba52d13c44adbf8c541"),
     ("report --p 2 --c 0",
-     "5d206dd0a8db2f2691f759ba92c3945d15c58e4d8c64d9eef2ee9dad71b0ef59"),
+     "2a4fee395ef4134a24dc6610817df43675bbfab8124f88c122ea2cf484db82be"),
     ("scan --model coupled-wave --p 1.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "4182f04ea3edea9ebb27d6315b2427ccc179c538ef2e6b4bede83b920dd9f3b9"),
+     "569317d46b9d12c3a04facc88c5d11b6e1cb1407e197f6a45f1034f34845b978"),
     ("scan --model coupled-wave --p 2.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "46ebb2ab04b4ef138d09ae9103c656802940df99b7acd96ab614bf108cb20642"),
+     "cf73937da162d713cb2cb26af97ac1a63dadb7c54108f651d7a0900fabe6308b"),
     ("contour --model coupled-wave --p 1.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "4ae2a03e2647f211b25d7a8733c4bfa1fd693a7b7822b9364a4b8764887383e6"),
     ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "6c65b769956c81a1fcfdf6816f82342dd7df60e833fc29cd93ece6b9cbde490f"),
     ("verify --suite structure --c 0.3",
-     "9972888c07ab439a71083e55537a1f37735bad98bcca71cb8d1fbfd2d52a0b3c"),
+     "db96aa32e61011fea9d723ad721521fb14f915bd0c051123599f011bdba2ec82"),
     ("verify --suite appendix-a --c 0.3",
-     "89769873ecb99f76bbb5cde6962661627ffdf73117a99f45a3f38b7f811cede9"),
+     "2a5779d93798f680fd8797d4fa903170be40302bbbe544df23db44793eb803d2"),
 ]
 
 

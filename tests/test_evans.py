@@ -32,6 +32,7 @@ from evanskit.evans import (
     real_axis_scan,
     winding_count,
 )
+from evanskit import integrator
 from evanskit.integrator import Stepper
 from evanskit.model import (
     CANONICAL_K,
@@ -71,6 +72,23 @@ def test_batch_equals_singleton_calls():
             assert _same_sample(a, b), lam
             assert set(b.stats) == {"u3", "u4", "w3", "w4"}
             assert all(st.accepted > 0 and st.h_min > 0 for st in b.stats.values())
+
+
+def test_real_lambda_beside_complex_equals_alone(monkeypatch):
+    # alone, a real lambda's exponents are built real and go to _expms
+    # directly; beside a complex lambda they go through expm4s, which sends
+    # their zero imaginary parts to _expms: both give the same bits
+    model, wave = build_coupled_wave(2.0)
+    nm = Numerics(tol=1e-8)
+    lams = [0.7, 1.0 + 0.4j, 2.2]
+    calls, expm4s = [], integrator.expm4s
+    monkeypatch.setattr(integrator, "expm4s", lambda a: calls.append(len(a)) or expm4s(a))
+    batch = evans_dets(model, wave, 0.0, lams, numerics=nm)
+    assert calls
+    for lam, b in zip(lams, batch):
+        calls.clear()
+        assert _same_sample(evans_det(model, wave, 0.0, lam, numerics=nm), b), lam
+        assert bool(calls) == (lam.imag != 0.0)
 
 
 @pytest.mark.parametrize("p, c, nm, lams", [
@@ -230,36 +248,36 @@ def test_large_lambda_against_oracle():
 # complex points, relative
 _GOLDEN = {
     (1.0, 0.0, 1e-10, 0.0): (
-        {"D": ("0x1.4484ba5cd60a9p-60", "-0x0.0p+0"),
-         "d1": ("-0x1.41f8f01fb9c82p-52", "0x0.0p+0"),
-         "d2": ("-0x1.02050e2a8600cp-8", "0x0.0p+0"),
-         "d3": ("-0x1.435affe708363p-38", "0x0.0p+0"),
-         "d4": ("0x1.2d6306cf88134p-38", "0x0.0p+0")},
+        {"D": ("0x1.3b67deccab1adp-60", "-0x0.0p+0"),
+         "d1": ("-0x1.38ee3c1bde46ap-52", "0x0.0p+0"),
+         "d2": ("-0x1.02050e2a86015p-8", "0x0.0p+0"),
+         "d3": ("-0x1.4e5106f6909afp-38", "0x0.0p+0"),
+         "d4": ("0x1.389d792219849p-38", "0x0.0p+0")},
         {"u3": (295, 0, "0x1.2efdbc6fb34d8p-7"), "u4": (295, 0, "0x1.2efdbc6fb34d8p-7"),
          "w3": (295, 0, "0x1.2efdbc6fb34d8p-7"), "w4": (295, 0, "0x1.2efdbc6fb34d8p-7")}),
     (1.0, 0.3, 1e-10, 0.05): (
-        {"D": ("0x1.8294c6424a187p-25", "0x0.0p+0"),
-         "d1": ("-0x1.7fd237f50b950p-17", "0x0.0p+0"),
-         "d2": ("-0x1.01d741b80794cp-8", "0x0.0p+0"),
-         "d3": ("-0x1.7f67d52c296c2p-40", "0x0.0p+0"),
-         "d4": ("-0x1.27cd880807fc9p-38", "0x0.0p+0")},
+        {"D": ("0x1.8294c64249872p-25", "0x0.0p+0"),
+         "d1": ("-0x1.7fd237f50b050p-17", "0x0.0p+0"),
+         "d2": ("-0x1.01d741b807949p-8", "0x0.0p+0"),
+         "d3": ("-0x1.5ce75912751a1p-40", "0x0.0p+0"),
+         "d4": ("-0x1.2876409bc221fp-38", "0x0.0p+0")},
         {"u3": (294, 0, "0x1.1e35c1f929ea2p-7"), "u4": (294, 0, "0x1.1e35c1f929ea2p-7"),
          "w3": (294, 0, "0x1.1e35c1f929ea2p-7"), "w4": (294, 0, "0x1.1e35c1f929ea2p-7")}),
     (2.0, 0.0, 1e-8, 1.0 + 0.4j): (
-        {"D": ("-0x1.e5b8111c51547p-17", "-0x1.65ed2d39e4f15p-16"),
-         "d1": ("-0x1.bc32f108beabfp-9", "-0x1.ee7d221bf26dap-10"),
-         "d2": ("0x1.8508e111d814fp-8", "0x1.880a08447c7f8p-9"),
-         "d3": ("0x1.e6e608d960000p-30", "0x1.a737b6ef30000p-27"),
-         "d4": ("0x1.197d6f3088000p-25", "-0x1.810b4b39d6000p-25")},
+        {"D": ("-0x1.e5b8111c51545p-17", "-0x1.65ed2d39e4f0dp-16"),
+         "d1": ("-0x1.bc32f108bea5fp-9", "-0x1.ee7d221bf219bp-10"),
+         "d2": ("0x1.8508e111d814cp-8", "0x1.880a08447c7f4p-9"),
+         "d3": ("0x1.df466f5840000p-30", "0x1.a7562d35f8000p-27"),
+         "d4": ("0x1.19d4bb878c000p-25", "-0x1.8116ddcccc000p-25")},
         {"u3": (137, 0, "0x1.412da5dc92609p-6"), "u4": (137, 0, "0x1.412da5dc92609p-6"),
          "w3": (137, 0, "0x1.412da5dc92609p-6"), "w4": (137, 0, "0x1.412da5dc92609p-6")}),
     # the mirror of the complex point: the bitwise conjugate, the same steps
     (2.0, 0.0, 1e-8, 1.0 - 0.4j): (
-        {"D": ("-0x1.e5b8111c51547p-17", "0x1.65ed2d39e4f15p-16"),
-         "d1": ("-0x1.bc32f108beabfp-9", "0x1.ee7d221bf26dap-10"),
-         "d2": ("0x1.8508e111d814fp-8", "-0x1.880a08447c7f8p-9"),
-         "d3": ("0x1.e6e608d960000p-30", "-0x1.a737b6ef30000p-27"),
-         "d4": ("0x1.197d6f3088000p-25", "0x1.810b4b39d6000p-25")},
+        {"D": ("-0x1.e5b8111c51545p-17", "0x1.65ed2d39e4f0dp-16"),
+         "d1": ("-0x1.bc32f108bea5fp-9", "0x1.ee7d221bf219bp-10"),
+         "d2": ("0x1.8508e111d814cp-8", "-0x1.880a08447c7f4p-9"),
+         "d3": ("0x1.df466f5840000p-30", "-0x1.a7562d35f8000p-27"),
+         "d4": ("0x1.19d4bb878c000p-25", "0x1.8116ddcccc000p-25")},
         {"u3": (137, 0, "0x1.412da5dc92609p-6"), "u4": (137, 0, "0x1.412da5dc92609p-6"),
          "w3": (137, 0, "0x1.412da5dc92609p-6"), "w4": (137, 0, "0x1.412da5dc92609p-6")}),
 }
@@ -429,13 +447,14 @@ def test_scan_roots_match_closed_form(p, c):
 
 
 class _Batched:
-    """A scalar function evaluated point by point in batches, counting the batches."""
+    """A scalar function evaluated point by point in batches, counting them and their sizes."""
 
     def __init__(self, g):
-        self.g, self.calls = g, 0
+        self.g, self.calls, self.sizes = g, 0, []
 
     def __call__(self, xs):
         self.calls += 1
+        self.sizes.append(len(xs))
         return [self.g(x) for x in xs]
 
 
@@ -486,6 +505,18 @@ def test_polish_ends_on_exact_zero():
     f = _Batched(lambda x: math.tanh(40.0 * (x - 1.25)))
     out, rounds = _polish(f, [(1.0, 1.5)], {1.0: f.g(1.0), 1.5: f.g(1.5)})
     assert out == [(1.25, 1.25)] and rounds == f.calls == 1
+
+
+def test_polish_closing_round_skips_the_estimate():
+    # e^x - 3.5 on (1, 1.5): in the third round the Neville correction is
+    # below ROOT_XTOL / 2, so that round asks for the midpoint and
+    # est -+ ROOT_XTOL / 2 only, 3 points where est made 4, and they close
+    # the bracket around log 3.5
+    f = _Batched(lambda x: math.exp(x) - 3.5)
+    out, rounds = _polish(f, [(1.0, 1.5)], {1.0: f.g(1.0), 1.5: f.g(1.5)})
+    assert f.sizes == [3, 4, 3] and rounds == 3
+    [(lo, hi)] = out
+    assert lo < math.log(3.5) < hi and hi - lo <= 2 * ROOT_XTOL
 
 
 def test_polish_round_cap():

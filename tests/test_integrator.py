@@ -7,8 +7,9 @@ from evanskit.asymptotics import spectra, spectrum
 from evanskit.errors import BadParameter, Overflow, StepFail
 from evanskit.evans import (CONTOUR_TOL, Numerics, _det_runs, _rect_path, evans_det, evans_dets,
                             real_axis_scan, winding_count)
-from evanskit.integrator import Stepper, integrate_mode, mesh_steps, refinement
-from evanskit.invariants import _tangent_pair
+from evanskit import integrator
+from evanskit.integrator import _GAUSS, Stepper, _magnus, integrate_mode, mesh_steps, refinement
+from evanskit.invariants import _tangent_pair, stability_report
 from evanskit.model import (
     CANONICAL_K,
     CANONICAL_M,
@@ -282,11 +283,12 @@ def test_one_table_build_per_task(monkeypatch):
 
 def test_reused_stepper_equals_fresh_calls():
     # one stepper sweeps determinant runs to 0, then the tangent pair to +-2,
-    # which extends both directions' tables, then determinant runs at new
-    # lambda, one of them (14) on refinement level 2, then runs at lambda =
-    # 60, whose level 5 takes the held tables past _HELD_BYTES and is
-    # dropped: every run equals, bit for bit, what a fresh Stepper's sweep
-    # gives, and only the dropped level is built again
+    # whose steps past 0 in each direction the other direction's runs have
+    # built, so it builds nothing, then determinant runs at new lambda, one
+    # of them (14) on refinement level 2, then runs at lambda = 60, whose
+    # level 5 takes the held tables past _HELD_BYTES and is dropped: every
+    # run equals, bit for bit, what a fresh Stepper's sweep gives, and only
+    # the dropped level is built again
     model, wave = _coupled()
     counted, calls = _stacked_counting(model)
     c, tol = 0.3, 1e-9
@@ -296,10 +298,13 @@ def test_reused_stepper_equals_fresh_calls():
             _det_runs(lams[2:5], specs[2:5]), _det_runs(lams[5:], specs[5:]))
     assert refinement(14.0) == 2 and refinement(60.0) == 5
     stepper = Stepper(counted, wave, c, tol=tol)
-    for runs in lots + lots[3:]:
+    for lot, runs in enumerate(lots + lots[3:]):
         calls.clear()
         got = stepper.run(runs)
-        assert len(calls) > 0   # the mesh, an extension, a new level, a dropped one
+        if lot == 1:
+            assert calls == []   # the tangent pair reads the table from both ends
+        else:
+            assert len(calls) > 0   # the mesh, a new level, a dropped one
         for a, b in zip(Stepper(model, wave, c, tol=tol).run(runs), got, strict=True):
             assert np.array_equal(a.value_at_end, b.value_at_end)
             assert a.stats == b.stats and a.xi_seed == b.xi_seed
@@ -308,6 +313,41 @@ def test_reused_stepper_equals_fresh_calls():
     calls.clear()
     stepper.run(lots[0] + lots[1] + lots[2])   # every table it needs is held
     assert calls == []
+
+
+def test_magnus_step_is_time_symmetric():
+    # the same steps taken backward, Gauss samples reversed, give the negated
+    # exponent to the bit, which is what lets down-runs read the up table
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((4, 4))
+    for scale in (1e-3, 1.0, 30.0):
+        h = rng.uniform(1e-3, 0.5, 40) * rng.choice([-1.0, 1.0], 40)
+        a = scale * rng.standard_normal((40, 3, 4, 4))
+        assert np.array_equal(_magnus(-h, a[:, ::-1], b), -_magnus(h, a, b))
+    # and on the coupled wave's samples at a real mesh's Gauss nodes
+    model, wave = _coupled()
+    stepper = Stepper(model, wave, 0.3, tol=1e-9)
+    x = stepper._level(1).x
+    h = np.diff(x)
+    a = stepper._field((x[:-1, None] + _GAUSS * h[:, None]).ravel()).reshape(-1, 3, 4, 4)
+    assert np.array_equal(_magnus(-h, a[:, ::-1], stepper.bmat), -_magnus(h, a, stepper.bmat))
+
+
+def test_report_tabulates_each_step_once(monkeypatch):
+    # a report's one sweep steps the tangent pair to +-2 in both directions
+    # and the stencil to 0: each of the mesh's 2n steps gets one table row
+    rows, steppers = [], []
+    magnus, run = integrator._magnus, Stepper.run
+    monkeypatch.setattr(integrator, "_magnus",
+                        lambda h, a, b: rows.append(h.copy()) or magnus(h, a, b))
+    monkeypatch.setattr(Stepper, "run",
+                        lambda self, runs: steppers.append(self) or run(self, runs))
+    model, wave = _coupled()
+    stability_report(model, wave, 0.3)
+    [stepper] = steppers
+    h = np.diff(stepper._level(1).x)
+    assert sum(map(len, rows)) == len(h) == 588
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.sort(h))
 
 
 @pytest.mark.parametrize("L", [None, 6.0, 15.0])
@@ -417,10 +457,10 @@ def test_tangent_pair_golden_bits():
     spec = spectrum(model, 0.3, 0.0)
     minus, plus = Stepper(model, wave, 0.3, tol=nm.tol, L=nm.L).run(_tangent_pair(spec))
     want = (
-        (["-0x1.b14da2ba17589p-10", "0x1.b70f3ca9316dep-11",
-          "-0x1.d2803073c483fp-9", "-0x1.b14da2ba1758cp-11"], (471, 0)),
-        (["0x1.97312f1bb100fp-9", "0x1.9c99fc320e44ep-10",
-          "-0x1.b6639bf52f283p-8", "0x1.97312f1bb1016p-10"], (471, 0)),
+        (["-0x1.b14da2ba17590p-10", "0x1.b70f3ca9316ecp-11",
+          "-0x1.d2803073c4849p-9", "-0x1.b14da2ba17599p-11"], (471, 0)),
+        (["0x1.97312f1bb1010p-9", "0x1.9c99fc320e44ap-10",
+          "-0x1.b6639bf52f283p-8", "0x1.97312f1bb1014p-10"], (471, 0)),
     )
     for sol, (re, steps) in zip((minus, plus), want):
         assert [float(v.real).hex() for v in sol.value_at_end] == re
