@@ -28,8 +28,9 @@ runs it sweeps: a scan's grid and polish rounds, a contour's boundary and
 refinement levels, or a report's tangent pair and derivative stencil.
 Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
 of one run.  Each (lambda, direction) then costs one weighted sum and one
-4x4 exponential per step (linalg.expm4s, or linalg._expms directly when
-every lambda of the batch is real), and each run one 4x4 product.
+exponential per step, real 4x4 for a real lambda and the real 8x8 form of
+the complex 4x4 for any other (linalg._expms, on buffers the Stepper
+holds), and each run one 4x4 product.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
@@ -57,7 +58,7 @@ import numpy as np
 
 from .asymptotics import InfinitySpectrum, spectrum
 from .errors import BadParameter, Overflow, StepFail
-from .linalg import _expms, expm4s
+from .linalg import _expms
 from .model import MultisymplecticModel, WaveFamily, jc
 
 N_REF = 294        # mesh steps on [-L, 0] at tol = 1e-10
@@ -71,6 +72,7 @@ _EXP_BATCH = 256   # matrices per exponential call: steps times (lambda, directi
 _TABLE_BATCH = 64  # steps per _magnus call: bounds its temporaries (128 raises their peak)
 _HELD_BYTES = 2 ** 20   # W tables a Stepper keeps between sweeps; a level past it is dropped
 _OVERFLOW = 1e12
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]   # [[P, -Q], [Q, P]]'s right column from Q over P
 _GAUSS = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])   # nodes on [0, 1]
 
 
@@ -191,32 +193,6 @@ def _magnus(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w
 
 
-def _exponentials(parts, powers: np.ndarray) -> np.ndarray:
-    """exp(W0 + lam W1 + lam^2 W2 + lam^3 W3) for S steps and G lambdas.
-
-    parts holds pairs (w, g): the W_k of S steps, (S, 4, 4, 4), and the
-    indices of the lambdas that take them.  powers holds 1, lam, lam^2,
-    lam^3 per lambda, (G, 4) complex; the real and imaginary parts of the
-    exponent are sums of W_k weighted by theirs.  When every power is real
-    the exponent is built real and goes to _expms, as expm4s would send
-    it, without an imaginary half.  Returns an (S, G, 4, 4) complex array.
-    """
-    real = not powers.imag.any()
-    omega = np.empty((len(parts[0][0]), len(powers), 4, 4), float if real else complex)
-    halves = (((omega, powers.real),) if real
-              else ((omega.real, powers.real), (omega.imag, powers.imag)))
-    for w, g in parts:
-        for part, c in halves:
-            c = c[g]
-            sub = w[:, None, 0] * c[:, 0, None, None]
-            for k in (1, 2, 3):
-                sub += w[:, None, k] * c[:, k, None, None]
-            part[:, g] = sub
-    if real:
-        return _expms(omega.reshape(-1, 4, 4)).reshape(omega.shape).astype(complex)
-    return expm4s(omega.reshape(-1, 4, 4)).reshape(omega.shape)
-
-
 def _check_mode(j: int, kind: str):
     if kind not in ("u", "w"):
         raise ValueError("kind must be 'u' or 'w'")
@@ -279,7 +255,9 @@ class Stepper:
     and rebuilt when next needed, so the many levels of large |lambda| do
     not pile up.  A table row is the same array whichever sweep built it,
     so a run gives the same bits on a stepper that has swept before as on
-    a fresh one.
+    a fresh one.  The stepper also holds the float buffers that its
+    exponentials are computed in, sized for one chunk of _EXP_BATCH
+    matrices, so that a task does not allocate them afresh per chunk.
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -290,6 +268,7 @@ class Stepper:
         self.jinv = np.linalg.inv(jc(model, c))
         self.bmat = -(self.jinv @ model.M)   # the coefficient of lambda in A
         self._levels = {}   # refinement -> _Level
+        self._bufs = {}     # the exponentials' held buffers, see _buffer
 
     def _field(self, xi: np.ndarray) -> np.ndarray:
         """J^-1 hessS(zhat(xi)) on an array of xi, (xi.size, 4, 4)."""
@@ -302,6 +281,61 @@ class Stepper:
         jb = self.jinv @ self.model.binf()
         return _mesh(lambda xi: np.linalg.norm(self._field(xi) - jb, axis=(1, 2)) ** _POWER,
                      self.L, self.n)
+
+    def _buffer(self, key, shape, dtype=float) -> np.ndarray:
+        # a contiguous array of this shape on a buffer held for the stepper's
+        # task, grown when a sweep needs more.  A chunk of the sweep takes at
+        # most _EXP_BATCH exponentials, or one step of every group when they
+        # are more
+        size = math.prod(shape)
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < size:
+            buf = self._bufs[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def _exponentials(self, parts, powers: np.ndarray, nreal: int) -> np.ndarray:
+        """exp(W0 + lam W1 + lam^2 W2 + lam^3 W3) for S steps and G groups.
+
+        parts holds triples (w, a, b): the W_k of S steps, (S, 4, 4, 4), and
+        the slice [a, b) of the groups that take them.  powers holds 1, lam,
+        lam^2, lam^3 per group, (G, 4) complex, real for the groups [0,
+        nreal), and no slice straddles nreal.  A real group's exponent is the
+        real sum of W_k weighted by its powers.  A complex group's real and
+        imaginary sums P and Q are written into the blocks of the real 8x8
+        form [[P, -Q], [Q, P]], whose exponential holds Re exp and Im exp in
+        its left column of blocks.  Each form goes to _expms in one stack on
+        the stepper's buffers: an exponent stack and _expms' six temporaries
+        per form.  Returns an (S, G, 4, 4) complex array, on a buffer that
+        the next call overwrites.
+        """
+        steps, ngroups = len(parts[0][0]), len(powers)
+        out = self._buffer("out", (steps, ngroups, 4, 4), complex)
+        for lo, hi, n in ((0, nreal, 4), (nreal, ngroups, 8)):
+            if lo == hi:
+                continue
+            work = self._buffer(n, (7, steps * (hi - lo), n, n))
+            omega = work[0].reshape(steps, hi - lo, n, n)
+            # each group's sums, Re (and Im) in one contiguous stack: summed in
+            # place in the 8x8 blocks they run 2.5 times slower.  A complex
+            # group's go to a temporary of _expms, then into the blocks
+            c = powers[lo:hi, None].real if n == 4 else np.stack((powers[lo:hi].real,
+                                                                 powers[lo:hi].imag), axis=1)
+            sums = (omega if n == 4 else work[-1]).reshape(-1)[:steps * (hi - lo) * n * 4]
+            sums = sums.reshape(steps, hi - lo, n // 4, 4, 4)
+            for w, a, b in parts:
+                if lo <= a < hi:
+                    sub, cs = sums[:, a - lo:b - lo], c[a - lo:b - lo]
+                    np.multiply(w[:, None, None, 0], cs[:, :, 0, None, None], out=sub)
+                    for k in (1, 2, 3):
+                        sub += w[:, None, None, k] * cs[:, :, k, None, None]
+            if n == 8:
+                blocks = omega.reshape(steps, hi - lo, 2, 4, 2, 4)
+                blocks[..., 0, :] = sums   # P over Q
+                np.multiply(sums[:, :, ::-1], _SIGNS, out=blocks[..., 1, :])   # -Q over P
+            e = _expms(work[0], work[1:]).reshape(omega.shape)
+            out.real[:, lo:hi] = e[..., :4, :4]
+            out.imag[:, lo:hi] = e[..., 4:, :4] if n == 8 else 0.0
+        return out
 
     def run(self, runs) -> list:
         """Every run of a flat run list in one sweep, one RescaledSolution per run, in order.
@@ -406,10 +440,17 @@ class Stepper:
                 at_node.setdefault(int(k), []).append((m, i))
             out_vals.append(None if grid is None else np.empty((len(pts) - 1, 4), complex))
 
-        # 1, lambda, lambda^2, lambda^3 of each group, as Python complex
+        # the groups ordered real up, real down, complex up, complex down, so
+        # that in any subset those taking one table and one exponent form
+        # are a slice.  Their 1, lambda, lambda^2, lambda^3 as Python complex
         # products, negated for a down group, which reads the table backward
-        dir_g = np.array([d for d, _ in groups])
-        powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in groups])
+        keys = sorted(groups, key=lambda key: (key[1].imag != 0.0, -key[0]))
+        rank = np.empty(len(keys), int)
+        rank[[groups[key] for key in keys]] = np.arange(len(keys))
+        group = rank[group]
+        dir_g = np.array([d for d, _ in keys])
+        kind_g = 2 * np.array([lam.imag != 0.0 for _, lam in keys]) + (dir_g < 0)
+        powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in keys])
         powers[dir_g < 0] = -powers[dir_g < 0]
         last = np.zeros(len(groups), int)   # steps of each group's longest run
         np.maximum.at(last, group, stop)
@@ -434,9 +475,11 @@ class Stepper:
             # to the first step at which one of them has none left
             act = np.flatnonzero(last > k0)
             k1 = min(k0 + max(1, _EXP_BATCH // act.size), last[act].min())
-            parts = [(w[k0:k1] if d > 0 else w[nsteps - k1:nsteps - k0][::-1], g)
-                     for d in (1, -1) if (g := np.flatnonzero(dir_g[act] == d)).size]
-            e = _exponentials(parts, powers[act])
+            bounds = np.searchsorted(kind_g[act], np.arange(5))
+            tables = (w[k0:k1], w[nsteps - k1:nsteps - k0][::-1])
+            parts = [(tables[i % 2], a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                     if a < b]
+            e = self._exponentials(parts, powers[act], bounds[2])
             bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
             if bad.any():
                 s, g = np.argwhere(bad)[0]

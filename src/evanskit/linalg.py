@@ -6,8 +6,9 @@ Results rest on numpy's BLAS and LAPACK builds.  nullvector (an SVD) and
 quartic_roots (np.roots) take one input each and keep their pinned
 tolerances; the spectrum at infinity uses neither.
 The symplectic pairing has one kernel, symplectic_forms, called on stacks.
-expm4s exponentiates a stack of 4x4 matrices, each with its own scaling,
-through real matmuls alone.
+_expms exponentiates a stack of real matrices, each with its own scaling,
+through real matmuls alone; complex 4x4 exponents go through it in the
+real 8x8 form, which the integrator builds in place.
 det4s is det4 over a stack; det4 stays the scalar kernel, as one matrix
 takes det4 12-20 us and det4s about 230 us (numpy's per-call costs).
 Each item must get the bits of one-at-a-time arithmetic on complex
@@ -154,86 +155,66 @@ _EXP_THETA = 0.75   # inf-norm each matrix is scaled under before its Taylor
 _EXP_COEFFS = 1.0 / np.cumprod([1.0, *range(1, 17)])   # 1 / k!, k = 0..16
 
 
-def _expms(x) -> np.ndarray:
+def _expms(x, work=None) -> np.ndarray:
     """exp of every matrix of a real (K, n, n) stack, bit for bit as alone.
 
     Matrix k is scaled by 2^-s_k, exactly, with s_k the least power that
     brings its inf-norm under _EXP_THETA; the degree-16 Taylor polynomial
     is evaluated by Paterson-Stockmeyer as B0 + X4 (B1 + X4 (B2 + X4 (B3 +
     X4 / 16!))) with B_j = sum_i X^i / (4j + i)!, and the result is squared
-    s_k times.  Every product is a stacked matmul, one BLAS call per
-    matrix, and every other operation is elementwise; the matrices are
-    sorted by s_k so that each squaring is one call on a slice.  So a
-    matrix gets the same bits in any stack.  Entries are not checked: a
-    non-finite entry gives a non-finite exponential, and so does a squaring
-    that overflows, without a warning; callers check finiteness.
+    s_k times, the matrices that need an i-th squaring gathered for it.
+    Every product is a stacked matmul, one BLAS call per matrix, and every
+    other operation is elementwise, so a matrix gets the same bits in any
+    stack; when no matrix needs squaring nothing is gathered.  Entries are
+    not checked: a non-finite entry gives a non-finite exponential, and so
+    does a squaring that overflows, without a warning; callers check
+    finiteness.  A complex P + iQ is exponentiated as the real [[P, -Q],
+    [Q, P]], whose exponential holds Re exp and Im exp in its left column
+    of blocks.
+
+    work, when given, holds the six temporaries: a float array of shape
+    (6, K', n, n) with K' >= K.  x is then scaled in place, and the result
+    is a view of work, valid until work is used again.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float) if work is None else np.ascontiguousarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {np.shape(x)}")
     k, n = x.shape[:2]
-    s = np.maximum(np.frexp((np.abs(x) @ np.ones(n)).max(axis=1, initial=0.0)
+    if work is None:
+        work = np.empty((6, k, n, n))
+    x2, x3, x4, t, e, b = work[:, :k]
+    s = np.maximum(np.frexp((np.abs(x, out=t) @ np.ones(n)).max(axis=1, initial=0.0)
                             / _EXP_THETA)[1], 0)
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    x1 = x[order]
-    x1.reshape(k, n * n)[...] *= np.ldexp(1.0, -s)[:, None]
-    x2 = x1 @ x1
-    x3 = x2 @ x1
-    x4 = x2 @ x2
+    squarings = int(s.max(initial=0))
+    if squarings:
+        x *= np.ldexp(1.0, -s)[:, None, None]
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    np.matmul(x2, x2, out=x4)
     c = _EXP_COEFFS
-    t = np.empty_like(x1)
 
     def block(j, out):
         # B_j into out, through t
-        np.multiply(x1, c[4 * j + 1], out=out)
+        np.multiply(x, c[4 * j + 1], out=out)
         for i, p in ((2, x2), (3, x3)):
             out += np.multiply(p, c[4 * j + i], out=t)
         out.reshape(k, n * n)[:, ::n + 1] += c[4 * j]
         return out
 
-    e, b = block(3, np.empty_like(x1)), np.empty_like(x1)
+    block(3, e)
     e += np.multiply(x4, c[16], out=t)
     for j in (2, 1, 0):
         block(j, b)
         np.matmul(x4, e, out=t)
         np.add(t, b, out=e)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in np.searchsorted(s, np.arange(1, s[-1] + 1 if k else 1)):
-            np.matmul(e[i:], e[i:], out=t[i:])
-            e[i:] = t[i:]
-    x1[order] = e
-    return x1
-
-
-def expm4s(a) -> np.ndarray:
-    """exp of every matrix of a (K, 4, 4) complex stack, bit for bit as alone.
-
-    A matrix with a zero imaginary part goes through _expms as it is; any
-    other, P + iQ, as the real 8x8 matrix [[P, -Q], [Q, P]], whose
-    exponential holds Re exp and Im exp in its left column of blocks.  All
-    products are real matmuls, which run several times faster than complex
-    ones at these sizes.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 3 or a.shape[1:] != (4, 4):
-        raise ValueError(f"expected a stack of 4x4 matrices, got shape {np.shape(a)}")
-    cplx = np.any(a.imag != 0.0, axis=(1, 2))
-    if not cplx.any():
-        return _expms(a.real).astype(complex)
-    r = np.flatnonzero(cplx)
-    re, im = (a.real, a.imag) if r.size == len(a) else (a.real[r], a.imag[r])
-    big = np.empty((r.size, 8, 8))
-    big[:, :4, :4] = big[:, 4:, 4:] = re
-    big[:, 4:, :4] = im
-    big[:, :4, 4:] = -im
-    e = _expms(big)
-    out = np.empty_like(a)
-    if r.size < len(a):
-        out.real[~cplx] = _expms(a.real[~cplx])
-        out.imag[~cplx] = 0.0
-    out.real[r], out.imag[r] = e[:, :4, :4], e[:, 4:, :4]
-    return out
+        for i in range(1, squarings + 1):
+            idx = np.flatnonzero(s >= i)
+            m = idx.size
+            np.take(e, idx, axis=0, out=t[:m])
+            np.matmul(t[:m], t[:m], out=b[:m])
+            e[idx] = b[:m]
+    return e
 
 
 def nullvector(m) -> np.ndarray:

@@ -75,20 +75,21 @@ def test_batch_equals_singleton_calls():
 
 
 def test_real_lambda_beside_complex_equals_alone(monkeypatch):
-    # alone, a real lambda's exponents are built real and go to _expms
-    # directly; beside a complex lambda they go through expm4s, which sends
-    # their zero imaginary parts to _expms: both give the same bits
+    # the exponent form is chosen per (lambda, direction) group: a real
+    # lambda's exponents are real 4x4 and a complex one's are in the real
+    # 8x8 form, alone or in one batch, and each gives the same bits both ways
     model, wave = build_coupled_wave(2.0)
     nm = Numerics(tol=1e-8)
     lams = [0.7, 1.0 + 0.4j, 2.2]
-    calls, expm4s = [], integrator.expm4s
-    monkeypatch.setattr(integrator, "expm4s", lambda a: calls.append(len(a)) or expm4s(a))
+    sizes, expms = set(), integrator._expms
+    monkeypatch.setattr(integrator, "_expms",
+                        lambda x, work=None: sizes.add(x.shape[1]) or expms(x, work))
     batch = evans_dets(model, wave, 0.0, lams, numerics=nm)
-    assert calls
+    assert sizes == {4, 8}
     for lam, b in zip(lams, batch):
-        calls.clear()
+        sizes.clear()
         assert _same_sample(evans_det(model, wave, 0.0, lam, numerics=nm), b), lam
-        assert bool(calls) == (lam.imag != 0.0)
+        assert sizes == ({8} if lam.imag != 0.0 else {4})
 
 
 @pytest.mark.parametrize("p, c, nm, lams", [
@@ -98,7 +99,7 @@ def test_real_lambda_beside_complex_equals_alone(monkeypatch):
 ], ids=["p0.5", "p1.1", "p2.4"])
 def test_folded_samples_equal_unfolded(p, c, nm, lams):
     # evans_dets evaluates Im lambda < 0 at conj lambda and conjugates; that
-    # rests on the spectra, the stepper and expm4s being conjugate-equivariant
+    # rests on the spectra, the stepper and its exponentials being conjugate-equivariant
     # to the bit, which this checks against the solve at lambda itself
     model, wave = build_coupled_wave(p)
     specs = spectra(model, c, lams)

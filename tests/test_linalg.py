@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evanskit.errors import Degenerate, NonSkew, RankError
-from evanskit.linalg import (NULLVECTOR_TOL, _expms, det4, det4s, expm4s, interior2,
+from evanskit.integrator import Stepper
+from evanskit.linalg import (NULLVECTOR_TOL, _expms, det4, det4s, interior2,
                              nullvector, quartic_roots, skew_cmat4, symplectic_forms,
                              wedge2, wedge4)
+from evanskit.model import build_coupled_wave
 
 M = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
 K = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]], float)
@@ -224,6 +226,26 @@ def test_nullvectors_contract_on_rank3_stacks(seed, k):
         assert np.linalg.norm(m @ v) <= NULLVECTOR_TOL * np.linalg.norm(m, 2)
 
 
+def _exp_in_place(a):
+    # exp of a complex (K, 4, 4) stack through the stepper's in-place path:
+    # matrix k is the exponent W0 + lam W1 of a one-step group of its own,
+    # with W0 = Re a_k, W1 = Im a_k and lam = i, or lam = 0 when a_k is
+    # real, so it is built as a real 4x4 or in the real 8x8 form
+    cplx = np.any(a.imag != 0.0, axis=(1, 2))
+    order = np.argsort(cplx, kind="stable")   # the stepper takes real groups first
+    w = np.zeros((len(a), 1, 4, 4, 4))
+    w[:, 0, 0], w[:, 0, 1] = a.real[order], a.imag[order]
+    powers = np.where(cplx[order, None], [1.0, 1j, -1.0, -1j], [1.0, 0.0, 0.0, 0.0])
+    parts = [(w[g], g, g + 1) for g in range(len(a))]
+    out = np.empty_like(a)
+    out[order] = _stepper()._exponentials(parts, powers, int(np.sum(~cplx)))[0]
+    return out
+
+
+def _stepper():
+    return Stepper(*build_coupled_wave(1.0), 0.0, tol=1e-8)
+
+
 @pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 5.0, 20.0, 50.0])
 def test_expm4s_matches_scipy(norm):
     # random complex stacks scaled to a 1-norm, a quarter of them real, against
@@ -233,7 +255,7 @@ def test_expm4s_matches_scipy(norm):
     a = rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))
     a[:10].imag = 0.0
     a *= norm / np.abs(a).sum(axis=1).max(axis=1)[:, None, None]
-    got = expm4s(a)
+    got = _exp_in_place(a)
     for g, m in zip(got, a):
         ref = expm(m)
         assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -242,21 +264,31 @@ def test_expm4s_matches_scipy(norm):
 
 def test_expm4s_batch_of_one_is_bit_identical():
     # each matrix keeps its own scaling and squarings: alone it has the bits
-    # it has in a stack of mixed norms, real and complex
+    # it has in a stack of mixed norms, real and complex, and the real 8x8
+    # form exponentiated without the stepper's buffers has them too
     rng = np.random.default_rng(5)
     a = rng.standard_normal((30, 4, 4)) + 1j * rng.standard_normal((30, 4, 4))
     a[::3].imag = 0.0
     a *= np.geomspace(1e-3, 50.0, 30)[:, None, None]
-    stack = expm4s(a)
+    stack = _exp_in_place(a)
     for m, e in zip(a, stack):
-        assert np.array_equal(expm4s(m[None])[0], e)
+        assert np.array_equal(_exp_in_place(m[None])[0], e)
     assert np.array_equal(_expms(a.real)[4], _expms(a.real[4:5])[0])
+    big = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    e = _expms(big)
+    assert np.array_equal(e[:, :4, :4] + 1j * e[:, 4:, :4], stack)
+    # on a caller's buffers, which scales the input in place: the same bits
+    assert np.array_equal(_expms(big.copy(), np.empty((6, 40, 8, 8))), e)
+    small = big * 1e-3   # no matrix needs squaring
+    assert np.array_equal(_expms(small, np.empty((6, 30, 8, 8))), _expms(small[::-1])[::-1])
 
 
 def test_expm_shape_guards():
     with pytest.raises(ValueError):
-        expm4s(np.zeros((4, 4)))
+        _expms(np.zeros((4, 4)))
     with pytest.raises(ValueError):
         _expms(np.zeros((2, 3, 4)))
-    assert expm4s(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    assert _expms(np.zeros((0, 8, 8))).shape == (0, 8, 8)
+    none = _stepper()._exponentials([(np.zeros((0, 4, 4, 4)), 0, 1)], np.ones((1, 4), complex), 0)
+    assert none.shape == (0, 1, 4, 4)
     assert np.array_equal(_expms(np.zeros((1, 8, 8)))[0], np.eye(8))
