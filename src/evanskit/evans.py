@@ -127,8 +127,9 @@ def evans_dets(model: MultisymplecticModel, wave: WaveFamily, c: float, lams,
     """Determinant-form Evans function at many spectral points, one integration.
 
     For each lambda, integrates u3, u4 from -L and w3, w4 from +L to the
-    matching point xi_star, which must be a mesh node (0, +-0.5, ..., +-2
-    or +-L), and returns the determinant of the symplectic cross-pairings.
+    matching point xi_star, which must be a stop node of the stepper (0,
+    +-L, or one of +-0.5, ..., +-2 inside (-L, L)), and returns the
+    determinant of the symplectic cross-pairings.
     Pairings with mismatched mode indices are rebalanced by
     exp((mu_i - mu_j) xi_star); the product d3*d4 is insensitive to this,
     so D itself does not depend on the rebalancing convention.
@@ -175,7 +176,7 @@ def evans_det(model: MultisymplecticModel, wave: WaveFamily, c: float, lam: comp
               xi_star: float = 0.0) -> EvansSample:
     """Determinant-form Evans function at one spectral point: evans_dets of one.
 
-    xi_star must be a mesh node: 0, +-0.5, ..., +-2 or +-L.
+    xi_star must be a stop node: 0, +-L, or one of +-0.5, ..., +-2 inside (-L, L).
     """
     return evans_dets(model, wave, c, [lam], numerics=numerics,
                       specs=None if spec is None else [spec], xi_star=xi_star)[0]

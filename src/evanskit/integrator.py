@@ -30,21 +30,26 @@ Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
 of one run.  Each (lambda, direction) then costs one weighted sum and one
 exponential per step, real 4x4 for a real lambda and the real 8x8 form of
 the complex 4x4 for any other (linalg._expms, on buffers the Stepper
-holds), and each run one 4x4 product.
+holds).  In the core [-2, 2] the exponentials of 4 consecutive steps are
+multiplied into one propagator, in the real form, and each run takes one
+4x4 product per propagator; in the outer pieces, whose steps are long,
+one per step.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
 steps on [-L, 0] equidistribute ||J^-1 (hessS(zhat) - B_inf)||_F^(1/4)
 plus a floor of _FLOOR times its maximum, piece by piece between the
 nodes -L, -2, -1.5, -1, -0.5 and 0, and [0, L] is the mirror image; tol
-is the one accuracy knob.  The error of a step grows like |lambda|^5, so
-a run with |lambda| above LAMBDA_REF splits every step in
+is the one accuracy knob.  Each piece inside [-2, 2] has a multiple of 4
+steps, and [-L, -2] takes up the rounding.  The error of a step grows like
+|lambda|^5, so a run with |lambda| above LAMBDA_REF splits every step in
 refinement(lambda) equal parts.  Runs seeded at -L step up the mesh and
-runs seeded at +L down it, and stop and sample only at mesh nodes: an end
-or grid point that is no node is refused, and +-L, 0, +-0.5, ..., +-2 are
-nodes at every refinement.  So every step is a mesh step, and a run's
-values depend only on the mesh, its lambda, its seed side and its end
-point, never on the batch it rides in; a single run is a batch of one.
+runs seeded at +L down it, and stop and sample only at +-L, 0 and the
+breaks +-0.5, ..., +-2 between them, which are nodes at every refinement
+and lie a whole number of propagators apart; any other end or grid point
+is refused.  So every step is a mesh step, and a run's values depend only
+on the mesh, its lambda, its seed side and its end point, never on the
+batch it rides in; a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -65,10 +70,11 @@ N_REF = 294        # mesh steps on [-L, 0] at tol = 1e-10
 MAX_STEPS = 4096   # cap on the steps on [-L, 0]; a tol that needs more is refused
 LAMBDA_REF = 10.0  # |lambda| up to which a run steps on the mesh as it is
 _BREAKS = (-2.0, -1.5, -1.0, -0.5)   # mesh nodes besides -L and 0 (and their mirror images)
+_BLOCK = 4         # steps per propagator in [-2, 2]; each mesh piece there has a multiple of them
 _POWER = 0.25      # the monitor is the field's distance from B_inf to this power
 _FLOOR = 0.005     # monitor floor, as a fraction of the monitor's maximum
 _FINE = 128        # monitor samples per mesh piece
-_EXP_BATCH = 256   # matrices per exponential call: steps times (lambda, direction) groups
+_EXP_BATCH = 512   # matrices per exponential call: steps times (lambda, direction) groups
 _TABLE_BATCH = 64  # steps per _magnus call: bounds its temporaries (128 raises their peak)
 _HELD_BYTES = 2 ** 20   # W tables a Stepper keeps between sweeps; a level past it is dropped
 _OVERFLOW = 1e12
@@ -128,7 +134,9 @@ def _mesh(monitor, L: float, n: int) -> np.ndarray:
     monitor maps an array of xi to the monitor's values there.  Each piece
     of [-L, 0] between consecutive nodes of -L, _BREAKS and 0 gets its
     share of the n steps by its monitor integral (at least one), placed so
-    that every step holds an equal part of it.
+    that every step holds an equal part of it.  A piece inside [-2, 0] gets
+    its share rounded to a multiple of _BLOCK (at least _BLOCK), and the
+    piece [-L, -2], when L > 2, absorbs the difference (keeping at least one).
     """
     ends = np.array([-L, *(b for b in _BREAKS if b > -L), 0.0])
     xs = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * np.linspace(0.0, 1.0, _FINE + 1)
@@ -140,7 +148,13 @@ def _mesh(monitor, L: float, n: int) -> np.ndarray:
     m = f + _FLOOR * top if top > 0 else np.ones_like(f)
     cum = np.zeros_like(m)
     cum[:, 1:] = np.cumsum(0.5 * (m[:, 1:] + m[:, :-1]) * np.diff(xs, axis=1), axis=1)
-    steps = np.maximum(1, np.rint(n * cum[:, -1] / cum[:, -1].sum()).astype(int))
+    share = n * cum[:, -1] / cum[:, -1].sum()
+    steps = np.maximum(1, np.rint(share).astype(int))
+    core = ends[:-1] >= _BREAKS[0]
+    blocks = _BLOCK * np.maximum(1, np.rint(share[core] / _BLOCK).astype(int))
+    if not core[0]:
+        steps[0] = max(1, steps[0] + steps[core].sum() - blocks.sum())
+    steps[core] = blocks
     left = [ends[:1]]
     for piece, k in enumerate(steps):
         nodes = np.interp(np.linspace(0.0, cum[piece, -1], k + 1), cum[piece], xs[piece])
@@ -212,8 +226,9 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     zeta_j; the mode decays as xi -> -infinity for j in {3, 4} (seed at
     -L) and as xi -> +infinity for j in {1, 2} (seed at +L).  kind "w"
     solves with -lambda, seeds eta_j, with the opposite seeding sides.
-    until and the points of out_grid must be mesh nodes; +-L, 0, +-0.5,
-    ..., +-2 always are.  This is a fresh Stepper's sweep of this one run.
+    until and the points of out_grid must be stop nodes: +-L, 0, or one of
+    +-0.5, ..., +-2 inside (-L, L).  This is a fresh Stepper's sweep of this
+    one run.
     """
     if spec is None:
         spec = spectrum(model, c, lam)
@@ -227,13 +242,16 @@ class _Level:
     Row k of w holds the W_k of step k up the mesh, [x[k], x[k+1]].  Rows
     [0, lo) and [hi, nsteps) are built: up-runs read rows from the bottom
     and down-runs from the top, so each end is built as far as its runs
-    step, and a row is built once whichever direction needs it.
+    step, and a row is built once whichever direction needs it.  The core
+    [-2, 2] is steps [outer, nsteps - outer), a multiple of _BLOCK steps
+    from each of its nodes to the next.
     """
 
     x: np.ndarray
     w: np.ndarray
     lo: int
     hi: int
+    outer: int
 
     @property
     def nbytes(self) -> int:
@@ -285,16 +303,16 @@ class Stepper:
     def _buffer(self, key, shape, dtype=float) -> np.ndarray:
         # a contiguous array of this shape on a buffer held for the stepper's
         # task, grown when a sweep needs more.  A chunk of the sweep takes at
-        # most _EXP_BATCH exponentials, or one step of every group when they
-        # are more
+        # most _EXP_BATCH exponentials, or _BLOCK steps of every group when
+        # they are more
         size = math.prod(shape)
         buf = self._bufs.get(key)
         if buf is None or buf.size < size:
             buf = self._bufs[key] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def _exponentials(self, parts, powers: np.ndarray, nreal: int) -> np.ndarray:
-        """exp(W0 + lam W1 + lam^2 W2 + lam^3 W3) for S steps and G groups.
+    def _exponentials(self, parts, powers: np.ndarray, nreal: int, block: int = 1) -> np.ndarray:
+        """exp(W0 + lam W1 + lam^2 W2 + lam^3 W3) for S steps and G groups, or their block products.
 
         parts holds triples (w, a, b): the W_k of S steps, (S, 4, 4, 4), and
         the slice [a, b) of the groups that take them.  powers holds 1, lam,
@@ -305,11 +323,15 @@ class Stepper:
         form [[P, -Q], [Q, P]], whose exponential holds Re exp and Im exp in
         its left column of blocks.  Each form goes to _expms in one stack on
         the stepper's buffers: an exponent stack and _expms' six temporaries
-        per form.  Returns an (S, G, 4, 4) complex array, on a buffer that
-        the next call overwrites.
+        per form.  block is 1 or _BLOCK: with _BLOCK, S is a multiple of it
+        and each group's exponentials E1..E4 of 4 consecutive steps are
+        multiplied into one propagator (E4 E3)(E2 E1) in the real form; an
+        overflow there gives a non-finite entry, without a warning.  Returns
+        an (S / block, G, 4, 4) complex array, on a buffer that the next
+        call overwrites.
         """
         steps, ngroups = len(parts[0][0]), len(powers)
-        out = self._buffer("out", (steps, ngroups, 4, 4), complex)
+        out = self._buffer("out", (steps // block, ngroups, 4, 4), complex)
         for lo, hi, n in ((0, nreal, 4), (nreal, ngroups, 8)):
             if lo == hi:
                 continue
@@ -333,9 +355,19 @@ class Stepper:
                 blocks[..., 0, :] = sums   # P over Q
                 np.multiply(sums[:, :, ::-1], _SIGNS, out=blocks[..., 1, :])   # -Q over P
             e = _expms(work[0], work[1:]).reshape(omega.shape)
+            if block == _BLOCK:
+                q = e.reshape(steps // 4, 4, hi - lo, n, n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e = (q[:, 3] @ q[:, 2]) @ (q[:, 1] @ q[:, 0])
             out.real[:, lo:hi] = e[..., :4, :4]
             out.imag[:, lo:hi] = e[..., 4:, :4] if n == 8 else 0.0
         return out
+
+    @cached_property
+    def _stops(self) -> frozenset:
+        # the nodes where runs may stop and sample: +-L, 0 and the breaks inside
+        inner = [b for b in _BREAKS if b > -self.L]
+        return frozenset([-self.L, self.L, 0.0, *inner, *(-b for b in inner)])
 
     def run(self, runs) -> list:
         """Every run of a flat run list in one sweep, one RescaledSolution per run, in order.
@@ -344,8 +376,9 @@ class Stepper:
         its spectrum at infinity, the mode as in integrate_mode, the end
         point in [-L, L], and a grid or None.  A grid runs from the seed
         toward the end point and must lie between them.  End and grid
-        points must be mesh nodes; +-L, 0, +-0.5, ..., +-2 always are, and
-        any other point raises ValueError before a step is taken.  Runs of
+        points must be stop nodes: +-L, 0, or one of +-0.5, ..., +-2 inside
+        (-L, L).  Any other point, mesh nodes between them included, raises
+        ValueError before a step is taken.  Runs of
         different lambda values, modes, end points and grids mix freely.  A
         run with |lambda| above LAMBDA_REF steps on the mesh with every
         step split refinement(lambda) times.  Each solution equals what
@@ -375,7 +408,8 @@ class Stepper:
             sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
             half = np.append(sub.ravel(), left[-1])
             x = np.concatenate([half, -half[-2::-1]])
-            self._levels[r] = _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0, len(x) - 1)
+            self._levels[r] = _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0, len(x) - 1,
+                                     r * int(np.searchsorted(left, _BREAKS[0])))
         return self._levels[r]
 
     def _build(self, level: _Level, d: int, upto: int):
@@ -428,11 +462,11 @@ class Stepper:
             key = (d, complex(lam_ode.real + 0.0, lam_ode.imag + 0.0))
             group[m] = groups.setdefault(key, len(groups))
             pts = [*([] if grid is None else [float(g) * d for g in grid]), float(end) * d]
-            at = np.minimum(np.searchsorted(x, pts), nsteps)
-            off = x[at] != pts
-            if off.any():
-                raise ValueError(f"xi={d * pts[np.argmax(off)]!r} is not a mesh node in [-L, L]; "
-                                 "+-L, 0, +-0.5, ..., +-2 always are")
+            off = [t for t in pts if t not in self._stops]
+            if off:
+                raise ValueError(f"xi={d * off[0]!r} is not a stop node: runs stop and sample "
+                                 "only at +-L, 0 and +-0.5, ..., +-2 inside them")
+            at = np.searchsorted(x, pts)
             if pts != sorted(pts):
                 raise ValueError("grid not monotone from the seed to the end point")
             stop[m] = at[-1]
@@ -469,39 +503,50 @@ class Stepper:
         for m, i in at_node.get(0, []):
             out_vals[m][i] = v[place[m]]
 
+        core = (level.outer, nsteps - level.outer)
         k0 = 0
         while k0 < ends[0]:
             # exponentials for the groups with a step left, in this order, up
-            # to the first step at which one of them has none left
+            # to the first step at which one of them has none left, and in
+            # the core multiplied into propagators of _BLOCK steps.  Stop and
+            # sample nodes in the core lie a multiple of _BLOCK steps apart.
+            # Every chunk spans a multiple of _BLOCK steps, so the outer
+            # pieces' chunks need no larger buffers than the core's
             act = np.flatnonzero(last > k0)
-            k1 = min(k0 + max(1, _EXP_BATCH // act.size), last[act].min())
+            span = _BLOCK * max(1, _EXP_BATCH // (_BLOCK * act.size))
+            if core[0] <= k0 < core[1]:
+                block, limit = _BLOCK, core[1]
+            else:
+                block, limit = 1, core[0] if k0 < core[0] else nsteps
+            k1 = min(k0 + span, limit, last[act].min())
             bounds = np.searchsorted(kind_g[act], np.arange(5))
             tables = (w[k0:k1], w[nsteps - k1:nsteps - k0][::-1])
             parts = [(tables[i % 2], a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
                      if a < b]
-            e = self._exponentials(parts, powers[act], bounds[2])
+            e = self._exponentials(parts, powers[act], bounds[2], block)
             bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
             if bad.any():
                 s, g = np.argwhere(bad)[0]
-                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + s]:.4f}")
+                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + block * s]:.4f}")
             # the runs still stepping are a prefix of v, stepped as one array
             # that sheds its last runs at their stop node.  Each step gathers
             # its exponentials by run: one copy of the whole chunk's per run
             # doubled a contour task's page faults
             live = n = int(np.count_nonzero(stops > k0))
             row = (np.cumsum(last > k0) - 1)[group[:live]]   # each run's group's place in act
-            shift = np.exp(np.multiply.outer(h[k0:k1], kappa[:live]))
+            shift = np.exp(np.multiply.outer(x[k0 + block:k1 + 1:block] - x[k0:k1:block],
+                                             kappa[:live]))
             cur = v[:live]
-            for k in range(k0, k1):
+            for i, k in enumerate(range(k0, k1, block)):
                 while ends[n - 1] <= k:
                     n -= 1
                 if n < len(cur):
                     v[n:len(cur)] = cur[n:]
                     cur, row = cur[:n], row[:n]
-                cur = np.matmul(e[k - k0, row], cur[:, :, None])[..., 0]
-                cur *= shift[k - k0, :n, None]
-                for m, i in at_node.get(k + 1, []):
-                    out_vals[m][i] = cur[place[m]]
+                cur = np.matmul(e[i, row], cur[:, :, None])[..., 0]
+                cur *= shift[i, :n, None]
+                for m, j in at_node.get(k + block, []):
+                    out_vals[m][j] = cur[place[m]]
             v[:len(cur)] = cur
             over = ~(np.abs(v[:live]).max(axis=1) <= _OVERFLOW)   # true for a NaN too
             if over.any():

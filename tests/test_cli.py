@@ -346,21 +346,21 @@ def test_verify_exact_evans_closed_form_agrees():
 # that means to move a printed digit re-records these and says so.
 _PINNED_STDOUT = [
     ("report --p 1 --c 0.3",
-     "c5a749491bf20137eb5aff99c350f532b7692e7a77211ba52d13c44adbf8c541"),
+     "ad78880d6f9681b5e5581b717d32d291e0b537e4f1e8a698d8ff6e8b7abbecc9"),
     ("report --p 2 --c 0",
-     "2a4fee395ef4134a24dc6610817df43675bbfab8124f88c122ea2cf484db82be"),
+     "f21c0474cbc86b3b8cae1c76e412a953ba59a98fddccee0024a80ce243527d68"),
     ("scan --model coupled-wave --p 1.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "569317d46b9d12c3a04facc88c5d11b6e1cb1407e197f6a45f1034f34845b978"),
+     "16676ff5a41d7a1d5ca03074c921db33e4ad77ad243921735c70b5fc2902d874"),
     ("scan --model coupled-wave --p 2.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "cf73937da162d713cb2cb26af97ac1a63dadb7c54108f651d7a0900fabe6308b"),
+     "f4d8799bc0dfc8fc12024243846f8eee110fae94ccace2056c19ec9e63fda0f7"),
     ("contour --model coupled-wave --p 1.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "4ae2a03e2647f211b25d7a8733c4bfa1fd693a7b7822b9364a4b8764887383e6"),
     ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "6c65b769956c81a1fcfdf6816f82342dd7df60e833fc29cd93ece6b9cbde490f"),
     ("verify --suite structure --c 0.3",
-     "db96aa32e61011fea9d723ad721521fb14f915bd0c051123599f011bdba2ec82"),
+     "3166910c33da1b86198f505a91e5dd0f45e6a82070856210c022a4d9837c5caa"),
     ("verify --suite appendix-a --c 0.3",
-     "2a5779d93798f680fd8797d4fa903170be40302bbbe544df23db44793eb803d2"),
+     "595d4264b04e67e1d04f39cee86f0c3db30a842e996f7c90979f343b788732a7"),
 ]
 
 

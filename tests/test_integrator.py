@@ -355,8 +355,10 @@ def test_report_tabulates_each_step_once(monkeypatch):
 @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
 def test_runs_stop_only_on_mesh_nodes(tol, c, L):
     # +-L, 0, +-0.5, ..., +-2 are nodes of every mesh, refined ones too
-    # (lambda = 30 splits each step in 3); a point one ulp off a node is
-    # refused before a step is taken, after only the mesh's hessS calls
+    # (lambda = 30 splits each step in 3), and the only nodes where runs stop
+    # and sample: a point one ulp off a node, and the first node above -2,
+    # inside the core's propagators of 4 steps, are refused before a step
+    # is taken, after only the mesh's hessS calls
     model, wave = _coupled()
     calls = []
     counted = MultisymplecticModel(model.M, model.K, model.gradS,
@@ -371,9 +373,12 @@ def test_runs_stop_only_on_mesh_nodes(tol, c, L):
     integrate_mode(counted, wave, c, lam, 4, "u", tol=tol, L=L, spec=s, until=-Lbox)
     mesh_only = len(calls)
     off = np.nextafter(-1.0, 0.0)
-    for until, grid in ((off, None), (0.0, np.array([-Lbox, off, 0.0]))):
+    x = Stepper(model, wave, c, tol=tol, L=L)._level(refinement(lam)).x
+    inner = x[np.searchsorted(x, -2.0) + 1]
+    assert -2.0 < inner < -1.5
+    for until, grid in ((off, None), (0.0, np.array([-Lbox, off, 0.0])), (inner, None)):
         calls.clear()
-        with pytest.raises(ValueError, match="not a mesh node"):
+        with pytest.raises(ValueError, match="not a stop node"):
             integrate_mode(counted, wave, c, lam, 4, "u", tol=tol, L=L, spec=s,
                            out_grid=grid, until=until)
         assert len(calls) == mesh_only
@@ -387,6 +392,21 @@ def test_sixth_order_against_oracle():
         coarse, fine = (abs(evans_det(model, wave, 0.0, lam, numerics=Numerics(tol=tol)).D
                             / o.evans_det(lam) - 1.0) for tol in (1e-3, 1e-3 / 64))
         assert fine * 30.0 <= coarse, (lam, coarse, fine)
+
+
+def test_block_propagators_keep_closed_form_accuracy():
+    # the core [-2, 2] steps in propagators of 4 steps and the outer pieces
+    # one step at a time: D stays within tol / 20 of the closed form over
+    # real and complex lambda, small and large, at four (p, c) and two tol
+    # (the worst point reads 0.025 tol; composing the outer pieces' long
+    # steps too reads about 50 tol)
+    lams = [0.3, 2.5, 1 + 0.5j, 0.7 + 2j, 0.1 + 2.5j, 0.02 + 4j, 15.0, 8 + 6j]
+    for p, c in ((2.0, 0.0), (1.0, 0.3), (0.5, -0.35), (2.5, 0.35)):
+        model, wave = _coupled(p)
+        o = oracle_coupled_wave(p, c)
+        for tol in (1e-8, 1e-10):
+            for lam, s in zip(lams, evans_dets(model, wave, c, lams, numerics=Numerics(tol=tol))):
+                assert abs(s.D / o.evans_det(lam) - 1.0) <= tol / 20, (p, c, tol, lam)
 
 
 @pytest.mark.parametrize("tol", [1e-30, 1e-18, 0.0, -1e-9, np.nan, np.inf])
@@ -457,10 +477,10 @@ def test_tangent_pair_golden_bits():
     spec = spectrum(model, 0.3, 0.0)
     minus, plus = Stepper(model, wave, 0.3, tol=nm.tol, L=nm.L).run(_tangent_pair(spec))
     want = (
-        (["-0x1.b14da2ba17590p-10", "0x1.b70f3ca9316ecp-11",
-          "-0x1.d2803073c4849p-9", "-0x1.b14da2ba17599p-11"], (471, 0)),
-        (["0x1.97312f1bb1010p-9", "0x1.9c99fc320e44ap-10",
-          "-0x1.b6639bf52f283p-8", "0x1.97312f1bb1014p-10"], (471, 0)),
+        (["-0x1.b14da2ba1761bp-10", "0x1.b70f3ca931773p-11",
+          "-0x1.d2803073c48e0p-9", "-0x1.b14da2ba17621p-11"], (470, 0)),
+        (["0x1.97312f1bb10dap-9", "0x1.9c99fc320e50cp-10",
+          "-0x1.b6639bf52f361p-8", "0x1.97312f1bb10dap-10"], (470, 0)),
     )
     for sol, (re, steps) in zip((minus, plus), want):
         assert [float(v.real).hex() for v in sol.value_at_end] == re
