@@ -38,6 +38,10 @@ class SingularJc(EvanskitError):
     """K + cM is singular at this wave speed; the spatial ODE is ill-posed."""
 
 
+class NotReversor(EvanskitError):
+    """A model's R is not a 4x4 involution that anticommutes with M and K."""
+
+
 # --- spectrum at infinity ---
 
 class SplittingViolated(EvanskitError):

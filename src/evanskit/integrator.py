@@ -11,6 +11,20 @@ on the side where the true mode decays and integrated toward the match
 point.  A run returns its end value (the true mode when it ends at
 xi = 0), its step counts and, on request, its values on a grid.
 
+A reversible wave halves the work.  When the model has a reversor R (R R = I,
+R M R = -M, R K R = -K) and the field is R-symmetric along the wave,
+J^-1 hessS(zhat(-xi)) = -R J^-1 hessS(zhat(xi)) R, then w(xi) = R v(-xi)
+takes a solution v at lambda to one at -lambda (Champneys, Physica D 112,
+1998), and R eta_j is the eigenvector of the system at infinity at lambda
+with exponent mu_j.  So each w-run is stepped as the u-type run at lambda
+from the opposite end, seeded with R eta_j, and its end and grid values
+are R times that run's.  In its coordinate t = d xi (see Stepper._sweep)
+the reflected run has the w-run's nodes, stops and rescaling, so its
+step counts are the w-run's; it steps in the direction of its lambda's
+u-runs, with their exponentials.  The symmetry is checked once per
+Stepper, to _REVERSIBLE relative, on the mesh monitor's samples; a model
+without R, or a wave that fails the check, steps its w-runs at -lambda.
+
 The rescaled mode equation is linear, v' = (A(xi) - sigma mu I) v with
 A = J(c)^-1 (hessS(zhat(xi)) - lambda M), and the stepper is the
 sixth-order Magnus method on three Gauss-Legendre nodes of Blanes, Casas
@@ -27,13 +41,13 @@ mesh serves both directions.  A Stepper holds it, with the mesh, for one
 runs it sweeps: a scan's grid and polish rounds, a contour's boundary and
 refinement levels, or a report's tangent pair and derivative stencil.
 Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
-of one run.  Each (lambda, direction) then costs one weighted sum and one
-exponential per step, real 4x4 for a real lambda and the real 8x8 form of
-the complex 4x4 for any other (linalg._expms, on buffers the Stepper
-holds).  In the core [-2, 2] the exponentials of 4 consecutive steps are
-multiplied into one propagator, in the real form, and each run takes one
-4x4 product per propagator; in the outer pieces, whose steps are long,
-one per step.
+of one run.  Each (lambda, direction stepped) then costs one weighted
+sum and one exponential per step, real 4x4 for a real lambda and the real
+8x8 form of the complex 4x4 for any other (linalg._expms, on buffers the
+Stepper holds).  In the core [-2, 2] the exponentials of 4 consecutive
+steps are multiplied into one propagator, in the real form, and each run
+takes one 4x4 product per propagator; in the outer pieces, whose steps
+are long, one per step.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
@@ -74,10 +88,12 @@ _BLOCK = 4         # steps per propagator in [-2, 2]; each mesh piece there has 
 _POWER = 0.25      # the monitor is the field's distance from B_inf to this power
 _FLOOR = 0.005     # monitor floor, as a fraction of the monitor's maximum
 _FINE = 128        # monitor samples per mesh piece
-_EXP_BATCH = 512   # matrices per exponential call: steps times (lambda, direction) groups
+_EXP_BATCH = 400   # matrices per exponential call: steps times (lambda, direction) groups;
+                   # each takes 7 float n x n arrays, held for the task (1.4 MiB at n = 8)
 _TABLE_BATCH = 64  # steps per _magnus call: bounds its temporaries (128 raises their peak)
 _HELD_BYTES = 2 ** 20   # W tables a Stepper keeps between sweeps; a level past it is dropped
 _OVERFLOW = 1e12
+_REVERSIBLE = 1e-12   # field symmetry under R, relative to its largest entry, for reflected w-runs
 _SIGNS = np.array([-1.0, 1.0])[:, None, None]   # [[P, -Q], [Q, P]]'s right column from Q over P
 _GAUSS = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])   # nodes on [0, 1]
 
@@ -225,10 +241,12 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
     j is the 1-based mode index.  kind "u" solves with lambda and seeds
     zeta_j; the mode decays as xi -> -infinity for j in {3, 4} (seed at
     -L) and as xi -> +infinity for j in {1, 2} (seed at +L).  kind "w"
-    solves with -lambda, seeds eta_j, with the opposite seeding sides.
-    until and the points of out_grid must be stop nodes: +-L, 0, or one of
-    +-0.5, ..., +-2 inside (-L, L).  This is a fresh Stepper's sweep of this
-    one run.
+    solves with -lambda, seeds eta_j, with the opposite seeding sides; for
+    a reversible wave it is R times the u-type run at lambda seeded with
+    R eta_j at the other end (see the module docstring), with the same
+    step counts and seed point.  until and the points of out_grid must be
+    stop nodes: +-L, 0, or one of +-0.5, ..., +-2 inside (-L, L).  This is
+    a fresh Stepper's sweep of this one run.
     """
     if spec is None:
         spec = spectrum(model, c, lam)
@@ -263,12 +281,16 @@ class Stepper:
     """The mesh and W tables of one (model, wave, c, tol, L), for any number of sweeps.
 
     None of it depends on lambda.  The mesh is built by the first sweep
-    with runs.  Each refinement level holds one W table for steps up the
-    mesh; a step down it is the same step backward, whose exponent is -W
-    to the bit (see _magnus), so down-runs read the table from the top
-    with their powers of lambda negated.  The table is built only as far
-    from each end as a sweep's runs step; a later sweep that steps further
-    extends it.  Levels are swept in ascending order, and a level whose
+    with runs, and its monitor's samples decide once whether the wave is
+    reversible, in which case every sweep steps its w-runs as reflected
+    u-runs, in their lambda's u-runs' direction: determinant runs to 0
+    then all step up the mesh and build the table of [-L, 0] alone, with
+    one exponential per lambda and step.  Each refinement level holds one
+    W table for steps up the mesh; a step down it is the same step
+    backward, whose exponent is -W to the bit (see _magnus), so down-runs
+    read the table from the top with their powers of lambda negated.  The
+    table is built only as far from each end as a sweep's runs step; a
+    later sweep that steps further extends it.  Levels are swept in ascending order, and a level whose
     table takes the held total past _HELD_BYTES is dropped after its sweep
     and rebuilt when next needed, so the many levels of large |lambda| do
     not pile up.  A table row is the same array whichever sweep built it,
@@ -294,11 +316,24 @@ class Stepper:
         return np.broadcast_to(self.jinv @ self.model.hessS(z), (xi.size, 4, 4))
 
     @cached_property
-    def _left(self) -> np.ndarray:
-        # the nodes of the mesh on [-L, 0]
-        jb = self.jinv @ self.model.binf()
-        return _mesh(lambda xi: np.linalg.norm(self._field(xi) - jb, axis=(1, 2)) ** _POWER,
-                     self.L, self.n)
+    def _half(self) -> tuple:
+        # the nodes of the mesh on [-L, 0], and whether w-runs step as
+        # reflected u-runs: the model has a reversor R and, on the monitor's
+        # samples, J^-1 hessS(zhat(-xi)) = -R J^-1 hessS(zhat(xi)) R to
+        # _REVERSIBLE times the field's largest entry
+        jb, rev = self.jinv @ self.model.binf(), self.model.R
+        seen = []   # the monitor's samples, (xi, field) a piece
+
+        def monitor(xi):
+            seen.append((xi, self._field(xi)))
+            return np.linalg.norm(seen[-1][1] - jb, axis=(1, 2)) ** _POWER
+
+        left = _mesh(monitor, self.L, self.n)
+        if rev is None:
+            return left, False
+        xi, f = (np.concatenate(parts) for parts in zip(*seen))
+        gap = np.abs(self._field(-xi) + rev @ f @ rev).max()   # NaN fails the check
+        return left, bool(gap <= _REVERSIBLE * np.abs(f).max())
 
     def _buffer(self, key, shape, dtype=float) -> np.ndarray:
         # a contiguous array of this shape on a buffer held for the stepper's
@@ -322,20 +357,21 @@ class Stepper:
         imaginary sums P and Q are written into the blocks of the real 8x8
         form [[P, -Q], [Q, P]], whose exponential holds Re exp and Im exp in
         its left column of blocks.  Each form goes to _expms in one stack on
-        the stepper's buffers: an exponent stack and _expms' six temporaries
-        per form.  block is 1 or _BLOCK: with _BLOCK, S is a multiple of it
-        and each group's exponentials E1..E4 of 4 consecutive steps are
-        multiplied into one propagator (E4 E3)(E2 E1) in the real form; an
-        overflow there gives a non-finite entry, without a warning.  Returns
-        an (S / block, G, 4, 4) complex array, on a buffer that the next
-        call overwrites.
+        the stepper's buffers: an exponent stack and _expms' six temporaries,
+        on one float buffer that the real form uses first, its exponentials
+        copied out before the complex form takes the buffer.  block is 1 or
+        _BLOCK: with _BLOCK, S is a multiple of it and each group's
+        exponentials E1..E4 of 4 consecutive steps are multiplied into one
+        propagator (E4 E3)(E2 E1) in the real form; an overflow there gives a
+        non-finite entry, without a warning.  Returns an (S / block, G, 4, 4)
+        complex array, on a buffer that the next call overwrites.
         """
         steps, ngroups = len(parts[0][0]), len(powers)
         out = self._buffer("out", (steps // block, ngroups, 4, 4), complex)
         for lo, hi, n in ((0, nreal, 4), (nreal, ngroups, 8)):
             if lo == hi:
                 continue
-            work = self._buffer(n, (7, steps * (hi - lo), n, n))
+            work = self._buffer("work", (7, steps * (hi - lo), n, n))
             omega = work[0].reshape(steps, hi - lo, n, n)
             # each group's sums, Re (and Im) in one contiguous stack: summed in
             # place in the 8x8 blocks they run 2.5 times slower.  A complex
@@ -381,8 +417,11 @@ class Stepper:
         ValueError before a step is taken.  Runs of
         different lambda values, modes, end points and grids mix freely.  A
         run with |lambda| above LAMBDA_REF steps on the mesh with every
-        step split refinement(lambda) times.  Each solution equals what
-        integrate_mode returns for that run alone.
+        step split refinement(lambda) times.  On a reversible wave a w-run
+        is stepped as a reflected u-run at lambda (see the module docstring)
+        and reported as the w-run: its seed point, step counts, end and grid
+        values, and the xi that a StepFail or Overflow names.  Each
+        solution equals what integrate_mode returns for that run alone.
         """
         levels = {}
         for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
@@ -404,7 +443,7 @@ class Stepper:
     def _level(self, r: int) -> _Level:
         # the symmetric mesh of [-L, L] with every step split in r, and its table
         if r not in self._levels:
-            left = self._left
+            left = self._half[0]
             sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
             half = np.append(sub.ravel(), left[-1])
             x = np.concatenate([half, -half[-2::-1]])
@@ -443,14 +482,16 @@ class Stepper:
         h = np.diff(x)
         nsteps = len(h)
         nrun = len(runs)
+        rev = self.model.R if self._half[1] else None
         # per run, in the coordinate t = d xi along its direction of travel
         # d = +1 (seeded at -L) or -1 (seeded at +L), in which its nodes are x
         kappa = np.empty(nrun, complex)   # exp(kappa h) is the rescaling factor of a step h in t
         seed = np.empty((nrun, 4), complex)
         dirs = np.empty(nrun, int)
+        flip = np.zeros(nrun, bool)       # a w-run stepped as a reflected u-run
         group = np.empty(nrun, int)
         stop = np.empty(nrun, int)        # node a run stops at: the mesh steps it takes
-        groups = {}                       # (d, lambda in the equation) -> group index
+        groups = {}                       # (direction stepped, lambda in the equation) -> group
         at_node = {}                      # node -> [(run, grid index)]
         out_vals = []
         for m, (lam, spec, j, kind, end, grid) in enumerate(runs):
@@ -458,8 +499,15 @@ class Stepper:
             d = -1 if (j in (3, 4)) == (kind == "w") else 1
             seed[m] = spec.zeta[j - 1] if kind == "u" else spec.eta[j - 1]
             kappa[m] = -sigma * d * spec.mu[j - 1]
-            dirs[m] = d
-            key = (d, complex(lam_ode.real + 0.0, lam_ode.imag + 0.0))
+            dirs[m] = gd = d
+            flip[m] = kind == "w" and rev is not None
+            if flip[m]:
+                # w(xi) = R v(-xi) for the u-type run v at lambda seeded with
+                # R eta_j at the other end: at each t it has the w-run's node
+                # and kappa, and it steps in the u-runs' direction and group
+                seed[m] = rev @ seed[m]
+                gd, lam_ode = -d, complex(lam)
+            key = (gd, complex(lam_ode.real + 0.0, lam_ode.imag + 0.0))
             group[m] = groups.setdefault(key, len(groups))
             pts = [*([] if grid is None else [float(g) * d for g in grid]), float(end) * d]
             off = [t for t in pts if t not in self._stops]
@@ -486,6 +534,8 @@ class Stepper:
         kind_g = 2 * np.array([lam.imag != 0.0 for _, lam in keys]) + (dir_g < 0)
         powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in keys])
         powers[dir_g < 0] = -powers[dir_g < 0]
+        named = np.full(len(groups), -1)   # the direction whose xi a group's StepFail names:
+        np.maximum.at(named, group, dirs)  # its runs' own, and up where they go both ways
         last = np.zeros(len(groups), int)   # steps of each group's longest run
         np.maximum.at(last, group, stop)
         for d in (1, -1):
@@ -527,7 +577,7 @@ class Stepper:
             bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
             if bad.any():
                 s, g = np.argwhere(bad)[0]
-                raise StepFail(f"non-finite exponent at xi={dir_g[act[g]] * x[k0 + block * s]:.4f}")
+                raise StepFail(f"non-finite exponent at xi={named[act[g]] * x[k0 + block * s]:.4f}")
             # the runs still stepping are a prefix of v, stepped as one array
             # that sheds its last runs at their stop node.  Each step gathers
             # its exponentials by run: one copy of the whole chunk's per run
@@ -554,8 +604,14 @@ class Stepper:
                 raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
             k0 = k1
 
+        v = v[place]   # the end values by run, a reflected run's taken back by R
+        if rev is not None:
+            v[flip] = v[flip] @ rev.T
+            for m in np.flatnonzero(flip):
+                if out_vals[m] is not None:
+                    out_vals[m] = out_vals[m] @ rev.T
         hmin = np.concatenate([[np.inf], np.minimum.accumulate(np.abs(h))])
-        return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[place[m]],
+        return [RescaledSolution(xi_seed=float(-dirs[m] * x[-1]), value_at_end=v[m],
                                  grid=runs[m][5], values=out_vals[m],
                                  nsteps=int(stop[m]), nrejected=0, h_min=float(hmin[stop[m]]))
                 for m in range(nrun)]

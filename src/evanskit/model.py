@@ -1,6 +1,7 @@
 """The coupled wave system, a multisymplectic model M Z_t + K Z_x = grad S(Z) on R^4.
 
-A model is the algebraic data (M, K, S-derivatives, optional reversor);
+A model is the algebraic data (M, K, S-derivatives, optional reversor R,
+which the mode integrator relies on to step a reversible wave's w-runs);
 a wave family is a c-parametrized steady profile in the moving frame
 xi = x - c t together with its xi- and c-derivatives.  The coupled
 second-order wave system is the one model with a wave family: its
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadParameter, NonSkew, SingularJc
+from .errors import BadParameter, NonSkew, NotReversor, SingularJc
 from .linalg import det4
 
 CANONICAL_M = np.array([[0, -1, 0, 0],
@@ -46,6 +47,12 @@ class MultisymplecticModel:
     per task for all the runs its Stepper sweeps.  A hessS that returns
     one constant 4x4 matrix for any input also satisfies the contract, by
     broadcasting.
+
+    R, when given, is a reversor: R R = I, R M = -M R and R K = -K R, checked
+    exactly (NotReversor otherwise).  The mode integrator relies on it: where
+    the field is R-symmetric along the wave, J^-1 hessS(zhat(-xi)) =
+    -R J^-1 hessS(zhat(xi)) R, it steps each w-run as R times a u-type run
+    from the other end.
     """
 
     M: np.ndarray
@@ -63,6 +70,13 @@ class MultisymplecticModel:
                 raise ValueError(f"{tag} must be 4x4")
             if np.max(np.abs(a + a.T)) > 1e-14:
                 raise NonSkew(f"{tag} is not skew-symmetric")
+        if self.R is not None:
+            r = self.R = np.asarray(self.R, dtype=float)
+            if not (r.shape == (4, 4) and np.array_equal(r @ r, np.eye(4))
+                    and np.array_equal(r @ self.M, -self.M @ r)
+                    and np.array_equal(r @ self.K, -self.K @ r)):
+                raise NotReversor("R must be a 4x4 matrix with R R = I that anticommutes "
+                                  "with M and K")
 
     def binf(self) -> np.ndarray:
         """Hessian of S at the origin: the system matrix at infinity."""

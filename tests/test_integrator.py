@@ -1,5 +1,7 @@
 """Mode integration: seeding layout, rescaled dynamics, dense output, failure paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from evanskit.evans import (CONTOUR_TOL, Numerics, _det_runs, _rect_path, evans_
                             real_axis_scan, winding_count)
 from evanskit import integrator
 from evanskit.integrator import _GAUSS, Stepper, _magnus, integrate_mode, mesh_steps, refinement
-from evanskit.invariants import _tangent_pair, stability_report
+from evanskit.invariants import _tangent_pair, pi_profile, stability_report
 from evanskit.model import (
     CANONICAL_K,
     CANONICAL_M,
@@ -334,8 +336,9 @@ def test_magnus_step_is_time_symmetric():
 
 
 def test_report_tabulates_each_step_once(monkeypatch):
-    # a report's one sweep steps the tangent pair to +-2 in both directions
-    # and the stencil to 0: each of the mesh's 2n steps gets one table row
+    # a report's one sweep steps the tangent pair to +-2 and the stencil to
+    # 0, and its w-runs as reflected u-runs, which step up the mesh: each
+    # step of [-L, 2] gets one table row, built from -L upward
     rows, steppers = [], []
     magnus, run = integrator._magnus, Stepper.run
     monkeypatch.setattr(integrator, "_magnus",
@@ -345,9 +348,10 @@ def test_report_tabulates_each_step_once(monkeypatch):
     model, wave = _coupled()
     stability_report(model, wave, 0.3)
     [stepper] = steppers
-    h = np.diff(stepper._level(1).x)
-    assert sum(map(len, rows)) == len(h) == 588
-    assert np.array_equal(np.sort(np.concatenate(rows)), np.sort(h))
+    x = stepper._level(1).x
+    top = int(np.searchsorted(x, 2.0))   # the steps of [-L, 2]
+    assert sum(map(len, rows)) == top == 470
+    assert np.array_equal(np.concatenate(rows), np.diff(x)[:top])
 
 
 @pytest.mark.parametrize("L", [None, 6.0, 15.0])
@@ -487,3 +491,124 @@ def test_tangent_pair_golden_bits():
         assert [float(v.imag).hex() for v in sol.value_at_end] == ["0x0.0p+0"] * 4
         assert (sol.nsteps, sol.nrejected) == steps
     assert minus.h_min.hex() == plus.h_min.hex() == "0x1.1e35c1f929ea2p-7"
+
+
+def _without_r(model):
+    # the same model with no reversor: its w-runs step at -lambda down from +L
+    return dataclasses.replace(model, R=None)
+
+
+def _same_runs(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x.value_at_end, y.value_at_end)
+        assert x.stats == y.stats and x.xi_seed == y.xi_seed
+        assert (x.values is None) == (y.values is None)
+        if x.values is not None:
+            assert np.array_equal(x.values, y.values)
+
+
+def test_reflected_w_runs_keep_golden_bits():
+    # the coupled wave is reversible, so its w-runs step as reflected u-runs
+    # in the u-runs' group; at the non-zero golden points every bit of D,
+    # d1..d4 and the step stats is the one the w-runs give stepped at -lambda
+    for p, c, tol, lam in ((1.0, 0.3, 1e-10, 0.05), (2.0, 0.0, 1e-8, 1.0 + 0.4j),
+                           (2.0, 0.0, 1e-8, 1.0 - 0.4j)):
+        model, wave = build_coupled_wave(p)
+        assert Stepper(model, wave, c, tol=tol)._half[1]
+        assert not Stepper(_without_r(model), wave, c, tol=tol)._half[1]
+        a, b = (evans_det(m, wave, c, lam, numerics=Numerics(tol=tol))
+                for m in (model, _without_r(model)))
+        for name in ("D", "d1", "d2", "d3", "d4"):
+            assert getattr(a, name) == getattr(b, name), (p, c, lam, name)
+        assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, -0.35])
+def test_reflected_w_runs_match_stepped_ones(c):
+    # off the rounding floor at lambda = 0, reflecting the w-runs moves D by
+    # at most 1e-12 relative, for real and complex lambda, both tolerances
+    # and matching points on either side of 0
+    model, wave = build_coupled_wave(1.0)
+    lams = [0.05, 0.9, 2.5, 15.0, 1.0 + 0.4j, 0.5 + 2.0j, 8.0 + 6.0j]
+    for tol in (1e-8, 1e-10):
+        nm = Numerics(tol=tol)
+        for xi_star in (0.0, 0.5, -1.5):
+            a, b = (evans_dets(m, wave, c, lams, numerics=nm, xi_star=xi_star)
+                    for m in (model, _without_r(model)))
+            for s, t in zip(a, b):
+                assert abs(s.D - t.D) <= 1e-12 * abs(t.D), (tol, xi_star, s.lam)
+                assert s.stats == t.stats
+
+
+@pytest.mark.parametrize("p, c", [(1.0, 0.3), (2.0, 0.0), (0.5, -0.35)])
+def test_reflected_tangent_pair_keeps_pi(p, c):
+    # pi_profile's w-run, eta_4 from +L to -2 with a grid, steps up from -L
+    # reflected; its samples keep every bit
+    model, wave = build_coupled_wave(p)
+    a, b = (pi_profile(m, wave, c) for m in (model, _without_r(model)))
+    assert np.array_equal(a.samples, b.samples) and a.pi == b.pi
+
+
+def _shifted(wave, s):
+    # the wave's profile moved by s along xi: still a solution, but no longer
+    # reversible about xi = 0
+    return WaveFamily(zhat=lambda xi, c: wave.zhat(np.asarray(xi) - s, c),
+                      zhat_xi=lambda xi, c: wave.zhat_xi(np.asarray(xi) - s, c),
+                      zhat_c=lambda xi, c: wave.zhat_c(np.asarray(xi) - s, c),
+                      decay_rate=wave.decay_rate)
+
+
+def test_asymmetric_wave_steps_w_runs_at_minus_lambda():
+    # with R kept but the profile shifted by 0.3 the field fails the symmetry
+    # check, and the w-runs step as they do without R, to the bit
+    model, wave = build_coupled_wave(1.0)
+    shifted, c, tol = _shifted(wave, 0.3), 0.3, 1e-9
+    assert not Stepper(model, shifted, c, tol=tol)._half[1]
+    lams = [0.0, 0.7, 1.1 + 0.3j]
+    specs = spectra(model, c, lams)
+    runs = (_det_runs(lams, specs) + _tangent_pair(specs[0])
+            + [(0.7, specs[1], 1, "w", 0.5, None)])
+    _same_runs(Stepper(model, shifted, c, tol=tol).run(runs),
+               Stepper(_without_r(model), shifted, c, tol=tol).run(runs))
+
+
+def _refusal(call):
+    # (error type, message up to "xi=", the xi named), or None when call passes
+    try:
+        call()
+    except (Overflow, StepFail) as e:
+        head, _, xi = str(e).rpartition("xi=")
+        return type(e).__name__, head, xi
+    return None
+
+
+def test_reflected_refusals_name_the_w_runs_xi():
+    # a reflected run that overflows, or meets a non-finite exponent, names
+    # the xi the w-run stepped at -lambda names.  Beside u-runs it steps in
+    # their group, so a batch has half the groups and twice the steps a
+    # chunk, and an Overflow, found at a chunk's end, may name a later
+    # chunk end on the same side (xi = -2 for -2.345 here)
+    grow, gwave = _perturbed(lambda z: -3.0 * np.multiply.outer(z[0], np.eye(4)))
+    grow = dataclasses.replace(grow, R=_coupled()[0].R)   # profile e1 is reversible
+    narrow, nwave = _coupled()
+    cases = [(grow, gwave, 0.0, 0.7, 1e-10), (narrow, nwave, 0.9995, 3.0, 1e-8),
+             (narrow, nwave, 0.9995, 2.0 + 0.8j, 1e-8)]
+    for model, wave, c, lam, tol in cases:
+        assert Stepper(model, wave, c, tol=tol)._half[1]
+        spec = spectrum(model, c, lam)
+        lots = [[(lam, spec, j, "w", 0.0, None)] for j in (1, 2, 3, 4)]
+        lots += [_det_runs([lam], [spec]), [(lam, spec, 1, "u", 0.0, None),
+                                            (lam, spec, 1, "w", 0.0, None)]]
+        refused = 0
+        for k, runs in enumerate(lots):
+            got = [_refusal(lambda: Stepper(m, wave, c, tol=tol).run(runs))
+                   for m in (model, _without_r(model))]
+            refused += got[0] is not None
+            if k < 4 and got[0] is not None:   # w3, w4 start at +L and w1, w2 at -L
+                assert np.sign(float(got[0][2])) == (1 if k >= 2 else -1), got
+            if k < 4 or got[0] is None or got[0][0] == "StepFail":
+                assert got[0] == got[1], got
+            else:   # the same type and message, an xi on the same side
+                assert got[0][:2] == got[1][:2], got
+                assert np.sign(float(got[0][2])) == np.sign(float(got[1][2])), got
+        assert refused >= 3, (c, lam)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evanskit.errors import BadParameter, NonSkew, SingularJc
+from evanskit.errors import BadParameter, NonSkew, NotReversor, SingularJc
 from evanskit.linalg import det4
 from evanskit.model import (CANONICAL_K, CANONICAL_M, REVERSOR,
                             MultisymplecticModel, WaveFamily,
@@ -120,6 +120,24 @@ def test_reversor_structure():
     # profile reversibility: R zhat(-xi) = zhat(xi)
     for xi in (-2.0, 0.5, 1.7):
         assert np.max(np.abs(R @ wave.zhat(-xi, 0.0) - wave.zhat(xi, 0.0))) < 1e-12
+
+
+@pytest.mark.parametrize("R", [
+    np.eye(4),                            # an involution that commutes with M and K
+    2.0 * REVERSOR,                       # anticommutes, but R R = 4 I
+    np.diag([1.0, 1.0, -1.0, -1.0]),      # R R = I and R K = -K R, not R M = -M R
+    np.diag([1.0, -1.0, 1.0, -1.0]),      # R R = I and R M = -M R, not R K = -K R
+    REVERSOR[:3, :3],                     # not 4x4
+], ids=["identity", "scaled", "fails-M", "fails-K", "3x3"])
+def test_model_rejects_bad_reversor(R):
+    # the stepper reflects w-runs through R, so R must satisfy R R = I,
+    # R M = -M R and R K = -K R exactly, as the clifford suite checks
+    model, _ = build_coupled_wave(1.0)
+    with pytest.raises(NotReversor):
+        MultisymplecticModel(model.M, model.K, model.gradS, model.hessS, R=R)
+    for good in (REVERSOR, -REVERSOR, REVERSOR.astype(int)):
+        kept = MultisymplecticModel(model.M, model.K, model.gradS, model.hessS, R=good)
+        assert kept.R.dtype == float and np.array_equal(kept.R, good)
 
 
 def test_dirac_clifford_relations():
