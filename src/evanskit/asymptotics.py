@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (BadParameter, Degenerate, DegenerateMu, NormalizationFail,
                      SplittingViolated)
-from .linalg import det4, det4s, skew_cmat4, symplectic_forms
+from .linalg import skew_cmat4, symplectic_forms
 from .model import MultisymplecticModel, jc
 
 
@@ -94,7 +94,7 @@ def spectra(model: MultisymplecticModel, c: float, lams) -> list[InfinitySpectru
     zeta = np.swapaxes(vecs, 1, 2)
     tau = -float(np.trace(jm))
     # zeta_1^zeta_2^zeta_3^zeta_4 against vol: det of the matrix with columns zeta_k
-    kconst = det4s(vecs)
+    kconst = np.linalg.det(vecs)
 
     # the checks of every lambda as arrays, each refusing the lambdas the
     # earlier ones passed: an exponent gap, the two-two splitting, a
@@ -161,4 +161,4 @@ def continuous_spectrum_distance(model: MultisymplecticModel, c: float,
     nu = -1j * np.linalg.eigvals(a)
     crit = np.roots(np.polyder(np.poly(np.concatenate([nu, np.conj(nu)])).real))
     kappa = np.concatenate([crit.real, nu.real])
-    return float(abs(det4(j)) * np.min(np.prod(np.abs(kappa[:, None] - nu), axis=1)))
+    return float(abs(np.linalg.det(j)) * np.min(np.prod(np.abs(kappa[:, None] - nu), axis=1)))

@@ -332,7 +332,11 @@ class Stepper:
         if rev is None:
             return left, False
         xi, f = (np.concatenate(parts) for parts in zip(*seen))
-        gap = np.abs(self._field(-xi) + rev @ f @ rev).max()   # NaN fails the check
+        # R f R as two 2-D products, each sample's rows side by side in the
+        # second: rows indexed by a matrix row, columns by (sample, column)
+        fr = (f.reshape(-1, 4) @ rev).reshape(f.shape).transpose(1, 0, 2).reshape(4, -1)
+        back = self._field(-xi).transpose(1, 0, 2).reshape(4, -1)
+        gap = np.abs(back + rev @ fr).max()   # NaN fails the check
         return left, bool(gap <= _REVERSIBLE * np.abs(f).max())
 
     def _buffer(self, key, shape, dtype=float) -> np.ndarray:
@@ -587,21 +591,27 @@ class Stepper:
             shift = np.exp(np.multiply.outer(x[k0 + block:k1 + 1:block] - x[k0:k1:block],
                                              kappa[:live]))
             cur = v[:live]
-            for i, k in enumerate(range(k0, k1, block)):
-                while ends[n - 1] <= k:
-                    n -= 1
-                if n < len(cur):
-                    v[n:len(cur)] = cur[n:]
-                    cur, row = cur[:n], row[:n]
-                cur = np.matmul(e[i, row], cur[:, :, None])[..., 0]
-                cur *= shift[i, :n, None]
-                for m, j in at_node.get(k + block, []):
-                    out_vals[m][j] = cur[place[m]]
+            with np.errstate(over="ignore", invalid="ignore"):   # overflows are found below
+                for i, k in enumerate(range(k0, k1, block)):
+                    while ends[n - 1] <= k:
+                        n -= 1
+                    if n < len(cur):
+                        v[n:len(cur)] = cur[n:]
+                        cur, row = cur[:n], row[:n]
+                    cur = np.matmul(e[i, row], cur[:, :, None])[..., 0]
+                    cur *= shift[i, :n, None]
+                    for m, j in at_node.get(k + block, []):
+                        out_vals[m][j] = cur[place[m]]
             v[:len(cur)] = cur
-            over = ~(np.abs(v[:live]).max(axis=1) <= _OVERFLOW)   # true for a NaN too
+            # a run's norm is checked only at nodes that do not depend on its
+            # batch: its stop node, and t = -2 and 2, where chunks always end.
+            # The first such node with a run over the bound names the xi
+            over = ((stops[:live] <= k1) | (k1 in core)) \
+                & ~(np.abs(v[:live]).max(axis=1) <= _OVERFLOW)   # true for a NaN too
             if over.any():
-                m = order[:live][over].min()
-                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[k1]:.3f}")
+                at = np.minimum(stops[:live], k1)[over]
+                node, m = min(zip(at.tolist(), order[:live][over].tolist()))
+                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[node]:.3f}")
             k0 = k1
 
         v = v[place]   # the end values by run, a reflected run's taken back by R

@@ -237,25 +237,21 @@ def _pi_data(model, wave, c, sp: InfinitySpectrum, minus, plus) -> PiData:
 
 @dataclass
 class StructureReport:
-    """Lagrangian pairing maxima and the Jordan-chain obstruction value."""
+    """Lagrangian pairing maxima."""
 
     max_tangent_plus: float    # max |Omega(Zhat_xi, a_plus)| / scale
     max_tangent_minus: float   # max |Omega(Zhat_xi, a_minus)| / scale
     max_tangent_zc: float      # max |Omega(Zhat_xi, Zhat_c)| / scale
-    chain_obstruction: float   # integral <Zhat_xi, M Zhat_c>
-    dIdc: float
-    chain_residual: float      # |chain + dIdc| / |dIdc|
 
 
 def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
                       pair=None, numerics: Numerics | None = None) -> StructureReport:
-    """Lagrangian-subspace pairings on a 9-point grid plus the chain identity.
+    """Lagrangian-subspace pairings on a 9-point grid.
 
     pair overrides the two manifold-tangent continuations (minus, plus); each
     must carry values on a grid containing linspace(-2, 2, 9).  Otherwise
     they are integrated with the tolerance and half-width of numerics.
     """
-    L = wave.default_L(c)
     if pair is None:
         pair = _pair(model, wave, c, numerics, spectrum(model, c, 0.0))
     minus, plus = pair
@@ -266,17 +262,8 @@ def structural_checks(model: MultisymplecticModel, wave: WaveFamily, c: float,
     nz = np.array([np.linalg.norm(z) for z in zx])
     nv = np.maximum([[np.linalg.norm(v) for v in row] for row in vs], 1e-300)
     rel_p, rel_m, rel_z = np.max(np.hypot(om.real, om.imag) / (nz * nv), axis=1)
-
-    def integrand(xi):
-        zx, zc = on_grid(wave.zhat_xi, xi, c), on_grid(wave.zhat_c, xi, c)
-        return np.einsum("in,ij,jn->n", zx, model.M, zc)
-
-    chain = quad(integrand, -L, L)
-    didc = dIdc(model, wave, c)
-    return StructureReport(
-        max_tangent_plus=float(rel_p), max_tangent_minus=float(rel_m),
-        max_tangent_zc=float(rel_z), chain_obstruction=float(chain),
-        dIdc=didc, chain_residual=abs(chain + didc) / abs(didc))
+    return StructureReport(max_tangent_plus=float(rel_p), max_tangent_minus=float(rel_m),
+                           max_tangent_zc=float(rel_z))
 
 
 @dataclass

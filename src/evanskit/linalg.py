@@ -9,8 +9,8 @@ The symplectic pairing has one kernel, symplectic_forms, called on stacks.
 _expms exponentiates a stack of real matrices, each with its own scaling,
 through real matmuls alone; complex 4x4 exponents go through it in the
 real 8x8 form, which the integrator builds in place.
-det4s is det4 over a stack; det4 stays the scalar kernel, as one matrix
-takes det4 12-20 us and det4s about 230 us (numpy's per-call costs).
+Determinants, one matrix or a stack, are np.linalg.det, which runs LAPACK
+on each matrix of a stack alone.
 Each item must get the bits of one-at-a-time arithmetic on complex
 scalars, on which every pinned D, root and Pi rests.  numpy's array loops
 round differently from its scalar arithmetic: the SIMD complex product
@@ -56,23 +56,6 @@ def as_cmat4(m) -> np.ndarray:
     return a
 
 
-def _minor2(m: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> complex:
-    return m[r0, c0] * m[r1, c1] - m[r0, c1] * m[r1, c0]
-
-
-def det4(m) -> complex:
-    """Determinant by Laplace expansion on complementary 2x2 minors.
-
-    The six-term expansion mirrors the bivector pairing rule, so det4 and
-    the wedge operations share one sign convention by construction.
-    """
-    a = as_cmat4(m)
-    p = [_minor2(a, 0, 1, i, j) for (i, j) in BASIS2]
-    q = [_minor2(a, 2, 3, i, j) for (i, j) in BASIS2]
-    return (p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
-            + p[3] * q[2] - p[4] * q[1] + p[5] * q[0])
-
-
 def skew_cmat4(jmat) -> np.ndarray:
     """jmat as a complex 4x4 matrix; NonSkew unless it is skew-symmetric."""
     j = as_cmat4(jmat)
@@ -100,7 +83,7 @@ def wedge2(u, v) -> np.ndarray:
 
 def wedge4(u1, u2, u3, u4) -> complex:
     """Coefficient of u1^u2^u3^u4 against vol."""
-    return det4(np.column_stack([as_cvec4(u) for u in (u1, u2, u3, u4)]))
+    return np.linalg.det(np.column_stack([as_cvec4(u) for u in (u1, u2, u3, u4)]))
 
 
 def interior2(q4coeff: complex, x: np.ndarray) -> np.ndarray:
@@ -127,26 +110,6 @@ def _cmul(a, b) -> np.ndarray:
     out.real = re
     out.imag = a.real * b.imag + a.imag * b.real
     return out
-
-
-def det4s(ms) -> np.ndarray:
-    """det4 of every matrix of a (K, 4, 4) stack, bit for bit.
-
-    The same complementary 2x2 minors and six-term sum as det4, in the same
-    order, with every product of two entries written by _cmul.  Entries are
-    not checked: a non-finite entry gives a non-finite determinant.
-    """
-    a = np.asarray(ms, dtype=complex)
-    if a.ndim != 3 or a.shape[1:] != (4, 4):
-        raise ValueError(f"expected a stack of 4x4 matrices, got shape {np.shape(ms)}")
-
-    def minor2(r0, r1, c0, c1):
-        return _cmul(a[:, r0, c0], a[:, r1, c1]) - _cmul(a[:, r0, c1], a[:, r1, c0])
-
-    p = [minor2(0, 1, i, j) for (i, j) in BASIS2]
-    q = [minor2(2, 3, i, j) for (i, j) in BASIS2]
-    return (_cmul(p[0], q[5]) - _cmul(p[1], q[4]) + _cmul(p[2], q[3])
-            + _cmul(p[3], q[2]) - _cmul(p[4], q[1]) + _cmul(p[5], q[0]))
 
 
 _EXP_THETA = 0.75   # inf-norm each matrix is scaled under before its Taylor

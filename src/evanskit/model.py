@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParameter, NonSkew, NotReversor, SingularJc
-from .linalg import det4
 
 CANONICAL_M = np.array([[0, -1, 0, 0],
                         [1, 0, 0, 0],
@@ -84,9 +83,14 @@ class MultisymplecticModel:
 
 
 def jc(model: MultisymplecticModel, c: float) -> np.ndarray:
-    """J(c) = K + c M, the symplectic operator of the travelling frame."""
+    """J(c) = K + c M, the symplectic operator of the travelling frame.
+
+    BadParameter unless c is finite; SingularJc where K + cM is singular.
+    """
+    if not np.isfinite(c):
+        raise BadParameter(f"c must be finite, got {c}")
     j = model.K + c * model.M
-    if abs(det4(j)) < 1e-10:
+    if not abs(np.linalg.det(j)) >= 1e-10:   # NaN fails too
         raise SingularJc(f"K + cM singular at c={c}")
     return j
 

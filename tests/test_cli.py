@@ -358,9 +358,9 @@ _PINNED_STDOUT = [
     ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "6c65b769956c81a1fcfdf6816f82342dd7df60e833fc29cd93ece6b9cbde490f"),
     ("verify --suite structure --c 0.3",
-     "3166910c33da1b86198f505a91e5dd0f45e6a82070856210c022a4d9837c5caa"),
+     "95c92826aada4d17d504a7d8b2cb8f346bbbd560af2225f02df6ac277da70c23"),
     ("verify --suite appendix-a --c 0.3",
-     "595d4264b04e67e1d04f39cee86f0c3db30a842e996f7c90979f343b788732a7"),
+     "5b272eb475eb8c0197efae7d8e8deae4a6ab26259e66c2298d5f6b34a9f0840f"),
 ]
 
 

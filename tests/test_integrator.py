@@ -584,10 +584,8 @@ def _refusal(call):
 
 def test_reflected_refusals_name_the_w_runs_xi():
     # a reflected run that overflows, or meets a non-finite exponent, names
-    # the xi the w-run stepped at -lambda names.  Beside u-runs it steps in
-    # their group, so a batch has half the groups and twice the steps a
-    # chunk, and an Overflow, found at a chunk's end, may name a later
-    # chunk end on the same side (xi = -2 for -2.345 here)
+    # the xi the w-run stepped at -lambda names, alone and beside u-runs,
+    # whose group it joins: a batch with half the groups
     grow, gwave = _perturbed(lambda z: -3.0 * np.multiply.outer(z[0], np.eye(4)))
     grow = dataclasses.replace(grow, R=_coupled()[0].R)   # profile e1 is reversible
     narrow, nwave = _coupled()
@@ -606,9 +604,20 @@ def test_reflected_refusals_name_the_w_runs_xi():
             refused += got[0] is not None
             if k < 4 and got[0] is not None:   # w3, w4 start at +L and w1, w2 at -L
                 assert np.sign(float(got[0][2])) == (1 if k >= 2 else -1), got
-            if k < 4 or got[0] is None or got[0][0] == "StepFail":
-                assert got[0] == got[1], got
-            else:   # the same type and message, an xi on the same side
-                assert got[0][:2] == got[1][:2], got
-                assert np.sign(float(got[0][2])) == np.sign(float(got[1][2])), got
+            assert got[0] == got[1], got
         assert refused >= 3, (c, lam)
+
+
+@pytest.mark.parametrize("lam, xi", [(0.7, "-2.000"), (1.6, "0.000")])
+def test_overflow_names_the_same_xi_in_any_batch(lam, xi):
+    # a run's norm is checked at its stop node and at +-2 only, so the xi an
+    # Overflow names does not depend on the chunks its batch is stepped in:
+    # u3 alone (one group) and beside 24 lambdas that pass (25 groups)
+    model, wave = _perturbed(lambda z: -3.0 * np.multiply.outer(z[0], np.eye(4)))
+    lams = [*np.linspace(1.8, 3.0, 24), lam]
+    runs = [(mu, spectrum(model, 0.0, mu), 3, "u", 0.0, None) for mu in lams]
+    stepper = lambda: Stepper(model, wave, 0.0, tol=1e-10)
+    assert _refusal(lambda: stepper().run(runs[:-1])) is None
+    alone = _refusal(lambda: stepper().run(runs[-1:]))
+    assert alone == ("Overflow", "mode norm exceeded 1e+12 by ", xi)
+    assert _refusal(lambda: stepper().run(runs)) == alone

@@ -92,15 +92,6 @@ def test_quad_refuses_unresolved_spike(x0, width):
         quad(lambda xi: np.exp(-((xi - x0) / width) ** 2), -20.0, 20.0)
 
 
-@pytest.mark.parametrize("c", [0.0, -0.6, 0.95])
-def test_chain_identity_to_roundoff(c):
-    # the chain integral is -dI/dc: the same integrand with M transposed
-    r = structural_checks(MODEL, WAVE, c)
-    want = oracle_coupled_wave(1.0, c).dIdc
-    assert r.chain_residual <= 1e-12
-    assert abs(r.chain_obstruction + want) <= 1e-12 * abs(want)
-
-
 def test_degenerate_family_rejected():
     # family frozen at one speed: the c-derivative vanishes identically
     frozen = WaveFamily(
@@ -244,10 +235,6 @@ def test_pairings_vanish_on_manifold_tangents():
     assert r.max_tangent_plus <= 1e-7
     assert r.max_tangent_minus <= 1e-7
     assert r.max_tangent_zc <= 1e-7
-    assert r.chain_residual <= 1e-6
-    want = -3.2 * _alpha(0.3) ** 3
-    assert abs(r.dIdc - want) <= 1e-6 * abs(want)
-    assert abs(r.chain_obstruction + want) <= 1e-6 * abs(want)
 
 
 def test_non_lagrangian_perturbation_detected():

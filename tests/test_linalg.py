@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from evanskit.errors import Degenerate, NonSkew, RankError
 from evanskit.integrator import Stepper
-from evanskit.linalg import (NULLVECTOR_TOL, _expms, det4, det4s, interior2,
-                             nullvector, quartic_roots, skew_cmat4, symplectic_forms,
-                             wedge2, wedge4)
+from evanskit.linalg import (NULLVECTOR_TOL, _expms, interior2, nullvector, quartic_roots,
+                             skew_cmat4, symplectic_forms, wedge2, wedge4)
 from evanskit.model import build_coupled_wave
 
 M = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
@@ -18,50 +17,6 @@ K = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]], float)
 
 def cvec(rng):
     return rng.uniform(-2, 2, 4) + 1j * rng.uniform(-2, 2, 4)
-
-
-def test_det4_jc_values():
-    # det(K + cM) = (1 - c^2)^2 for the canonical skew pair
-    for c in (0.0, 0.5, -0.3, 0.9):
-        assert abs(det4(K + c * M) - (1 - c * c) ** 2) < 1e-14
-    assert abs(det4(K + 0.5 * M) - 0.5625) < 1e-15
-
-
-def test_det4_matches_numpy():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = rng.uniform(-10, 10, (4, 4)) + 1j * rng.uniform(-10, 10, (4, 4))
-        ref = np.linalg.det(a)
-        assert abs(det4(a) - ref) <= 1e-10 * (1 + abs(ref))
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_det4_multiplicative(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-10, 10, (4, 4)) + 1j * rng.uniform(-10, 10, (4, 4))
-    b = rng.uniform(-10, 10, (4, 4)) + 1j * rng.uniform(-10, 10, (4, 4))
-    lhs, rhs = det4(a @ b), det4(a) * det4(b)
-    assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_det4s_equals_det4_bit_for_bit(seed):
-    # entries over many magnitudes, exact zeros of either sign and purely real
-    # or imaginary rows: the stacked kernel must round exactly as det4 does
-    rng = np.random.default_rng(seed)
-    k = 40
-    a = (rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))) \
-        * np.exp(rng.uniform(-12, 12, (k, 4, 4)))
-    a[rng.random((k, 4, 4)) < 0.15] = 0.0
-    a[rng.random((k, 4, 4)) < 0.05] = -0.0
-    a.real[rng.random((k, 4, 4)) < 0.1] = 0.0
-    a.imag[rng.random((k, 4, 4)) < 0.1] = -0.0
-    got = det4s(a)
-    assert got.shape == (k,)
-    for m, d in zip(a, got):
-        assert np.complex128(d).tobytes() == np.complex128(det4(m)).tobytes()
-    assert det4s(a[:1]).tobytes() == got[:1].tobytes()
 
 
 def test_symplectic_forms_basic():

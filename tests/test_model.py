@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from evanskit.errors import BadParameter, NonSkew, NotReversor, SingularJc
-from evanskit.linalg import det4
 from evanskit.model import (CANONICAL_K, CANONICAL_M, REVERSOR,
                             MultisymplecticModel, WaveFamily,
                             build_coupled_wave, build_dirac, jc,
@@ -18,9 +17,17 @@ def test_canonical_pair_skew_and_commuting():
 def test_jc_det_and_singular_guard():
     model, _ = build_coupled_wave(1.0)
     for c in (0.0, 0.5, -0.3):
-        assert abs(det4(jc(model, c)) - (1 - c * c) ** 2) < 1e-14
+        assert abs(np.linalg.det(jc(model, c)) - (1 - c * c) ** 2) < 1e-14
     with pytest.raises(SingularJc):
         jc(model, 1.0)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_jc_refuses_non_finite_speed(c):
+    # refused before K + cM is formed, so no numpy warning either
+    model, _ = build_coupled_wave(1.0)
+    with pytest.raises(BadParameter, match="c must be finite"):
+        jc(model, c)
 
 
 def test_model_rejects_nonskew():
