@@ -8,6 +8,7 @@ trajectories, so every pairing is evaluated at O(1) scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +57,7 @@ CONTOUR_TOL = 1e-8   # contours default to a looser tolerance than point values
 SCAN_N = 31          # default sample count of real-axis scans
 ROOT_XTOL = 1e-10    # absolute tolerance of real-axis root polish
 _POLISH_ROUNDS = 100  # cap on lockstep polish rounds; each at least halves a bracket
+_SEED_POINTS = 8     # known points whose interpolant seeds a bracket's first polish round
 
 
 def _stepper(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -268,20 +270,83 @@ class ScanResult:
     brackets: list                # (lo, hi) sign-change intervals before refinement
     roots: list                   # midpoints of brackets polished to ROOT_XTOL
     d_inf: int                    # sign of D at the right end
+    rounds: int                   # polish rounds, one stepper sweep each after the grid's
 
 
-def _inverse_interp(xs, fs) -> list:
-    # zeros of the inverse interpolants x(f) through the first 1, 2, ... of
-    # the points (xs, fs), by Neville's scheme; nan or inf where f values
+def _inverse_estimate(lo, hi, known):
+    # (est, err) for the bracket (lo, hi): the zero of the inverse
+    # interpolant x(f) through the 4, 3 or 2 known points nearest its
+    # midpoint, the first of these inside the bracket, and its last Neville
+    # correction; None when none is inside.  Neville's scheme gives the
+    # zeros through the first 1, 2, ... points, nan or inf where f values
     # coincide
-    p = np.array(xs, dtype=float)
-    f = np.array(fs, dtype=float)
+    mid = 0.5 * (lo + hi)
+    near = sorted(known, key=lambda x: abs(x - mid))[:4]
+    p = np.array(near, dtype=float)
+    f = np.array([known[x] for x in near], dtype=float)
     ests = [p[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(1, len(p)):
             p = (f[m:] * p[:-1] - f[:-m] * p[1:]) / (f[m:] - f[:-m])
             ests.append(p[0])
-    return ests
+    inside = [i for i in range(1, len(ests)) if lo < ests[i] < hi]
+    if not inside:
+        return None
+    i = inside[-1]
+    return ests[i], abs(ests[i] - ests[i - 1])
+
+
+def _interp_zero(xs, fs, lo, hi) -> float:
+    # a zero in (lo, hi) of the polynomial through the points (xs, fs), whose
+    # first two are lo and hi, of opposite sign, and no other in [lo, hi]:
+    # Illinois regula falsi on its barycentric form (Berrut and Trefethen,
+    # SIAM Rev. 46, 2004), in Python floats.  It returns the iterate where
+    # the polynomial is 0, or that falls on an end of what is left of the
+    # bracket, or the 100th; nan where the weights over- or underflow
+    s = hi - lo   # differences in units of the bracket keep the weights O(1)
+    ws = [1.0 / math.prod((a - b) / s for b in xs if b != a) for a in xs]
+    if not all(0.0 < abs(w) < math.inf for w in ws):
+        return math.nan
+
+    def p(x):
+        t = [w / (x - a) for w, a in zip(ws, xs)]
+        return sum(u * f for u, f in zip(t, fs)) / sum(t)
+
+    a, fa, b, fb = lo, fs[0], hi, fs[1]
+    side = 0
+    for _ in range(100):
+        x = (a * fb - b * fa) / (fb - fa)
+        if not a < x < b:
+            break
+        fx = p(x)
+        if fx == 0.0:
+            break
+        if (fx < 0) == (fa < 0):
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return x
+
+
+def _seed(lo, hi, known):
+    # (est, err) for the bracket (lo, hi) in the first polish round: the
+    # zeros in it of the polynomials through lo, hi and the known points
+    # outside it nearest its midpoint, _SEED_POINTS points and two fewer,
+    # and their distance; None with fewer than 2 known points outside it
+    mid = 0.5 * (lo + hi)
+    outside = sorted((x for x in known if not lo <= x <= hi), key=lambda x: abs(x - mid))
+    if len(outside) < 2:
+        return None
+    near = [lo, hi, *outside[:_SEED_POINTS - 2]]
+    fine, coarse = (_interp_zero(xs, [known[x] for x in xs], lo, hi)
+                    for xs in (near, near[:-2]))
+    return fine, abs(fine - coarse)
 
 
 def _polish(f, brackets, known):
@@ -291,17 +356,22 @@ def _polish(f, brackets, known):
     evaluated so far, the bracket ends included, to its value.  Each round
     evaluates, for every open bracket, its midpoint and an estimate est with
     est -+ d, d = max(err, ROOT_XTOL / 2), points outside the bracket
-    dropped.  est is the zero of the inverse interpolant through the 4, 3
-    or 2 known points nearest the bracket, the first of these that falls
-    inside it (the last, through the bracket ends, always does), and err
-    its last Neville correction.  When d is ROOT_XTOL / 2, est -+ d alone
-    close the bracket if the root lies between them, so est is not
-    evaluated in that round.  The bracket then becomes the first sign-change
-    interval among the points it holds, so it stays an interval between
-    evaluated points of opposite sign and at least halves.  A bracket ends
-    at width <= 2 ROOT_XTOL, or as (x, x) on a point x where f is exactly 0.
-    Returns the final brackets and the number of rounds; raises NoConverge
-    when brackets are still open after _POLISH_ROUNDS rounds.
+    dropped.  In the first round, with 4 or more known points, est is the
+    zero in the bracket of the polynomial through its ends and the known
+    points nearest it, _SEED_POINTS in all (for a scan, its grid), and err
+    the distance to the zero of the one through two points fewer.  Later
+    rounds, and a first round with fewer known points, take est from the
+    inverse interpolants through the 4, 3 or 2 known points nearest the
+    bracket, the first of these that falls inside it (the last, through the
+    bracket ends, always does), and err from its last Neville correction.
+    When d is ROOT_XTOL / 2, est -+ d alone close the bracket if the root
+    lies between them, so est is not evaluated in that round.  The bracket
+    then becomes the first sign-change interval among the points it holds,
+    so it stays an interval between evaluated points of opposite sign and
+    at least halves.  A bracket ends at width <= 2 ROOT_XTOL, or as (x, x)
+    on a point x where f is exactly 0.  Returns the final brackets and the
+    number of rounds; raises NoConverge when brackets are still open after
+    _POLISH_ROUNDS rounds.
     """
     known = dict(known)
     brackets = list(brackets)
@@ -314,14 +384,13 @@ def _polish(f, brackets, known):
         inner = {}
         for k in live:
             lo, hi = brackets[k]
-            mid = 0.5 * (lo + hi)
-            near = sorted(known, key=lambda x: abs(x - mid))[:4]
-            ests = _inverse_interp(near, [known[x] for x in near])
-            inside = [i for i in range(1, len(ests)) if lo < ests[i] < hi]
-            pts = [mid]
-            if inside:
-                i = inside[-1]
-                est, d = ests[i], max(abs(ests[i] - ests[i - 1]), 0.5 * ROOT_XTOL)
+            guess = _seed(lo, hi, known) if rounds == 0 else None
+            if guess is None:
+                guess = _inverse_estimate(lo, hi, known)
+            pts = [0.5 * (lo + hi)]
+            if guess is not None:
+                est, err = guess
+                d = max(err, 0.5 * ROOT_XTOL)
                 pts += [est - d, est + d] if d == 0.5 * ROOT_XTOL else [est - d, est, est + d]
             inner[k] = sorted({float(x) for x in pts if lo < x < hi})
         new = sorted({x for pts in inner.values() for x in pts} - known.keys())
@@ -348,10 +417,13 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     The grid samples are one batched evaluation.  Each sign-change interval
     of the grid is then shrunk to width 2 ROOT_XTOL or less by _polish, all
-    brackets in lockstep, one batched evaluation per round.  The grid and
-    every round sweep one Stepper, so the task builds its mesh and W tables
-    once.  A root is the midpoint of its final bracket, so it lies within
-    ROOT_XTOL of the sign change of D.  A grid sample where D is exactly 0
+    brackets in lockstep, one batched evaluation per round; the first
+    round's estimates are zeros of polynomials through 8 grid samples, so a
+    grid that resolves D saves rounds (a coupled-wave scan of (0, 3] on 13
+    samples at tol 1e-9 takes 2).  The grid and every round sweep one
+    Stepper, so the task builds its mesh and W tables once.  rounds counts
+    the polish rounds.  A root is the midpoint of its final bracket, so it
+    lies within ROOT_XTOL of the sign change of D.  A grid sample where D is exactly 0
     is a root as it stands.  A sample on the continuous spectrum raises
     what spectra raises there.
     """
@@ -368,13 +440,13 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     brackets = [(float(lams[k]), float(lams[k + 1])) for k in range(n - 1)
                 if re[k] * re[k + 1] < 0]
-    polished, _ = _polish(f, brackets, dict(zip(lams.tolist(), re.tolist())))
+    polished, rounds = _polish(f, brackets, dict(zip(lams.tolist(), re.tolist())))
     # brackets are disjoint and end at nonzero samples: sorting keeps grid order
     roots = sorted([float(lams[k]) for k in range(n - 1) if re[k] == 0.0]
                    + [0.5 * (lo + hi) for lo, hi in polished])
     d_inf = 1 if re[-1] > 0 else (-1 if re[-1] < 0 else 0)
     return ScanResult(lams=lams, values=vals, brackets=brackets, roots=roots,
-                      d_inf=d_inf)
+                      d_inf=d_inf, rounds=rounds)
 
 
 def _rect_path(rect, m_per_edge):

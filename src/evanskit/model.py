@@ -36,6 +36,7 @@ REVERSOR = np.diag([1.0, -1.0, -1.0, 1.0])
 class MultisymplecticModel:
     """Algebraic data of M Z_t + K Z_x = grad S(Z).
 
+    M and K are finite (BadParameter otherwise) and skew-symmetric (NonSkew).
     gradS maps a point z of shape (4,) to grad S(z), and z of shape (4, N)
     to the (4, N) array of its columns' gradients; verify_wave relies on
     this.  hessS maps z of shape (4,) to the real 4x4 Hessian and also
@@ -47,11 +48,11 @@ class MultisymplecticModel:
     one constant 4x4 matrix for any input also satisfies the contract, by
     broadcasting.
 
-    R, when given, is a reversor: R R = I, R M = -M R and R K = -K R, checked
-    exactly (NotReversor otherwise).  The mode integrator relies on it: where
-    the field is R-symmetric along the wave, J^-1 hessS(zhat(-xi)) =
-    -R J^-1 hessS(zhat(xi)) R, it steps each w-run as R times a u-type run
-    from the other end.
+    R, when given, is a finite reversor: R R = I, R M = -M R and R K = -K R,
+    checked exactly (NotReversor otherwise).  The mode integrator relies on
+    it: where the field is R-symmetric along the wave, J^-1 hessS(zhat(-xi))
+    = -R J^-1 hessS(zhat(xi)) R, it steps each w-run as R times a u-type
+    run from the other end.
     """
 
     M: np.ndarray
@@ -67,11 +68,14 @@ class MultisymplecticModel:
         for tag, a in (("M", self.M), ("K", self.K)):
             if a.shape != (4, 4):
                 raise ValueError(f"{tag} must be 4x4")
+            if not np.all(np.isfinite(a)):   # the skew test below passes a NaN
+                raise BadParameter(f"{tag} must be finite")
             if np.max(np.abs(a + a.T)) > 1e-14:
                 raise NonSkew(f"{tag} is not skew-symmetric")
         if self.R is not None:
             r = self.R = np.asarray(self.R, dtype=float)
-            if not (r.shape == (4, 4) and np.array_equal(r @ r, np.eye(4))
+            if not (r.shape == (4, 4) and np.all(np.isfinite(r))
+                    and np.array_equal(r @ r, np.eye(4))
                     and np.array_equal(r @ self.M, -self.M @ r)
                     and np.array_equal(r @ self.K, -self.K @ r)):
                 raise NotReversor("R must be a 4x4 matrix with R R = I that anticommutes "

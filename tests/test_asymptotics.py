@@ -212,3 +212,12 @@ def test_spectra_solve_large_real_lambda(p, c):
         assert not np.any(s.zeta.imag) and not np.any(s.eta.imag)
     for n in (0, 21, 156, 399):
         assert _bits(specs[n]) == _bits(spectrum(model, c, lams[n]))
+
+
+@pytest.mark.parametrize("p, c", [(1.0, 0.0), (2.0, 0.3)])
+def test_spectra_refuse_no_integer_lambda(p, c):
+    # an absolute orthonormality check once refused every integer lambda
+    # from 22 to 40 at p = 2, c = 0.3 and from 102 at p = 1, c = 0
+    model, _ = build_coupled_wave(p)
+    lams = np.arange(1.0, 401.0)
+    assert [s.lam for s in spectra(model, c, lams)] == [complex(lam) for lam in lams]

@@ -350,9 +350,9 @@ _PINNED_STDOUT = [
     ("report --p 2 --c 0",
      "f21c0474cbc86b3b8cae1c76e412a953ba59a98fddccee0024a80ce243527d68"),
     ("scan --model coupled-wave --p 1.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "16676ff5a41d7a1d5ca03074c921db33e4ad77ad243921735c70b5fc2902d874"),
+     "3392559404bd92d2945622e98aef4074699e35c173ec2e7109f7774acfa14522"),
     ("scan --model coupled-wave --p 2.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "f4d8799bc0dfc8fc12024243846f8eee110fae94ccace2056c19ec9e63fda0f7"),
+     "9d044b1b8dfd010b60cb567db2c64e35b0a4412d9d1e090eae08673b5ef4c035"),
     ("contour --model coupled-wave --p 1.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "4ae2a03e2647f211b25d7a8733c4bfa1fd693a7b7822b9364a4b8764887383e6"),
     ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",

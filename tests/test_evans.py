@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evanskit.asymptotics import continuous_spectrum_distance, spectra, spectrum
@@ -24,6 +24,7 @@ from evanskit.evans import (
     _det_samples,
     _polish,
     _rect_path,
+    _seed,
     derivatives_at_zero,
     eta_identity_residual,
     evans_det,
@@ -529,6 +530,54 @@ def test_polish_round_cap():
     f = _Batched(lambda x: x - lo - 1e-9)
     with pytest.raises(NoConverge):
         _polish(f, [(lo, hi)], {lo: f.g(lo), hi: f.g(hi)})
+
+
+@pytest.mark.parametrize("p, sweeps, squares", [(1.0, [13, 8, 6], [2.0, 5.0]),
+                                                (2.0, [13, 4, 3], [5.0])])
+def test_scan_anchor_sweeps(monkeypatch, p, sweeps, squares):
+    # the benchmark's anchor scans sweep the stepper for the grid, one round
+    # from the interpolant's seeds and a closing round
+    sizes, real = [], Stepper.run
+    monkeypatch.setattr(Stepper, "run",
+                        lambda self, runs: sizes.append(len(runs) // 4) or real(self, runs))
+    model, wave = build_coupled_wave(p)
+    r = real_axis_scan(model, wave, 0.0, 3.0, n=13, numerics=Numerics(tol=1e-9))
+    assert sizes == sweeps and r.rounds == len(sweeps) - 1
+    assert len(r.roots) == len(squares)
+    for got, sq in zip(r.roots, squares):
+        assert abs(got - math.sqrt(sq)) <= ROOT_XTOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.05, 0.5), st.lists(st.floats(0.25, 0.4), max_size=6),
+       st.floats(-1e3, 1e3).filter(lambda a: abs(a) > 1e-3), st.integers(8, 40))
+def test_seed_is_the_zero_of_a_polynomial(start, gaps, a, n):
+    # on grid samples of a polynomial of degree at most 7, the interpolant
+    # through 8 of them is the polynomial, so the seed is its root
+    roots = np.cumsum([start, *gaps]).tolist()
+
+    def g(x):
+        return a * math.prod(x - r for r in roots)
+
+    brackets, known = _grid_brackets(g, n)
+    assume(brackets and min(abs(x - r) for x in known for r in roots) > 1e-3)
+    for lo, hi in brackets:
+        est, _ = _seed(lo, hi, known)
+        assert lo < est < hi
+        assert min(abs(est - r) for r in roots if lo < r < hi) <= 1e-12
+
+
+def test_seed_needs_four_known_points():
+    # with fewer there is no seed, and the first round estimates as later
+    # ones do (test_polish_closing_round_skips_the_estimate)
+    def g(x):
+        return math.exp(x) - 3.5
+
+    known = {x: g(x) for x in (0.5, 1.0, 1.5)}
+    assert _seed(1.0, 1.5, known) is None
+    known[2.0] = g(2.0)
+    est, err = _seed(1.0, 1.5, known)
+    assert 1.0 < est < 1.5 and abs(est - math.log(3.5)) <= err
 
 
 def _scipy_modules_after_import(module):

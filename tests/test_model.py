@@ -36,6 +36,22 @@ def test_model_rejects_nonskew():
                              lambda z: z, lambda z: np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tag", ["M", "K"])
+def test_model_rejects_non_finite_matrices(tag, bad):
+    # refused at construction, before the skew test, which a NaN passes,
+    # and before any numpy warning; so is a non-finite R, as no reversor
+    model, _ = build_coupled_wave(1.0)
+    mats = {"M": model.M.copy(), "K": model.K.copy()}
+    mats[tag][0, 2] = bad
+    with pytest.raises(BadParameter, match=f"{tag} must be finite"):
+        MultisymplecticModel(mats["M"], mats["K"], model.gradS, model.hessS)
+    r = REVERSOR.copy()
+    r[0, 2] = bad
+    with pytest.raises(NotReversor):
+        MultisymplecticModel(model.M, model.K, model.gradS, model.hessS, R=r)
+
+
 def test_coupled_wave_requires_positive_p():
     with pytest.raises(BadParameter):
         build_coupled_wave(0.0)
