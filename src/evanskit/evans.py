@@ -57,7 +57,7 @@ CONTOUR_TOL = 1e-8   # contours default to a looser tolerance than point values
 SCAN_N = 31          # default sample count of real-axis scans
 ROOT_XTOL = 1e-10    # absolute tolerance of real-axis root polish
 _POLISH_ROUNDS = 100  # cap on lockstep polish rounds; each at least halves a bracket
-_SEED_POINTS = 8     # known points whose interpolant seeds a bracket's first polish round
+_SEED_POINTS = 8     # known points whose interpolant estimates a root in every polish round
 
 
 def _stepper(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -273,36 +273,14 @@ class ScanResult:
     rounds: int                   # polish rounds, one stepper sweep each after the grid's
 
 
-def _inverse_estimate(lo, hi, known):
-    # (est, err) for the bracket (lo, hi): the zero of the inverse
-    # interpolant x(f) through the 4, 3 or 2 known points nearest its
-    # midpoint, the first of these inside the bracket, and its last Neville
-    # correction; None when none is inside.  Neville's scheme gives the
-    # zeros through the first 1, 2, ... points, nan or inf where f values
-    # coincide
-    mid = 0.5 * (lo + hi)
-    near = sorted(known, key=lambda x: abs(x - mid))[:4]
-    p = np.array(near, dtype=float)
-    f = np.array([known[x] for x in near], dtype=float)
-    ests = [p[0]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for m in range(1, len(p)):
-            p = (f[m:] * p[:-1] - f[:-m] * p[1:]) / (f[m:] - f[:-m])
-            ests.append(p[0])
-    inside = [i for i in range(1, len(ests)) if lo < ests[i] < hi]
-    if not inside:
-        return None
-    i = inside[-1]
-    return ests[i], abs(ests[i] - ests[i - 1])
-
-
 def _interp_zero(xs, fs, lo, hi) -> float:
     # a zero in (lo, hi) of the polynomial through the points (xs, fs), whose
     # first two are lo and hi, of opposite sign, and no other in [lo, hi]:
     # Illinois regula falsi on its barycentric form (Berrut and Trefethen,
     # SIAM Rev. 46, 2004), in Python floats.  It returns the iterate where
     # the polynomial is 0, or that falls on an end of what is left of the
-    # bracket, or the 100th; nan where the weights over- or underflow
+    # bracket, or the 100th; nan where the weights over- or underflow, or
+    # where the barycentric denominator rounds to 0
     s = hi - lo   # differences in units of the bracket keep the weights O(1)
     ws = [1.0 / math.prod((a - b) / s for b in xs if b != a) for a in xs]
     if not all(0.0 < abs(w) < math.inf for w in ws):
@@ -310,7 +288,8 @@ def _interp_zero(xs, fs, lo, hi) -> float:
 
     def p(x):
         t = [w / (x - a) for w, a in zip(ws, xs)]
-        return sum(u * f for u, f in zip(t, fs)) / sum(t)
+        den = sum(t)
+        return sum(u * f for u, f in zip(t, fs)) / den if den else math.nan
 
     a, fa, b, fb = lo, fs[0], hi, fs[1]
     side = 0
@@ -319,6 +298,8 @@ def _interp_zero(xs, fs, lo, hi) -> float:
         if not a < x < b:
             break
         fx = p(x)
+        if math.isnan(fx):
+            return fx
         if fx == 0.0:
             break
         if (fx < 0) == (fa < 0):
@@ -334,18 +315,19 @@ def _interp_zero(xs, fs, lo, hi) -> float:
     return x
 
 
-def _seed(lo, hi, known):
-    # (est, err) for the bracket (lo, hi) in the first polish round: the
-    # zeros in it of the polynomials through lo, hi and the known points
-    # outside it nearest its midpoint, _SEED_POINTS points and two fewer,
-    # and their distance; None with fewer than 2 known points outside it
+def _estimate(lo, hi, known):
+    # (est, err) for the bracket (lo, hi): the zeros in it of the
+    # polynomials through lo, hi and the known points outside it nearest its
+    # midpoint, _SEED_POINTS points or all there are, and two fewer but at
+    # least lo and hi, and their distance; None when lo and hi are the only
+    # known points, whose secant has no second zero to be measured against
     mid = 0.5 * (lo + hi)
     outside = sorted((x for x in known if not lo <= x <= hi), key=lambda x: abs(x - mid))
-    if len(outside) < 2:
+    if not outside:
         return None
     near = [lo, hi, *outside[:_SEED_POINTS - 2]]
     fine, coarse = (_interp_zero(xs, [known[x] for x in xs], lo, hi)
-                    for xs in (near, near[:-2]))
+                    for xs in (near, near[:max(2, len(near) - 2)]))
     return fine, abs(fine - coarse)
 
 
@@ -356,22 +338,20 @@ def _polish(f, brackets, known):
     evaluated so far, the bracket ends included, to its value.  Each round
     evaluates, for every open bracket, its midpoint and an estimate est with
     est -+ d, d = max(err, ROOT_XTOL / 2), points outside the bracket
-    dropped.  In the first round, with 4 or more known points, est is the
-    zero in the bracket of the polynomial through its ends and the known
-    points nearest it, _SEED_POINTS in all (for a scan, its grid), and err
-    the distance to the zero of the one through two points fewer.  Later
-    rounds, and a first round with fewer known points, take est from the
-    inverse interpolants through the 4, 3 or 2 known points nearest the
-    bracket, the first of these that falls inside it (the last, through the
-    bracket ends, always does), and err from its last Neville correction.
-    When d is ROOT_XTOL / 2, est -+ d alone close the bracket if the root
-    lies between them, so est is not evaluated in that round.  The bracket
-    then becomes the first sign-change interval among the points it holds,
-    so it stays an interval between evaluated points of opposite sign and
-    at least halves.  A bracket ends at width <= 2 ROOT_XTOL, or as (x, x)
-    on a point x where f is exactly 0.  Returns the final brackets and the
-    number of rounds; raises NoConverge when brackets are still open after
-    _POLISH_ROUNDS rounds.
+    dropped.  In every round est is the zero in the bracket of the
+    polynomial through its ends and the known points nearest it,
+    _SEED_POINTS in all or as many as are known (in a scan's first round,
+    grid samples), and err the distance to the zero of the one through two
+    points fewer, or through the ends alone; with no known point but the
+    ends, the round evaluates the midpoint alone.  When d is ROOT_XTOL / 2,
+    est -+ d alone close the bracket if the root lies between them, so est
+    is not evaluated in that round.  The bracket then becomes the first
+    sign-change interval among the points it holds, so it stays an interval
+    between evaluated points of opposite sign and at least halves.  A
+    bracket ends at width <= 2 ROOT_XTOL, or as (x, x) on a point x where f
+    is exactly 0.  Returns the final brackets and the number of rounds;
+    raises NoConverge when brackets are still open after _POLISH_ROUNDS
+    rounds.
     """
     known = dict(known)
     brackets = list(brackets)
@@ -384,9 +364,7 @@ def _polish(f, brackets, known):
         inner = {}
         for k in live:
             lo, hi = brackets[k]
-            guess = _seed(lo, hi, known) if rounds == 0 else None
-            if guess is None:
-                guess = _inverse_estimate(lo, hi, known)
+            guess = _estimate(lo, hi, known)
             pts = [0.5 * (lo + hi)]
             if guess is not None:
                 est, err = guess
@@ -417,13 +395,14 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
     The grid samples are one batched evaluation.  Each sign-change interval
     of the grid is then shrunk to width 2 ROOT_XTOL or less by _polish, all
-    brackets in lockstep, one batched evaluation per round; the first
-    round's estimates are zeros of polynomials through 8 grid samples, so a
-    grid that resolves D saves rounds (a coupled-wave scan of (0, 3] on 13
-    samples at tol 1e-9 takes 2).  The grid and every round sweep one
-    Stepper, so the task builds its mesh and W tables once.  rounds counts
-    the polish rounds.  A root is the midpoint of its final bracket, so it
-    lies within ROOT_XTOL of the sign change of D.  A grid sample where D is exactly 0
+    brackets in lockstep, one batched evaluation per round.  Every round
+    estimates a root as the zero of the polynomial through the 8 known
+    samples nearest its bracket, grid samples in the first, so a grid that
+    resolves D saves rounds (a coupled-wave scan of (0, 3] on 13 samples at
+    tol 1e-9 takes 2).  The grid and every round sweep one Stepper, so the
+    task builds its mesh and W tables once.  rounds counts the polish
+    rounds.  A root is the midpoint of its final bracket, so it lies within
+    ROOT_XTOL of the sign change of D.  A grid sample where D is exactly 0
     is a root as it stands.  A sample on the continuous spectrum raises
     what spectra raises there.
     """

@@ -231,8 +231,8 @@ def _check_mode(j: int, kind: str):
 
 
 def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
-                   lam: complex, j: int, kind: str = "u",
-                   tol: float = 1e-10, L: Optional[float] = None,
+                   lam: complex, j: int, kind: str = "u", *,
+                   tol: float, L: Optional[float] = None,
                    spec: Optional[InfinitySpectrum] = None,
                    out_grid: Optional[np.ndarray] = None,
                    until: float = 0.0) -> RescaledSolution:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evanskit.asymptotics import continuous_spectrum_distance, spectra, spectrum
@@ -22,9 +22,9 @@ from evanskit.evans import (
     Numerics,
     _det_runs,
     _det_samples,
+    _estimate,
     _polish,
     _rect_path,
-    _seed,
     derivatives_at_zero,
     eta_identity_residual,
     evans_det,
@@ -476,6 +476,7 @@ _STEPS = st.tuples(st.just("tanh"), st.floats(0.5, 1e4),
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_CUBICS, _STEPS), st.integers(3, 40))
+@example(("cubic", 1.5, [1.625, 1.59375, 1.59375]), 3)   # a barycentric denominator of 0
 def test_polish_keeps_brackets_and_finds_roots(family, n):
     kind, a, roots = family
     if kind == "cubic":
@@ -512,13 +513,14 @@ def test_polish_ends_on_exact_zero():
 
 
 def test_polish_closing_round_skips_the_estimate():
-    # e^x - 3.5 on (1, 1.5): in the third round the Neville correction is
-    # below ROOT_XTOL / 2, so that round asks for the midpoint and
-    # est -+ ROOT_XTOL / 2 only, 3 points where est made 4, and they close
-    # the bracket around log 3.5
+    # e^x - 3.5 on (1, 1.5): the first round knows the bracket ends alone
+    # and asks for the midpoint only; in the third round the zeros through
+    # 7 and 5 known points are within ROOT_XTOL / 2, so that round asks for
+    # the midpoint and est -+ ROOT_XTOL / 2 only, 3 points where est made 4,
+    # and they close the bracket around log 3.5
     f = _Batched(lambda x: math.exp(x) - 3.5)
     out, rounds = _polish(f, [(1.0, 1.5)], {1.0: f.g(1.0), 1.5: f.g(1.5)})
-    assert f.sizes == [3, 4, 3] and rounds == 3
+    assert f.sizes == [1, 4, 3] and rounds == 3
     [(lo, hi)] = out
     assert lo < math.log(3.5) < hi and hi - lo <= 2 * ROOT_XTOL
 
@@ -532,16 +534,21 @@ def test_polish_round_cap():
         _polish(f, [(lo, hi)], {lo: f.g(lo), hi: f.g(hi)})
 
 
-@pytest.mark.parametrize("p, sweeps, squares", [(1.0, [13, 8, 6], [2.0, 5.0]),
-                                                (2.0, [13, 4, 3], [5.0])])
-def test_scan_anchor_sweeps(monkeypatch, p, sweeps, squares):
-    # the benchmark's anchor scans sweep the stepper for the grid, one round
-    # from the interpolant's seeds and a closing round
+@pytest.mark.parametrize("n, p, sweeps, squares", [(13, 1.0, [13, 8, 6], [2.0, 5.0]),
+                                                   (13, 2.0, [13, 4, 3], [5.0]),
+                                                   (7, 1.0, [7, 8, 6], [2.0, 5.0]),
+                                                   (7, 2.0, [7, 4, 3], [5.0]),
+                                                   (3, 1.0, [3, 7, 8, 6], [2.0, 5.0]),
+                                                   (3, 2.0, [3, 4, 4, 3], [5.0])])
+def test_scan_anchor_sweeps(monkeypatch, n, p, sweeps, squares):
+    # the benchmark's anchor scans (n = 13) sweep the stepper for the grid,
+    # one round from the interpolant's estimates and a closing round; on
+    # coarser grids the estimates of later rounds carry the polish
     sizes, real = [], Stepper.run
     monkeypatch.setattr(Stepper, "run",
                         lambda self, runs: sizes.append(len(runs) // 4) or real(self, runs))
     model, wave = build_coupled_wave(p)
-    r = real_axis_scan(model, wave, 0.0, 3.0, n=13, numerics=Numerics(tol=1e-9))
+    r = real_axis_scan(model, wave, 0.0, 3.0, n=n, numerics=Numerics(tol=1e-9))
     assert sizes == sweeps and r.rounds == len(sweeps) - 1
     assert len(r.roots) == len(squares)
     for got, sq in zip(r.roots, squares):
@@ -562,22 +569,26 @@ def test_seed_is_the_zero_of_a_polynomial(start, gaps, a, n):
     brackets, known = _grid_brackets(g, n)
     assume(brackets and min(abs(x - r) for x in known for r in roots) > 1e-3)
     for lo, hi in brackets:
-        est, _ = _seed(lo, hi, known)
+        est, _ = _estimate(lo, hi, known)
         assert lo < est < hi
         assert min(abs(est - r) for r in roots if lo < r < hi) <= 1e-12
 
 
-def test_seed_needs_four_known_points():
-    # with fewer there is no seed, and the first round estimates as later
-    # ones do (test_polish_closing_round_skips_the_estimate)
+def test_estimate_needs_three_known_points():
+    # an estimate is a zero through the known points nearest the bracket and
+    # its error bar the distance to the zero through two fewer, or through
+    # the bracket ends alone; with the ends the only known points, their
+    # secant has nothing to be measured against, so there is no estimate
+    # and the round bisects (test_polish_closing_round_skips_the_estimate)
     def g(x):
         return math.exp(x) - 3.5
 
-    known = {x: g(x) for x in (0.5, 1.0, 1.5)}
-    assert _seed(1.0, 1.5, known) is None
-    known[2.0] = g(2.0)
-    est, err = _seed(1.0, 1.5, known)
-    assert 1.0 < est < 1.5 and abs(est - math.log(3.5)) <= err
+    known = {x: g(x) for x in (1.0, 1.5)}
+    assert _estimate(1.0, 1.5, known) is None
+    for x in (0.5, 2.0):
+        known[x] = g(x)
+        est, err = _estimate(1.0, 1.5, known)
+        assert 1.0 < est < 1.5 and abs(est - math.log(3.5)) <= err
 
 
 def _scipy_modules_after_import(module):

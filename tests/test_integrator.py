@@ -34,18 +34,18 @@ def test_seed_matches_boundary_value():
     s = spectrum(model, c, 0.0)
     # u-runs with j in {3,4} start at -L from zeta_j; w-runs with j in {3,4}
     # start at +L from eta_j.  The rescaled value at the seed point is the seed.
-    u3 = integrate_mode(model, wave, c, 0.0, 3, "u", spec=s,
+    u3 = integrate_mode(model, wave, c, 0.0, 3, "u", tol=1e-10, spec=s,
                         out_grid=np.array([-L, -2.0, -1.0, -0.5, 0.0]))
     assert np.max(np.abs(u3.values[0] - s.zeta[2])) <= 1e-12
     assert u3.xi_seed == -L
-    w4 = integrate_mode(model, wave, c, 0.0, 4, "w", spec=s,
+    w4 = integrate_mode(model, wave, c, 0.0, 4, "w", tol=1e-10, spec=s,
                         out_grid=np.array([L, 2.0, 1.0, 0.5, 0.0]))
     assert np.max(np.abs(w4.values[0] - s.eta[3])) <= 1e-12
     assert w4.xi_seed == L
     # j in {1,2} seed on the opposite side
-    u1 = integrate_mode(model, wave, c, 0.0, 1, "u", spec=s)
+    u1 = integrate_mode(model, wave, c, 0.0, 1, "u", tol=1e-10, spec=s)
     assert u1.xi_seed == L
-    w2 = integrate_mode(model, wave, c, 0.0, 2, "w", spec=s)
+    w2 = integrate_mode(model, wave, c, 0.0, 2, "w", tol=1e-10, spec=s)
     assert w2.xi_seed == -L
 
 
@@ -66,7 +66,7 @@ def test_frozen_coefficients_leave_seed_invariant():
     frozen, fwave = _frozen()
     s = spectrum(frozen, 0.0, 0.7)
     for j, kind in ((1, "u"), (2, "u"), (3, "u"), (4, "w")):
-        r = integrate_mode(frozen, fwave, 0.0, 0.7, j, kind, spec=s)
+        r = integrate_mode(frozen, fwave, 0.0, 0.7, j, kind, tol=1e-10, spec=s)
         seed = s.zeta[j - 1] if kind == "u" else s.eta[j - 1]
         assert np.max(np.abs(r.value_at_end - seed)) <= 1e-8
 
@@ -75,7 +75,7 @@ def test_unstable_direction_is_wave_tangent():
     # the j=3 mode continued from -infinity at lambda=0 lies along Zhat_xi
     for c in (0.0, 0.3, -0.3):
         model, wave = _coupled()
-        u3 = integrate_mode(model, wave, c, 0.0, 3, "u")
+        u3 = integrate_mode(model, wave, c, 0.0, 3, "u", tol=1e-10)
         v = u3.value_at_end
         t = wave.zhat_xi(0.0, c)
         cos = abs(np.vdot(v, t)) / (np.linalg.norm(v) * np.linalg.norm(t))
@@ -88,11 +88,11 @@ def test_fast_modes_match_scattering_solutions():
         model, wave = _coupled(p)
         o = oracle_coupled_wave(p, c)
         s = spectrum(model, c, 0.0)
-        u4 = integrate_mode(model, wave, c, 0.0, 4, "u", spec=s)
+        u4 = integrate_mode(model, wave, c, 0.0, 4, "u", tol=1e-10, spec=s)
         v = u4.value_at_end.real
         a = o.a_minus(0.0)
         assert 1.0 - abs(np.dot(v, a)) / (np.linalg.norm(v) * np.linalg.norm(a)) <= 1e-8
-        w4 = integrate_mode(model, wave, c, 0.0, 4, "w", spec=s)
+        w4 = integrate_mode(model, wave, c, 0.0, 4, "w", tol=1e-10, spec=s)
         v = w4.value_at_end.real
         a = o.a_plus(0.0)
         assert 1.0 - abs(np.dot(v, a)) / (np.linalg.norm(v) * np.linalg.norm(a)) <= 1e-8
@@ -110,8 +110,8 @@ def test_same_index_pairing_constant_along_xi():
     gp = np.concatenate([pts, [L]])[::-1]
     J = jc(model, c)
     for j in (3, 4):
-        u = integrate_mode(model, wave, c, lam, j, "u", spec=s, out_grid=gm, until=2.0)
-        w = integrate_mode(model, wave, c, lam, j, "w", spec=s, out_grid=gp, until=-2.0)
+        u = integrate_mode(model, wave, c, lam, j, "u", tol=1e-10, spec=s, out_grid=gm, until=2.0)
+        w = integrate_mode(model, wave, c, lam, j, "w", tol=1e-10, spec=s, out_grid=gp, until=-2.0)
         vals = []
         for xi in pts:
             iu = int(np.argmin(np.abs(u.grid - xi)))
@@ -133,8 +133,9 @@ def test_tangent_pair_crossing_is_grid_independent():
         pts = np.linspace(-2.0, 2.0, 9)
         gm = np.concatenate([[-L], pts])
         gp = np.concatenate([pts, [L]])[::-1]
-        mi = integrate_mode(model, wave, c, 0.0, 4, "u", spec=s, out_grid=gm, until=2.0)
-        pl = integrate_mode(model, wave, c, 0.0, 4, "w", spec=s, out_grid=gp, until=-2.0)
+        mi = integrate_mode(model, wave, c, 0.0, 4, "u", tol=1e-10, spec=s, out_grid=gm, until=2.0)
+        pl = integrate_mode(model, wave, c, 0.0, 4, "w", tol=1e-10, spec=s, out_grid=gp,
+                            until=-2.0)
         J = jc(model, c)
         vals = []
         for xi in pts:
@@ -150,8 +151,8 @@ def test_tangent_pair_crossing_is_grid_independent():
 def test_domain_truncation_converged():
     model, wave = _coupled()
     s = spectrum(model, 0.0, 0.0)
-    a = integrate_mode(model, wave, 0.0, 0.0, 4, "u", spec=s).value_at_end
-    b = integrate_mode(model, wave, 0.0, 0.0, 4, "u", spec=s, L=40.0).value_at_end
+    a = integrate_mode(model, wave, 0.0, 0.0, 4, "u", tol=1e-10, spec=s).value_at_end
+    b = integrate_mode(model, wave, 0.0, 0.0, 4, "u", tol=1e-10, spec=s, L=40.0).value_at_end
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
@@ -167,14 +168,14 @@ def test_dense_output_consistent_at_zero():
     model, wave = _coupled()
     L = wave.default_L(0.0)
     g = np.array([-L, -2.0, -1.5, -1.0, -0.5, 0.0])
-    r = integrate_mode(model, wave, 0.0, 0.0, 3, "u", out_grid=g)
+    r = integrate_mode(model, wave, 0.0, 0.0, 3, "u", tol=1e-10, out_grid=g)
     assert np.max(np.abs(r.values[-1] - r.value_at_end)) <= 1e-14
     # a run carried past xi = 0 samples on the far side too,
     # in agreement with a run that stops at the sample point
     s = spectrum(model, 0.0, 0.5)
     g = np.array([-1.5, -1.0, 1.0, 2.0])
-    r = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, out_grid=g, until=2.0)
-    stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", spec=s, until=1.0)
+    r = integrate_mode(model, wave, 0.0, 0.5, 4, "u", tol=1e-10, spec=s, out_grid=g, until=2.0)
+    stop = integrate_mode(model, wave, 0.0, 0.5, 4, "u", tol=1e-10, spec=s, until=1.0)
     assert np.max(np.abs(r.values[2] - stop.value_at_end)) <= 1e-8
     assert np.array_equal(r.values[-1], r.value_at_end)
 
@@ -195,7 +196,7 @@ def test_overflow_guard():
     model, wave = _perturbed(lambda z: -3.0 * np.multiply.outer(z[0], np.eye(4)))
     spec = spectrum(model, 0.0, 0.7)
     with pytest.raises(Overflow):
-        integrate_mode(model, wave, 0.0, 0.7, 3, "u", spec=spec, L=40.0)
+        integrate_mode(model, wave, 0.0, 0.7, 3, "u", tol=1e-10, spec=spec, L=40.0)
 
 
 def test_nan_field_fails():
@@ -204,7 +205,7 @@ def test_nan_field_fails():
         lambda z: np.multiply.outer(np.where(z[0] == 0.0, 0.0, np.nan), np.ones((4, 4))))
     spec = spectrum(model, 0.0, 0.7)
     with pytest.raises(StepFail, match="non-finite matrix field"):
-        integrate_mode(model, wave, 0.0, 0.7, 3, "u", spec=spec)
+        integrate_mode(model, wave, 0.0, 0.7, 3, "u", tol=1e-10, spec=spec)
 
 
 def test_one_table_build_per_call():

@@ -211,8 +211,8 @@ def _tangent_pair(model, wave, c):
     pts = np.linspace(-2.0, 2.0, 9)
     gm = np.concatenate([[-L], pts])
     gp = np.concatenate([pts, [L]])[::-1]
-    minus = integrate_mode(model, wave, c, 0.0, 4, "u", spec=sp, out_grid=gm, until=2.0)
-    plus = integrate_mode(model, wave, c, 0.0, 4, "w", spec=sp, out_grid=gp, until=-2.0)
+    minus = integrate_mode(model, wave, c, 0.0, 4, "u", tol=1e-10, spec=sp, out_grid=gm, until=2.0)
+    plus = integrate_mode(model, wave, c, 0.0, 4, "w", tol=1e-10, spec=sp, out_grid=gp, until=-2.0)
     return minus, plus
 
 
