@@ -42,12 +42,14 @@ runs it sweeps: a scan's grid and polish rounds, a contour's boundary and
 refinement levels, or a report's tangent pair and derivative stencil.
 Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
 of one run.  Each (lambda, direction stepped) then costs one weighted
-sum and one exponential per step, real 4x4 for a real lambda and the real
-8x8 form of the complex 4x4 for any other (linalg._expms, on buffers the
-Stepper holds).  In the core [-2, 2] the exponentials of 4 consecutive
-steps are multiplied into one propagator, in the real form, and each run
-takes one 4x4 product per propagator; in the outer pieces, whose steps
-are long, one per step.
+sum and one exponential per step.  A sweep takes its exponentials in
+chunks, each one linalg._expms call on buffers the Stepper holds, in one
+form per chunk: real 4x4 when every lambda in it is real, and otherwise
+the real 8x8 form of the complex 4x4 for every lambda, where a real
+lambda's exact zero blocks give it the bits of its 4x4 form.  In the core
+[-2, 2] the exponentials of 4 consecutive steps are multiplied into one
+propagator, in the real form, and each run takes one 4x4 product per
+propagator; in the outer pieces, whose steps are long, one per step.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
@@ -297,7 +299,8 @@ class Stepper:
     so a run gives the same bits on a stepper that has swept before as on
     a fresh one.  The stepper also holds the float buffers that its
     exponentials are computed in, sized for one chunk of _EXP_BATCH
-    matrices, so that a task does not allocate them afresh per chunk.
+    matrices, so that a task does not allocate them afresh per chunk; a
+    chunk's groups, real and complex lambda alike, go to one _expms call.
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -350,57 +353,54 @@ class Stepper:
             buf = self._bufs[key] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def _exponentials(self, parts, powers: np.ndarray, nreal: int, block: int = 1) -> np.ndarray:
+    def _exponentials(self, parts, powers: np.ndarray, real: bool, block: int = 1) -> np.ndarray:
         """exp(W0 + lam W1 + lam^2 W2 + lam^3 W3) for S steps and G groups, or their block products.
 
         parts holds triples (w, a, b): the W_k of S steps, (S, 4, 4, 4), and
         the slice [a, b) of the groups that take them.  powers holds 1, lam,
-        lam^2, lam^3 per group, (G, 4) complex, real for the groups [0,
-        nreal), and no slice straddles nreal.  A real group's exponent is the
-        real sum of W_k weighted by its powers.  A complex group's real and
-        imaginary sums P and Q are written into the blocks of the real 8x8
-        form [[P, -Q], [Q, P]], whose exponential holds Re exp and Im exp in
-        its left column of blocks.  Each form goes to _expms in one stack on
-        the stepper's buffers: an exponent stack and _expms' six temporaries,
-        on one float buffer that the real form uses first, its exponentials
-        copied out before the complex form takes the buffer.  block is 1 or
-        _BLOCK: with _BLOCK, S is a multiple of it and each group's
-        exponentials E1..E4 of 4 consecutive steps are multiplied into one
-        propagator (E4 E3)(E2 E1) in the real form; an overflow there gives a
-        non-finite entry, without a warning.  Returns an (S / block, G, 4, 4)
-        complex array, on a buffer that the next call overwrites.
+        lam^2, lam^3 per group, (G, 4) complex.  Every group takes one
+        exponent form, in one stack to _expms on the stepper's buffers (an
+        exponent stack and _expms' six temporaries, on one float buffer).
+        When real is true every lambda is real, and a group's exponent is
+        the real 4x4 sum of W_k weighted by its powers.  Otherwise each
+        group's real and imaginary sums P and Q are written into the blocks
+        of the real 8x8 form [[P, -Q], [Q, P]], whose exponential holds Re
+        exp and Im exp in its left column of blocks; a real group's Q is
+        zero, and its exact zero blocks give Re exp the bits of its 4x4
+        form.  block is 1 or _BLOCK: with _BLOCK, S is a multiple of it and
+        each group's exponentials E1..E4 of 4 consecutive steps are
+        multiplied into one propagator (E4 E3)(E2 E1) in the real form; an
+        overflow there gives a non-finite entry, without a warning.
+        Returns an (S / block, G, 4, 4) complex array, on a buffer that the
+        next call overwrites.
         """
         steps, ngroups = len(parts[0][0]), len(powers)
+        n = 4 if real else 8
+        work = self._buffer("work", (7, steps * ngroups, n, n))
+        omega = work[0].reshape(steps, ngroups, n, n)
+        # each group's sums, Re (and Im) in one contiguous stack: summed in
+        # place in the 8x8 blocks they run 2.5 times slower.  In the 8x8
+        # form they go to a temporary of _expms, then into the blocks
+        c = powers[:, None].real if real else np.stack((powers.real, powers.imag), axis=1)
+        sums = (omega if real else work[-1]).reshape(-1)[:steps * ngroups * n * 4]
+        sums = sums.reshape(steps, ngroups, n // 4, 4, 4)
+        for w, a, b in parts:
+            sub, cs = sums[:, a:b], c[a:b]
+            np.multiply(w[:, None, None, 0], cs[:, :, 0, None, None], out=sub)
+            for k in (1, 2, 3):
+                sub += w[:, None, None, k] * cs[:, :, k, None, None]
+        if not real:
+            blocks = omega.reshape(steps, ngroups, 2, 4, 2, 4)
+            blocks[..., 0, :] = sums   # P over Q
+            np.multiply(sums[:, :, ::-1], _SIGNS, out=blocks[..., 1, :])   # -Q over P
+        e = _expms(work[0], work[1:]).reshape(omega.shape)
+        if block == _BLOCK:
+            q = e.reshape(steps // 4, 4, ngroups, n, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = (q[:, 3] @ q[:, 2]) @ (q[:, 1] @ q[:, 0])
         out = self._buffer("out", (steps // block, ngroups, 4, 4), complex)
-        for lo, hi, n in ((0, nreal, 4), (nreal, ngroups, 8)):
-            if lo == hi:
-                continue
-            work = self._buffer("work", (7, steps * (hi - lo), n, n))
-            omega = work[0].reshape(steps, hi - lo, n, n)
-            # each group's sums, Re (and Im) in one contiguous stack: summed in
-            # place in the 8x8 blocks they run 2.5 times slower.  A complex
-            # group's go to a temporary of _expms, then into the blocks
-            c = powers[lo:hi, None].real if n == 4 else np.stack((powers[lo:hi].real,
-                                                                 powers[lo:hi].imag), axis=1)
-            sums = (omega if n == 4 else work[-1]).reshape(-1)[:steps * (hi - lo) * n * 4]
-            sums = sums.reshape(steps, hi - lo, n // 4, 4, 4)
-            for w, a, b in parts:
-                if lo <= a < hi:
-                    sub, cs = sums[:, a - lo:b - lo], c[a - lo:b - lo]
-                    np.multiply(w[:, None, None, 0], cs[:, :, 0, None, None], out=sub)
-                    for k in (1, 2, 3):
-                        sub += w[:, None, None, k] * cs[:, :, k, None, None]
-            if n == 8:
-                blocks = omega.reshape(steps, hi - lo, 2, 4, 2, 4)
-                blocks[..., 0, :] = sums   # P over Q
-                np.multiply(sums[:, :, ::-1], _SIGNS, out=blocks[..., 1, :])   # -Q over P
-            e = _expms(work[0], work[1:]).reshape(omega.shape)
-            if block == _BLOCK:
-                q = e.reshape(steps // 4, 4, hi - lo, n, n)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    e = (q[:, 3] @ q[:, 2]) @ (q[:, 1] @ q[:, 0])
-            out.real[:, lo:hi] = e[..., :4, :4]
-            out.imag[:, lo:hi] = e[..., 4:, :4] if n == 8 else 0.0
+        out.real = e[..., :4, :4]
+        out.imag = 0.0 if real else e[..., 4:, :4]
         return out
 
     @cached_property
@@ -526,16 +526,16 @@ class Stepper:
                 at_node.setdefault(int(k), []).append((m, i))
             out_vals.append(None if grid is None else np.empty((len(pts) - 1, 4), complex))
 
-        # the groups ordered real up, real down, complex up, complex down, so
-        # that in any subset those taking one table and one exponent form
-        # are a slice.  Their 1, lambda, lambda^2, lambda^3 as Python complex
-        # products, negated for a down group, which reads the table backward
-        keys = sorted(groups, key=lambda key: (key[1].imag != 0.0, -key[0]))
+        # the groups ordered up, then down, so that in any subset those
+        # taking one table are a slice.  Their 1, lambda, lambda^2, lambda^3
+        # as Python complex products, negated for a down group, which reads
+        # the table backward
+        keys = sorted(groups, key=lambda key: -key[0])
         rank = np.empty(len(keys), int)
         rank[[groups[key] for key in keys]] = np.arange(len(keys))
         group = rank[group]
         dir_g = np.array([d for d, _ in keys])
-        kind_g = 2 * np.array([lam.imag != 0.0 for _, lam in keys]) + (dir_g < 0)
+        complex_g = np.array([lam.imag != 0.0 for _, lam in keys])
         powers = np.array([[1.0, lam, lam * lam, lam * lam * lam] for _, lam in keys])
         powers[dir_g < 0] = -powers[dir_g < 0]
         named = np.full(len(groups), -1)   # the direction whose xi a group's StepFail names:
@@ -573,11 +573,11 @@ class Stepper:
             else:
                 block, limit = 1, core[0] if k0 < core[0] else nsteps
             k1 = min(k0 + span, limit, last[act].min())
-            bounds = np.searchsorted(kind_g[act], np.arange(5))
-            tables = (w[k0:k1], w[nsteps - k1:nsteps - k0][::-1])
-            parts = [(tables[i % 2], a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-                     if a < b]
-            e = self._exponentials(parts, powers[act], bounds[2], block)
+            up = int(np.count_nonzero(dir_g[act] > 0))
+            parts = [part for part in ((w[k0:k1], 0, up),
+                                       (w[nsteps - k1:nsteps - k0][::-1], up, act.size))
+                     if part[1] < part[2]]
+            e = self._exponentials(parts, powers[act], not complex_g[act].any(), block)
             bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
             if bad.any():
                 s, g = np.argwhere(bad)[0]

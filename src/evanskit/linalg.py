@@ -125,7 +125,9 @@ def _expms(x, work=None) -> np.ndarray:
     brings its inf-norm under _EXP_THETA; the degree-16 Taylor polynomial
     is evaluated by Paterson-Stockmeyer as B0 + X4 (B1 + X4 (B2 + X4 (B3 +
     X4 / 16!))) with B_j = sum_i X^i / (4j + i)!, and the result is squared
-    s_k times, the matrices that need an i-th squaring gathered for it.
+    s_k times: the matrices that square are gathered once, most squarings
+    first, the i-th squaring takes the prefix of those with s_k >= i, and
+    each goes back after its last.
     Every product is a stacked matmul, one BLAS call per matrix, and every
     other operation is elementwise, so a matrix gets the same bits in any
     stack; when no matrix needs squaring nothing is gathered.  Entries are
@@ -170,13 +172,21 @@ def _expms(x, work=None) -> np.ndarray:
         block(j, b)
         np.matmul(x4, e, out=t)
         np.add(t, b, out=e)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, squarings + 1):
-            idx = np.flatnonzero(s >= i)
-            m = idx.size
-            np.take(e, idx, axis=0, out=t[:m])
-            np.matmul(t[:m], t[:m], out=b[:m])
-            e[idx] = b[:m]
+    if squarings:
+        # the matrices that square, most squarings first, gathered once: the
+        # i-th squaring takes the first ge[i] of them, alternating between t
+        # and b, and a matrix goes back to e after its last one
+        order = np.argsort(-s, kind="stable")
+        ge = [*np.cumsum(np.bincount(s)[::-1])[::-1].tolist(), 0]   # ge[i]: s_k >= i
+        cur, nxt = t, b
+        np.take(e, order[:ge[1]], axis=0, out=cur[:ge[1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, squarings + 1):
+                m, done = ge[i], ge[i + 1]
+                np.matmul(cur[:m], cur[:m], out=nxt[:m])
+                if done < m:
+                    e[order[done:m]] = nxt[done:m]
+                cur, nxt = nxt, cur
     return e
 
 

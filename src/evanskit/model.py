@@ -175,9 +175,14 @@ def verify_wave(model: MultisymplecticModel, wave: WaveFamily, c: float,
     r_ode = np.max(np.abs(apply(j, zx) - model.gradS(z)))
     r_ker = np.max(np.abs(apply(h, zx) - apply(j, zxx)))
     r_jor = np.max(np.abs(apply(h, zc) - apply(j, zcx) - apply(model.M, zx)))
-    tail = max(float(np.max(np.abs(wave.zhat(-Lbox, c)))),
+    return WaveCheck(float(r_ode), float(r_ker), float(r_jor), wave_tail(wave, c, Lbox))
+
+
+def wave_tail(wave: WaveFamily, c: float, L: Optional[float] = None) -> float:
+    """|zhat| at xi = +-L, the largest entry: verify_wave's tail_norm alone."""
+    Lbox = float(L) if L is not None else wave.default_L(c)
+    return max(float(np.max(np.abs(wave.zhat(-Lbox, c)))),
                float(np.max(np.abs(wave.zhat(Lbox, c)))))
-    return WaveCheck(float(r_ode), float(r_ker), float(r_jor), tail)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,34 @@ def test_report_hypothesis_gate(monkeypatch):
     assert d["hypothesis_report"]["ode_residual"] == 1.0
 
 
+def test_scan_checks_the_tail_alone(monkeypatch):
+    # a decayed tail is all that a scan or contour needs of the wave, so a
+    # passing one never runs the whole profile check
+    calls = []
+    monkeypatch.setattr(cli, "verify_wave", lambda *a, **k: calls.append(a))
+    for args in (["scan", "--p", "1", "--c", "0", "--lambda-max", "3", "--grid-n", "13"],
+                 ["contour", "--p", "1", "--c", "0", "--rect", "0.5,3,-0.8,0.8"]):
+        assert _run(args).exit_code == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("task", [
+    ["scan", "--p", "1", "--c", "0"],
+    ["contour", "--p", "1", "--c", "0", "--rect", "0.5,3,-0.8,0.8"],
+], ids=["scan", "contour"])
+def test_truncation_refusal_bytes(task):
+    # a tail that has not decayed at L = 4 prints the whole profile check
+    r = _run(task + ["--L", "4"])
+    assert r.exit_code == 2
+    assert r.stderr == ""
+    assert r.stdout == ('{\n  "hypothesis_report": {\n'
+                        '    "jordan_residual": 5.333333774615312e-10,\n'
+                        '    "kernel_residual": 1.8527357426023627e-09,\n'
+                        '    "ode_residual": 3.1086244689504383e-15,\n'
+                        '    "passed": false,\n'
+                        '    "tail_norm": 0.005360205228211573\n  }\n}\n')
+
+
 def test_scan_csv_and_sidecar(tmp_path):
     out = tmp_path / "scan.csv"
     r = _run(["scan", "--p", "1", "--lambda-max", "3.0", "--grid-n", "13",

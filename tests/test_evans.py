@@ -75,10 +75,15 @@ def test_batch_equals_singleton_calls():
             assert all(st.accepted > 0 and st.h_min > 0 for st in b.stats.values())
 
 
+def _hex_sample(s):
+    # D and d1..d4 by the bits of their real and imaginary parts, signed zeros included
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in (s.D, s.d1, s.d2, s.d3, s.d4)]
+
+
 def test_real_lambda_beside_complex_equals_alone(monkeypatch):
-    # the exponent form is chosen per (lambda, direction) group: a real
-    # lambda's exponents are real 4x4 and a complex one's are in the real
-    # 8x8 form, alone or in one batch, and each gives the same bits both ways
+    # the exponent form is chosen per chunk: real 4x4 when every lambda is
+    # real, and otherwise the real 8x8 form for every group, where a real
+    # lambda's zero blocks give it the bits it has alone in the 4x4 form
     model, wave = build_coupled_wave(2.0)
     nm = Numerics(tol=1e-8)
     lams = [0.7, 1.0 + 0.4j, 2.2]
@@ -86,11 +91,29 @@ def test_real_lambda_beside_complex_equals_alone(monkeypatch):
     monkeypatch.setattr(integrator, "_expms",
                         lambda x, work=None: sizes.add(x.shape[1]) or expms(x, work))
     batch = evans_dets(model, wave, 0.0, lams, numerics=nm)
-    assert sizes == {4, 8}
+    assert sizes == {8}
     for lam, b in zip(lams, batch):
         sizes.clear()
-        assert _same_sample(evans_det(model, wave, 0.0, lam, numerics=nm), b), lam
+        alone = evans_det(model, wave, 0.0, lam, numerics=nm)
+        assert _same_sample(alone, b), lam
+        assert _hex_sample(alone) == _hex_sample(b), lam
         assert sizes == ({8} if lam.imag != 0.0 else {4})
+
+
+def test_contour_makes_one_expms_call_per_chunk(monkeypatch):
+    # the benchmark's rectangle holds the real points 0.5 and 3 beside its
+    # complex ones, and every chunk of its sweep exponentiates them all in
+    # one _expms call
+    chunks, calls, exps = [], [], integrator._expms
+    monkeypatch.setattr(integrator, "_expms",
+                        lambda x, work=None: calls.append(len(x)) or exps(x, work))
+    chunked = Stepper._exponentials
+    monkeypatch.setattr(Stepper, "_exponentials",
+                        lambda self, *a: chunks.append(1) or chunked(self, *a))
+    model, wave = build_coupled_wave(1.0)
+    assert winding_count(model, wave, 0.0, (0.5, 3.0, -0.8, 0.8)) == 2
+    assert len(calls) == len(chunks) == 10
+    assert sum(calls) == 3425
 
 
 @pytest.mark.parametrize("p, c, nm, lams", [

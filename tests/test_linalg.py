@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from evanskit.errors import Degenerate, NonSkew, RankError
 from evanskit.integrator import Stepper
-from evanskit.linalg import (NULLVECTOR_TOL, _expms, interior2, nullvector, quartic_roots,
-                             skew_cmat4, symplectic_forms, wedge2, wedge4)
+from evanskit.linalg import (_EXP_THETA, NULLVECTOR_TOL, _expms, interior2, nullvector,
+                             quartic_roots, skew_cmat4, symplectic_forms, wedge2, wedge4)
 from evanskit.model import build_coupled_wave
 
 M = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
@@ -185,16 +185,14 @@ def _exp_in_place(a):
     # exp of a complex (K, 4, 4) stack through the stepper's in-place path:
     # matrix k is the exponent W0 + lam W1 of a one-step group of its own,
     # with W0 = Re a_k, W1 = Im a_k and lam = i, or lam = 0 when a_k is
-    # real, so it is built as a real 4x4 or in the real 8x8 form
+    # real, so the stack is built as real 4x4 when every a_k is real and
+    # in the real 8x8 form otherwise
     cplx = np.any(a.imag != 0.0, axis=(1, 2))
-    order = np.argsort(cplx, kind="stable")   # the stepper takes real groups first
     w = np.zeros((len(a), 1, 4, 4, 4))
-    w[:, 0, 0], w[:, 0, 1] = a.real[order], a.imag[order]
-    powers = np.where(cplx[order, None], [1.0, 1j, -1.0, -1j], [1.0, 0.0, 0.0, 0.0])
+    w[:, 0, 0], w[:, 0, 1] = a.real, a.imag
+    powers = np.where(cplx[:, None], [1.0, 1j, -1.0, -1j], [1.0, 0.0, 0.0, 0.0])
     parts = [(w[g], g, g + 1) for g in range(len(a))]
-    out = np.empty_like(a)
-    out[order] = _stepper()._exponentials(parts, powers, int(np.sum(~cplx)))[0]
-    return out
+    return _stepper()._exponentials(parts, powers, not cplx.any())[0].copy()
 
 
 def _stepper():
@@ -234,8 +232,16 @@ def test_expm4s_batch_of_one_is_bit_identical():
     assert np.array_equal(e[:, :4, :4] + 1j * e[:, 4:, :4], stack)
     # on a caller's buffers, which scales the input in place: the same bits
     assert np.array_equal(_expms(big.copy(), np.empty((6, 40, 8, 8))), e)
+    # squared in order of their squaring counts, 0 to 9 here: a shuffled
+    # stack keeps every matrix's bits, and so does one where none squares
+    s = np.maximum(np.frexp(np.abs(big).sum(axis=2).max(axis=1) / _EXP_THETA)[1], 0)
+    assert s.min() == 0 and s.max() == 9
+    perm = rng.permutation(len(big))
+    assert np.array_equal(_expms(big[perm]), e[perm])
+    assert np.array_equal(_expms(big[perm], np.empty((6, 30, 8, 8))), e[perm])
     small = big * 1e-3   # no matrix needs squaring
     assert np.array_equal(_expms(small, np.empty((6, 30, 8, 8))), _expms(small[::-1])[::-1])
+    assert np.array_equal(_expms(small[perm]), _expms(small)[perm])
 
 
 def test_expm_shape_guards():
@@ -244,6 +250,7 @@ def test_expm_shape_guards():
     with pytest.raises(ValueError):
         _expms(np.zeros((2, 3, 4)))
     assert _expms(np.zeros((0, 8, 8))).shape == (0, 8, 8)
-    none = _stepper()._exponentials([(np.zeros((0, 4, 4, 4)), 0, 1)], np.ones((1, 4), complex), 0)
+    none = _stepper()._exponentials([(np.zeros((0, 4, 4, 4)), 0, 1)], np.ones((1, 4), complex),
+                                  False)
     assert none.shape == (0, 1, 4, 4)
     assert np.array_equal(_expms(np.zeros((1, 8, 8)))[0], np.eye(8))
