@@ -9,6 +9,7 @@ trajectories, so every pairing is evaluated at O(1) scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +51,15 @@ class Numerics:
                 raise BadParameter(f"{name} must be finite and positive")
         if self.L is not None and not 0.0 < self.L < np.inf:
             raise BadParameter("L must be None or finite and positive")
+
+
+def _whole(name: str, v, least: int) -> int:
+    # v as an int when it is a whole number of at least least, else
+    # BadParameter: a truncated count gives a plausible wrong number
+    if not (isinstance(v, numbers.Integral)
+            or (isinstance(v, numbers.Real) and float(v).is_integer())) or v < least:
+        raise BadParameter(f"{name} must be an integer of at least {least}, not {v!r}")
+    return int(v)
 
 
 _DEFAULT = Numerics()
@@ -406,9 +416,9 @@ def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
     is a root as it stands.  A sample on the continuous spectrum raises
     what spectra raises there.
     """
-    n = int(n)
-    if not 0.0 < lam_max < np.inf or n < 2:
-        raise BadParameter("scan needs a finite lam_max > 0 and at least two samples")
+    n = _whole("n", n, 2)
+    if not 0.0 < lam_max < np.inf:
+        raise BadParameter("scan needs a finite lam_max > 0")
     lams = np.linspace(lam_max / n, lam_max, n)
     stepper = _stepper(model, wave, c, numerics)
     vals = np.array([s.D for s in _dets(stepper, lams)])
@@ -449,8 +459,17 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
                   m_per_edge: int = 12) -> int:
     """Argument-principle zero count of D inside an axis-aligned rectangle.
 
-    The boundary is refined until consecutive image points subtend less than
-    pi/2, so the winding of the image curve about 0 is unambiguous.  Contours
+    The boundary, m_per_edge points an edge (an integer of at least 1, else
+    BadParameter), is refined until consecutive image points subtend less
+    than pi/2, and the count sums those phase steps.  A phase step is known
+    only modulo 2 pi, so the count assumes that D turns by less than pi
+    along every accepted segment, and nothing checks it.  A segment that
+    passes within about its own length of a zero can turn by nearly 2 pi
+    and still read as a small step; its conjugate twin does the same, the
+    wrong steps sum to whole turns, NonClosure does not fire, and the
+    count is off by 2 with no error: on the coupled wave, rectangles
+    [eps, R] x [-R, R] holding 2 zeros count 0 or 4 for eps = 0.05,
+    R = 7 and 8, and for eps = 0.01, R = 4.  Contours
     default to a looser integration tolerance than pointwise evaluation
     (CONTOUR_TOL); pass numerics to override.  The boundary points are one
     batched evaluation, and so is each level of refinement; all of them
@@ -462,6 +481,7 @@ def winding_count(model: MultisymplecticModel, wave: WaveFamily, c: float,
     two-two splitting, or coalescing exponents, lies on the continuous
     spectrum: ContourOnSpectrum.
     """
+    m_per_edge = _whole("m_per_edge", m_per_edge, 1)
     re0, re1, im0, im1 = (float(x) for x in rect)
     if not (re0 < re1 and im0 < im1):
         raise BadParameter("rectangle must satisfy re0 < re1 and im0 < im1")

@@ -40,6 +40,8 @@ mesh serves both directions.  A Stepper holds it, with the mesh, for one
 (model, wave, c, tol, L) and builds each row once per task for all the
 runs it sweeps: a scan's grid and polish rounds, a contour's boundary and
 refinement levels, or a report's tangent pair and derivative stencil.
+The table is built from the bottom of the mesh up, as far as the up-runs
+step, and whole for a sweep with a down-run.
 Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
 of one run.  Each (lambda, direction stepped) then costs one weighted
 sum and one exponential per step.  A sweep takes its exponentials in
@@ -149,16 +151,18 @@ def mesh_steps(tol: float) -> int:
 def _mesh(monitor, L: float, n: int) -> np.ndarray:
     """Nodes of the graded mesh on [-L, 0], ascending.
 
-    monitor maps an array of xi to the monitor's values there.  Each piece
-    of [-L, 0] between consecutive nodes of -L, _BREAKS and 0 gets its
-    share of the n steps by its monitor integral (at least one), placed so
-    that every step holds an equal part of it.  A piece inside [-2, 0] gets
-    its share rounded to a multiple of _BLOCK (at least _BLOCK), and the
-    piece [-L, -2], when L > 2, absorbs the difference (keeping at least one).
+    monitor maps an array of xi to the monitor's values there, and is
+    called once, on _FINE + 1 samples of each piece of [-L, 0] between
+    consecutive nodes of -L, _BREAKS and 0, one row a piece.  Each piece
+    gets its share of the n steps by its monitor integral (at least one),
+    placed so that every step holds an equal part of it.  A piece inside
+    [-2, 0] gets its share rounded to a multiple of _BLOCK (at least
+    _BLOCK), and the piece [-L, -2], when L > 2, absorbs the difference
+    (keeping at least one).
     """
     ends = np.array([-L, *(b for b in _BREAKS if b > -L), 0.0])
     xs = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * np.linspace(0.0, 1.0, _FINE + 1)
-    f = np.array([monitor(row) for row in xs])   # a piece at a time, to bound memory
+    f = monitor(xs)
     if not np.all(np.isfinite(f)):
         bad = xs.ravel()[np.argmin(np.isfinite(f).ravel())]
         raise StepFail(f"non-finite matrix field at xi={bad:.4f}")
@@ -260,23 +264,21 @@ class _Level:
     """The mesh of one refinement level and its one ascending W table.
 
     Row k of w holds the W_k of step k up the mesh, [x[k], x[k+1]].  Rows
-    [0, lo) and [hi, nsteps) are built: up-runs read rows from the bottom
-    and down-runs from the top, so each end is built as far as its runs
-    step, and a row is built once whichever direction needs it.  The core
-    [-2, 2] is steps [outer, nsteps - outer), a multiple of _BLOCK steps
-    from each of its nodes to the next.
+    [0, built) are built, from the bottom up: up-runs read rows from the
+    bottom, and down-runs, which read them from the top, need the whole
+    table.  The core [-2, 2] is steps [outer, nsteps - outer), a multiple
+    of _BLOCK steps from each of its nodes to the next.
     """
 
     x: np.ndarray
     w: np.ndarray
-    lo: int
-    hi: int
+    built: int
     outer: int
 
     @property
     def nbytes(self) -> int:
         # the bytes of the rows built
-        return self.w[0].nbytes * (len(self.w) - max(0, self.hi - self.lo))
+        return self.w[0].nbytes * self.built
 
 
 class Stepper:
@@ -291,16 +293,19 @@ class Stepper:
     W table for steps up the mesh; a step down it is the same step
     backward, whose exponent is -W to the bit (see _magnus), so down-runs
     read the table from the top with their powers of lambda negated.  The
-    table is built only as far from each end as a sweep's runs step; a
-    later sweep that steps further extends it.  Levels are swept in ascending order, and a level whose
-    table takes the held total past _HELD_BYTES is dropped after its sweep
-    and rebuilt when next needed, so the many levels of large |lambda| do
-    not pile up.  A table row is the same array whichever sweep built it,
-    so a run gives the same bits on a stepper that has swept before as on
-    a fresh one.  The stepper also holds the float buffers that its
-    exponentials are computed in, sized for one chunk of _EXP_BATCH
-    matrices, so that a task does not allocate them afresh per chunk; a
-    chunk's groups, real and complex lambda alike, go to one _expms call.
+    table is built in one direction, from the bottom up: as far as a
+    sweep's up-runs step, and whole when the sweep has a down-run; a later
+    sweep that steps further extends it (in no task of the package would
+    building from the top as well save a row).  Levels are swept in
+    ascending order, and a level whose table takes the held total past
+    _HELD_BYTES is dropped after its sweep and rebuilt when next needed,
+    so the many levels of large |lambda| do not pile up.  A table row is
+    the same array whichever sweep built it, so a run gives the same bits
+    on a stepper that has swept before as on a fresh one.  The stepper also
+    holds the float buffers that its exponentials are computed in, sized
+    for one chunk of _EXP_BATCH matrices, so that a task does not allocate
+    them afresh per chunk; a chunk's groups, real and complex lambda
+    alike, go to one _expms call.
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -325,16 +330,17 @@ class Stepper:
         # samples, J^-1 hessS(zhat(-xi)) = -R J^-1 hessS(zhat(xi)) R to
         # _REVERSIBLE times the field's largest entry
         jb, rev = self.jinv @ self.model.binf(), self.model.R
-        seen = []   # the monitor's samples, (xi, field) a piece
+        xi = f = None   # the monitor's samples and the field there
 
-        def monitor(xi):
-            seen.append((xi, self._field(xi)))
-            return np.linalg.norm(seen[-1][1] - jb, axis=(1, 2)) ** _POWER
+        def monitor(xs):
+            nonlocal xi, f
+            xi = xs.ravel()
+            f = self._field(xi)
+            return np.linalg.norm(f - jb, axis=(1, 2)).reshape(xs.shape) ** _POWER
 
         left = _mesh(monitor, self.L, self.n)
         if rev is None:
             return left, False
-        xi, f = (np.concatenate(parts) for parts in zip(*seen))
         # R f R as two 2-D products, each sample's rows side by side in the
         # second: rows indexed by a matrix row, columns by (sample, column)
         fr = (f.reshape(-1, 4) @ rev).reshape(f.shape).transpose(1, 0, 2).reshape(4, -1)
@@ -451,33 +457,20 @@ class Stepper:
             sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
             half = np.append(sub.ravel(), left[-1])
             x = np.concatenate([half, -half[-2::-1]])
-            self._levels[r] = _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0, len(x) - 1,
+            self._levels[r] = _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0,
                                      r * int(np.searchsorted(left, _BREAKS[0])))
         return self._levels[r]
 
-    def _build(self, level: _Level, d: int, upto: int):
-        # the rows of level's table for at least the first upto steps in
-        # direction d: rows [0, upto) for d = +1, the last upto rows for
-        # d = -1.  Rows are built from that end inward, _TABLE_BATCH steps a
-        # _magnus call to bound its temporaries, and rows the other end has
-        # built are not built again
-        x, nsteps = level.x, len(level.w)
+    def _build(self, level: _Level, upto: int):
+        # rows [built, upto) of level's table, _TABLE_BATCH steps a _magnus
+        # call to bound its temporaries
+        x = level.x
         h = np.diff(x)
-        if d > 0:
-            top = min(upto, level.hi)
-            chunks = [(k0, min(k0 + _TABLE_BATCH, top))
-                      for k0 in range(level.lo, top, _TABLE_BATCH)]
-        else:
-            bottom = max(nsteps - upto, level.lo)
-            chunks = [(max(k1 - _TABLE_BATCH, bottom), k1)
-                      for k1 in range(level.hi, bottom, -_TABLE_BATCH)]
-        for k0, k1 in chunks:
+        for k0 in range(level.built, upto, _TABLE_BATCH):
+            k1 = min(k0 + _TABLE_BATCH, upto)
             a = self._field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel())
             level.w[k0:k1] = _magnus(h[k0:k1], a.reshape(-1, 3, 4, 4), self.bmat)
-        if d > 0:
-            level.lo = max(level.lo, upto)
-        else:
-            level.hi = min(level.hi, nsteps - upto)
+        level.built = max(level.built, upto)
 
     def _sweep(self, r: int, runs) -> list:
         """The RescaledSolutions of runs on refinement level r, stepped on its mesh in one loop."""
@@ -542,9 +535,7 @@ class Stepper:
         np.maximum.at(named, group, dirs)  # its runs' own, and up where they go both ways
         last = np.zeros(len(groups), int)   # steps of each group's longest run
         np.maximum.at(last, group, stop)
-        for d in (1, -1):
-            if np.any(dir_g == d):
-                self._build(level, d, last[dir_g == d].max())
+        self._build(level, nsteps if np.any(dir_g < 0) else last.max())
 
         # the runs in order of their stop node, latest first, so the runs
         # still stepping are always the first ones

@@ -238,6 +238,30 @@ def test_numerics_accepts_good_values():
     assert Numerics().L is None
 
 
+@pytest.mark.parametrize("call", [
+    lambda m, w, k: winding_count(m, w, 0.0, (0.5, 3.0, -0.8, 0.8), m_per_edge=k),
+    lambda m, w, k: real_axis_scan(m, w, 0.0, 3.0, n=k),
+], ids=["contour", "scan"])
+@pytest.mark.parametrize("k", [0, -3, 2.5, 2.7, math.nan, math.inf, "12"])
+def test_sample_counts_refused(call, k):
+    # m_per_edge = 0 used to count 0 roots where the closed form has 2, and
+    # n = 2.7 to scan 2 samples and miss the root at sqrt 2; -3, NaN and inf
+    # ended in numpy's ValueError, TypeError or OverflowError.  A string is
+    # no count either
+    model, wave = build_coupled_wave(1.0)
+    with pytest.raises(BadParameter, match="must be an integer of at least"):
+        call(model, wave, k)
+
+
+def test_sample_counts_accept_numpy_integers():
+    model, wave = build_coupled_wave(1.0)
+    nm = Numerics(tol=1e-9)
+    got = real_axis_scan(model, wave, 0.0, 3.0, n=np.int64(13), numerics=nm)
+    assert got.roots == real_axis_scan(model, wave, 0.0, 3.0, n=13, numerics=nm).roots
+    assert len(got.roots) == 2
+    assert winding_count(model, wave, 0.0, (0.5, 3.0, -0.8, 0.8), m_per_edge=np.int32(2)) == 2
+
+
 def test_ratio_matches_closed_form():
     model, wave = build_coupled_wave(1.0)
     a = evans_det(model, wave, 0.0, 1.0).D.real

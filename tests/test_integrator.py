@@ -8,7 +8,7 @@ import pytest
 from evanskit.asymptotics import spectra, spectrum
 from evanskit.errors import BadParameter, Overflow, StepFail
 from evanskit.evans import (CONTOUR_TOL, Numerics, _det_runs, _rect_path, evans_det, evans_dets,
-                            real_axis_scan, winding_count)
+                            evans_wedge, real_axis_scan, winding_count)
 from evanskit import integrator
 from evanskit.integrator import _GAUSS, Stepper, _magnus, integrate_mode, mesh_steps, refinement
 from evanskit.invariants import _tangent_pair, pi_profile, stability_report
@@ -305,7 +305,7 @@ def test_reused_stepper_equals_fresh_calls():
         calls.clear()
         got = stepper.run(runs)
         if lot == 1:
-            assert calls == []   # the tangent pair reads the table from both ends
+            assert calls == []   # the determinant runs' down-runs built the whole table
         else:
             assert len(calls) > 0   # the mesh, a new level, a dropped one
         for a, b in zip(Stepper(model, wave, c, tol=tol).run(runs), got, strict=True):
@@ -353,6 +353,33 @@ def test_report_tabulates_each_step_once(monkeypatch):
     top = int(np.searchsorted(x, 2.0))   # the steps of [-L, 2]
     assert sum(map(len, rows)) == top == 470
     assert np.array_equal(np.concatenate(rows), np.diff(x)[:top])
+
+
+@pytest.mark.parametrize("task, want", [
+    ("dets-without-r", 588),
+    ("wedge", 590),
+])
+def test_table_is_built_from_the_bottom_up(monkeypatch, task, want):
+    # a sweep with down-runs, a model without R stepping its w-runs down
+    # from +L or the wedge's u1 and u2, builds the whole table, from -L
+    # upward in one pass: the rows _magnus builds are the mesh's steps in
+    # ascending order, each built once
+    rows, steppers = [], []
+    magnus, run = integrator._magnus, Stepper.run
+    monkeypatch.setattr(integrator, "_magnus",
+                        lambda h, a, b: rows.append(h.copy()) or magnus(h, a, b))
+    monkeypatch.setattr(Stepper, "run",
+                        lambda self, runs: steppers.append(self) or run(self, runs))
+    model, wave = _coupled()
+    if task == "wedge":
+        evans_wedge(model, wave, 0.0, 1.0)
+    else:
+        evans_dets(_without_r(model), wave, 0.3, [0.7, 1.1 + 0.3j, 3.0],
+                   numerics=Numerics(tol=1e-10))
+    [stepper] = steppers
+    h = np.diff(stepper._level(1).x)
+    assert sum(map(len, rows)) == len(h) == want
+    assert np.array_equal(np.concatenate(rows), h)
 
 
 @pytest.mark.parametrize("L", [None, 6.0, 15.0])
