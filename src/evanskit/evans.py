@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .asymptotics import InfinitySpectrum, spectra, spectrum
-from .errors import (BadParameter, ContourOnSpectrum, DegenerateMu, EvanskitError, NoConverge,
-                     NonClosure, SplittingViolated, StepTooLarge)
+from .errors import (BadParameter, ContourOnSpectrum, Degenerate, DegenerateMu, EvanskitError,
+                     NoConverge, NonClosure, SplittingViolated, StepTooLarge)
 from .integrator import Stepper
 from .linalg import _cmul, interior2, skew_cmat4, symplectic_forms, wedge2, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
@@ -55,9 +55,14 @@ class Numerics:
 
 def _whole(name: str, v, least: int) -> int:
     # v as an int when it is a whole number of at least least, else
-    # BadParameter: a truncated count gives a plausible wrong number
-    if not (isinstance(v, numbers.Integral)
-            or (isinstance(v, numbers.Real) and float(v).is_integer())) or v < least:
+    # BadParameter: a truncated count gives a plausible wrong number, and
+    # so does a bool, which counts as 0 or 1
+    try:
+        whole = isinstance(v, numbers.Real) and not isinstance(v, bool) and float(v).is_integer()
+    except OverflowError:
+        raise BadParameter(f"{name} must be an integer of at least {least}, "
+                           "not one beyond float range") from None
+    if not whole or v < least:
         raise BadParameter(f"{name} must be an integer of at least {least}, not {v!r}")
     return int(v)
 
@@ -244,6 +249,8 @@ def _derivatives(h: float, samples) -> Derivatives:
     # D, D', D'' at 0 from the EvansSamples at _stencil(h), in that order
     vals = [s.D.real for s in samples]
     v0, vh2, vmh2, vh, vmh = vals
+    if vals.count(v0) == 5:
+        raise Degenerate(f"h={h} is too small to resolve D: its five stencil samples are equal")
     scale = max(abs(v) for v in vals)
     # quadratic-fit guard: the stencil must sit inside the parabolic regime
     V, y = np.vander(np.array(_stencil(h)), 3), np.array(vals)
@@ -251,12 +258,15 @@ def _derivatives(h: float, samples) -> Derivatives:
     rms = np.sqrt(np.mean((y - V @ coef) ** 2))
     if scale > 0 and rms / scale > 1e-3:
         raise StepTooLarge(f"h={h} leaves quadratic-fit residual {rms/scale:.2e} relative")
-    d1_h = (vh - vmh) / (2 * h)
-    d1_h2 = (vh2 - vmh2) / h
-    d1 = (4 * d1_h2 - d1_h) / 3
-    d2_h = (vh - 2 * v0 + vmh) / h ** 2
-    d2_h2 = (vh2 - 2 * v0 + vmh2) / (h / 2) ** 2
-    d2 = (4 * d2_h2 - d2_h) / 3
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # refused below
+        d1_h = (vh - vmh) / (2 * h)
+        d1_h2 = (vh2 - vmh2) / h
+        d1 = (4 * d1_h2 - d1_h) / 3
+        d2_h = (vh - 2 * v0 + vmh) / h ** 2
+        d2_h2 = (vh2 - 2 * v0 + vmh2) / (h / 2) ** 2
+        d2 = (4 * d2_h2 - d2_h) / 3
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise Degenerate(f"h={h} gives a non-finite D' or D''")
     return Derivatives(D0=v0, D1=d1, D2_raw=d2, D2_scaled=d2 / 2, scale=scale)
 
 
@@ -267,7 +277,9 @@ def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
     Samples at {0, +-h/2, +-h} with h = numerics.h, in one batched
     integration.  Raises StepTooLarge when a least-squares quadratic through
     the five samples leaves more than 1e-3 relative residual, which signals
-    that h reaches outside the quadratic neighborhood of 0.
+    that h reaches outside the quadratic neighborhood of 0, and Degenerate
+    when h is too small to see D change: the five samples are equal, or D'
+    or D'' comes out non-finite.
     """
     nm = numerics or _DEFAULT
     return _derivatives(nm.h, _dets(_stepper(model, wave, c, nm), _stencil(nm.h)))

@@ -36,12 +36,13 @@ exp(-sigma mu h).  Because A is affine in lambda, Omega is a cubic
 W0 + lam W1 + lam^2 W2 + lam^3 W3 whose real coefficients depend only on
 the step.  The method is time-symmetric, so a step down the mesh has the
 exponent -Omega of the same step up it, to the bit: one table of W_k per
-mesh serves both directions.  A Stepper holds it, with the mesh, for one
-(model, wave, c, tol, L) and builds each row once per task for all the
-runs it sweeps: a scan's grid and polish rounds, a contour's boundary and
-refinement levels, or a report's tangent pair and derivative stencil.
-The table is built from the bottom of the mesh up, as far as the up-runs
-step, and whole for a sweep with a down-run.
+mesh serves both directions.  A Stepper holds the mesh, and the table of
+runs with |lambda| up to LAMBDA_REF, for one (model, wave, c, tol, L) and
+builds each row once per task for all the runs it sweeps: a scan's grid
+and polish rounds, a contour's boundary and refinement levels, or a
+report's tangent pair and derivative stencil.  A table is built from the
+bottom of the mesh up, as far as the up-runs step, and whole for a sweep
+with a down-run.
 Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
 of one run.  Each (lambda, direction stepped) then costs one weighted
 sum and one exponential per step.  A sweep takes its exponentials in
@@ -95,7 +96,6 @@ _FINE = 128        # monitor samples per mesh piece
 _EXP_BATCH = 400   # matrices per exponential call: steps times (lambda, direction) groups;
                    # each takes 7 float n x n arrays, held for the task (1.4 MiB at n = 8)
 _TABLE_BATCH = 64  # steps per _magnus call: bounds its temporaries (128 raises their peak)
-_HELD_BYTES = 2 ** 20   # W tables a Stepper keeps between sweeps; a level past it is dropped
 _OVERFLOW = 1e12
 _REVERSIBLE = 1e-12   # field symmetry under R, relative to its largest entry, for reflected w-runs
 _SIGNS = np.array([-1.0, 1.0])[:, None, None]   # [[P, -Q], [Q, P]]'s right column from Q over P
@@ -148,21 +148,18 @@ def mesh_steps(tol: float) -> int:
     return n
 
 
-def _mesh(monitor, L: float, n: int) -> np.ndarray:
+def _mesh(xs: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
     """Nodes of the graded mesh on [-L, 0], ascending.
 
-    monitor maps an array of xi to the monitor's values there, and is
-    called once, on _FINE + 1 samples of each piece of [-L, 0] between
-    consecutive nodes of -L, _BREAKS and 0, one row a piece.  Each piece
-    gets its share of the n steps by its monitor integral (at least one),
-    placed so that every step holds an equal part of it.  A piece inside
-    [-2, 0] gets its share rounded to a multiple of _BLOCK (at least
-    _BLOCK), and the piece [-L, -2], when L > 2, absorbs the difference
-    (keeping at least one).
+    xs holds _FINE + 1 samples of each piece of [-L, 0] between consecutive
+    nodes of -L, _BREAKS and 0, one row a piece from its left end, and f
+    the monitor's values there.  Each piece gets its share of the n steps
+    by its monitor integral (at least one), placed so that every step
+    holds an equal part of it.  A piece inside [-2, 0] gets its share
+    rounded to a multiple of _BLOCK (at least _BLOCK), and the piece
+    [-L, -2], when L > 2, absorbs the difference (keeping at least one).
     """
-    ends = np.array([-L, *(b for b in _BREAKS if b > -L), 0.0])
-    xs = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * np.linspace(0.0, 1.0, _FINE + 1)
-    f = monitor(xs)
+    ends = np.append(xs[:, 0], 0.0)
     if not np.all(np.isfinite(f)):
         bad = xs.ravel()[np.argmin(np.isfinite(f).ravel())]
         raise StepFail(f"non-finite matrix field at xi={bad:.4f}")
@@ -263,11 +260,12 @@ def integrate_mode(model: MultisymplecticModel, wave: WaveFamily, c: float,
 class _Level:
     """The mesh of one refinement level and its one ascending W table.
 
-    Row k of w holds the W_k of step k up the mesh, [x[k], x[k+1]].  Rows
-    [0, built) are built, from the bottom up: up-runs read rows from the
-    bottom, and down-runs, which read them from the top, need the whole
-    table.  The core [-2, 2] is steps [outer, nsteps - outer), a multiple
-    of _BLOCK steps from each of its nodes to the next.
+    Row k of w holds the W_k of step k up the mesh, [x[k], x[k+1]]; w is
+    allocated for the whole mesh.  Rows [0, built) are built, from the
+    bottom up: up-runs read rows from the bottom, and down-runs, which
+    read them from the top, need the whole table.  The core [-2, 2] is
+    steps [outer, nsteps - outer), a multiple of _BLOCK steps from each of
+    its nodes to the next.
     """
 
     x: np.ndarray
@@ -275,37 +273,33 @@ class _Level:
     built: int
     outer: int
 
-    @property
-    def nbytes(self) -> int:
-        # the bytes of the rows built
-        return self.w[0].nbytes * self.built
-
 
 class Stepper:
-    """The mesh and W tables of one (model, wave, c, tol, L), for any number of sweeps.
+    """The mesh and W table of one (model, wave, c, tol, L), for any number of sweeps.
 
     None of it depends on lambda.  The mesh is built by the first sweep
-    with runs, and its monitor's samples decide once whether the wave is
-    reversible, in which case every sweep steps its w-runs as reflected
-    u-runs, in their lambda's u-runs' direction: determinant runs to 0
-    then all step up the mesh and build the table of [-L, 0] alone, with
-    one exponential per lambda and step.  Each refinement level holds one
-    W table for steps up the mesh; a step down it is the same step
-    backward, whose exponent is -W to the bit (see _magnus), so down-runs
-    read the table from the top with their powers of lambda negated.  The
-    table is built in one direction, from the bottom up: as far as a
-    sweep's up-runs step, and whole when the sweep has a down-run; a later
-    sweep that steps further extends it (in no task of the package would
-    building from the top as well save a row).  Levels are swept in
-    ascending order, and a level whose table takes the held total past
-    _HELD_BYTES is dropped after its sweep and rebuilt when next needed,
-    so the many levels of large |lambda| do not pile up.  A table row is
-    the same array whichever sweep built it, so a run gives the same bits
-    on a stepper that has swept before as on a fresh one.  The stepper also
-    holds the float buffers that its exponentials are computed in, sized
-    for one chunk of _EXP_BATCH matrices, so that a task does not allocate
-    them afresh per chunk; a chunk's groups, real and complex lambda
-    alike, go to one _expms call.
+    with runs, and the field's samples that grade it decide once whether
+    the wave is reversible, in which case every sweep steps its w-runs as
+    reflected u-runs, in their lambda's u-runs' direction: determinant
+    runs to 0 then all step up the mesh and build the table of [-L, 0]
+    alone, with one exponential per lambda and step.  Each refinement
+    level has one W table for steps up the mesh; a step down it is the
+    same step backward, whose exponent is -W to the bit (see _magnus), so
+    down-runs read the table from the top with their powers of lambda
+    negated.  The table is built in one direction, from the bottom up: as
+    far as a sweep's up-runs step, and whole when the sweep has a
+    down-run.  The stepper holds level 1, on which every run with |lambda|
+    up to LAMBDA_REF steps, for all its sweeps, and a later sweep that
+    steps further extends its table (in no task of the package would
+    building from the top as well save a row).  A refined level is built
+    for its own sweep and dropped after it, so the many levels of large
+    |lambda| never pile up; levels are swept in ascending order.  A table
+    row is the same array whichever sweep built it, so a run gives the
+    same bits on a stepper that has swept before as on a fresh one.  The
+    stepper also holds the float buffers that its exponentials are
+    computed in, sized for one chunk of _EXP_BATCH matrices, so that a
+    task does not allocate them afresh per chunk; a chunk's groups, real
+    and complex lambda alike, go to one _expms call.
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -315,7 +309,6 @@ class Stepper:
         self.n = mesh_steps(tol)
         self.jinv = np.linalg.inv(jc(model, c))
         self.bmat = -(self.jinv @ model.M)   # the coefficient of lambda in A
-        self._levels = {}   # refinement -> _Level
         self._bufs = {}     # the exponentials' held buffers, see _buffer
 
     def _field(self, xi: np.ndarray) -> np.ndarray:
@@ -330,15 +323,12 @@ class Stepper:
         # samples, J^-1 hessS(zhat(-xi)) = -R J^-1 hessS(zhat(xi)) R to
         # _REVERSIBLE times the field's largest entry
         jb, rev = self.jinv @ self.model.binf(), self.model.R
-        xi = f = None   # the monitor's samples and the field there
-
-        def monitor(xs):
-            nonlocal xi, f
-            xi = xs.ravel()
-            f = self._field(xi)
-            return np.linalg.norm(f - jb, axis=(1, 2)).reshape(xs.shape) ** _POWER
-
-        left = _mesh(monitor, self.L, self.n)
+        ends = np.array([-self.L, *(b for b in _BREAKS if b > -self.L), 0.0])
+        xs = ends[:-1, None] + np.diff(ends)[:, None] * np.linspace(0.0, 1.0, _FINE + 1)
+        xi = xs.ravel()
+        f = self._field(xi)
+        monitor = np.linalg.norm(f - jb, axis=(1, 2)).reshape(xs.shape) ** _POWER
+        left = _mesh(xs, monitor, self.n)
         if rev is None:
             return left, False
         # R f R as two 2-D products, each sample's rows side by side in the
@@ -443,23 +433,27 @@ class Stepper:
                 raise BadParameter(f"|lambda| = {abs(runs[idx[0]][0]):g} at tol={self.tol:g} "
                                    f"needs {self.n * r} mesh steps per half-domain, "
                                    f"more than {MAX_STEPS}")
-            sols = self._sweep(r, [runs[m] for m in idx])
+            # a refined level lives only in the call, so the next one's table
+            # is allocated after this one's is freed
+            sols = self._sweep(self._base if r == 1 else self._level(r), [runs[m] for m in idx])
             for m, sol in zip(idx, sols):
                 out[m] = sol
-            if sum(level.nbytes for level in self._levels.values()) > _HELD_BYTES:
-                del self._levels[r]
         return out
 
     def _level(self, r: int) -> _Level:
-        # the symmetric mesh of [-L, L] with every step split in r, and its table
-        if r not in self._levels:
-            left = self._half[0]
-            sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
-            half = np.append(sub.ravel(), left[-1])
-            x = np.concatenate([half, -half[-2::-1]])
-            self._levels[r] = _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0,
-                                     r * int(np.searchsorted(left, _BREAKS[0])))
-        return self._levels[r]
+        # the symmetric mesh of [-L, L] with every step split in r, and its
+        # table, none of it built
+        left = self._half[0]
+        sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
+        half = np.append(sub.ravel(), left[-1])
+        x = np.concatenate([half, -half[-2::-1]])
+        return _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0,
+                      r * int(np.searchsorted(left, _BREAKS[0])))
+
+    @cached_property
+    def _base(self) -> _Level:
+        # level 1, held for every sweep
+        return self._level(1)
 
     def _build(self, level: _Level, upto: int):
         # rows [built, upto) of level's table, _TABLE_BATCH steps a _magnus
@@ -472,9 +466,8 @@ class Stepper:
             level.w[k0:k1] = _magnus(h[k0:k1], a.reshape(-1, 3, 4, 4), self.bmat)
         level.built = max(level.built, upto)
 
-    def _sweep(self, r: int, runs) -> list:
-        """The RescaledSolutions of runs on refinement level r, stepped on its mesh in one loop."""
-        level = self._level(r)
+    def _sweep(self, level: _Level, runs) -> list:
+        """The RescaledSolutions of runs on one refinement level, stepped on its mesh in one loop."""
         x, w = level.x, level.w
         h = np.diff(x)
         nsteps = len(h)

@@ -194,18 +194,20 @@ def test_contour_numerical_failures():
 
 @pytest.mark.parametrize("args, code, named", [
     (["report", "--p", "1.6666666", "--c", "0"], 3, "StepTooLarge"),
+    (["report", "--p", "1", "--c", "0.3", "--h", "1e-20"], 3, "Degenerate"),
     (["report", "--p", "1", "--c", "0.995"], 2, '"passed": false'),
     (["report", "--p", "1", "--c", "-0.999"], 2, '"passed": false'),
     (["scan", "--p", "1", "--c", "0.9999"], 3, "NormalizationFail"),
     (["contour", "--p", "1", "--c", "0.9995", "--rect", "0.5,3,-0.8,0.8"], 3, "StepFail"),
-], ids=["report-p-1.6666666", "report-c-0.995", "report-c--0.999", "scan-c-0.9999",
+], ids=["report-p-1.6666666", "report-h-1e-20", "report-c-0.995", "report-c--0.999", "scan-c-0.9999",
         "contour-c-0.9995"])
 def test_degenerate_edges_refuse(args, code, named):
     # next to p = 5/3, where Pi vanishes, and as |c| -> 1, where the profile
     # narrows, a task ends in a typed error or a failed hypothesis check and
     # prints none of the numbers it would otherwise report.  At p = 1.6666666
     # the tangent pairing, Pi = 5.6e-10, holds along xi to 1e-9 relative, so
-    # the refusal comes from the derivative stencil's quadratic fit
+    # the refusal comes from the derivative stencil's quadratic fit.  At
+    # h = 1e-20 the five stencil samples are bit-equal: D'' used to print 0
     r = _run(args)
     assert r.exit_code == code
     assert named in r.output

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 
 from evanskit.asymptotics import continuous_spectrum_distance, spectra, spectrum
 from evanskit import evans
-from evanskit.errors import (BadParameter, ContourOnSpectrum, NoConverge, SplittingViolated,
-                             StepTooLarge)
+from evanskit.errors import (BadParameter, ContourOnSpectrum, Degenerate, NoConverge,
+                             SplittingViolated, StepTooLarge)
 from evanskit.evans import (
     _POLISH_ROUNDS,
     ROOT_XTOL,
     Numerics,
+    _derivatives,
     _det_runs,
     _det_samples,
     _estimate,
@@ -242,12 +244,15 @@ def test_numerics_accepts_good_values():
     lambda m, w, k: winding_count(m, w, 0.0, (0.5, 3.0, -0.8, 0.8), m_per_edge=k),
     lambda m, w, k: real_axis_scan(m, w, 0.0, 3.0, n=k),
 ], ids=["contour", "scan"])
-@pytest.mark.parametrize("k", [0, -3, 2.5, 2.7, math.nan, math.inf, "12"])
+@pytest.mark.parametrize("k", [0, -3, 2.5, 2.7, math.nan, math.inf, "12", True,
+                               pytest.param(10 ** 400, id="10**400")])
 def test_sample_counts_refused(call, k):
     # m_per_edge = 0 used to count 0 roots where the closed form has 2, and
     # n = 2.7 to scan 2 samples and miss the root at sqrt 2; -3, NaN and inf
     # ended in numpy's ValueError, TypeError or OverflowError.  A string is
-    # no count either
+    # no count either, nor is a bool: m_per_edge = True counted 0 roots.
+    # 10**400, beyond float range, ended in numpy's ValueError (contour) or
+    # an OverflowError (scan)
     model, wave = build_coupled_wave(1.0)
     with pytest.raises(BadParameter, match="must be an integer of at least"):
         call(model, wave, k)
@@ -474,6 +479,27 @@ def test_step_guard():
     model, wave = build_coupled_wave(1.0)
     with pytest.raises(StepTooLarge):
         derivatives_at_zero(model, wave, 0.0, numerics=Numerics(h=1.0))
+
+
+@pytest.mark.parametrize("h", [1e-20, 1e-300])
+def test_step_too_small_refused(h):
+    # from h = 1e-19 down the five stencil samples are bit-equal, so the fit
+    # guard saw no residual: D'' came out 0, and at h = 1e-300, where h^2
+    # underflows, NaN after two RuntimeWarnings (errors in this suite)
+    model, wave = build_coupled_wave(1.0)
+    with pytest.raises(Degenerate, match=f"h={h} is too small"):
+        derivatives_at_zero(model, wave, 0.3, numerics=Numerics(h=h))
+
+
+def test_non_finite_second_derivative_refused():
+    # samples of a parabola that differ, at an h whose square underflows to
+    # 0: they pass the fit guard, but D'' is a division by 0, refused
+    # without a warning
+    h = 1e-170
+    vals = [1.0, 1.0 + 1e-12, 1.0 + 1e-12, 1.0 + 4e-12, 1.0 + 4e-12]
+    samples = [SimpleNamespace(D=np.complex128(v)) for v in vals]
+    with pytest.raises(Degenerate, match="h=1e-170 gives a non-finite"):
+        _derivatives(h, samples)
 
 
 def test_scan_below_first_root():

@@ -284,14 +284,14 @@ def test_one_table_build_per_task(monkeypatch):
     assert len(calls) == task > 0
 
 
-def test_reused_stepper_equals_fresh_calls():
+def test_reused_stepper_equals_fresh_calls(monkeypatch):
     # one stepper sweeps determinant runs to 0, then the tangent pair to +-2,
     # whose steps past 0 in each direction the other direction's runs have
     # built, so it builds nothing, then determinant runs at new lambda, one
-    # of them (14) on refinement level 2, then runs at lambda = 60, whose
-    # level 5 takes the held tables past _HELD_BYTES and is dropped: every
-    # run equals, bit for bit, what a fresh Stepper's sweep gives, and only
-    # the dropped level is built again
+    # of them (14) on refinement level 2, then runs at lambda = 60, on level
+    # 5, twice: every run equals, bit for bit, what a fresh Stepper's sweep
+    # gives, and only level 1 is held, so a refined level is built again
+    # for every sweep that needs it
     model, wave = _coupled()
     counted, calls = _stacked_counting(model)
     c, tol = 0.3, 1e-9
@@ -307,15 +307,35 @@ def test_reused_stepper_equals_fresh_calls():
         if lot == 1:
             assert calls == []   # the determinant runs' down-runs built the whole table
         else:
-            assert len(calls) > 0   # the mesh, a new level, a dropped one
+            assert len(calls) > 0   # the mesh, or a refined level
         for a, b in zip(Stepper(model, wave, c, tol=tol).run(runs), got, strict=True):
             assert np.array_equal(a.value_at_end, b.value_at_end)
             assert a.stats == b.stats and a.xi_seed == b.xi_seed
             if a.values is not None:
                 assert np.array_equal(a.values, b.values)
-    calls.clear()
-    stepper.run(lots[0] + lots[1] + lots[2])   # every table it needs is held
-    assert calls == []
+    # level 1's table is held whole; level 2's is built again for the
+    # determinant runs at 14, whole, as the counted model has no R and its
+    # w-runs step down from +L
+    rows, magnus = [], integrator._magnus
+    monkeypatch.setattr(integrator, "_magnus",
+                        lambda h, a, b: rows.append(h.copy()) or magnus(h, a, b))
+    stepper.run(lots[0] + lots[1] + lots[2])
+    assert np.array_equal(np.concatenate(rows), np.diff(stepper._level(2).x))
+
+
+def test_multi_level_contour_rows(monkeypatch):
+    # a contour whose boundary and refinement points reach |lambda| = 42,
+    # on refinement levels 1 to 4 over its sweeps: level 1 is held across
+    # them, each refined level is built for each sweep that takes it, and
+    # the count matches the closed form's 2 roots inside
+    rows, magnus = [], integrator._magnus
+    monkeypatch.setattr(integrator, "_magnus",
+                        lambda h, a, b: rows.append(len(h)) or magnus(h, a, b))
+    model, wave = _coupled()
+    rect = (0.05, 30.0, -30.0, 30.0)
+    assert refinement(complex(rect[1], rect[3])) == 4
+    assert winding_count(model, wave, 0.0, rect) == 2
+    assert sum(rows) == 1370
 
 
 def test_magnus_step_is_time_symmetric():
