@@ -81,7 +81,7 @@ class RunConfig:
     seeds: int = 20
     out: str | None = None
     format: str | None = None   # csv for scan, json otherwise
-    grid_n: int = field(init=False)   # numerics.grid_n: the scan's sample count
+    grid_n: int = field(init=False)   # numerics.grid_n: the scan's least proxy points per piece
 
     def __post_init__(self):
         if self.task not in _TASKS:
@@ -180,11 +180,22 @@ def _merge_config(task, config_path, kw) -> RunConfig:
     return RunConfig(task=task, params=params, numerics=numerics, **given)
 
 
+def _echo(text: str, err: bool = False):
+    # text on stdout, or stderr, as it stands.  click.echo caches a wrapper
+    # per stream in a dict keyed weakly on the stream, and the wrapper of a
+    # text stream is the stream itself, so the entry is never dropped: a
+    # process that calls main many times on captured streams, as tests and
+    # the benchmark's loop do, kept every task's output alive
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text)
+    stream.flush()
+
+
 def _emit(text: str, out):
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text)
 
 
 def _wave_refused(cfg: RunConfig, model, wave, residuals: bool) -> bool:
@@ -234,8 +245,8 @@ def _cmd_scan(cfg: RunConfig) -> int:
         Path(cfg.out).write_text(csv)
         Path(cfg.out + ".brackets.json").write_text(_json(sidecar))
     else:
-        click.echo(csv, nl=False)
-        click.echo(_json(sidecar), err=True, nl=False)
+        _echo(csv)
+        _echo(_json(sidecar), err=True)
     return 0
 
 
@@ -386,10 +397,10 @@ def _run(task: str, kw: dict):
         cfg = _merge_config(task, kw.pop("config"), kw)
         code = _DISPATCH[task](cfg)
     except BadParameter as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}\n", err=True)
         sys.exit(1)
     except EvanskitError as e:
-        click.echo(f"numerical failure: {type(e).__name__}: {e}", err=True)
+        _echo(f"numerical failure: {type(e).__name__}: {e}\n", err=True)
         sys.exit(3)
     sys.exit(code)
 
@@ -406,7 +417,8 @@ def _options(f):
         click.option("--lambda-max", "lambda_max", type=float, default=None,
                      help="right end of the real-axis scan window."),
         click.option("--grid-n", "grid_n", type=int, default=None,
-                     help="number of scan samples."),
+                     help="least number of Chebyshev points per piece of the scan's proxy of D; "
+                          "a piece takes 25 at least."),
         click.option("--rect", default=None,
                      help="contour rectangle re0,re1,im0,im1."),
         click.option("--tol", type=float, default=None,

@@ -25,7 +25,7 @@ class RankError(EvanskitError):
 
 
 class NoConverge(EvanskitError):
-    """Root polish, contour refinement, the quadrature or the quartic residual missed its bound."""
+    """A scan's proxy or root sign checks, contour refinement, the quadrature or the quartic residual missed its bound."""
 
 
 # --- model layer ---

@@ -4,6 +4,11 @@ The determinant form pairs the two adjoint-normalized modes w3, w4 against the
 two decaying modes u3, u4 at a matching point.  The wedge form takes the 4-fold
 exterior product of all four u-modes.  Both are assembled from rescaled
 trajectories, so every pairing is evaluated at O(1) scale.
+
+A real-axis scan finds the real roots of D from a piecewise Chebyshev proxy of
+D on [0, lam_max], sampled in one stepper sweep, whose colleague-matrix roots
+give every root at once (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013, ch. 18); see real_axis_scan.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .asymptotics import InfinitySpectrum, spectra, spectrum
 from .errors import (BadParameter, ContourOnSpectrum, Degenerate, DegenerateMu, EvanskitError,
                      NoConverge, NonClosure, SplittingViolated, StepTooLarge)
-from .integrator import Stepper
+from .integrator import LAMBDA_REF, MAX_STEPS, Stepper, refinement
 from .linalg import _cmul, interior2, skew_cmat4, symplectic_forms, wedge2, wedge4
 from .model import MultisymplecticModel, WaveFamily, jc
 
@@ -69,10 +75,15 @@ def _whole(name: str, v, least: int) -> int:
 
 _DEFAULT = Numerics()
 CONTOUR_TOL = 1e-8   # contours default to a looser tolerance than point values
-SCAN_N = 31          # default sample count of real-axis scans
-ROOT_XTOL = 1e-10    # absolute tolerance of real-axis root polish
-_POLISH_ROUNDS = 100  # cap on lockstep polish rounds; each at least halves a bracket
-_SEED_POINTS = 8     # known points whose interpolant estimates a root in every polish round
+SCAN_N = 31          # default least number of proxy points per piece of a real-axis scan
+ROOT_XTOL = 1e-10    # absolute tolerance of real-axis roots
+_PROXY_POINTS = 25   # least Chebyshev points per piece of a scan's proxy of D
+_TAIL = 1e-8         # a proxy piece is resolved when its last 4 coefficients sum to at most
+                     # this times max |D| on it
+_SPLITS = 4          # cap on the halvings of a proxy piece
+_DOUBLE_ZERO = 0.1   # the proxy roots taken for D's double zero at 0 lie this close to 0,
+                     # as a fraction of the next root's distance
+_CLOSINGS = 8        # cap on the sign checks that close one root
 
 
 def _stepper(model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -287,167 +298,131 @@ def derivatives_at_zero(model: MultisymplecticModel, wave: WaveFamily, c: float,
 
 @dataclass
 class ScanResult:
-    lams: np.ndarray
-    values: np.ndarray            # complex D(lambda)
-    brackets: list                # (lo, hi) sign-change intervals before refinement
-    roots: list                   # midpoints of brackets polished to ROOT_XTOL
+    lams: np.ndarray              # the proxy's points, ascending, from 0 to lam_max
+    values: np.ndarray            # complex D(lambda) at them
+    brackets: list                # (root - e, root + e) per root, e its error bar
+    roots: list                   # real roots of D in (0, lam_max], ascending
     d_inf: int                    # sign of D at the right end
-    rounds: int                   # polish rounds, one stepper sweep each after the grid's
 
 
-def _interp_zero(xs, fs, lo, hi) -> float:
-    # a zero in (lo, hi) of the polynomial through the points (xs, fs), whose
-    # first two are lo and hi, of opposite sign, and no other in [lo, hi]:
-    # Illinois regula falsi on its barycentric form (Berrut and Trefethen,
-    # SIAM Rev. 46, 2004), in Python floats.  It returns the iterate where
-    # the polynomial is 0, or that falls on an end of what is left of the
-    # bracket, or the 100th; nan where the weights over- or underflow, or
-    # where the barycentric denominator rounds to 0
-    s = hi - lo   # differences in units of the bracket keep the weights O(1)
-    ws = [1.0 / math.prod((a - b) / s for b in xs if b != a) for a in xs]
-    if not all(0.0 < abs(w) < math.inf for w in ws):
-        return math.nan
-
-    def p(x):
-        t = [w / (x - a) for w, a in zip(ws, xs)]
-        den = sum(t)
-        return sum(u * f for u, f in zip(t, fs)) / den if den else math.nan
-
-    a, fa, b, fb = lo, fs[0], hi, fs[1]
-    side = 0
-    for _ in range(100):
-        x = (a * fb - b * fa) / (fb - fa)
-        if not a < x < b:
-            break
-        fx = p(x)
-        if math.isnan(fx):
-            return fx
-        if fx == 0.0:
-            break
-        if (fx < 0) == (fa < 0):
-            a, fa = x, fx
-            if side < 0:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = x, fx
-            if side > 0:
-                fa *= 0.5
-            side = 1
+def _lobatto(a: float, b: float, m: int) -> np.ndarray:
+    # the m Chebyshev-Lobatto points of [a, b], ascending, with a and b exact
+    x = a + (b - a) * np.sin(0.5 * np.pi * np.arange(m) / (m - 1)) ** 2
+    x[-1] = b
     return x
 
 
-def _estimate(lo, hi, known):
-    # (est, err) for the bracket (lo, hi): the zeros in it of the
-    # polynomials through lo, hi and the known points outside it nearest its
-    # midpoint, _SEED_POINTS points or all there are, and two fewer but at
-    # least lo and hi, and their distance; None when lo and hi are the only
-    # known points, whose secant has no second zero to be measured against
-    mid = 0.5 * (lo + hi)
-    outside = sorted((x for x in known if not lo <= x <= hi), key=lambda x: abs(x - mid))
-    if not outside:
-        return None
-    near = [lo, hi, *outside[:_SEED_POINTS - 2]]
-    fine, coarse = (_interp_zero(xs, [known[x] for x in xs], lo, hi)
-                    for xs in (near, near[:max(2, len(near) - 2)]))
-    return fine, abs(fine - coarse)
-
-
-def _polish(f, brackets, known):
-    """Shrink sign-change brackets of f to ROOT_XTOL in lockstep, one f call per round.
-
-    f maps a list of points to their real values.  known maps every point
-    evaluated so far, the bracket ends included, to its value.  Each round
-    evaluates, for every open bracket, its midpoint and an estimate est with
-    est -+ d, d = max(err, ROOT_XTOL / 2), points outside the bracket
-    dropped.  In every round est is the zero in the bracket of the
-    polynomial through its ends and the known points nearest it,
-    _SEED_POINTS in all or as many as are known (in a scan's first round,
-    grid samples), and err the distance to the zero of the one through two
-    points fewer, or through the ends alone; with no known point but the
-    ends, the round evaluates the midpoint alone.  When d is ROOT_XTOL / 2,
-    est -+ d alone close the bracket if the root lies between them, so est
-    is not evaluated in that round.  The bracket then becomes the first
-    sign-change interval among the points it holds, so it stays an interval
-    between evaluated points of opposite sign and at least halves.  A
-    bracket ends at width <= 2 ROOT_XTOL, or as (x, x) on a point x where f
-    is exactly 0.  Returns the final brackets and the number of rounds;
-    raises NoConverge when brackets are still open after _POLISH_ROUNDS
-    rounds.
-    """
-    known = dict(known)
-    brackets = list(brackets)
-    live = [k for k, (lo, hi) in enumerate(brackets) if hi - lo > 2 * ROOT_XTOL]
-    rounds = 0
-    while live:
-        if rounds == _POLISH_ROUNDS:
-            raise NoConverge(f"root polish left {len(live)} brackets wider than "
-                             f"{2 * ROOT_XTOL:g} after {rounds} rounds")
-        inner = {}
-        for k in live:
-            lo, hi = brackets[k]
-            guess = _estimate(lo, hi, known)
-            pts = [0.5 * (lo + hi)]
-            if guess is not None:
-                est, err = guess
-                d = max(err, 0.5 * ROOT_XTOL)
-                pts += [est - d, est + d] if d == 0.5 * ROOT_XTOL else [est - d, est, est + d]
-            inner[k] = sorted({float(x) for x in pts if lo < x < hi})
-        new = sorted({x for pts in inner.values() for x in pts} - known.keys())
-        if new:   # empty only when no float lies inside any open bracket
-            known.update(zip(new, (float(v) for v in f(new))))
-        rounds += 1
-        for k in live:
-            lo, hi = brackets[k]
-            zeros = [x for x in inner[k] if known[x] == 0.0]
-            if zeros:
-                brackets[k] = (zeros[0], zeros[0])
-                continue
-            xs = [lo, *inner[k], hi]
-            brackets[k] = next((a, b) for a, b in zip(xs, xs[1:])
-                               if (known[a] < 0) != (known[b] < 0))
-        live = [k for k in live if brackets[k][1] - brackets[k][0] > 2 * ROOT_XTOL]
-    return brackets, rounds
+def _cuts(stepper: Stepper, lam_max: float) -> list[float]:
+    # 0, the edges below lam_max between the refinement levels that the
+    # stepper can step, and lam_max: a piece of the scan sees one mesh
+    top = min(refinement(lam_max), MAX_STEPS // stepper.n + 1)
+    return [0.0, *(LAMBDA_REF * k ** 1.2 for k in range(1, top)), float(lam_max)]
 
 
 def real_axis_scan(model: MultisymplecticModel, wave: WaveFamily, c: float,
                    lam_max: float, n: int = SCAN_N,
                    numerics: Numerics | None = None) -> ScanResult:
-    """Sample D on (0, lam_max], bracket sign changes, polish every root together.
+    """Every real root of D on (0, lam_max], from a piecewise Chebyshev proxy of D.
 
-    The grid samples are one batched evaluation.  Each sign-change interval
-    of the grid is then shrunk to width 2 ROOT_XTOL or less by _polish, all
-    brackets in lockstep, one batched evaluation per round.  Every round
-    estimates a root as the zero of the polynomial through the 8 known
-    samples nearest its bracket, grid samples in the first, so a grid that
-    resolves D saves rounds (a coupled-wave scan of (0, 3] on 13 samples at
-    tol 1e-9 takes 2).  The grid and every round sweep one Stepper, so the
-    task builds its mesh and W tables once.  rounds counts the polish
-    rounds.  A root is the midpoint of its final bracket, so it lies within
-    ROOT_XTOL of the sign change of D.  A grid sample where D is exactly 0
-    is a root as it stands.  A sample on the continuous spectrum raises
-    what spectra raises there.
+    [0, lam_max] is cut into pieces at the edges between refinement levels
+    (integrator.refinement; none when lam_max <= LAMBDA_REF), and D is
+    sampled on max(n, _PROXY_POINTS) Chebyshev-Lobatto points of each piece,
+    all in one batched evaluation.  A piece whose last 4 Chebyshev
+    coefficients sum to more than _TAIL times max |D| on it is halved, and
+    the halves are sampled in the next evaluation, at most _SPLITS times,
+    else NoConverge: a piece where D sits near its rounding floor never
+    resolves, as on (0, 1e-4] on the coupled wave at tol 1e-9.  The roots
+    are the colleague-matrix eigenvalues of each piece's interpolant P
+    (Battles and Trefethen, SIAM J. Sci. Comput. 25, 2004) that are real
+    and lie in the piece, its left end excluded.  On the piece at 0 the two
+    eigenvalues nearest 0 are dropped first, because D(0) = D'(0) = 0 puts
+    them there, and the scan refuses with NoConverge when they do not lie
+    within _DOUBLE_ZERO of the next one's distance from 0: P does not tell a
+    root there from the double zero.  On the coupled wave at tol 1e-9 the
+    root sqrt(5 - 3p) / alpha came out down to 1.7e-3 at c = 0 and 3.3e-3 at
+    |c| = 0.8, and below 5.5e-4 and 1.8e-3 the scan refused.  Each root r
+    has the error bar e = tail / |P'(r)|.  Roots with e > ROOT_XTOL are
+    closed by sign checks, D at r -+ ROOT_XTOL / 2, in one batched
+    evaluation per round: a root whose two values share a sign moves by a
+    Newton step on their mean, with the slope P'(r) and then the secant
+    through its last two checks, and is checked again, at most _CLOSINGS
+    times, else NoConverge.  A checked root lies within ROOT_XTOL / 2 of a
+    sign change of D, and that is its e.  brackets holds r -+ e per root.
+    lams and values are the proxy's points, ascending from 0 to lam_max, the
+    samples of halved pieces included, and d_inf is the sign of D at
+    lam_max.  A point on the continuous spectrum raises what spectra raises
+    there.
     """
     n = _whole("n", n, 2)
     if not 0.0 < lam_max < np.inf:
         raise BadParameter("scan needs a finite lam_max > 0")
-    lams = np.linspace(lam_max / n, lam_max, n)
     stepper = _stepper(model, wave, c, numerics)
-    vals = np.array([s.D for s in _dets(stepper, lams)])
-    re = vals.real
+    m = max(n, _PROXY_POINTS)
+    cuts = _cuts(stepper, lam_max)
+    pieces, known, done = list(zip(cuts, cuts[1:])), {}, []
+    for _ in range(_SPLITS + 1):
+        new = sorted({x for a, b in pieces for x in _lobatto(a, b, m).tolist()} - known.keys())
+        known.update(zip(new, (s.D for s in _dets(stepper, new))))
+        halves = []
+        for a, b in pieces:
+            f = np.array([known[x].real for x in _lobatto(a, b, m).tolist()])
+            coef = cheb.chebfit(-np.cos(np.pi * np.arange(m) / (m - 1)), f, m - 1)
+            tail = np.abs(coef[-4:]).sum()
+            if tail <= _TAIL * np.abs(f).max():
+                done.append((a, b, coef, tail))
+            else:
+                halves += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+        pieces = halves
+        if not pieces:
+            break
+    else:
+        raise NoConverge(f"the proxy of D left {len(pieces)} pieces unresolved after "
+                         f"{_SPLITS} splits")
 
-    def f(points):
-        return [s.D.real for s in _dets(stepper, points)]
-
-    brackets = [(float(lams[k]), float(lams[k + 1])) for k in range(n - 1)
-                if re[k] * re[k + 1] < 0]
-    polished, rounds = _polish(f, brackets, dict(zip(lams.tolist(), re.tolist())))
-    # brackets are disjoint and end at nonzero samples: sorting keeps grid order
-    roots = sorted([float(lams[k]) for k in range(n - 1) if re[k] == 0.0]
-                   + [0.5 * (lo + hi) for lo, hi in polished])
-    d_inf = 1 if re[-1] > 0 else (-1 if re[-1] < 0 else 0)
-    return ScanResult(lams=lams, values=vals, brackets=brackets, roots=roots,
-                      d_inf=d_inf, rounds=rounds)
+    roots, slopes, bars = [], [], []
+    for a, b, coef, tail in sorted(done, key=lambda piece: piece[0]):
+        t = cheb.chebroots(cheb.chebtrim(coef))
+        if a == 0.0:   # the double zero at lambda = 0
+            t = t[np.argsort(np.abs(t + 1.0))]
+            if len(t) > 2 and abs(t[1] + 1.0) > _DOUBLE_ZERO * abs(t[2] + 1.0):
+                raise NoConverge("the proxy of D does not tell a root from the double zero at 0")
+            t = t[2:]
+        t = np.sort(t[(t.imag == 0.0) & (-1.0 < t.real) & (t.real <= 1.0)].real)
+        slope = cheb.chebval(t, cheb.chebder(coef)) * (2.0 / (b - a))
+        roots += (a + 0.5 * (b - a) * (t + 1.0)).tolist()
+        slopes += slope.tolist()
+        bars += (tail / np.abs(slope)).tolist()
+    shut = [k for k, e in enumerate(bars) if e > ROOT_XTOL]
+    seen = {}   # root -> (its last checked point, the mean of D at its sign checks)
+    for _ in range(_CLOSINGS):
+        if not shut:
+            break
+        pts = [roots[k] + d for k in shut for d in (-0.5 * ROOT_XTOL, 0.5 * ROOT_XTOL)]
+        vals = np.array([s.D.real for s in _dets(stepper, pts)]).reshape(-1, 2)
+        left = []
+        for k, (lo, hi) in zip(shut, vals.tolist()):
+            if (lo < 0) != (hi < 0) or 0.0 in (lo, hi):
+                bars[k] = 0.5 * ROOT_XTOL
+                continue
+            mid = 0.5 * (lo + hi)
+            if k in seen:   # the secant through the last two checks
+                slopes[k] = (mid - seen[k][1]) / (roots[k] - seen[k][0])
+            seen[k] = roots[k], mid
+            moved = roots[k] - mid / slopes[k] if slopes[k] else math.nan
+            if not (0.0 < moved <= lam_max and moved != roots[k]):   # NaN fails too
+                raise NoConverge(f"the sign checks of the root near {roots[k]:.12g} stalled")
+            roots[k] = moved
+            left.append(k)
+        shut = left
+    if shut:
+        raise NoConverge(f"{len(shut)} roots kept the sign of D on both sides after "
+                         f"{_CLOSINGS} sign checks")
+    lams = np.array(sorted(known))
+    vals = np.array([known[x] for x in lams.tolist()])
+    last = vals[-1].real
+    return ScanResult(lams=lams, values=vals,
+                      brackets=[(r - e, r + e) for r, e in zip(roots, bars)], roots=roots,
+                      d_inf=1 if last > 0 else (-1 if last < 0 else 0))
 
 
 def _rect_path(rect, m_per_edge):

@@ -38,8 +38,8 @@ the step.  The method is time-symmetric, so a step down the mesh has the
 exponent -Omega of the same step up it, to the bit: one table of W_k per
 mesh serves both directions.  A Stepper holds the mesh, and the table of
 runs with |lambda| up to LAMBDA_REF, for one (model, wave, c, tol, L) and
-builds each row once per task for all the runs it sweeps: a scan's grid
-and polish rounds, a contour's boundary and refinement levels, or a
+builds each row once per task for all the runs it sweeps: a scan's proxy
+points and sign checks, a contour's boundary and refinement levels, or a
 report's tangent pair and derivative stencil.  A table is built from the
 bottom of the mesh up, as far as the up-runs step, and whole for a sweep
 with a down-run.
@@ -49,10 +49,15 @@ sum and one exponential per step.  A sweep takes its exponentials in
 chunks, each one linalg._expms call on buffers the Stepper holds, in one
 form per chunk: real 4x4 when every lambda in it is real, and otherwise
 the real 8x8 form of the complex 4x4 for every lambda, where a real
-lambda's exact zero blocks give it the bits of its 4x4 form.  In the core
-[-2, 2] the exponentials of 4 consecutive steps are multiplied into one
-propagator, in the real form, and each run takes one 4x4 product per
-propagator; in the outer pieces, whose steps are long, one per step.
+lambda's exact zero blocks give it the bits of its 4x4 form.  On the core
+[-2, 2], and on the steps of the outer pieces that lie within about
+_BLOCKED of 0, the exponentials of 4 consecutive steps are multiplied into
+one propagator, in the real form, and each run takes one 4x4 product per
+propagator.  In the far field beyond, whose steps are up to 4.1 long, each
+run takes one product per step: with the whole outer pieces composed too,
+test_block_propagators_keep_closed_form_accuracy's worst point read 114.8
+tol, against 0.0249 tol with the propagators starting anywhere from -2 to
+-12.
 
 The steps lie on one mesh of [-L, L] that depends only on the model, the
 wave, c, L and tol: n = mesh_steps(tol), about N_REF (1e-10 / tol)^(1/6),
@@ -90,6 +95,8 @@ MAX_STEPS = 4096   # cap on the steps on [-L, 0]; a tol that needs more is refus
 LAMBDA_REF = 10.0  # |lambda| up to which a run steps on the mesh as it is
 _BREAKS = (-2.0, -1.5, -1.0, -0.5)   # mesh nodes besides -L and 0 (and their mirror images)
 _BLOCK = 4         # steps per propagator in [-2, 2]; each mesh piece there has a multiple of them
+_BLOCKED = 6.0     # propagators start at the lowest node from xi = -_BLOCKED up that lies a
+                   # multiple of _BLOCK steps below -2, and end at its mirror image
 _POWER = 0.25      # the monitor is the field's distance from B_inf to this power
 _FLOOR = 0.005     # monitor floor, as a fraction of the monitor's maximum
 _FINE = 128        # monitor samples per mesh piece
@@ -265,13 +272,18 @@ class _Level:
     bottom up: up-runs read rows from the bottom, and down-runs, which
     read them from the top, need the whole table.  The core [-2, 2] is
     steps [outer, nsteps - outer), a multiple of _BLOCK steps from each of
-    its nodes to the next.
+    its nodes to the next.  Steps [blocked, nsteps - blocked) are stepped
+    in propagators of _BLOCK steps, counted on this level's mesh: blocked is
+    the lowest step from xi = -_BLOCKED up that lies a multiple of _BLOCK
+    steps below outer.  The steps outside, the far field, are stepped one
+    at a time.
     """
 
     x: np.ndarray
     w: np.ndarray
     built: int
     outer: int
+    blocked: int
 
 
 class Stepper:
@@ -299,7 +311,10 @@ class Stepper:
     stepper also holds the float buffers that its exponentials are
     computed in, sized for one chunk of _EXP_BATCH matrices, so that a
     task does not allocate them afresh per chunk; a chunk's groups, real
-    and complex lambda alike, go to one _expms call.
+    and complex lambda alike, go to one _expms call.  A sweep's loop steps
+    every run through one 4x4 product per propagator of _BLOCK steps, on
+    the core and out to about xi = -+_BLOCKED, and one per step in the far
+    field beyond; the mesh and its nodes do not depend on that grouping.
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -447,8 +462,10 @@ class Stepper:
         sub = left[:-1, None] + np.diff(left)[:, None] * (np.arange(r) / r)
         half = np.append(sub.ravel(), left[-1])
         x = np.concatenate([half, -half[-2::-1]])
-        return _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0,
-                      r * int(np.searchsorted(left, _BREAKS[0])))
+        outer = r * int(np.searchsorted(left, _BREAKS[0]))
+        far = outer - int(np.searchsorted(half, -_BLOCKED))   # steps from -_BLOCKED to -2
+        return _Level(x, np.empty((len(x) - 1, 4, 4, 4)), 0, outer,
+                      outer - _BLOCK * (far // _BLOCK))
 
     @cached_property
     def _base(self) -> _Level:
@@ -467,7 +484,14 @@ class Stepper:
         level.built = max(level.built, upto)
 
     def _sweep(self, level: _Level, runs) -> list:
-        """The RescaledSolutions of runs on one refinement level, stepped on its mesh in one loop."""
+        """The RescaledSolutions of runs on one refinement level, stepped on its mesh in one loop.
+
+        The loop takes one iteration per propagator of _BLOCK steps from
+        step level.blocked to its mirror image, and one per step in the far
+        field outside (see _Level).  Exponential chunks end at those two
+        steps and at +-2, so a run's norm is still checked at +-2 and at its
+        stop node, whatever batch it rides in.
+        """
         x, w = level.x, level.w
         h = np.diff(x)
         nsteps = len(h)
@@ -542,20 +566,20 @@ class Stepper:
             out_vals[m][i] = v[place[m]]
 
         core = (level.outer, nsteps - level.outer)
+        edges = (level.blocked, *core, nsteps - level.blocked, nsteps)   # where chunks end
         k0 = 0
         while k0 < ends[0]:
             # exponentials for the groups with a step left, in this order, up
-            # to the first step at which one of them has none left, and in
-            # the core multiplied into propagators of _BLOCK steps.  Stop and
-            # sample nodes in the core lie a multiple of _BLOCK steps apart.
-            # Every chunk spans a multiple of _BLOCK steps, so the outer
-            # pieces' chunks need no larger buffers than the core's
+            # to the first step at which one of them has none left, and from
+            # step blocked to nsteps - blocked multiplied into propagators of
+            # _BLOCK steps.  Stop and sample nodes there lie a multiple of
+            # _BLOCK steps apart, and so do the edges.  Every chunk spans a
+            # multiple of _BLOCK steps, so the far field's single steps need
+            # no larger buffers than the propagators
             act = np.flatnonzero(last > k0)
             span = _BLOCK * max(1, _EXP_BATCH // (_BLOCK * act.size))
-            if core[0] <= k0 < core[1]:
-                block, limit = _BLOCK, core[1]
-            else:
-                block, limit = 1, core[0] if k0 < core[0] else nsteps
+            block = _BLOCK if edges[0] <= k0 < edges[3] else 1
+            limit = next(e for e in edges if e > k0)
             k1 = min(k0 + span, limit, last[act].min())
             up = int(np.count_nonzero(dir_g[act] > 0))
             parts = [part for part in ((w[k0:k1], 0, up),

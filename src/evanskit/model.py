@@ -300,7 +300,7 @@ class CoupledWaveOracle:
     alpha: float
     gamma: float                 # sqrt(4 + 3p)
     chi: float                   # -1/(768 alpha)
-    pi: float                    # 6p gamma (5-3p)(1+p) / (25 alpha)
+    pi: float                    # Pi in the code's normalization, see oracle_coupled_wave
     momentum: float              # -16 c alpha / 5
     dIdc: float                  # -16 alpha^3 / 5
     mu_at_zero: np.ndarray       # (-gamma a, -2a, 2a, gamma a)
@@ -356,14 +356,22 @@ class CoupledWaveOracle:
 
 
 def oracle_coupled_wave(p: float, c: float = 0.0) -> CoupledWaveOracle:
+    """The closed forms of the coupled wave at (p, c).
+
+    pi is invariants.pi_profile's Pi: the paper's 6p gamma (5-3p)(1+p) /
+    (25 alpha) times alpha / (6 gamma f2(0)^2), with f2(0) = (10 + 6p) / 5 +
+    gamma (15 + 3p) / 15 the factor that evans_det's mode basis carries at
+    lambda = 0.
+    """
     if p <= 0:
         raise BadParameter(f"coupling p={p} must be positive")
     al = _alpha_of(c)
     g = np.sqrt(4 + 3 * p)
+    f2 = (10 + 6 * p) / 5 + g * (15 + 3 * p) / 15
     return CoupledWaveOracle(
         p=p, c=c, alpha=al, gamma=g,
         chi=-1.0 / (768.0 * al),
-        pi=6 * p * g * (5 - 3 * p) * (1 + p) / (25 * al),
+        pi=p * (5 - 3 * p) * (1 + p) / (25 * f2 ** 2),
         momentum=-16.0 * c * al / 5.0,
         dIdc=-16.0 * al ** 3 / 5.0,
         mu_at_zero=np.array([-g * al, -2 * al, 2 * al, g * al]))

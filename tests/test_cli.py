@@ -133,16 +133,21 @@ def test_scan_csv_and_sidecar(tmp_path):
               "--tol", "1e-9", "--out", str(out)])
     assert r.exit_code == 0
     lines = out.read_text().splitlines()
+    # the proxy's 25 Chebyshev points of [0, 3], the least per piece above
+    # --grid-n 13, and one bracket, root -+ its error bar, per root
     assert lines[0] == "lambda_re,lambda_im,D_re,D_im"
-    assert len(lines) == 14
+    assert len(lines) == 26
     for row in lines[1:]:
         assert len(row.split(",")) == 4
+    assert float(lines[1].split(",")[0]) == 0.0 and float(lines[-1].split(",")[0]) == 3.0
     side = json.loads((tmp_path / "scan.csv.brackets.json").read_text())
     assert side["d_inf"] == 1
     assert len(side["brackets"]) == 2
     roots = sorted(side["roots"])
     assert abs(roots[0] - np.sqrt(2.0)) <= 1e-5
     assert abs(roots[1] - np.sqrt(5.0)) <= 1e-5
+    for r, (lo, hi) in zip(roots, side["brackets"]):
+        assert lo <= r <= hi
 
 
 def test_scan_deterministic(tmp_path):
@@ -161,10 +166,10 @@ def test_scan_json_format():
               "--tol", "1e-9", "--format", "json"])
     assert r.exit_code == 0
     d = json.loads(r.output)
-    assert len(d["lambda"]) == 7
+    assert len(d["lambda"]) == 25   # --grid-n 7 is below the proxy's least 25 points
     assert d["roots"] == []
     assert d["d_inf"] == -1
-    assert len(d["D_re"]) == 7
+    assert len(d["D_re"]) == 25
 
 
 def test_scan_validation():
@@ -215,6 +220,19 @@ def test_degenerate_edges_refuse(args, code, named):
         assert key not in r.stdout
 
 
+@pytest.mark.parametrize("p", ["1.6666666", "1.6666667"])
+def test_scan_next_to_five_thirds_refuses(p):
+    # within 1e-7 of p = 5/3 the small root (4.5e-4 below 5/3) or the pair
+    # +-i sqrt(3p - 5) (above it) merges with the double zero at 0 in the
+    # scan's proxy, which then cannot tell the two sides of 5/3 apart: exit
+    # 3 and no roots printed, where the uniform grid printed sqrt 5 alone on
+    # both sides, wrongly below 5/3
+    r = _run(["scan", "--p", p, "--c", "0"])
+    assert r.exit_code == 3
+    assert "NoConverge" in r.output and "double zero" in r.output
+    assert "roots" not in r.stdout
+
+
 def test_narrow_profiles_meet_the_closed_form():
     # close to |c| = 1 the profile narrows (alpha is about 10 at c = 0.995);
     # short of the refusals above, the scan's roots, its D samples and the
@@ -259,10 +277,10 @@ def test_config_file_merge_and_override(tmp_path):
         "task": "report",   # accepted and ignored: the subcommand decides
         "model": "coupled-wave", "params": {"p": 2.0}, "c": 0.0,
         "numerics": {"tol": 1e-9}, "lambda_max": 2.0, "format": "json"}))
-    r = _run(["scan", "--config", str(cfg), "--grid-n", "7"])
+    r = _run(["scan", "--config", str(cfg), "--grid-n", "31"])   # 31 proxy points, above the least 25
     assert r.exit_code == 0
     d = json.loads(r.output)
-    assert len(d["lambda"]) == 7
+    assert len(d["lambda"]) == 31
     assert d["lambda"][-1] == 2.0
     assert d["roots"] == []
 
@@ -376,21 +394,21 @@ def test_verify_exact_evans_closed_form_agrees():
 # that means to move a printed digit re-records these and says so.
 _PINNED_STDOUT = [
     ("report --p 1 --c 0.3",
-     "ad78880d6f9681b5e5581b717d32d291e0b537e4f1e8a698d8ff6e8b7abbecc9"),
+     "5e3c6d15f5e9d5fc55865d144d79a389d4ab3704d5324a6c740e0fa2c0bfe93e"),
     ("report --p 2 --c 0",
-     "f21c0474cbc86b3b8cae1c76e412a953ba59a98fddccee0024a80ce243527d68"),
+     "88433b9d418793d714a56fb35a909c64b8d8c2a2b291b2bf84a16974b9074063"),
     ("scan --model coupled-wave --p 1.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "3392559404bd92d2945622e98aef4074699e35c173ec2e7109f7774acfa14522"),
+     "41fd3dea0813d47d44557d24c0e1356392669d0f031cfc1329e9b8b2c8e991b3"),
     ("scan --model coupled-wave --p 2.0 --c 0.0 --lambda-max 3 --grid-n 13 --tol 1e-9 --format json",
-     "9d044b1b8dfd010b60cb567db2c64e35b0a4412d9d1e090eae08673b5ef4c035"),
+     "759967cfc699197299d5a6b34667a17e41e9b4be76903929e540f637fb8f94cd"),
     ("contour --model coupled-wave --p 1.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "4ae2a03e2647f211b25d7a8733c4bfa1fd693a7b7822b9364a4b8764887383e6"),
     ("contour --model coupled-wave --p 2.0 --c 0.0 --rect 0.5,3.0,-0.8,0.8",
      "6c65b769956c81a1fcfdf6816f82342dd7df60e833fc29cd93ece6b9cbde490f"),
     ("verify --suite structure --c 0.3",
-     "95c92826aada4d17d504a7d8b2cb8f346bbbd560af2225f02df6ac277da70c23"),
+     "cb0f30767d4b0ce40c012384259bd1c9112537dcfcd6ad3656d546afe1f8aa2d"),
     ("verify --suite appendix-a --c 0.3",
-     "5b272eb475eb8c0197efae7d8e8deae4a6ab26259e66c2298d5f6b34a9f0840f"),
+     "6aad509cabdc8f4b73f1d8401b8be2b74bf2a68c56d4305a3d62b80c948e086e"),
 ]
 
 

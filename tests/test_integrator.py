@@ -258,23 +258,25 @@ def _stacked_counting(model):
 
 
 def test_one_table_build_per_task(monkeypatch):
-    # a scan sweeps one stepper with its grid and every polish round, and a
-    # contour with its boundary and every refinement level: each task makes
-    # the field evaluations of its first batch alone
-    model, wave = _coupled()
+    # a scan sweeps one stepper with its proxy's points and every round of
+    # sign checks, and a contour with its boundary and every refinement
+    # level: each task makes the field evaluations of its first batch alone.
+    # At p = 1.666 the small root's error bar takes two rounds of checks
+    model, wave = _coupled(1.666)
     counted, calls = _stacked_counting(model)
     sweeps, real = [], Stepper.run
     monkeypatch.setattr(Stepper, "run", lambda self, runs: sweeps.append(1) or real(self, runs))
     nm = Numerics(tol=1e-9)
     scan = real_axis_scan(counted, wave, 0.0, 3.0, n=13, numerics=nm)
     task = len(calls)
-    assert len(scan.roots) == 2 and len(sweeps) > 2
+    assert len(scan.roots) == 2 and len(sweeps) == 3
     calls.clear()
     evans_dets(counted, wave, 0.0, scan.lams, numerics=nm)
     assert len(calls) == task > 0
     # the benchmark rectangle with 2 points an edge refines twice
+    model, wave = _coupled()
+    counted, calls = _stacked_counting(model)
     rect = (0.5, 3.0, -0.8, 0.8)
-    calls.clear()
     sweeps.clear()
     assert winding_count(counted, wave, 0.0, rect, m_per_edge=2) == 2
     task = len(calls)
@@ -447,11 +449,13 @@ def test_sixth_order_against_oracle():
 
 
 def test_block_propagators_keep_closed_form_accuracy():
-    # the core [-2, 2] steps in propagators of 4 steps and the outer pieces
-    # one step at a time: D stays within tol / 20 of the closed form over
-    # real and complex lambda, small and large, at four (p, c) and two tol
-    # (the worst point reads 0.025 tol; composing the outer pieces' long
-    # steps too reads about 50 tol)
+    # steps from the lowest node at or above xi = -6 that lies a multiple of
+    # 4 steps below -2 up to its mirror image go in propagators of 4 steps,
+    # and the far field's long steps one at a time: D stays within tol / 20
+    # of the closed form over real and complex lambda, small and large, at
+    # four (p, c) and two tol.  The worst point reads 0.0249 tol with the
+    # propagators starting at -2 (the core alone), -3, -6, -8, -10 or -12,
+    # 0.055 tol from -15, and 114.8 tol with the whole outer pieces composed
     lams = [0.3, 2.5, 1 + 0.5j, 0.7 + 2j, 0.1 + 2.5j, 0.02 + 4j, 15.0, 8 + 6j]
     for p, c in ((2.0, 0.0), (1.0, 0.3), (0.5, -0.35), (2.5, 0.35)):
         model, wave = _coupled(p)
@@ -459,6 +463,41 @@ def test_block_propagators_keep_closed_form_accuracy():
         for tol in (1e-8, 1e-10):
             for lam, s in zip(lams, evans_dets(model, wave, c, lams, numerics=Numerics(tol=tol))):
                 assert abs(s.D / o.evans_det(lam) - 1.0) <= tol / 20, (p, c, tol, lam)
+
+
+@pytest.mark.parametrize("task, sweeps, rows, exps", [
+    (lambda: stability_report(*_coupled(1.0), 0.3), 1, 134, 1646),
+    (lambda: stability_report(*_coupled(2.0), 0.0), 1, 134, 1647),
+    (lambda: real_axis_scan(*_coupled(1.0), 0.0, 3.0, n=13, numerics=Numerics(tol=1e-9)),
+     1, 63, 5025),
+    (lambda: real_axis_scan(*_coupled(2.0), 0.0, 3.0, n=13, numerics=Numerics(tol=1e-9)),
+     1, 63, 5025),
+    (lambda: winding_count(*_coupled(1.0), 0.0, (0.5, 3.0, -0.8, 0.8)), 1, 44, 3425),
+    (lambda: winding_count(*_coupled(2.0), 0.0, (0.5, 3.0, -0.8, 0.8)), 1, 44, 3425),
+], ids=["report-p1-c0.3", "report-p2-c0", "scan-p1", "scan-p2", "contour-p1", "contour-p2"])
+def test_anchor_loop_cost(monkeypatch, task, sweeps, rows, exps):
+    # the benchmark's anchor tasks: stepper sweeps, loop iterations (the
+    # rows _exponentials returns, one per step or propagator) and the 4x4
+    # exponentials behind them.  A scan makes one sweep, of its proxy's 25
+    # points, and propagators span about [-6, 6], so far-field steps alone
+    # take an iteration each
+    counts = {"sweeps": 0, "rows": 0, "exps": 0}
+    run, expo = Stepper.run, Stepper._exponentials
+
+    def counted_run(self, runs):
+        counts["sweeps"] += 1
+        return run(self, runs)
+
+    def counted_exponentials(self, parts, powers, real, block=1):
+        out = expo(self, parts, powers, real, block)
+        counts["rows"] += len(out)
+        counts["exps"] += len(parts[0][0]) * len(powers)
+        return out
+
+    monkeypatch.setattr(Stepper, "run", counted_run)
+    monkeypatch.setattr(Stepper, "_exponentials", counted_exponentials)
+    task()
+    assert counts == {"sweeps": sweeps, "rows": rows, "exps": exps}
 
 
 @pytest.mark.parametrize("tol", [1e-30, 1e-18, 0.0, -1e-9, np.nan, np.inf])
@@ -531,8 +570,8 @@ def test_tangent_pair_golden_bits():
     want = (
         (["-0x1.b14da2ba1761bp-10", "0x1.b70f3ca931773p-11",
           "-0x1.d2803073c48e0p-9", "-0x1.b14da2ba17621p-11"], (470, 0)),
-        (["0x1.97312f1bb10dap-9", "0x1.9c99fc320e50cp-10",
-          "-0x1.b6639bf52f361p-8", "0x1.97312f1bb10dap-10"], (470, 0)),
+        (["0x1.97312f1bb10cdp-9", "0x1.9c99fc320e506p-10",
+          "-0x1.b6639bf52f352p-8", "0x1.97312f1bb10cfp-10"], (470, 0)),
     )
     for sol, (re, steps) in zip((minus, plus), want):
         assert [float(v.real).hex() for v in sol.value_at_end] == re
