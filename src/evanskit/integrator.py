@@ -42,7 +42,10 @@ builds each row once per task for all the runs it sweeps: a scan's proxy
 points and sign checks, a contour's boundary and refinement levels, or a
 report's tangent pair and derivative stencil.  A table is built from the
 bottom of the mesh up, as far as the up-runs step, and whole for a sweep
-with a down-run.
+with a down-run.  On a reversible wave with a diagonal R, as the coupled
+wave's diag(1, -1, -1, 1), only the rows of [-L, 0] come from the field: a
+row of [0, L] is the mirror image of a row below 0, W_k -> (-1)^(k+1) R W_k
+R (see _magnus), which flips the signs of some of its entries, exactly.
 Stepper.run is the one way in; integrate_mode is a fresh Stepper's sweep
 of one run.  Each (lambda, direction stepped) then costs one weighted
 sum and one exponential per step.  A sweep takes its exponentials in
@@ -102,7 +105,10 @@ _FLOOR = 0.005     # monitor floor, as a fraction of the monitor's maximum
 _FINE = 128        # monitor samples per mesh piece
 _EXP_BATCH = 400   # matrices per exponential call: steps times (lambda, direction) groups;
                    # each takes 7 float n x n arrays, held for the task (1.4 MiB at n = 8)
-_TABLE_BATCH = 64  # steps per _magnus call: bounds its temporaries (128 raises their peak)
+_TABLE_BATCH = 320  # steps per _magnus call, which bounds its temporaries (about 640 KiB at
+                    # 320): level 1's [-L, 0] at tol 1e-10 is one call.  tracemalloc peaks of
+                    # a report, a scan to lambda = 200 and two large contours read 1.04, 5.29,
+                    # 3.64 and 3.19 MiB, against 0.88, 4.74, 3.64 and 3.19 at 64
 _OVERFLOW = 1e12
 _REVERSIBLE = 1e-12   # field symmetry under R, relative to its largest entry, for reflected w-runs
 _SIGNS = np.array([-1.0, 1.0])[:, None, None]   # [[P, -Q], [Q, P]]'s right column from Q over P
@@ -213,6 +219,16 @@ def _magnus(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     steps taken backward, _magnus(-h, a[:, ::-1], b), give -W, because a1,
     a3 and b1 change sign exactly, a2 keeps its bits, and a3 sums the end
     nodes first.
+
+    A reversor R (R R = I, R M R = -M, R J(c) R = -J(c), so R b R = b) with
+    a field that obeys A0(-xi) = -R A0(xi) R mirrors a step: the step of
+    the same length at the mirror image of its Gauss nodes (1 - g_i =
+    g_(2-i)) has W_k' = (-1)^(k+1) R W_k R.  There a1 and a3 are -R a1 R and
+    -R a3 R, a2 and b1 are R a2 R and R b1 R, and by the time symmetry that
+    is the exponent of the step at -lambda, negated, conjugated by R.  The
+    sampled field obeys the relation to rounding, so a mirrored row agrees
+    with one built from the field to about 5e-16 of its largest entry, and
+    most rows to the bit.
     """
     hh = h[:, None, None]
     a1, b1 = hh * a[:, 1], hh * b                         # alpha1 = a1 + lam b1
@@ -225,8 +241,10 @@ def _magnus(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c22 = _commutator(b1, c11) / -60.0
     x0, x1 = -20.0 * a1 - a3 + c10, -20.0 * b1 + c11      # -20 alpha1 - alpha3 + C1
     y0 = a2 + c20                                         # alpha2 + C2 = y0 + lam c21 + lam^2 c22
+    del e0, c10, c11, a2, c20   # each stack is S x 128 bytes: free them before w's
     w = np.empty((len(h), 4, 4, 4))
     w[:, 0] = a1 + a3 / 12.0 + _commutator(x0, y0) / 240.0
+    del a1, a3
     w[:, 1] = b1 + (_commutator(x0, c21) + _commutator(x1, y0)) / 240.0
     w[:, 2] = (_commutator(x0, c22) + _commutator(x1, c21)) / 240.0
     w[:, 3] = _commutator(x1, c22) / 240.0
@@ -269,14 +287,16 @@ class _Level:
 
     Row k of w holds the W_k of step k up the mesh, [x[k], x[k+1]]; w is
     allocated for the whole mesh.  Rows [0, built) are built, from the
-    bottom up: up-runs read rows from the bottom, and down-runs, which
-    read them from the top, need the whole table.  The core [-2, 2] is
-    steps [outer, nsteps - outer), a multiple of _BLOCK steps from each of
-    its nodes to the next.  Steps [blocked, nsteps - blocked) are stepped
-    in propagators of _BLOCK steps, counted on this level's mesh: blocked is
+    bottom up: up-runs read rows from the bottom, and down-runs, which read
+    them from the top, need the whole table.  On a reversible wave with a
+    diagonal R the rows of [0, L] among them are mirrored from those of
+    [-L, 0] (see Stepper._build), which are then all built.  The core
+    [-2, 2] is steps [outer, nsteps - outer), a multiple of _BLOCK steps
+    from each of its nodes to the next.  Steps [blocked, nsteps - blocked) are stepped in
+    propagators of _BLOCK steps, counted on this level's mesh: blocked is
     the lowest step from xi = -_BLOCKED up that lies a multiple of _BLOCK
-    steps below outer.  The steps outside, the far field, are stepped one
-    at a time.
+    steps below outer.  The steps outside, the far field, are stepped one at
+    a time.
     """
 
     x: np.ndarray
@@ -289,32 +309,35 @@ class _Level:
 class Stepper:
     """The mesh and W table of one (model, wave, c, tol, L), for any number of sweeps.
 
-    None of it depends on lambda.  The mesh is built by the first sweep
-    with runs, and the field's samples that grade it decide once whether
-    the wave is reversible, in which case every sweep steps its w-runs as
-    reflected u-runs, in their lambda's u-runs' direction: determinant
-    runs to 0 then all step up the mesh and build the table of [-L, 0]
-    alone, with one exponential per lambda and step.  Each refinement
-    level has one W table for steps up the mesh; a step down it is the
-    same step backward, whose exponent is -W to the bit (see _magnus), so
-    down-runs read the table from the top with their powers of lambda
-    negated.  The table is built in one direction, from the bottom up: as
-    far as a sweep's up-runs step, and whole when the sweep has a
-    down-run.  The stepper holds level 1, on which every run with |lambda|
-    up to LAMBDA_REF steps, for all its sweeps, and a later sweep that
-    steps further extends its table (in no task of the package would
-    building from the top as well save a row).  A refined level is built
-    for its own sweep and dropped after it, so the many levels of large
-    |lambda| never pile up; levels are swept in ascending order.  A table
-    row is the same array whichever sweep built it, so a run gives the
-    same bits on a stepper that has swept before as on a fresh one.  The
-    stepper also holds the float buffers that its exponentials are
-    computed in, sized for one chunk of _EXP_BATCH matrices, so that a
-    task does not allocate them afresh per chunk; a chunk's groups, real
-    and complex lambda alike, go to one _expms call.  A sweep's loop steps
-    every run through one 4x4 product per propagator of _BLOCK steps, on
-    the core and out to about xi = -+_BLOCKED, and one per step in the far
-    field beyond; the mesh and its nodes do not depend on that grouping.
+    None of it depends on lambda.  The mesh is built by the first sweep with
+    runs, and the field's samples that grade it decide once whether the wave
+    is reversible, in which case every sweep steps its w-runs as reflected
+    u-runs, in their lambda's u-runs' direction: determinant runs to 0 then
+    all step up the mesh and build the table of [-L, 0] alone, with one
+    exponential per lambda and step.  Each refinement level has one W table
+    for steps up the mesh; a step down it is the same step backward, whose
+    exponent is -W to the bit (see _magnus), so down-runs read the table
+    from the top with their powers of lambda negated.  The table is built in
+    one direction, from the bottom up: as far as a sweep's up-runs step, and
+    whole when the sweep has a down-run; on a reversible wave with a
+    diagonal R, _magnus builds the rows of [-L, 0] and the rows above 0 are
+    their mirror images (see _magnus), so a report's tangent pair to +2 and
+    the wedge's down-runs make one _magnus call on level 1.  The stepper
+    holds level 1, on which every run with |lambda| up to LAMBDA_REF steps,
+    for all its sweeps, and a later sweep that steps further extends its
+    table (in no task of the package would building from the top as well
+    save a row).  A refined level is built for its own sweep and dropped
+    after it, so the many levels of large |lambda| never pile up; levels are
+    swept in ascending order.  A table row is the same array whichever sweep
+    built it, so a run gives the same bits on a stepper that has swept
+    before as on a fresh one.  The stepper also holds the float buffers that
+    its exponentials are computed in, sized for one chunk of _EXP_BATCH
+    matrices, so that a task does not allocate them afresh per chunk; a
+    chunk's groups, real and complex lambda alike, go to one _expms call.  A
+    sweep's loop steps every run through one 4x4 product per propagator of
+    _BLOCK steps, on the core and out to about xi = -+_BLOCKED, and one per
+    step in the far field beyond; the mesh and its nodes do not depend on
+    that grouping.
     """
 
     def __init__(self, model: MultisymplecticModel, wave: WaveFamily, c: float,
@@ -352,6 +375,18 @@ class Stepper:
         back = self._field(-xi).transpose(1, 0, 2).reshape(4, -1)
         gap = np.abs(back + rev @ fr).max()   # NaN fails the check
         return left, bool(gap <= _REVERSIBLE * np.abs(f).max())
+
+    @cached_property
+    def _mirror(self) -> Optional[np.ndarray]:
+        # the factors (-1)^(k+1) r_i r_j that take entry [i, j] of a row's W_k
+        # to the mirrored row's (see _magnus), when the wave is reversible and
+        # R is diagonal, r = diag(R), as the coupled wave's diag(1, -1, -1, 1);
+        # None otherwise, and _build builds every row from the field
+        rev = self.model.R
+        if not self._half[1] or np.count_nonzero(rev - np.diag(np.diag(rev))):
+            return None
+        r = np.diag(rev)
+        return np.array([-1.0, 1.0, -1.0, 1.0])[:, None, None] * np.outer(r, r)
 
     def _buffer(self, key, shape, dtype=float) -> np.ndarray:
         # a contiguous array of this shape on a buffer held for the stepper's
@@ -473,14 +508,21 @@ class Stepper:
         return self._level(1)
 
     def _build(self, level: _Level, upto: int):
-        # rows [built, upto) of level's table, _TABLE_BATCH steps a _magnus
-        # call to bound its temporaries
-        x = level.x
+        # rows [built, upto) of level's table.  _magnus builds them in calls
+        # of _TABLE_BATCH steps, to bound its temporaries.  With _mirror it
+        # builds only the rows of [-L, 0], and row k >= nsteps / 2 is row
+        # nsteps - 1 - k mirrored (see _magnus), which those rows precede
+        x, w = level.x, level.w
         h = np.diff(x)
-        for k0 in range(level.built, upto, _TABLE_BATCH):
-            k1 = min(k0 + _TABLE_BATCH, upto)
+        nsteps = len(h)
+        half = nsteps if self._mirror is None else nsteps // 2
+        for k0 in range(level.built, min(upto, half), _TABLE_BATCH):
+            k1 = min(k0 + _TABLE_BATCH, upto, half)
             a = self._field((x[k0:k1, None] + _GAUSS * h[k0:k1, None]).ravel())
-            level.w[k0:k1] = _magnus(h[k0:k1], a.reshape(-1, 3, 4, 4), self.bmat)
+            w[k0:k1] = _magnus(h[k0:k1], a.reshape(-1, 3, 4, 4), self.bmat)
+        k0 = max(level.built, half)
+        if k0 < upto:
+            np.multiply(w[nsteps - upto:nsteps - k0][::-1], self._mirror, out=w[k0:upto])
         level.built = max(level.built, upto)
 
     def _sweep(self, level: _Level, runs) -> list:
@@ -586,9 +628,8 @@ class Stepper:
                                        (w[nsteps - k1:nsteps - k0][::-1], up, act.size))
                      if part[1] < part[2]]
             e = self._exponentials(parts, powers[act], not complex_g[act].any(), block)
-            bad = ~np.isfinite(e.view(float)).all(axis=(2, 3))
-            if bad.any():
-                s, g = np.argwhere(bad)[0]
+            if not np.isfinite(e.view(float)).all():   # one flat test, then the first bad step
+                s, g = np.argwhere(~np.isfinite(e.view(float)).all(axis=(2, 3)))[0]
                 raise StepFail(f"non-finite exponent at xi={named[act[g]] * x[k0 + block * s]:.4f}")
             # the runs still stepping are a prefix of v, stepped as one array
             # that sheds its last runs at their stop node.  Each step gathers
@@ -613,13 +654,16 @@ class Stepper:
             v[:len(cur)] = cur
             # a run's norm is checked only at nodes that do not depend on its
             # batch: its stop node, and t = -2 and 2, where chunks always end.
-            # The first such node with a run over the bound names the xi
-            over = ((stops[:live] <= k1) | (k1 in core)) \
-                & ~(np.abs(v[:live]).max(axis=1) <= _OVERFLOW)   # true for a NaN too
-            if over.any():
-                at = np.minimum(stops[:live], k1)[over]
-                node, m = min(zip(at.tolist(), order[:live][over].tolist()))
-                raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} by xi={dirs[m] * x[node]:.3f}")
+            # The first such node with a run over the bound names the xi.  A
+            # flat test of every run clears the chunk first (a NaN fails it)
+            if not abs(v[:live]).max() <= _OVERFLOW:
+                over = ((stops[:live] <= k1) | (k1 in core)) \
+                    & ~(np.abs(v[:live]).max(axis=1) <= _OVERFLOW)
+                if over.any():
+                    at = np.minimum(stops[:live], k1)[over]
+                    node, m = min(zip(at.tolist(), order[:live][over].tolist()))
+                    raise Overflow(f"mode norm exceeded {_OVERFLOW:.0e} "
+                                   f"by xi={dirs[m] * x[node]:.3f}")
             k0 = k1
 
         v = v[place]   # the end values by run, a reflected run's taken back by R

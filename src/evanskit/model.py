@@ -303,6 +303,7 @@ class CoupledWaveOracle:
     pi: float                    # Pi in the code's normalization, see oracle_coupled_wave
     momentum: float              # -16 c alpha / 5
     dIdc: float                  # -16 alpha^3 / 5
+    d2: float                    # D''(0) = alpha^2 p (1+p)(5-3p) / (3000 f2(0)^2)
     mu_at_zero: np.ndarray       # (-gamma a, -2a, 2a, gamma a)
 
     def psi_plus(self, xi: float) -> float:
@@ -361,7 +362,8 @@ def oracle_coupled_wave(p: float, c: float = 0.0) -> CoupledWaveOracle:
     pi is invariants.pi_profile's Pi: the paper's 6p gamma (5-3p)(1+p) /
     (25 alpha) times alpha / (6 gamma f2(0)^2), with f2(0) = (10 + 6p) / 5 +
     gamma (15 + 3p) / 15 the factor that evans_det's mode basis carries at
-    lambda = 0.
+    lambda = 0.  d2 is D''(0) of evans_det's closed form, with f1(0) = 4
+    and P(0) = 135 p (1+p)(5-3p); it equals 2 chi Pi dI/dc.
     """
     if p <= 0:
         raise BadParameter(f"coupling p={p} must be positive")
@@ -374,4 +376,5 @@ def oracle_coupled_wave(p: float, c: float = 0.0) -> CoupledWaveOracle:
         pi=p * (5 - 3 * p) * (1 + p) / (25 * f2 ** 2),
         momentum=-16.0 * c * al / 5.0,
         dIdc=-16.0 * al ** 3 / 5.0,
+        d2=al ** 2 * p * (1 + p) * (5 - 3 * p) / (3000 * f2 ** 2),
         mu_at_zero=np.array([-g * al, -2 * al, 2 * al, g * al]))

@@ -358,10 +358,55 @@ def test_magnus_step_is_time_symmetric():
     assert np.array_equal(_magnus(-h, a[:, ::-1], stepper.bmat), -_magnus(h, a, stepper.bmat))
 
 
+def _mirror_check(stepper, r):
+    # level r's table built whole, and the rows of [0, L] built by _magnus
+    # from the field, as a wave without the symmetry builds them
+    level = stepper._level(r)
+    nsteps = len(level.x) - 1
+    stepper._build(level, nsteps)
+    x, h, half = level.x, np.diff(level.x), nsteps // 2
+    a = stepper._field((x[half:-1, None] + _GAUSS * h[half:, None]).ravel())
+    return level.w, _magnus(h[half:], a.reshape(-1, 3, 4, 4), stepper.bmat)
+
+
+@pytest.mark.parametrize("p, c", [(2.0, 0.0), (1.0, 0.3), (0.5, -0.35), (2.5, 0.35)])
+def test_mirrored_rows_match_built_ones(p, c):
+    # on a reversible wave the rows of [0, L] are the rows of [-L, 0]
+    # mirrored, W_k[k'] = (-1)^(k+1) R W_k[2m-1-k'] R: at the accuracy
+    # guard's (p, c), both tolerances and levels 1 and 2 they are within
+    # 1e-15 of each direct row's largest entry, and the rows of [-L, 0] keep
+    # the bits of a build of the whole table
+    model, wave = _coupled(p)
+    for tol in (1e-8, 1e-10):
+        stepper = Stepper(model, wave, c, tol=tol)
+        assert stepper._half[1]
+        for r in (1, 2):
+            w, direct = _mirror_check(stepper, r)
+            half = len(w) // 2
+            top = np.abs(direct).max(axis=(1, 2, 3))
+            assert np.all(np.abs(w[half:] - direct).max(axis=(1, 2, 3)) <= 1e-15 * top)
+            whole = _mirror_check(Stepper(_without_r(model), wave, c, tol=tol), r)[0]
+            assert np.array_equal(w[:half], whole[:half])
+
+
+def test_asymmetric_wave_builds_every_row(monkeypatch):
+    # a wave that fails the symmetry check mirrors nothing: a sweep with
+    # down-runs has _magnus build every row of its table, from -L upward
+    rows, magnus = [], integrator._magnus
+    monkeypatch.setattr(integrator, "_magnus",
+                        lambda h, a, b: rows.append(h.copy()) or magnus(h, a, b))
+    model, wave = build_coupled_wave(1.0)
+    stepper = Stepper(model, _shifted(wave, 0.3), 0.3, tol=1e-9)
+    assert not stepper._half[1]
+    stepper.run(_det_runs([0.7], [spectrum(model, 0.3, 0.7)]))
+    assert np.array_equal(np.concatenate(rows), np.diff(stepper._base.x))
+
+
 def test_report_tabulates_each_step_once(monkeypatch):
     # a report's one sweep steps the tangent pair to +-2 and the stencil to
     # 0, and its w-runs as reflected u-runs, which step up the mesh: each
-    # step of [-L, 2] gets one table row, built from -L upward
+    # step of [-L, 2] gets one table row, from -L upward, in one _magnus
+    # call for the 294 steps of [-L, 0] and mirrored for the 176 above it
     rows, steppers = [], []
     magnus, run = integrator._magnus, Stepper.run
     monkeypatch.setattr(integrator, "_magnus",
@@ -371,21 +416,24 @@ def test_report_tabulates_each_step_once(monkeypatch):
     model, wave = _coupled()
     stability_report(model, wave, 0.3)
     [stepper] = steppers
-    x = stepper._level(1).x
+    x = stepper._base.x
+    half = len(x) // 2   # the steps of [-L, 0]
     top = int(np.searchsorted(x, 2.0))   # the steps of [-L, 2]
-    assert sum(map(len, rows)) == top == 470
-    assert np.array_equal(np.concatenate(rows), np.diff(x)[:top])
+    assert len(rows) == 1 and len(rows[0]) == half == 294
+    assert np.array_equal(rows[0], np.diff(x)[:half])
+    assert stepper._base.built == top == 470
 
 
-@pytest.mark.parametrize("task, want", [
-    ("dets-without-r", 588),
-    ("wedge", 590),
-])
-def test_table_is_built_from_the_bottom_up(monkeypatch, task, want):
+@pytest.mark.parametrize("task, whole, built", [
+    ("dets-without-r", 588, 588),
+    ("wedge", 590, 295),
+], ids=["dets-without-r-588", "wedge-590"])
+def test_table_is_built_from_the_bottom_up(monkeypatch, task, whole, built):
     # a sweep with down-runs, a model without R stepping its w-runs down
     # from +L or the wedge's u1 and u2, builds the whole table, from -L
     # upward in one pass: the rows _magnus builds are the mesh's steps in
-    # ascending order, each built once
+    # ascending order, each built once.  The wedge's wave is reversible, so
+    # _magnus builds the rows of [-L, 0] and the rest are mirrored
     rows, steppers = [], []
     magnus, run = integrator._magnus, Stepper.run
     monkeypatch.setattr(integrator, "_magnus",
@@ -399,9 +447,9 @@ def test_table_is_built_from_the_bottom_up(monkeypatch, task, want):
         evans_dets(_without_r(model), wave, 0.3, [0.7, 1.1 + 0.3j, 3.0],
                    numerics=Numerics(tol=1e-10))
     [stepper] = steppers
-    h = np.diff(stepper._level(1).x)
-    assert sum(map(len, rows)) == len(h) == want
-    assert np.array_equal(np.concatenate(rows), h)
+    h = np.diff(stepper._base.x)
+    assert len(h) == stepper._base.built == whole
+    assert np.array_equal(np.concatenate(rows), h[:built])
 
 
 @pytest.mark.parametrize("L", [None, 6.0, 15.0])
@@ -465,28 +513,39 @@ def test_block_propagators_keep_closed_form_accuracy():
                 assert abs(s.D / o.evans_det(lam) - 1.0) <= tol / 20, (p, c, tol, lam)
 
 
-@pytest.mark.parametrize("task, sweeps, rows, exps", [
-    (lambda: stability_report(*_coupled(1.0), 0.3), 1, 134, 1646),
-    (lambda: stability_report(*_coupled(2.0), 0.0), 1, 134, 1647),
+@pytest.mark.parametrize("task, sweeps, rows, exps, built", [
+    (lambda: stability_report(*_coupled(1.0), 0.3), 1, 134, 1646, (1, 294, 470)),
+    (lambda: stability_report(*_coupled(2.0), 0.0), 1, 134, 1647, (1, 295, 467)),
     (lambda: real_axis_scan(*_coupled(1.0), 0.0, 3.0, n=13, numerics=Numerics(tol=1e-9)),
-     1, 63, 5025),
+     1, 63, 5025, (1, 201, 201)),
     (lambda: real_axis_scan(*_coupled(2.0), 0.0, 3.0, n=13, numerics=Numerics(tol=1e-9)),
-     1, 63, 5025),
-    (lambda: winding_count(*_coupled(1.0), 0.0, (0.5, 3.0, -0.8, 0.8)), 1, 44, 3425),
-    (lambda: winding_count(*_coupled(2.0), 0.0, (0.5, 3.0, -0.8, 0.8)), 1, 44, 3425),
+     1, 63, 5025, (1, 201, 201)),
+    (lambda: winding_count(*_coupled(1.0), 0.0, (0.5, 3.0, -0.8, 0.8)), 1, 44, 3425,
+     (1, 137, 137)),
+    (lambda: winding_count(*_coupled(2.0), 0.0, (0.5, 3.0, -0.8, 0.8)), 1, 44, 3425,
+     (1, 137, 137)),
 ], ids=["report-p1-c0.3", "report-p2-c0", "scan-p1", "scan-p2", "contour-p1", "contour-p2"])
-def test_anchor_loop_cost(monkeypatch, task, sweeps, rows, exps):
+def test_anchor_loop_cost(monkeypatch, task, sweeps, rows, exps, built):
     # the benchmark's anchor tasks: stepper sweeps, loop iterations (the
     # rows _exponentials returns, one per step or propagator) and the 4x4
     # exponentials behind them.  A scan makes one sweep, of its proxy's 25
     # points, and propagators span about [-6, 6], so far-field steps alone
-    # take an iteration each
-    counts = {"sweeps": 0, "rows": 0, "exps": 0}
-    run, expo = Stepper.run, Stepper._exponentials
+    # take an iteration each.  built holds the table's _magnus calls, the
+    # rows they build and the rows the table holds at the end: a report
+    # mirrors the rows of (0, 2] from those of [-2, 0)
+    counts = {"sweeps": 0, "rows": 0, "exps": 0, "built": [0, 0, 0]}
+    run, expo, magnus = Stepper.run, Stepper._exponentials, integrator._magnus
 
     def counted_run(self, runs):
         counts["sweeps"] += 1
-        return run(self, runs)
+        out = run(self, runs)
+        counts["built"][2] = self._base.built
+        return out
+
+    def counted_magnus(h, a, b):
+        counts["built"][0] += 1
+        counts["built"][1] += len(h)
+        return magnus(h, a, b)
 
     def counted_exponentials(self, parts, powers, real, block=1):
         out = expo(self, parts, powers, real, block)
@@ -496,8 +555,9 @@ def test_anchor_loop_cost(monkeypatch, task, sweeps, rows, exps):
 
     monkeypatch.setattr(Stepper, "run", counted_run)
     monkeypatch.setattr(Stepper, "_exponentials", counted_exponentials)
+    monkeypatch.setattr(integrator, "_magnus", counted_magnus)
     task()
-    assert counts == {"sweeps": sweeps, "rows": rows, "exps": exps}
+    assert counts == {"sweeps": sweeps, "rows": rows, "exps": exps, "built": list(built)}
 
 
 @pytest.mark.parametrize("tol", [1e-30, 1e-18, 0.0, -1e-9, np.nan, np.inf])

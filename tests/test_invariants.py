@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import evanskit.invariants as invariants
 from evanskit.asymptotics import spectrum
 from evanskit.errors import (Degenerate, Inconsistent, NoConverge, NonTransverse,
-                             NoPlateau, OrientationFail)
+                             NoPlateau, OrientationFail, StepTooLarge)
 from evanskit.evans import Numerics, derivatives_at_zero, evans_det
 from evanskit.integrator import Stepper, integrate_mode
 from evanskit.invariants import (
@@ -81,6 +81,26 @@ def test_factors_match_closed_forms(p, c):
     assert abs(pi_profile(model, wave, c).pi - o.pi) <= 5e-12 * abs(o.pi)
     assert abs(chi_factors(model, wave, c)[2] - o.chi) <= 1e-9 * abs(o.chi)
     assert abs(dIdc(model, wave, c) - o.dIdc) <= 1e-14 * abs(o.dIdc)
+
+
+@pytest.mark.parametrize("p, refused", [(0.5, 0), (1.0, 2), (1.5, 9), (2.0, 4), (2.5, 0)])
+def test_d2_matches_closed_form(p, refused):
+    # the report's D''(0) against the oracle's d2 over c in -0.8, -0.6, ...,
+    # 0.8, at every c where the report does not refuse (its stencil fails
+    # the quadratic fit at 1.5 everywhere, at 2 for |c| >= 0.6 and at 1 for
+    # |c| = 0.8); the worst of the 30 points reads 5.8e-5 relative, at p =
+    # 0.5, c = -0.8
+    model, wave = build_coupled_wave(p)
+    skipped = 0
+    for c in np.linspace(-0.8, 0.8, 9).round(1):
+        try:
+            got = stability_report(model, wave, float(c)).D2_raw
+        except StepTooLarge:
+            skipped += 1
+            continue
+        want = oracle_coupled_wave(p, float(c)).d2
+        assert abs(got - want) <= 1e-4 * abs(want), (p, c)
+    assert skipped == refused
 
 
 def test_quad_one_call_on_array():
